@@ -8,8 +8,7 @@ fabric.  The cli module ties them into runnable scenarios.
 
 from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
                      EnergySplit, MarketError, PricePair, adaption_coefficients,
-                     aggregator_profits, des_utility, energy_split,
-                     valid_k_intervals)
+                     des_utility, energy_split, valid_k_intervals)
 from .follower import (FollowerError, KktCase, KktSolution, best_response,
                        interior_stationary, lambda1_quadratic, lambda1_roots,
                        response_derivative_alpha, response_derivative_beta)
@@ -29,7 +28,7 @@ from .consensus import (AllCreditsZero, Behavior, ConsensusNode, FaultProfile,
                         RoundOutcome, TooFewNodes, check_quorum, elect_leader,
                         init_credits, min_quorum_cardinality, quorum_weight,
                         run_round, update_credits)
-from .netsim import (EventQueue, PhaseNet, RunResult, deliver, make_nodes,
-                     run_rounds, write_round_log)
+from .netsim import (PhaseNet, PipelineResult, RoundDriver, RunResult,
+                     make_nodes, run_pipeline, run_rounds, write_round_log)
 
 __version__ = "0.1.0"

@@ -13,33 +13,22 @@ from __future__ import annotations
 import argparse
 import csv
 import os
-import random
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from .consensus import (Behavior, ConsensusError, FaultProfile, init_credits,
-                        run_round, update_credits)
+from .consensus import ConsensusError
 from .equilibrium import NoFixedPoint, stackelberg_outcome
 from .follower import FollowerError
-from .ledger import (EnergyKind, Ledger, LedgerError, Role, export_chain,
-                     verify_chain)
-from .market import CityMarket, MarketError
-from .netsim import PhaseNet, make_nodes, run_rounds, write_round_log
-from .scenario import ScenarioError, build_city, build_consensus, build_ne_config, \
-    load_scenario
-
-# Contracts below this many joules are noise, not trades.
-MIN_CONTRACT_JOULES = 1e-9
+from .ledger import LedgerError, Role, export_chain
+from .market import MarketError
+from .netsim import make_nodes, run_pipeline, run_rounds, write_round_log
+from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
+                       build_ne_config, build_run, load_scenario)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_SAFETY = 3
-
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _write_rows(path: str, seed: int, header: List[str], rows: List[List]) -> None:
@@ -50,36 +39,22 @@ def _write_rows(path: str, seed: int, header: List[str], rows: List[List]) -> No
         w.writerows(rows)
 
 
-def _resolve_seed(args, sc) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in sc.run:
-        return int(float(sc.run["seed"]))
-    return 0
-
-
 # ============================================================
 # equilibrium
 # ============================================================
 
 
-def cmd_equilibrium(args) -> int:
-    sc = load_scenario(args.scenario)
-    city = build_city(sc)
-    cfg = build_ne_config(sc)
-    seed = _resolve_seed(args, sc)
-    out = _ensure_out(args.out)
-
-    outcome, trace = stackelberg_outcome(city, cfg)
+def cmd_equilibrium(args, sc: Scenario, seed: int) -> int:
+    outcome, trace = stackelberg_outcome(build_city(sc), build_ne_config(sc))
     p = outcome.prices
     _write_rows(
-        os.path.join(out, "equilibrium.csv"), seed,
+        os.path.join(args.out, "equilibrium.csv"), seed,
         ["p_e", "p_h", "iterations", "delta_final", "v_e", "v_h"],
         [[f"{p.p_e:.12e}", f"{p.p_h:.12e}", trace.iterations,
           f"{trace.delta_final:.6e}", f"{outcome.v_e:.6f}", f"{outcome.v_h:.6f}"]])
     if args.trace:
         _write_rows(
-            os.path.join(out, "trace.csv"), seed,
+            os.path.join(args.out, "trace.csv"), seed,
             ["iteration", "p_e", "p_h", "v_e", "v_h", "delta"],
             [[s.iteration, f"{s.p_e:.12e}", f"{s.p_h:.12e}", f"{s.v_e:.6f}",
               f"{s.v_h:.6f}", f"{s.delta:.6e}"] for s in trace.steps])
@@ -94,16 +69,12 @@ def cmd_equilibrium(args) -> int:
 # ============================================================
 
 
-def cmd_consensus(args) -> int:
-    sc = load_scenario(args.scenario)
+def cmd_consensus(args, sc: Scenario, seed: int) -> int:
     setup = build_consensus(sc)
-    seed = _resolve_seed(args, sc)
-    out = _ensure_out(args.out)
-
     nodes = make_nodes(setup.node_ids)
     result = run_rounds(setup.rounds, nodes, setup.profile, seed,
                         delta1=setup.delta1, delta2=setup.delta2)
-    write_round_log(result.rows, os.path.join(out, "rounds.csv"), seed)
+    write_round_log(result.rows, os.path.join(args.out, "rounds.csv"), seed)
     print(f"consensus: rounds={result.n_rounds} commits={result.commit_count} "
           f"aborts={result.n_rounds - result.commit_count} "
           f"divergent={result.divergence_count} dropped={result.dropped}")
@@ -120,155 +91,35 @@ def cmd_consensus(args) -> int:
 # ============================================================
 
 
-def cmd_full(args) -> int:
-    sc = load_scenario(args.scenario)
-    base_city = build_city(sc)
-    cfg = build_ne_config(sc)
-    setup = build_consensus(sc)
-    seed = _resolve_seed(args, sc)
-    out = _ensure_out(args.out)
-
-    n_cities = int(float(sc.run.get("cities", "2")))
-    days = int(float(sc.run.get("days", "3")))
-    funding = float(sc.run.get("funding", "10000"))
-    if n_cities * 2 < 4:
-        raise ScenarioError("full runs need at least 2 cities (4 aggregators)")
-
-    cities: Dict[str, CityMarket] = {f"c{i}": base_city for i in range(n_cities)}
-
-    ledger = Ledger()
-    agg_ids: List[str] = []
-    des_ids: Dict[str, List[str]] = {}
-    for cname, city in cities.items():
-        for side in ("ea", "ha"):
-            aid = f"{cname}.{side}"
-            ledger.register(aid, Role.AGGREGATOR, cname)
-            ledger.deposit(aid, funding)
-            agg_ids.append(aid)
-        des_ids[cname] = []
-        for j in range(len(city.communities)):
-            did = f"{cname}.des{j}"
-            ledger.register(did, Role.DES, cname)
-            des_ids[cname].append(did)
-
-    # Stage 1: per-city price equilibrium and the induced dispatches.
-    outcomes = {}
-    for cname, city in cities.items():
-        outcomes[cname], _trace = stackelberg_outcome(city, cfg)
-
-    # Stage 2: consensus group of all aggregators settling daily contracts.
-    nodes = make_nodes(agg_ids)
-    credits = init_credits(agg_ids)
-    # [faults] counts apply to the aggregator group, assigned in id order.
-    profile = setup.profile
-    if profile.behaviors:
-        listed = [profile.behaviors[k] for k in sorted(profile.behaviors)]
-        mapped = dict(zip(agg_ids, listed))
-        profile = FaultProfile(behaviors=mapped, drop_prob=profile.drop_prob,
-                               delay=profile.delay)
-    net = PhaseNet(agg_ids, drop_prob=profile.drop_prob, delay=profile.delay,
-                   rng=random.Random(f"net:{seed}"))
-    master = random.Random(seed)
-
-    all_contract_ids: List[str] = []
-    round_no = 0
-    rounds_cap_per_day = 50
-    for day in range(days):
-        day_ids: List[str] = []
-        for cname, city in cities.items():
-            outcome = outcomes[cname]
-            p = outcome.prices
-            for j, sol in enumerate(outcome.responses):
-                did = des_ids[cname][j]
-                x = city.chp.elec_capacity
-                y = city.chp.heat_capacity
-                e_exc = (1.0 - sol.dispatch.alpha) * x
-                q_exc = (1.0 - sol.dispatch.beta) * y
-                ledger.set_capacity(did, EnergyKind.ELECTRICITY, e_exc)
-                ledger.set_capacity(did, EnergyKind.HEAT, q_exc)
-                if e_exc > MIN_CONTRACT_JOULES:
-                    c = ledger.create_contract(f"{cname}.ea", did,
-                                               EnergyKind.ELECTRICITY, p.p_e,
-                                               e_exc, trans_time=day, stime=day)
-                    day_ids.append(c.contract_id)
-                if q_exc > MIN_CONTRACT_JOULES:
-                    c = ledger.create_contract(f"{cname}.ha", did,
-                                               EnergyKind.HEAT, p.p_h,
-                                               q_exc, trans_time=day, stime=day)
-                    day_ids.append(c.contract_id)
-        all_contract_ids.extend(day_ids)
-        for node in nodes.values():
-            for cid in day_ids:
-                node.pool[cid] = ledger.contracts[cid]
-
-        def pending() -> bool:
-            return any(nodes[k].pool for k in nodes
-                       if profile.behavior_of(k) is Behavior.HONEST)
-
-        committed_today: List[str] = []
-        for _ in range(rounds_cap_per_day):
-            if not pending():
-                break
-            outcome_r = run_round(nodes, credits, profile, net, round_no,
-                                  master.getrandbits(63))
-            credits = update_credits(credits, outcome_r,
-                                     setup.delta1, setup.delta2)
-            round_no += 1
-            if outcome_r.committed and outcome_r.block is not None:
-                committed_today.extend(c.contract_id for c in outcome_r.block.txs)
-        if pending():
-            print(f"day {day}: contract pool not drained within "
-                  f"{rounds_cap_per_day} rounds", file=sys.stderr)
-            return EXIT_RUNTIME
-
-        ledger.mark_verified(committed_today)
-        for cid in sorted(committed_today):
-            ledger.execute_contract(cid, meter_ok=True, now=day)
-
-    # Stage 3: audits and artifacts.
-    ref = nodes[sorted(nodes)[0]]
-    chains_equal = all(
-        len(nodes[k].chain.blocks) == len(ref.chain.blocks)
-        and all(a.block_hash() == b.block_hash()
-                for a, b in zip(nodes[k].chain.blocks, ref.chain.blocks))
-        for k in nodes)
-    chain_ok = verify_chain(ref.chain)
-    drift = ledger.conservation_drift()
-    unexecuted = [cid for cid in all_contract_ids
-                  if ledger.state_of(cid).value != "executed"]
-
-    with open(os.path.join(out, "chain.txt"), "w") as fh:
+def cmd_full(args, sc: Scenario, seed: int) -> int:
+    res = run_pipeline(sc, seed)
+    with open(os.path.join(args.out, "chain.txt"), "w") as fh:
         fh.write(f"# seed={seed}\n")
-        fh.write(export_chain(ref.chain))
+        fh.write(export_chain(res.chain))
+    ledger = res.ledger
     _write_rows(
-        os.path.join(out, "balances.csv"), seed,
+        os.path.join(args.out, "balances.csv"), seed,
         ["account", "role", "city", "balance", "credit"],
         [[a.account_id, a.role.value, a.city, f"{a.balance:.6f}",
-          "" if a.credit is None else f"{credits[a.account_id]:.3f}"]
+          f"{res.credits[a.account_id]:.3f}" if a.role is Role.AGGREGATOR else ""]
          for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)])
     _write_rows(
-        os.path.join(out, "contracts.csv"), seed,
+        os.path.join(args.out, "contracts.csv"), seed,
         ["contract_id", "buyer", "seller", "kind", "price", "amount",
          "trans_time", "state"],
         [[c.contract_id, c.buyer, c.seller, c.kind.value, f"{c.price:.12e}",
           f"{c.amount:.6f}", c.trans_time, ledger.state_of(c.contract_id).value]
          for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id)])
-    for cname in cities:
-        p = outcomes[cname].prices
-        print(f"{cname}: p_e={p.p_e:.6e} p_h={p.p_h:.6e} "
-              f"v_e={outcomes[cname].v_e:.4f} v_h={outcomes[cname].v_h:.4f}")
-    print(f"full: contracts={len(all_contract_ids)} "
-          f"executed={len(all_contract_ids) - len(unexecuted)} "
-          f"height={ref.chain.height} drift={drift:.3e} "
-          f"chain_ok={chain_ok} chains_equal={chains_equal}")
-
-    if drift > 1e-6 or not chain_ok or not chains_equal or unexecuted:
-        print("safety violation: "
-              + ("balance drift " if drift > 1e-6 else "")
-              + ("chain audit " if not chain_ok else "")
-              + ("divergent chains " if not chains_equal else "")
-              + (f"{len(unexecuted)} unexecuted contracts" if unexecuted else ""),
-              file=sys.stderr)
+    o = res.outcome
+    for cname in res.city_names:
+        print(f"{cname}: p_e={o.prices.p_e:.6e} p_h={o.prices.p_h:.6e} "
+              f"v_e={o.v_e:.4f} v_h={o.v_h:.4f}")
+    print(f"full: contracts={len(ledger.contracts)} "
+          f"executed={len(ledger.contracts) - len(res.unexecuted)} "
+          f"height={res.chain.height} drift={res.drift:.3e} "
+          f"chain_ok={res.chain_ok} chains_equal={res.chains_equal}")
+    if res.violations:
+        print("safety violation: " + ", ".join(res.violations), file=sys.stderr)
         return EXIT_SAFETY
     return EXIT_OK
 
@@ -301,7 +152,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        sc = load_scenario(args.scenario)
+        seed = args.seed if args.seed is not None else build_run(sc).seed
+        os.makedirs(args.out, exist_ok=True)
+        return args.fn(args, sc, seed)
     except (ScenarioError, MarketError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

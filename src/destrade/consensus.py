@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .ledger import Block, Chain, Contract, EnergyKind, make_block, validate_block
 
@@ -49,11 +49,10 @@ class Behavior(Enum):
 
 @dataclass
 class FaultProfile:
-    """Per-node behavior assignment plus link-level fault knobs."""
+    """Per-node behavior assignment plus the link drop probability."""
 
     behaviors: Dict[str, Behavior] = field(default_factory=dict)
     drop_prob: float = 0.0
-    delay: Tuple[int, int] = (1, 5)
 
     def behavior_of(self, node_id: str) -> Behavior:
         return self.behaviors.get(node_id, Behavior.HONEST)

@@ -40,7 +40,6 @@ class NeConfig:
     decay: float = 0.999
     init: Union[str, PricePair] = "low"
     max_iters: int = 50000
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.delta0 <= 0:
@@ -90,30 +89,28 @@ def resolve_init(city: CityMarket, init: Union[str, PricePair]) -> PricePair:
     raise MarketError(f"unknown init {init!r}")
 
 
-def ea_step(city: CityMarket, p_e: float, p_h: float, delta: float) -> float:
-    """One electricity-side move; probes are unclamped, the move is not."""
-    lo, hi = city.price_box()[0]
-    v0 = profit_e(city, PricePair(p_e, p_h))
-    vp = profit_e(city, PricePair(p_e + delta, p_h))
-    vm = profit_e(city, PricePair(p_e - delta, p_h))
-    if vp >= v0 and vp >= vm:
-        return min(hi, p_e + delta)
-    if vm >= v0 and vm > vp:
-        return max(lo, p_e - delta)
-    return p_e
+def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
+                    delta: float) -> float:
+    """One aggregator's move on its own price: side "e" moves p_e, "h" p_h.
 
-
-def ha_step(city: CityMarket, p_e: float, p_h: float, delta: float) -> float:
-    """One heat-side move, evaluated after the electricity move."""
-    lo, hi = city.price_box()[1]
-    v0 = profit_h(city, PricePair(p_e, p_h))
-    vp = profit_h(city, PricePair(p_e, p_h + delta))
-    vm = profit_h(city, PricePair(p_e, p_h - delta))
+    Probes are unclamped, the move is not.
+    """
+    if side == "e":
+        (lo, hi), own, profit = city.price_box()[0], p_e, profit_e
+        up, down = PricePair(p_e + delta, p_h), PricePair(p_e - delta, p_h)
+    elif side == "h":
+        (lo, hi), own, profit = city.price_box()[1], p_h, profit_h
+        up, down = PricePair(p_e, p_h + delta), PricePair(p_e, p_h - delta)
+    else:
+        raise ValueError("side must be 'e' or 'h'")
+    v0 = profit(city, PricePair(p_e, p_h))
+    vp = profit(city, up)
+    vm = profit(city, down)
     if vp >= v0 and vp >= vm:
-        return min(hi, p_h + delta)
+        return min(hi, own + delta)
     if vm >= v0 and vm > vp:
-        return max(lo, p_h - delta)
-    return p_h
+        return max(lo, own - delta)
+    return own
 
 
 def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
@@ -125,21 +122,15 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
     trace = NeTrace()
     for it in range(cfg.max_iters):
         before = (p_e, p_h)
-        p_e = ea_step(city, p_e, p_h, delta)
-        p_h = ha_step(city, p_e, p_h, delta)
+        p_e = aggregator_step(city, "e", p_e, p_h, delta)
+        p_h = aggregator_step(city, "h", p_e, p_h, delta)
         trace.iterations = it + 1
-        if cfg.record_trace:
-            pair = PricePair(p_e, p_h)
-            trace.steps.append(NeStep(it, p_e, p_h,
-                                      profit_e(city, pair), profit_h(city, pair),
-                                      delta))
+        pair = PricePair(p_e, p_h)
+        responses = city_responses(city, pair)
+        trace.steps.append(NeStep(it, p_e, p_h, profit_e(city, pair, responses),
+                                  profit_h(city, pair, responses), delta))
         if (p_e, p_h) == before:
-            if not cfg.record_trace:
-                pair = PricePair(p_e, p_h)
-                trace.steps.append(NeStep(it, p_e, p_h,
-                                          profit_e(city, pair), profit_h(city, pair),
-                                          delta))
-            return PricePair(p_e, p_h), trace
+            return pair, trace
         delta *= cfg.decay
     raise NoFixedPoint(f"no fixed point after {cfg.max_iters} iterations", trace)
 

@@ -284,7 +284,6 @@ class Account:
     role: Role
     city: str
     balance: float = 0.0
-    credit: Optional[float] = None  # consensus reputation, aggregators only
 
 
 @dataclass
@@ -302,8 +301,7 @@ class Ledger:
     def register(self, account_id: str, role: Role, city: str) -> Account:
         if account_id in self.accounts:
             raise LedgerError(f"duplicate account {account_id}")
-        credit = 0.5 if role is Role.AGGREGATOR else None
-        acct = Account(account_id=account_id, role=role, city=city, credit=credit)
+        acct = Account(account_id=account_id, role=role, city=city)
         self.accounts[account_id] = acct
         return acct
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 # Shape constant of the log utility.  The adaption coefficients below are
 # chosen so that consuming the full daily output pushes the log argument
@@ -242,17 +242,3 @@ def des_utility(chp: ChpParams, com: CommunityParams, p: PricePair,
             + com.k_h * math.log1p(com.b_h * s.q_use)
             + p.p_e * s.e_exc + p.p_h * s.q_exc
             - chp.fuel_cost)
-
-
-def aggregator_profits(city: CityMarket, p: PricePair,
-                       dispatches: Sequence[Dispatch]) -> Tuple[float, float]:
-    """Daily resale margins (electricity, heat) over all communities."""
-    if len(dispatches) != len(city.communities):
-        raise MarketError("one dispatch per community required")
-    e_exc = 0.0
-    q_exc = 0.0
-    for d in dispatches:
-        s = energy_split(city.chp, d)
-        e_exc += s.e_exc
-        q_exc += s.q_exc
-    return (city.r_e - p.p_e) * e_exc, (city.r_h - p.p_h) * q_exc

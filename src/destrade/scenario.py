@@ -9,6 +9,7 @@ number and section so a typo is findable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -21,8 +22,7 @@ _SCALAR_SECTIONS = ("market", "consensus", "faults", "run")
 _KNOWN_KEYS = {
     "market": {"q", "eta_g", "eta_r", "f_m", "c_f", "r_e", "r_h"},
     "communities": {"k_e", "k_h", "m_min"},
-    "consensus": {"n_nodes", "rounds", "delta1", "delta2",
-                  "delay_min", "delay_max"},
+    "consensus": {"n_nodes", "rounds", "delta1", "delta2"},
     "faults": {"dissenters", "silent_leaders", "invalid_leaders",
                "equivocators", "drop_prob"},
     "run": {"seed", "delta0", "decay", "init", "max_iters", "days",
@@ -105,10 +105,13 @@ def _as_float(section: Dict[str, str], name: str, key: str,
             raise ScenarioError(f"section [{name}] is missing {key!r}")
         return default
     try:
-        return float(section[key])
+        v = float(section[key])
     except ValueError:
         raise ScenarioError(
             f"section [{name}]: {key} = {section[key]!r} is not a number") from None
+    if not math.isfinite(v):
+        raise ScenarioError(f"section [{name}]: {key} = {section[key]!r} is not finite")
+    return v
 
 
 def _as_int(section: Dict[str, str], name: str, key: str,
@@ -117,6 +120,13 @@ def _as_int(section: Dict[str, str], name: str, key: str,
     if v != int(v):
         raise ScenarioError(f"section [{name}]: {key} must be an integer")
     return int(v)
+
+
+def _check(ok: bool, name: str, key: str, value, need: str) -> None:
+    """Reject an in-format value that lies outside its admissible range."""
+    if not ok:
+        raise ScenarioError(f"section [{name}]: {key} = {value} is out of range, "
+                            f"need {need}")
 
 
 def build_city(sc: Scenario) -> CityMarket:
@@ -177,7 +187,11 @@ class ConsensusSetup:
 
 def build_consensus(sc: Scenario) -> ConsensusSetup:
     n = _as_int(sc.consensus, "consensus", "n_nodes", 20)
+    _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
     rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
+    _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
+    drop_prob = _as_float(sc.faults, "faults", "drop_prob", 0.0)
+    _check(0.0 <= drop_prob <= 1.0, "faults", "drop_prob", drop_prob, "0 to 1")
     ids = [f"n{i:02d}" for i in range(n)]
     counts = [
         (Behavior.DISSENTER, _as_int(sc.faults, "faults", "dissenters", 0)),
@@ -194,16 +208,34 @@ def build_consensus(sc: Scenario) -> ConsensusSetup:
                 raise ScenarioError("more faulty nodes than nodes")
             behaviors[ids[cursor]] = beh
             cursor += 1
-    profile = FaultProfile(
-        behaviors=behaviors,
-        drop_prob=_as_float(sc.faults, "faults", "drop_prob", 0.0),
-        delay=(_as_int(sc.consensus, "consensus", "delay_min", 1),
-               _as_int(sc.consensus, "consensus", "delay_max", 5)),
-    )
     return ConsensusSetup(
         node_ids=ids,
-        profile=profile,
+        profile=FaultProfile(behaviors=behaviors, drop_prob=drop_prob),
         rounds=rounds,
         delta1=_as_float(sc.consensus, "consensus", "delta1", 0.05),
         delta2=_as_float(sc.consensus, "consensus", "delta2", 0.02),
     )
+
+
+@dataclass
+class RunSetup:
+    """The [run] values beyond the price search: seed and the full-run shape."""
+
+    seed: int
+    days: int
+    cities: int
+    funding: float
+
+
+def build_run(sc: Scenario) -> RunSetup:
+    run = RunSetup(
+        seed=_as_int(sc.run, "run", "seed", 0),
+        days=_as_int(sc.run, "run", "days", 3),
+        cities=_as_int(sc.run, "run", "cities", 2),
+        funding=_as_float(sc.run, "run", "funding", 10000.0),
+    )
+    _check(run.days >= 1, "run", "days", run.days, "at least 1")
+    _check(run.cities >= 2, "run", "cities", run.cities,
+           "at least 2 cities (4 aggregators)")
+    _check(run.funding > 0.0, "run", "funding", run.funding, "a positive amount")
+    return run

@@ -149,3 +149,44 @@ def test_full_needs_two_cities(tmp_path, capsys):
     rc = main(["full", "--scenario", str(scfile), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "at least 2 cities" in capsys.readouterr().err
+
+
+# The market and one community of SMALL_CONSENSUS, with no other section.
+CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
+
+
+@pytest.mark.parametrize("section,entry,message", [
+    ("run", "days = abc", "is not a number"),
+    ("run", "seed = x", "is not a number"),
+    ("run", "seed = 1.5", "must be an integer"),
+    ("run", "days = -1", "days = -1 is out of range"),
+    ("run", "days = 0", "days = 0 is out of range"),
+    ("run", "days = 2.5", "must be an integer"),
+    ("run", "cities = 3.5", "must be an integer"),
+    ("run", "cities = 1", "at least 2 cities"),
+    ("run", "funding = -5", "funding = -5.0 is out of range"),
+    ("run", "funding = 0", "funding = 0.0 is out of range"),
+    ("run", "funding = inf", "is not finite"),
+    ("faults", "drop_prob = nan", "is not finite"),
+    ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
+    ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),
+    ("consensus", "rounds = 0", "rounds = 0 is out of range"),
+    ("consensus", "n_nodes = 3", "n_nodes = 3 is out of range"),
+    ("consensus", "n_nodes = inf", "is not finite"),
+])
+def test_hostile_scenario_values_exit_1(tmp_path, capsys, section, entry, message):
+    scfile = tmp_path / "hostile.scn"
+    scfile.write_text(f"{CITY_ONLY}[{section}]\n{entry}\n")
+    out = tmp_path / "out"
+    rc = main(["full", "--scenario", str(scfile), "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "contracts.csv").exists()
+
+
+def test_undrained_pool_is_a_runtime_failure(tmp_path, capsys):
+    scfile = tmp_path / "lossy.scn"
+    scfile.write_text(f"{CITY_ONLY}[faults]\ndrop_prob = 1.0\n[run]\ndays = 1\n")
+    rc = main(["full", "--scenario", str(scfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "contract pool not drained" in capsys.readouterr().err

@@ -30,7 +30,7 @@ def _ids(n: int):
 
 
 def _net(ids):
-    return PhaseNet(ids, drop_prob=0.0, delay=(1, 5), rng=random.Random(99))
+    return PhaseNet(ids, drop_prob=0.0, rng=random.Random(99))
 
 
 # ------------------------------------------------------------

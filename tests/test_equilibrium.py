@@ -17,7 +17,7 @@ from destrade import (
     profit_h,
     stackelberg_outcome,
 )
-from destrade.equilibrium import ea_step, ha_step, resolve_init
+from destrade.equilibrium import aggregator_step, resolve_init
 from destrade.leader import decoupled_price_optimum
 import oracles
 
@@ -63,28 +63,30 @@ def test_resolve_init(city1):
 
 def test_step_stays_at_stationary_point(city1):
     p_star = decoupled_price_optimum(city1)
-    assert ea_step(city1, p_star, 4.5e-8, 1e-10) == p_star
+    assert aggregator_step(city1, "e", p_star, 4.5e-8, 1e-10) == p_star
 
 
 def test_step_climbs_toward_optimum(city1):
     p_star = decoupled_price_optimum(city1)
     below, above = p_star - 5e-10, p_star + 5e-10
-    assert ea_step(city1, below, 4.5e-8, 1e-10) == below + 1e-10
-    assert ea_step(city1, above, 4.5e-8, 1e-10) == above - 1e-10
+    assert aggregator_step(city1, "e", below, 4.5e-8, 1e-10) == below + 1e-10
+    assert aggregator_step(city1, "e", above, 4.5e-8, 1e-10) == above - 1e-10
 
 
 def test_step_breaks_ties_upward(city1_mid):
     # alpha saturates below the kink, so profit is flat zero and all
     # three probes tie; the walk drifts up and out of the dead zone
     p_e = 3.05e-8
-    assert ea_step(city1_mid, p_e, 6.25e-8, 1e-10) == p_e + 1e-10
+    assert aggregator_step(city1_mid, "e", p_e, 6.25e-8, 1e-10) == p_e + 1e-10
 
 
 def test_step_clamps_to_box(city1):
     (lo_e, hi_e), (lo_h, hi_h) = city1.price_box()
     # at the cost corner profit rises upward, never below the floor
-    assert ea_step(city1, lo_e, 4.5e-8, 1e-10) >= lo_e
-    assert ha_step(city1, 4.5e-8, lo_h, 1e-10) >= lo_h
+    assert aggregator_step(city1, "e", lo_e, 4.5e-8, 1e-10) >= lo_e
+    assert aggregator_step(city1, "h", 4.5e-8, lo_h, 1e-10) >= lo_h
+    with pytest.raises(ValueError):
+        aggregator_step(city1, "x", 4.5e-8, 4.5e-8, 1e-10)
 
 
 def test_step_monotone_improvement(city1_mid):
@@ -93,11 +95,11 @@ def test_step_monotone_improvement(city1_mid):
     for _ in range(100):
         p_e = rng.uniform(3.0e-8 + 2 * delta, 5.5e-8 - 2 * delta)
         p_h = rng.uniform(3.75e-8 + 2 * delta, 6.25e-8 - 2 * delta)
-        new_e = ea_step(city1_mid, p_e, p_h, delta)
+        new_e = aggregator_step(city1_mid, "e", p_e, p_h, delta)
         v_old = profit_e(city1_mid, PricePair(p_e, p_h))
         v_new = profit_e(city1_mid, PricePair(new_e, p_h))
         assert v_new >= v_old - 1e-12 * max(1.0, abs(v_old))
-        new_h = ha_step(city1_mid, new_e, p_h, delta)
+        new_h = aggregator_step(city1_mid, "h", new_e, p_h, delta)
         w_old = profit_h(city1_mid, PricePair(new_e, p_h))
         w_new = profit_h(city1_mid, PricePair(new_e, new_h))
         assert w_new >= w_old - 1e-12 * max(1.0, abs(w_old))
@@ -142,14 +144,6 @@ def test_trace_structure(city1):
     assert trace.delta_final == trace.steps[-1].delta
     last = trace.steps[-1]
     assert (last.p_e, last.p_h) == (prices.p_e, prices.p_h)
-
-
-def test_trace_optional(city1):
-    prices_a, trace_a = find_ne(city1, NeConfig(record_trace=False))
-    prices_b, trace_b = find_ne(city1, NeConfig(record_trace=True))
-    assert (prices_a.p_e, prices_a.p_h) == (prices_b.p_e, prices_b.p_h)
-    assert len(trace_a.steps) == 1  # terminal snapshot only
-    assert trace_a.delta_final == trace_b.delta_final
 
 
 def test_inits_agree(city1):

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from destrade import (
+    Dispatch,
+    KktCase,
+    KktSolution,
     PricePair,
     city_responses,
     clamp_optimum,
@@ -27,6 +30,19 @@ def test_profit_positive_inside_box(city1):
     p = PricePair(4.0e-8, 4.5e-8)
     assert profit_e(city1, p) > 0.0
     assert profit_h(city1, p) > 0.0
+
+
+def test_profit_examples_with_given_responses(city1):
+    def given(alpha, beta):
+        return [KktSolution(Dispatch(alpha, beta), KktCase.INTERIOR)]
+
+    at_retail = PricePair(RETAIL_E, 4.0e-8)
+    assert profit_e(city1, at_retail, given(0.5, 0.5)) == 0.0
+    inside = PricePair(4.0e-8, 4.0e-8)
+    assert profit_e(city1, inside, given(1.0, 1.0)) == 0.0
+    assert profit_h(city1, inside, given(1.0, 1.0)) == 0.0
+    # half of X = 3.6e9 J sold at a 1.5e-8 margin
+    assert profit_e(city1, inside, given(0.5, 0.5)) == pytest.approx(27.0, rel=1e-12)
 
 
 def test_profit_accepts_precomputed_responses(city5_mid):

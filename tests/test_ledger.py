@@ -62,9 +62,9 @@ def funded_ledger(balance=1000.0, capacity=1e9) -> Ledger:
 
 def test_register_roles():
     led = fresh_ledger()
-    assert led.accounts["des"].credit is None
+    assert led.accounts["des"].role is Role.DES
     assert led.accounts["des"].balance == 0.0
-    assert led.accounts["ea"].credit == 0.5
+    assert led.accounts["ea"].role is Role.AGGREGATOR
 
 
 def test_register_duplicate():

@@ -15,7 +15,6 @@ from destrade import (
     MarketError,
     PricePair,
     adaption_coefficients,
-    aggregator_profits,
     des_utility,
     energy_split,
     valid_k_intervals,
@@ -127,27 +126,6 @@ def test_des_utility_matches_manual_formula(alpha, beta, p_e, p_h):
               - chp.fuel_cost)
     got = des_utility(chp, com, PricePair(p_e, p_h), Dispatch(alpha, beta))
     assert got == pytest.approx(manual, rel=1e-12, abs=1e-9)
-
-
-def test_aggregator_profits_examples(chp):
-    city = make_city(chp, [(143.05, 137.81)])
-    zero_margin = aggregator_profits(city, PricePair(RETAIL_E, 4.0e-8),
-                                     [Dispatch(0.5, 0.5)])
-    assert zero_margin[0] == 0.0
-
-    nothing_sold = aggregator_profits(city, PricePair(4.0e-8, 4.0e-8),
-                                      [Dispatch(1.0, 1.0)])
-    assert nothing_sold == (0.0, 0.0)
-
-    v_e, _ = aggregator_profits(city, PricePair(4.0e-8, 4.0e-8),
-                                [Dispatch(0.5, 0.5)])
-    assert v_e == pytest.approx(27.0, rel=1e-12)
-
-
-def test_aggregator_profits_requires_one_dispatch_per_community(chp):
-    city = make_city(chp, [(143.05, 137.81), (129.14, 137.81)])
-    with pytest.raises(MarketError):
-        aggregator_profits(city, PricePair(4.0e-8, 4.0e-8), [Dispatch(0.5, 0.5)])
 
 
 def test_dispatch_bounds():

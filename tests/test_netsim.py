@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from destrade import (
     Behavior,
-    EventQueue,
     FaultProfile,
     PhaseNet,
-    deliver,
     make_nodes,
     run_rounds,
     write_round_log,
@@ -23,38 +19,8 @@ def _ids(n: int):
 
 
 # ------------------------------------------------------------
-# queue and fabric mechanics
+# fabric mechanics
 # ------------------------------------------------------------
-
-
-def test_deliver_empty_queue():
-    assert deliver(EventQueue(), 100) == []
-
-
-def test_deliver_orders_by_time_then_sequence():
-    q = EventQueue()
-    q.push(5, "late")
-    q.push(2, "tie-first")
-    q.push(2, "tie-second")
-    q.push(1, "early")
-    assert deliver(q, 10) == ["early", "tie-first", "tie-second", "late"]
-
-
-def test_deliver_respects_horizon():
-    q = EventQueue()
-    q.push(1, "a")
-    q.push(3, "b")
-    q.push(7, "c")
-    assert deliver(q, 3) == ["a", "b"]
-    assert len(q) == 1
-    assert deliver(q, 7) == ["c"]
-
-
-def test_phase_net_delay_bounds():
-    with pytest.raises(ValueError):
-        PhaseNet(_ids(3), delay=(0, 5))
-    with pytest.raises(ValueError):
-        PhaseNet(_ids(3), delay=(3, 2))
 
 
 def test_phase_net_broadcast_excludes_sender():
@@ -74,14 +40,14 @@ def test_phase_net_drop_all():
 
 
 def test_phase_net_phases_do_not_leak():
-    net = PhaseNet(_ids(3), delay=(1, 5), rng=random.Random(2))
+    net = PhaseNet(_ids(3), rng=random.Random(2))
     net.send("n00", "n01", "first")
     first = net.deliver_phase()
     net.send("n00", "n02", "second")
     second = net.deliver_phase()
     assert [m for _d, _s, m in first] == ["first"]
     assert [m for _d, _s, m in second] == ["second"]
-    assert len(net.queue) == 0
+    assert net.deliver_phase() == []
 
 
 def test_phase_net_seed_reproducibility():

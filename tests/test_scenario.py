@@ -5,7 +5,8 @@ import pytest
 from destrade.consensus import Behavior
 from destrade.market import MarketError, PricePair
 from destrade.scenario import (ScenarioError, build_city, build_consensus,
-                               build_ne_config, load_scenario, parse_scenario)
+                               build_ne_config, build_run, load_scenario,
+                               parse_scenario)
 
 VALID = """\
 # comment up top
@@ -154,6 +155,15 @@ def test_ne_config_defaults():
     assert cfg.max_iters == 50000
 
 
+def test_run_defaults_and_overrides():
+    run = build_run(parse_scenario("[market]\nq = 1\n"))
+    assert (run.seed, run.days, run.cities, run.funding) == (0, 3, 2, 10000.0)
+    run = build_run(parse_scenario(
+        "[run]\nseed = 9\ndays = 4.0\ncities = 3\nfunding = 2.5e3\n"))
+    assert (run.seed, run.days, run.cities, run.funding) == (9, 4, 3, 2500.0)
+    assert isinstance(run.days, int)
+
+
 def test_ne_config_keyword_init():
     cfg = build_ne_config(parse_scenario("[run]\ninit = high\n"))
     assert cfg.init == "high"
@@ -189,7 +199,6 @@ def test_consensus_defaults():
     assert setup.delta2 == 0.02
     assert setup.profile.behaviors == {}
     assert setup.profile.drop_prob == 0.0
-    assert setup.profile.delay == (1, 5)
 
 
 def test_consensus_fault_assignment_is_front_loaded():
@@ -216,12 +225,10 @@ def test_consensus_too_many_faults():
 def test_consensus_reads_overrides():
     sc = parse_scenario(
         "[consensus]\nn_nodes = 7\nrounds = 12\ndelta1 = 0.1\ndelta2 = 0.01\n"
-        "delay_min = 2\ndelay_max = 9\n"
         "[faults]\ndrop_prob = 0.25\n")
     setup = build_consensus(sc)
     assert len(setup.node_ids) == 7
     assert setup.rounds == 12
     assert setup.delta1 == 0.1
     assert setup.delta2 == 0.01
-    assert setup.profile.delay == (2, 9)
     assert setup.profile.drop_prob == 0.25
