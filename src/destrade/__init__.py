@@ -28,7 +28,7 @@ from .consensus import (AllCreditsZero, Behavior, ConsensusNode, FaultProfile,
                         RoundOutcome, TooFewNodes, check_quorum, elect_leader,
                         init_credits, min_quorum_cardinality, quorum_weight,
                         run_round, update_credits)
-from .netsim import (PhaseNet, PipelineResult, RoundDriver, RunResult,
-                     make_nodes, run_pipeline, run_rounds, write_round_log)
+from .netsim import (PhaseNet, PipelineResult, RoundDriver, make_nodes,
+                     run_pipeline, run_rounds)
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .equilibrium import NoFixedPoint, stackelberg_outcome
 from .follower import FollowerError
 from .ledger import LedgerError, Role, export_chain
 from .market import MarketError
-from .netsim import make_nodes, run_pipeline, run_rounds, write_round_log
+from .netsim import make_nodes, run_pipeline, run_rounds
 from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
                        build_ne_config, build_run, load_scenario)
 
@@ -72,15 +72,22 @@ def cmd_equilibrium(args, sc: Scenario, seed: int) -> int:
 def cmd_consensus(args, sc: Scenario, seed: int) -> int:
     setup = build_consensus(sc)
     nodes = make_nodes(setup.node_ids)
-    result = run_rounds(setup.rounds, nodes, setup.profile, seed,
-                        delta1=setup.delta1, delta2=setup.delta2)
-    write_round_log(result.rows, os.path.join(args.out, "rounds.csv"), seed)
-    print(f"consensus: rounds={result.n_rounds} commits={result.commit_count} "
-          f"aborts={result.n_rounds - result.commit_count} "
-          f"divergent={result.divergence_count} dropped={result.dropped}")
-    for reason, count in sorted(result.abort_reasons.items()):
+    run = run_rounds(setup.rounds, nodes, setup.profile, seed,
+                     delta1=setup.delta1, delta2=setup.delta2)
+    _write_rows(
+        os.path.join(args.out, "rounds.csv"), seed,
+        ["round", "leader", "decision", "abort_reason", "committed_height",
+         "credit_honest", "credit_byz", "prepare_msgs_needed"],
+        [[r.round_no, r.leader_id, r.decision, r.abort_reason, r.committed_height,
+          f"{r.credit_honest:.6f}", f"{r.credit_byz:.6f}", r.prepare_needed]
+         for r in run.rows])
+    n_rounds = len(run.rows)
+    print(f"consensus: rounds={n_rounds} commits={run.commit_count} "
+          f"aborts={n_rounds - run.commit_count} "
+          f"divergent={run.divergence_count} dropped={run.net.dropped}")
+    for reason, count in sorted(run.abort_reasons.items()):
         print(f"  abort {reason}: {count}")
-    if result.divergence_count > 0:
+    if run.divergence_count > 0:
         print("safety violation: honest chains diverged", file=sys.stderr)
         return EXIT_SAFETY
     return EXIT_OK
@@ -101,7 +108,8 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
         os.path.join(args.out, "balances.csv"), seed,
         ["account", "role", "city", "balance", "credit"],
         [[a.account_id, a.role.value, a.city, f"{a.balance:.6f}",
-          f"{res.credits[a.account_id]:.3f}" if a.role is Role.AGGREGATOR else ""]
+          f"{res.driver.credits[a.account_id]:.3f}"
+          if a.role is Role.AGGREGATOR else ""]
          for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)])
     _write_rows(
         os.path.join(args.out, "contracts.csv"), seed,

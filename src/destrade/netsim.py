@@ -3,12 +3,12 @@
 Each phase's messages sit in one outbox and all land when the phase
 closes; links drop each copy independently.  Receivers only collect
 sets, so delivery order carries no meaning.  One round driver owns the
-seed streams, so a seeded run is byte-for-byte reproducible.
+seed streams, so a seeded run is byte-for-byte reproducible, and keeps
+the run record both subcommands read.
 """
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -19,8 +19,8 @@ from .consensus import (ConsensusError, ConsensusNode, CreditTable,
 from .equilibrium import SeOutcome, stackelberg_outcome
 from .ledger import (Chain, ContractState, EnergyKind, Ledger, Role,
                      make_genesis, verify_chain)
-from .scenario import (Scenario, build_city, build_consensus, build_ne_config,
-                       build_run)
+from .scenario import (Scenario, build_city, build_consensus, build_faults,
+                       build_ne_config, build_run)
 
 # Contracts below this many joules are noise, not trades.
 MIN_CONTRACT_JOULES = 1e-9
@@ -63,46 +63,19 @@ class PhaseNet:
 
 
 def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
-    """Fresh nodes sharing one genesis block and empty pools."""
+    """Fresh nodes sharing one genesis block and empty pools.
+
+    The nodes keep the given id order, and a driver's credit table
+    follows it: that order is the float summation order of every
+    election and quorum check.
+    """
     genesis = make_genesis()
-    return {k: ConsensusNode(node_id=k, chain=Chain(genesis))
-            for k in sorted(node_ids)}
+    return {k: ConsensusNode(node_id=k, chain=Chain(genesis)) for k in node_ids}
 
 
 # ============================================================
 # run drivers
 # ============================================================
-
-
-class RoundDriver:
-    """Steps consensus rounds over one node group.
-
-    Owns the seed streams (leader seeds from Random(seed), link drops
-    from Random(f"net:{seed}")), the fabric, the credits and the round
-    counter.
-    """
-
-    def __init__(self, nodes: Dict[str, ConsensusNode], profile: FaultProfile,
-                 seed: int, delta1: float, delta2: float,
-                 credits: Optional[CreditTable] = None):
-        ids = sorted(nodes)
-        self.nodes = nodes
-        self.profile = profile
-        self.delta1, self.delta2 = delta1, delta2
-        self.credits = dict(credits) if credits is not None else init_credits(ids)
-        self.net = PhaseNet(ids, drop_prob=profile.drop_prob,
-                            rng=random.Random(f"net:{seed}"))
-        self.round_no = 0
-        self._seeds = random.Random(seed)
-
-    def step(self) -> RoundOutcome:
-        """Run the next round and apply its credit adjustment."""
-        outcome = run_round(self.nodes, self.credits, self.profile, self.net,
-                            self.round_no, self._seeds.getrandbits(63))
-        self.credits = update_credits(self.credits, outcome,
-                                      self.delta1, self.delta2)
-        self.round_no += 1
-        return outcome
 
 
 @dataclass
@@ -117,104 +90,82 @@ class RoundLogRow:
     prepare_needed: int
 
 
-@dataclass
-class RunResult:
-    outcomes: List[RoundOutcome]
-    rows: List[RoundLogRow]
-    credit_history: List[CreditTable]
-    final_credits: CreditTable
-    commit_count: int
-    abort_reasons: Dict[str, int]
-    divergence_count: int
-    sent: int = 0
-    dropped: int = 0
+class RoundDriver:
+    """Steps consensus rounds over one node group and keeps the run record.
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.outcomes)
-
-
-def run_rounds(n_rounds: int, nodes: Dict[str, ConsensusNode],
-               profile: FaultProfile, seed: int,
-               delta1: float = 0.05, delta2: float = 0.02,
-               credits: Optional[CreditTable] = None) -> RunResult:
-    """Drive repeated rounds, tracking credits and honest-chain safety.
-
-    Divergence counts heights at which two honest nodes ever committed
-    different blocks; any nonzero value is a safety violation.
+    Owns the seed streams (leader seeds from Random(seed), link drops
+    from Random(f"net:{seed}")), the fabric and the credits.  Each step
+    appends a log row and the new credit table, and tallies commits,
+    abort reasons and divergence: heights at which two honest nodes
+    ever committed different blocks.  Any divergence is a safety
+    violation.
     """
-    ids = sorted(nodes)
-    driver = RoundDriver(nodes, profile, seed, delta1, delta2, credits)
-    honest = set(profile.honest_ids(ids))
 
-    seen_at_height: Dict[int, set] = {}
-    outcomes: List[RoundOutcome] = []
-    rows: List[RoundLogRow] = []
-    history: List[CreditTable] = []
-    commit_count = 0
-    abort_reasons: Dict[str, int] = {}
-    divergence = 0
+    def __init__(self, nodes: Dict[str, ConsensusNode], profile: FaultProfile,
+                 seed: int, delta1: float, delta2: float):
+        self.nodes = nodes
+        self.ids = sorted(nodes)
+        self.honest = set(profile.honest_ids(self.ids))
+        self.profile = profile
+        self.delta1, self.delta2 = delta1, delta2
+        self.credits = init_credits(nodes)
+        self.net = PhaseNet(self.ids, drop_prob=profile.drop_prob,
+                            rng=random.Random(f"net:{seed}"))
+        self._seeds = random.Random(seed)
+        self.rows: List[RoundLogRow] = []
+        self.credit_history: List[CreditTable] = []
+        self.commit_count = 0
+        self.abort_reasons: Dict[str, int] = {}
+        self.divergence_count = 0
+        self._seen_at_height: Dict[int, set] = {}
 
-    for r in range(n_rounds):
-        outcome = driver.step()
-        credits = driver.credits
-        outcomes.append(outcome)
-        history.append(dict(credits))
+    def step(self) -> RoundOutcome:
+        """Run the next round, apply its credit adjustment and record it."""
+        nodes, honest = self.nodes, self.honest
+        outcome = run_round(nodes, self.credits, self.profile, self.net,
+                            len(self.rows), self._seeds.getrandbits(63))
+        credits = self.credits = update_credits(self.credits, outcome,
+                                                self.delta1, self.delta2)
+        self.credit_history.append(credits)
 
         if outcome.committed:
-            commit_count += 1
+            self.commit_count += 1
         else:
             key = outcome.abort_reason or "Unknown"
-            abort_reasons[key] = abort_reasons.get(key, 0) + 1
+            self.abort_reasons[key] = self.abort_reasons.get(key, 0) + 1
 
         if outcome.block is not None:
             h = outcome.block.height
-            hashes = seen_at_height.setdefault(h, set())
+            hashes = self._seen_at_height.setdefault(h, set())
             for k in outcome.committed_nodes & honest:
                 hashes.add(nodes[k].chain.blocks[h].block_hash()
                            if nodes[k].chain.height >= h else None)
             hashes.discard(None)
             if len(hashes) > 1:
-                divergence += 1
+                self.divergence_count += 1
 
-        rows.append(RoundLogRow(
-            round_no=r,
+        self.rows.append(RoundLogRow(
+            round_no=len(self.rows),
             leader_id=outcome.leader_id,
             decision="committed" if outcome.committed else "aborted",
             abort_reason=outcome.abort_reason or "",
             committed_height=max((nodes[k].chain.height for k in honest),
                                  default=0),
-            credit_honest=sum(credits[k] for k in ids if k in honest),
-            credit_byz=sum(credits[k] for k in ids if k not in honest),
+            credit_honest=sum(credits[k] for k in self.ids if k in honest),
+            credit_byz=sum(credits[k] for k in self.ids if k not in honest),
             prepare_needed=outcome.prepare_needed,
         ))
-
-    return RunResult(
-        outcomes=outcomes,
-        rows=rows,
-        credit_history=history,
-        final_credits=driver.credits,
-        commit_count=commit_count,
-        abort_reasons=abort_reasons,
-        divergence_count=divergence,
-        sent=driver.net.sent,
-        dropped=driver.net.dropped,
-    )
+        return outcome
 
 
-def write_round_log(rows: List[RoundLogRow], path: str, seed: int) -> None:
-    """CSV round log; the first line records the run seed."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={seed}\n")
-        w = csv.writer(fh)
-        w.writerow(["round", "leader", "decision", "abort_reason",
-                    "committed_height", "credit_honest", "credit_byz",
-                    "prepare_msgs_needed"])
-        for row in rows:
-            w.writerow([row.round_no, row.leader_id, row.decision,
-                        row.abort_reason, row.committed_height,
-                        f"{row.credit_honest:.6f}", f"{row.credit_byz:.6f}",
-                        row.prepare_needed])
+def run_rounds(n_rounds: int, nodes: Dict[str, ConsensusNode],
+               profile: FaultProfile, seed: int,
+               delta1: float = 0.05, delta2: float = 0.02) -> RoundDriver:
+    """Drive n_rounds rounds; the returned driver holds the run record."""
+    driver = RoundDriver(nodes, profile, seed, delta1, delta2)
+    for _ in range(n_rounds):
+        driver.step()
+    return driver
 
 
 @dataclass
@@ -225,7 +176,7 @@ class PipelineResult:
     outcome: SeOutcome  # every city is a clone, so one equilibrium serves all
     ledger: Ledger
     chain: Chain  # the first aggregator's chain; the one exported and audited
-    credits: CreditTable
+    driver: RoundDriver  # the aggregator group's run record
     unexecuted: List[str]
     drift: float
     chain_ok: bool
@@ -239,7 +190,7 @@ class PipelineResult:
             failed.append("balance drift")
         if not self.chain_ok:
             failed.append("chain audit")
-        if not self.chains_equal:
+        if not self.chains_equal or self.driver.divergence_count:
             failed.append("divergent chains")
         if self.unexecuted:
             failed.append(f"{len(self.unexecuted)} unexecuted contracts")
@@ -258,16 +209,16 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     cfg = build_ne_config(sc)
     setup = build_consensus(sc)
     run = build_run(sc)
-
     names = [f"c{i}" for i in range(run.cities)]
+    agg_ids = [f"{cname}.{side}" for cname in names for side in ("ea", "ha")]
+    profile = build_faults(sc, agg_ids)
+
     ledger = Ledger()
-    agg_ids: List[str] = []
     for cname in names:
         for side in ("ea", "ha"):
             aid = f"{cname}.{side}"
             ledger.register(aid, Role.AGGREGATOR, cname)
             ledger.deposit(aid, run.funding)
-            agg_ids.append(aid)
         for j in range(len(city.communities)):
             ledger.register(f"{cname}.des{j}", Role.DES, cname)
 
@@ -280,17 +231,8 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
               for sol in outcome.responses]
 
     # Stage 2: consensus group of all aggregators settling daily contracts.
-    profile = setup.profile
-    if profile.behaviors:
-        listed = [profile.behaviors[k] for k in sorted(profile.behaviors)]
-        profile = FaultProfile(behaviors=dict(zip(agg_ids, listed)),
-                               drop_prob=profile.drop_prob)
     nodes = make_nodes(agg_ids)
-    honest = profile.honest_ids(sorted(nodes))
-    # Credits in agg_ids order: the table's order is the float summation
-    # order of every election and quorum check.
-    driver = RoundDriver(nodes, profile, seed, setup.delta1, setup.delta2,
-                         credits=init_credits(agg_ids))
+    driver = RoundDriver(nodes, profile, seed, setup.delta1, setup.delta2)
 
     for day in range(run.days):
         day_ids: List[str] = []
@@ -309,7 +251,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
 
         committed_today: List[str] = []
         rounds = 0
-        while any(nodes[k].pool for k in honest):
+        while any(nodes[k].pool for k in driver.honest):
             if rounds == ROUNDS_PER_DAY_CAP:
                 raise ConsensusError(f"day {day}: contract pool not drained "
                                      f"within {ROUNDS_PER_DAY_CAP} rounds")
@@ -322,14 +264,14 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
             ledger.execute_contract(cid, meter_ok=True, now=day)
 
     # Stage 3: audits.
-    ref = nodes[sorted(nodes)[0]].chain
+    ref = nodes[driver.ids[0]].chain
     ref_hashes = [b.block_hash() for b in ref.blocks]
     return PipelineResult(
         city_names=names,
         outcome=outcome,
         ledger=ledger,
         chain=ref,
-        credits=driver.credits,
+        driver=driver,
         unexecuted=[cid for cid, state in ledger.states.items()
                     if state is not ContractState.EXECUTED],
         drift=ledger.conservation_drift(),

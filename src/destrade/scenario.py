@@ -116,6 +116,11 @@ def _as_float(section: Dict[str, str], name: str, key: str,
 
 def _as_int(section: Dict[str, str], name: str, key: str,
             default: Optional[int] = None) -> int:
+    if key in section:
+        try:  # exact above 2**53, where the float path would round
+            return int(section[key])
+        except ValueError:
+            pass
     v = _as_float(section, name, key, default)
     if v != int(v):
         raise ScenarioError(f"section [{name}]: {key} must be an integer")
@@ -176,6 +181,36 @@ def build_ne_config(sc: Scenario) -> NeConfig:
     )
 
 
+# [faults] role counts in assignment order.
+_FAULT_ROLES = (
+    ("dissenters", Behavior.DISSENTER),
+    ("silent_leaders", Behavior.SILENT_LEADER),
+    ("invalid_leaders", Behavior.INVALID_BLOCK_LEADER),
+    ("equivocators", Behavior.EQUIVOCATOR),
+)
+
+
+def build_faults(sc: Scenario, ids: List[str]) -> FaultProfile:
+    """The [faults] section on the ids that run.
+
+    Roles go onto ids in order, dissenters first; the remaining ids are
+    honest.
+    """
+    drop_prob = _as_float(sc.faults, "faults", "drop_prob", 0.0)
+    _check(0.0 <= drop_prob <= 1.0, "faults", "drop_prob", drop_prob, "0 to 1")
+    free = iter(ids)
+    behaviors: Dict[str, Behavior] = {}
+    for key, beh in _FAULT_ROLES:
+        count = _as_int(sc.faults, "faults", key, 0)
+        _check(count >= 0, "faults", key, count, "at least 0")
+        for _ in range(count):
+            k = next(free, None)
+            if k is None:
+                raise ScenarioError("more faulty nodes than nodes")
+            behaviors[k] = beh
+    return FaultProfile(behaviors=behaviors, drop_prob=drop_prob)
+
+
 @dataclass
 class ConsensusSetup:
     node_ids: List[str]
@@ -190,27 +225,10 @@ def build_consensus(sc: Scenario) -> ConsensusSetup:
     _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
     rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
     _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
-    drop_prob = _as_float(sc.faults, "faults", "drop_prob", 0.0)
-    _check(0.0 <= drop_prob <= 1.0, "faults", "drop_prob", drop_prob, "0 to 1")
     ids = [f"n{i:02d}" for i in range(n)]
-    counts = [
-        (Behavior.DISSENTER, _as_int(sc.faults, "faults", "dissenters", 0)),
-        (Behavior.SILENT_LEADER, _as_int(sc.faults, "faults", "silent_leaders", 0)),
-        (Behavior.INVALID_BLOCK_LEADER, _as_int(sc.faults, "faults",
-                                                "invalid_leaders", 0)),
-        (Behavior.EQUIVOCATOR, _as_int(sc.faults, "faults", "equivocators", 0)),
-    ]
-    behaviors: Dict[str, Behavior] = {}
-    cursor = 0
-    for beh, count in counts:
-        for _ in range(count):
-            if cursor >= n:
-                raise ScenarioError("more faulty nodes than nodes")
-            behaviors[ids[cursor]] = beh
-            cursor += 1
     return ConsensusSetup(
         node_ids=ids,
-        profile=FaultProfile(behaviors=behaviors, drop_prob=drop_prob),
+        profile=build_faults(sc, ids),
         rounds=rounds,
         delta1=_as_float(sc.consensus, "consensus", "delta1", 0.05),
         delta2=_as_float(sc.consensus, "consensus", "delta2", 0.02),

@@ -162,7 +162,7 @@ def byzantine_run():
 
 def test_c09_safety_with_six_byzantine(byzantine_run):
     with criterion(9, "no divergence, 6 of 20 byzantine, 1000 rounds"):
-        assert byzantine_run.n_rounds == 1000
+        assert len(byzantine_run.rows) == 1000
         assert byzantine_run.divergence_count == 0
         control = run_rounds(1000, make_nodes(NODE_IDS), FaultProfile(), 42)
         assert control.commit_count == 1000
@@ -171,7 +171,7 @@ def test_c09_safety_with_six_byzantine(byzantine_run):
 
 def test_c10_credit_dynamics(byzantine_run):
     with criterion(10, "credits split honest 1.0 / dissenter 0.0"):
-        final = byzantine_run.final_credits
+        final = byzantine_run.credits
         for i in range(6, 20):
             assert final[f"n{i:02d}"] == 1.0
         for i in range(3):

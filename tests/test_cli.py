@@ -113,6 +113,20 @@ def test_consensus_run(tmp_path, capsys):
     assert "divergent=0" in printed
 
 
+def test_consensus_round_log_format(tmp_path):
+    scfile = tmp_path / "six.scn"
+    scfile.write_text(SMALL_CONSENSUS.replace("n_nodes = 7\nrounds = 30",
+                                              "n_nodes = 6\nrounds = 5"))
+    out = tmp_path / "out"
+    assert main(["consensus", "--scenario", str(scfile), "--out", str(out)]) == 0
+    lines = read(out / "rounds.csv").splitlines()
+    assert lines[0] == "# seed=5"
+    assert lines[1] == ("round,leader,decision,abort_reason,committed_height,"
+                        "credit_honest,credit_byz,prepare_msgs_needed")
+    assert len(lines) == 2 + 5
+    assert lines[2].split(",")[2] == "committed"
+
+
 def test_consensus_reruns_identical(tmp_path):
     scfile = tmp_path / "small.scn"
     scfile.write_text(SMALL_CONSENSUS)
@@ -143,6 +157,20 @@ def test_full_run(tmp_path, capsys):
     assert read(out / "chain.txt").startswith("# seed=7\n")
 
 
+def test_full_fault_roles_beyond_the_group_exit_1(tmp_path, capsys):
+    # 5 roles, 4 aggregators: the roles go onto the ids that run
+    scfile = tmp_path / "crowded.scn"
+    scfile.write_text(read(scn("full_2city"))
+                      .replace("[faults]\n", "[faults]\ndissenters = 3\n"
+                               "silent_leaders = 2\n")
+                      .replace("days = 3", "days = 1"))
+    out = tmp_path / "out"
+    rc = main(["full", "--scenario", str(scfile), "--out", str(out)])
+    assert rc == 1
+    assert "more faulty nodes than nodes" in capsys.readouterr().err
+    assert not (out / "contracts.csv").exists()
+
+
 def test_full_needs_two_cities(tmp_path, capsys):
     scfile = tmp_path / "one.scn"
     scfile.write_text(SMALL_CONSENSUS + "days = 1\ncities = 1\n")
@@ -170,6 +198,7 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("faults", "drop_prob = nan", "is not finite"),
     ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
     ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),
+    ("faults", "dissenters = -3", "dissenters = -3 is out of range"),
     ("consensus", "rounds = 0", "rounds = 0 is out of range"),
     ("consensus", "n_nodes = 3", "n_nodes = 3 is out of range"),
     ("consensus", "n_nodes = inf", "is not finite"),

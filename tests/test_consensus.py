@@ -262,5 +262,5 @@ def test_run_rounds_deterministic():
 
     a, b = go(), go()
     assert a.rows == b.rows
-    assert a.final_credits == b.final_credits
+    assert a.credits == b.credits
     assert a.commit_count == b.commit_count

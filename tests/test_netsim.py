@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 from destrade import (
@@ -9,9 +10,12 @@ from destrade import (
     FaultProfile,
     PhaseNet,
     make_nodes,
+    run_pipeline,
     run_rounds,
-    write_round_log,
 )
+from destrade.scenario import load_scenario
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _ids(n: int):
@@ -75,7 +79,7 @@ def test_fault_free_run_commits_every_round():
     tips = {nodes[k].chain.tip.block_hash() for k in nodes}
     assert len(tips) == 1
     assert all(nodes[k].chain.height == 100 for k in nodes)
-    assert result.dropped == 0 and result.sent > 0
+    assert result.net.dropped == 0 and result.net.sent > 0
 
 
 def test_overwhelmed_quorum_is_safe_but_not_live():
@@ -107,7 +111,7 @@ def test_lossy_network_stays_safe():
 
     result, nodes = go()
     assert result.divergence_count == 0
-    assert result.dropped > 0
+    assert result.net.dropped > 0
     # honest chains agree on their common prefix even if lengths differ
     chains = [nodes[k].chain.blocks for k in sorted(nodes)]
     shortest = min(len(c) for c in chains)
@@ -117,14 +121,17 @@ def test_lossy_network_stays_safe():
     assert result2.rows == result.rows
 
 
-def test_round_log_format(tmp_path):
-    nodes = make_nodes(_ids(6))
-    result = run_rounds(5, nodes, FaultProfile(), seed=5)
-    path = tmp_path / "rounds.csv"
-    write_round_log(result.rows, str(path), seed=5)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=5"
-    assert lines[1].split(",")[:4] == ["round", "leader", "decision",
-                                       "abort_reason"]
-    assert len(lines) == 2 + 5
-    assert lines[2].split(",")[2] == "committed"
+
+# ------------------------------------------------------------
+# full pipeline
+# ------------------------------------------------------------
+
+
+def test_pipeline_reads_the_divergence_audit():
+    sc = load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn"))
+    res = run_pipeline(sc, seed=7)
+    assert res.violations == []
+    assert res.driver.divergence_count == 0
+    assert res.driver.commit_count == len(res.driver.rows) == res.chain.height
+    res.driver.divergence_count = 1
+    assert res.violations == ["divergent chains"]

@@ -5,8 +5,8 @@ import pytest
 from destrade.consensus import Behavior
 from destrade.market import MarketError, PricePair
 from destrade.scenario import (ScenarioError, build_city, build_consensus,
-                               build_ne_config, build_run, load_scenario,
-                               parse_scenario)
+                               build_faults, build_ne_config, build_run,
+                               load_scenario, parse_scenario)
 
 VALID = """\
 # comment up top
@@ -162,6 +162,11 @@ def test_run_defaults_and_overrides():
         "[run]\nseed = 9\ndays = 4.0\ncities = 3\nfunding = 2.5e3\n"))
     assert (run.seed, run.days, run.cities, run.funding) == (9, 4, 3, 2500.0)
     assert isinstance(run.days, int)
+    # integers stay exact beyond 2**53; float spellings of whole numbers pass
+    run = build_run(parse_scenario(
+        "[run]\nseed = 9007199254740993\ndays = 2e1\ncities = 20.0\n"))
+    assert (run.seed, run.days, run.cities) == (9007199254740993, 20, 20)
+    assert isinstance(run.cities, int)
 
 
 def test_ne_config_keyword_init():
@@ -220,6 +225,18 @@ def test_consensus_too_many_faults():
     sc = parse_scenario("[consensus]\nn_nodes = 4\n[faults]\ndissenters = 5\n")
     with pytest.raises(ScenarioError, match="more faulty nodes than nodes"):
         build_consensus(sc)
+
+
+def test_fault_roles_land_on_the_given_ids():
+    sc = parse_scenario("[faults]\ndissenters = 1\nequivocators = 2\n"
+                        "drop_prob = 0.1\n")
+    profile = build_faults(sc, ["c0.ea", "c0.ha", "c1.ea", "c1.ha"])
+    assert profile.behaviors == {
+        "c0.ea": Behavior.DISSENTER,
+        "c0.ha": Behavior.EQUIVOCATOR,
+        "c1.ea": Behavior.EQUIVOCATOR,
+    }
+    assert profile.drop_prob == 0.1
 
 
 def test_consensus_reads_overrides():
