@@ -80,9 +80,11 @@ def init_credits(node_ids) -> CreditTable:
 # ============================================================
 
 
-def elect_leader(credits: CreditTable, seed: int) -> str:
-    """Draw a leader with probability proportional to credit."""
-    total = sum(credits.values())
+def elect_leader(credits: CreditTable, total: float, seed: int) -> str:
+    """Draw a leader with probability proportional to credit.
+
+    total is sum(credits.values()), summed once per round by the caller.
+    """
     if total <= 0.0:
         raise AllCreditsZero("cannot elect a leader from zero total credit")
     pick = random.Random(seed).random() * total
@@ -95,25 +97,34 @@ def elect_leader(credits: CreditTable, seed: int) -> str:
     return ids[-1]  # guard against accumulated rounding
 
 
+def max_faulty(n_nodes: int) -> int:
+    """Byzantine nodes a group of n_nodes tolerates: f = floor((n-1)/3)."""
+    return (n_nodes - 1) // 3
+
+
 def quorum_weight(n_nodes: int) -> float:
     """Credit fraction a vote set must reach, from the f < n/3 bound."""
     if n_nodes < 4:
         raise TooFewNodes(f"{n_nodes} nodes cannot tolerate any fault")
-    return (2 * ((n_nodes - 1) // 3) + 1) / n_nodes
+    return (2 * max_faulty(n_nodes) + 1) / n_nodes
 
 
-def check_quorum(senders: Set[str], credits: CreditTable, n_nodes: int) -> bool:
-    """True when the senders' credit share clears the quorum weight."""
-    total = sum(credits.values())
+def check_quorum(senders: Set[str], credits: CreditTable, total: float,
+                 n_nodes: int) -> bool:
+    """True when the senders' credit share of total clears the quorum weight.
+
+    The senders' credit is summed in the table's order, so the share
+    does not depend on how the sender set happens to iterate.
+    """
     if total <= 0.0:
         return False
-    weight = sum(credits.get(k, 0.0) for k in set(senders))
+    weight = sum(c for k, c in credits.items() if k in senders)
     return weight / total >= quorum_weight(n_nodes)
 
 
-def min_quorum_cardinality(credits: CreditTable, n_nodes: int) -> int:
+def min_quorum_cardinality(credits: CreditTable, total: float,
+                           n_nodes: int) -> int:
     """Fewest senders that could clear the quorum, best case by credit."""
-    total = sum(credits.values())
     if total <= 0.0:
         return 0
     need = quorum_weight(n_nodes)
@@ -153,7 +164,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     """
     ids = sorted(nodes)
     n = len(ids)
-    leader_id = elect_leader(credits, seed)
+    total = sum(credits.values())
+    leader_id = elect_leader(credits, total, seed)
     rng = random.Random(f"round:{seed}")
 
     beh_leader = profile.behavior_of(leader_id)
@@ -172,7 +184,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
 
     voted_full: Dict[str, bool] = {k: False for k in ids}
     committed_nodes: Set[str] = set()
-    prepare_needed = min_quorum_cardinality(credits, n)
+    prepare_needed = min_quorum_cardinality(credits, total, n)
 
     if proposal is not None:
         net.broadcast(leader_id, ("preprepare", proposal))
@@ -212,7 +224,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         for k in ids:
             if profile.behavior_of(k) is Behavior.DISSENTER:
                 continue
-            if check_quorum(prepares[k], credits, n):
+            if check_quorum(prepares[k], credits, total, n):
                 net.broadcast(k, ("commit", k))
                 commits[k].add(k)
         for dst, _src, (tag, voter) in net.deliver_phase():
@@ -220,7 +232,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                 commits[dst].add(voter)
 
         for k in ids:
-            if check_quorum(commits[k], credits, n):
+            if check_quorum(commits[k], credits, total, n):
                 committed_nodes.add(k)
                 nodes[k].chain.append(proposal)
                 for c in proposal.txs:
@@ -238,7 +250,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             ok, _reason = validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
             if not ok:
                 abort_reason = "LeaderInvalidBlock"
-            elif not any(check_quorum(prepares[k], credits, n) for k in honest):
+            elif not any(check_quorum(prepares[k], credits, total, n) for k in honest):
                 abort_reason = "PrepareQuorumFailed"
             else:
                 abort_reason = "CommitQuorumFailed"

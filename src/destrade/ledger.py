@@ -5,15 +5,18 @@ contract's transfer time arrives and the meter confirms delivery.  A
 payer already below zero gets the pending contract suspended instead;
 it executes once the balance recovers.  Blocks carry full contract
 bodies; the chain links sha256 block digests and a merkle root over the
-contract digests.  Signatures are simulated: deterministic digests of a
-per-account secret, good enough to exercise the protocol logic.
+contract digests.  Contracts and blocks are frozen, so each computes
+its digests once and keeps them.  Signatures are simulated:
+deterministic digests of a per-account secret, good enough to exercise
+the protocol logic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -90,8 +93,9 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode()).hexdigest()
 
 
+@cache
 def sim_secret(account_id: str) -> str:
-    """Deterministic stand-in for a private key."""
+    """Deterministic stand-in for a private key; a pure function of the id."""
     return _sha("secret:" + account_id)
 
 
@@ -128,6 +132,10 @@ class Contract:
 
     def body_digest(self) -> str:
         """Digest of everything but the signatures."""
+        return self._body_digest
+
+    @cached_property
+    def _body_digest(self) -> str:
         return _sha(json.dumps([
             self.contract_id, self.buyer, self.seller, self.kind.value,
             repr(self.price), repr(self.amount), self.trans_time, self.stime,
@@ -173,26 +181,46 @@ class Block:
 
     def header_digest(self) -> str:
         """Digest of the header; the leader signature covers this."""
+        return self._header_digest
+
+    def block_hash(self) -> str:
+        return self._block_hash
+
+    @cached_property
+    def _header_digest(self) -> str:
         return _sha(json.dumps([
             self.height, self.prev_hash, self.merkle, self.leader_id,
             self.round_no, self.note,
         ]))
 
-    def block_hash(self) -> str:
-        return _sha(self.header_digest() + ":" + self.signature)
+    @cached_property
+    def _block_hash(self) -> str:
+        return _sha(self._header_digest + ":" + self.signature)
+
+
+def _signed_block(**header) -> Block:
+    """One block, signed by its leader over the header digest it keeps.
+
+    The signature lies outside the header digest, so setting it on the
+    fresh block keeps that digest valid; the block hash is read only
+    after the signature is in place.
+    """
+    blk = Block(**header)
+    object.__setattr__(blk, "signature",
+                       sign(blk.header_digest(), sim_secret(blk.leader_id)))
+    return blk
 
 
 def make_genesis() -> Block:
     """Height-0 block; its note pins the hash algorithm for the chain."""
-    blk = Block(height=0, prev_hash=ZERO_HASH, merkle=merkle_root([]),
-                leader_id="genesis", round_no=-1, note=HASH_ALGO)
-    return replace(blk, signature=sign(blk.header_digest(), sim_secret("genesis")))
+    return _signed_block(height=0, prev_hash=ZERO_HASH, merkle=merkle_root([]),
+                         leader_id="genesis", round_no=-1, note=HASH_ALGO)
 
 
 def make_block(leader_id: str, chain: "Chain", round_no: int,
                txs: Sequence[Contract]) -> Block:
     txs = tuple(txs)
-    blk = Block(
+    return _signed_block(
         height=chain.height + 1,
         prev_hash=chain.tip.block_hash(),
         merkle=merkle_root([c.body_digest() for c in txs]),
@@ -200,7 +228,6 @@ def make_block(leader_id: str, chain: "Chain", round_no: int,
         round_no=round_no,
         txs=txs,
     )
-    return replace(blk, signature=sign(blk.header_digest(), sim_secret(leader_id)))
 
 
 class Chain:
@@ -235,11 +262,12 @@ def validate_block(block: Block, pool: Dict[str, Contract],
     """
     if block.prev_hash != chain.tip.block_hash() or block.height != chain.height + 1:
         return False, "BadPrevHash"
-    if block.merkle != merkle_root([c.body_digest() for c in block.txs]):
+    digests = [c.body_digest() for c in block.txs]
+    if block.merkle != merkle_root(digests):
         return False, "BadMerkle"
-    for c in block.txs:
+    for c, digest in zip(block.txs, digests):
         pooled = pool.get(c.contract_id)
-        if pooled is None or pooled.body_digest() != c.body_digest():
+        if pooled is None or pooled.body_digest() != digest:
             return False, "UnknownTx"
     if not verify_signature(block.header_digest(), block.signature, block.leader_id):
         return False, "BadLeaderSig"
@@ -342,11 +370,13 @@ class Ledger:
                 f"{seller} has {remaining} {kind.value} left, asked {amount}")
         cid = f"ct-{self._next_id:06d}"
         self._next_id += 1
-        body = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
-                        price=price, amount=amount, trans_time=trans_time,
-                        stime=stime)
-        digest = body.body_digest()
-        contract = replace(body, signatures=(
+        contract = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
+                            price=price, amount=amount, trans_time=trans_time,
+                            stime=stime)
+        # The signatures lie outside the body digest, so setting them on
+        # the fresh contract keeps the digest they sign.
+        digest = contract.body_digest()
+        object.__setattr__(contract, "signatures", (
             sign(digest, sim_secret(buyer)), sign(digest, sim_secret(seller))))
         self.capacity[(seller, kind.value)] = remaining - amount
         self.contracts[cid] = contract

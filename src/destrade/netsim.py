@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .consensus import (ConsensusError, ConsensusNode, CreditTable,
-                        FaultProfile, RoundOutcome, init_credits, run_round,
-                        update_credits)
+                        FaultProfile, RoundOutcome, init_credits, max_faulty,
+                        run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
 from .ledger import (Chain, ContractState, EnergyKind, Ledger, Role,
                      make_genesis, verify_chain)
-from .scenario import (Scenario, build_city, build_consensus, build_faults,
-                       build_ne_config, build_run)
+from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
+                       build_faults, build_ne_config, build_run)
 
 # Contracts below this many joules are noise, not trades.
 MIN_CONTRACT_JOULES = 1e-9
@@ -201,9 +201,10 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     """Equilibrium, daily contracts, consensus commits and settlement.
 
     The scenario's city is cloned [run] cities times.  All aggregators
-    form one consensus group and take the [faults] roles in id order.
-    Raises ConsensusError when a day's contracts do not all commit
-    within ROUNDS_PER_DAY_CAP rounds.
+    form one consensus group and take the [faults] roles in id order;
+    more roles than the group tolerates, f = floor((n-1)/3) of n, raise
+    ScenarioError before any work.  Raises ConsensusError when a day's
+    contracts do not all commit within ROUNDS_PER_DAY_CAP rounds.
     """
     city = build_city(sc)
     cfg = build_ne_config(sc)
@@ -212,6 +213,10 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     names = [f"c{i}" for i in range(run.cities)]
     agg_ids = [f"{cname}.{side}" for cname in names for side in ("ea", "ha")]
     profile = build_faults(sc, agg_ids)
+    f = max_faulty(len(agg_ids))
+    if len(profile.behaviors) > f:
+        raise ScenarioError(f"{len(profile.behaviors)} byzantine aggregators, "
+                            f"more than f = {f} of {len(agg_ids)}")
 
     ledger = Ledger()
     for cname in names:

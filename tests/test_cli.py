@@ -199,6 +199,7 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
     ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),
     ("faults", "dissenters = -3", "dissenters = -3 is out of range"),
+    ("faults", "dissenters = 2", "2 byzantine aggregators, more than f = 1 of 4"),
     ("consensus", "rounds = 0", "rounds = 0 is out of range"),
     ("consensus", "n_nodes = 3", "n_nodes = 3 is out of range"),
     ("consensus", "n_nodes = inf", "is not finite"),

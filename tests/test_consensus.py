@@ -52,25 +52,25 @@ def test_quorum_weight_too_few():
 def test_check_quorum_equal_credits():
     ids = _ids(4)
     credits = init_credits(ids)
-    assert check_quorum(set(ids[:3]), credits, 4) is True  # 0.75 meets 0.75
-    assert check_quorum(set(ids[:2]), credits, 4) is False
+    assert check_quorum(set(ids[:3]), credits, 2.0, 4) is True  # 0.75 meets 0.75
+    assert check_quorum(set(ids[:2]), credits, 2.0, 4) is False
 
 
 def test_check_quorum_skewed_credits():
     credits = {"a": 0.9, "b": 0.9, "c": 0.1, "d": 0.1}
-    assert check_quorum({"a", "b"}, credits, 4) is True  # 1.8/2.0 = 0.9
-    assert check_quorum({"c", "d"}, credits, 4) is False
-    assert check_quorum({"a", "c", "d"}, credits, 4) is False  # 1.1/2.0
+    assert check_quorum({"a", "b"}, credits, 2.0, 4) is True  # 1.8/2.0 = 0.9
+    assert check_quorum({"c", "d"}, credits, 2.0, 4) is False
+    assert check_quorum({"a", "c", "d"}, credits, 2.0, 4) is False  # 1.1/2.0
 
 
 def test_check_quorum_zero_total():
-    assert check_quorum({"a"}, {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}, 4) is False
+    assert check_quorum({"a"}, {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}, 0.0, 4) is False
 
 
 def test_min_quorum_cardinality():
-    assert min_quorum_cardinality(init_credits(_ids(4)), 4) == 3
-    assert min_quorum_cardinality({"a": 0.9, "b": 0.9, "c": 0.1, "d": 0.1}, 4) == 2
-    assert min_quorum_cardinality({"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0}, 4) == 1
+    assert min_quorum_cardinality(init_credits(_ids(4)), 2.0, 4) == 3
+    assert min_quorum_cardinality({"a": 0.9, "b": 0.9, "c": 0.1, "d": 0.1}, 2.0, 4) == 2
+    assert min_quorum_cardinality({"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0}, 1.0, 4) == 1
 
 
 # ------------------------------------------------------------
@@ -80,17 +80,17 @@ def test_min_quorum_cardinality():
 
 def test_elect_leader_deterministic():
     credits = init_credits(_ids(5))
-    assert elect_leader(credits, 123) == elect_leader(credits, 123)
+    assert elect_leader(credits, 2.5, 123) == elect_leader(credits, 2.5, 123)
 
 
 def test_elect_leader_zero_total():
     with pytest.raises(AllCreditsZero):
-        elect_leader({"a": 0.0, "b": 0.0}, 1)
+        elect_leader({"a": 0.0, "b": 0.0}, 0.0, 1)
 
 
 def test_elect_leader_excludes_zero_credit():
     credits = {"a": 0.0, "b": 0.5, "c": 0.5, "d": 0.5}
-    winners = {elect_leader(credits, s) for s in range(2000)}
+    winners = {elect_leader(credits, 1.5, s) for s in range(2000)}
     assert "a" not in winners
     assert winners == {"b", "c", "d"}
 
@@ -100,7 +100,7 @@ def test_elect_leader_uniform_chi_square():
     counts = {k: 0 for k in credits}
     draws = 10_000
     for s in range(draws):
-        counts[elect_leader(credits, s)] += 1
+        counts[elect_leader(credits, 2.0, s)] += 1
     expected = draws / 4
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     # chi-square, 3 degrees of freedom, 1% point
@@ -110,7 +110,7 @@ def test_elect_leader_uniform_chi_square():
 def test_elect_leader_skewed_frequencies():
     credits = {"a": 0.8, "b": 0.2}
     draws = 10_000
-    hits = sum(elect_leader(credits, s) == "a" for s in range(draws))
+    hits = sum(elect_leader(credits, 1.0, s) == "a" for s in range(draws))
     assert abs(hits / draws - 0.8) <= 0.02
 
 
@@ -170,7 +170,7 @@ def test_round_all_honest_commits():
 def test_round_silent_leader_aborts():
     ids = _ids(4)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 7)
+    leader = elect_leader(credits, 2.0, 7)
     nodes = make_nodes(ids)
     profile = FaultProfile(behaviors={leader: Behavior.SILENT_LEADER})
     outcome = run_round(nodes, credits, profile, _net(ids), 0, seed=7)
@@ -188,7 +188,7 @@ def test_round_silent_leader_aborts():
 def test_round_invalid_block_leader_aborts():
     ids = _ids(4)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 11)
+    leader = elect_leader(credits, 2.0, 11)
     nodes = make_nodes(ids)
     profile = FaultProfile(behaviors={leader: Behavior.INVALID_BLOCK_LEADER})
     outcome = run_round(nodes, credits, profile, _net(ids), 0, seed=11)
@@ -201,7 +201,7 @@ def test_round_tolerates_f_dissenters():
     # f = floor((7-1)/3) = 2 dissenting voters cannot block the quorum
     ids = _ids(7)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 5)
+    leader = elect_leader(credits, 3.5, 5)
     dissenters = [k for k in ids if k != leader][:2]
     nodes = make_nodes(ids)
     profile = FaultProfile(
@@ -218,7 +218,7 @@ def test_round_fails_beyond_f_dissenters():
     # 3 of 7 dissenting leaves 4/7 < 5/7 of the credit mass
     ids = _ids(7)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 9)
+    leader = elect_leader(credits, 3.5, 9)
     dissenters = [k for k in ids if k != leader][:3]
     nodes = make_nodes(ids)
     profile = FaultProfile(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -359,6 +360,49 @@ def test_validate_reason_order():
     # proper content, wrong signer
     forged = replace(good, signature=sign(good.header_digest(), sim_secret("evil")))
     assert validate_block(forged, pool, chain) == (False, "BadLeaderSig")
+
+
+def test_stored_digests_match_their_fields():
+    pool, c = _pool_with_contract()
+    chain = Chain()
+    blk = make_block("ea", chain, 0, [c])
+    for b, signer in ((chain.tip, "genesis"), (blk, "ea")):
+        header = _sha(json.dumps([b.height, b.prev_hash, b.merkle, b.leader_id,
+                                  b.round_no, b.note]))
+        assert b.header_digest() == header
+        assert b.block_hash() == _sha(header + ":" + b.signature)
+        assert verify_signature(header, b.signature, signer)
+    assert c.body_digest() == _sha(json.dumps([
+        c.contract_id, c.buyer, c.seller, c.kind.value, repr(c.price),
+        repr(c.amount), c.trans_time, c.stime]))
+    assert blk.merkle == merkle_root([c.body_digest()])
+    assert blk.prev_hash == chain.tip.block_hash()
+
+
+def test_tampered_copies_get_fresh_digests():
+    pool, c = _pool_with_contract()
+    chain = Chain()
+    good = make_block("ea", chain, 0, [c])
+    # read every digest first, so a copy that kept them would show
+    digest, header, block_hash = c.body_digest(), good.header_digest(), good.block_hash()
+    altered = replace(c, amount=c.amount + 1.0)
+    assert altered.body_digest() != digest
+    tampers = [
+        (make_block("ea", chain, 0, [altered]), "UnknownTx"),
+        (replace(good, merkle="cd" * 32), "BadMerkle"),
+        (replace(good, prev_hash="ab" * 32), "BadPrevHash"),
+        (replace(good, signature=sign(header, sim_secret("evil"))), "BadLeaderSig"),
+    ]
+    for blk, reason in tampers:
+        assert blk.block_hash() != block_hash
+        assert validate_block(blk, pool, chain) == (False, reason)
+    for blk, _reason in tampers[1:3]:
+        assert blk.header_digest() != header
+    assert validate_block(good, pool, chain) == (True, None)
+    for blk, _reason in tampers[1:]:
+        broken = Chain()
+        broken.blocks = [chain.tip, blk]
+        assert not verify_chain(broken)
 
 
 def test_validate_rejects_recommitted_contract():

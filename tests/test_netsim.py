@@ -9,6 +9,7 @@ from destrade import (
     Behavior,
     FaultProfile,
     PhaseNet,
+    ledger,
     make_nodes,
     run_pipeline,
     run_rounds,
@@ -135,3 +136,22 @@ def test_pipeline_reads_the_divergence_audit():
     assert res.driver.commit_count == len(res.driver.rows) == res.chain.height
     res.driver.divergence_count = 1
     assert res.violations == ["divergent chains"]
+
+
+def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
+    inputs = []
+    sha = ledger._sha
+
+    def counted(data: str) -> str:
+        inputs.append(data)
+        return sha(data)
+
+    monkeypatch.setattr(ledger, "_sha", counted)
+    res = run_pipeline(load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn")),
+                       seed=7)
+    # every round commits, so every block made is on the chain
+    assert res.driver.commit_count == len(res.driver.rows)
+    bodies = [d for d in inputs if d.startswith('["ct-')]
+    headers = [d for d in inputs if d[:1] == "[" and d[1:2].isdigit()]
+    assert len(bodies) == len(set(bodies)) == len(res.ledger.contracts)
+    assert len(headers) == len(set(headers)) == len(res.chain.blocks)
