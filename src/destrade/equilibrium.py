@@ -6,12 +6,15 @@ move (ties prefer up, then down, then stay), clamp the new price to the
 cost/retail interval, then shrink the step geometrically.  The search
 stops the first iteration neither price changes, which pins the fixed
 point to within the final step.
+
+Each visited price point is solved once: a step hands on the responses
+at the point it moved to, so an iteration costs four city evaluations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .follower import KktSolution
 from .leader import city_responses, profit_e, profit_h
@@ -46,6 +49,8 @@ class NeConfig:
             raise MarketError("delta0 must be positive")
         if not 0.0 < self.decay <= 1.0:
             raise MarketError("decay must lie in (0, 1]")
+        if self.max_iters < 1:
+            raise MarketError(f"max_iters = {self.max_iters} must be at least 1")
         if isinstance(self.init, str) and self.init not in INIT_CHOICES:
             raise MarketError(f"init must be a PricePair or one of {INIT_CHOICES}")
 
@@ -90,27 +95,36 @@ def resolve_init(city: CityMarket, init: Union[str, PricePair]) -> PricePair:
 
 
 def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
-                    delta: float) -> float:
+                    delta: float, responses: Sequence[KktSolution],
+                    ) -> Tuple[float, Sequence[KktSolution]]:
     """One aggregator's move on its own price: side "e" moves p_e, "h" p_h.
 
-    Probes are unclamped, the move is not.
+    Takes the city's responses at (p_e, p_h) and returns the new price
+    with the responses there, solved afresh only when the clamp moves
+    the price off the probe.  Probes are unclamped, the move is not.
     """
     if side == "e":
         (lo, hi), own, profit = city.price_box()[0], p_e, profit_e
-        up, down = PricePair(p_e + delta, p_h), PricePair(p_e - delta, p_h)
     elif side == "h":
         (lo, hi), own, profit = city.price_box()[1], p_h, profit_h
-        up, down = PricePair(p_e, p_h + delta), PricePair(p_e, p_h - delta)
     else:
         raise ValueError("side must be 'e' or 'h'")
-    v0 = profit(city, PricePair(p_e, p_h))
-    vp = profit(city, up)
-    vm = profit(city, down)
+
+    def at(price: float) -> PricePair:
+        return PricePair(price, p_h) if side == "e" else PricePair(p_e, price)
+
+    up, down = at(own + delta), at(own - delta)
+    r_up, r_down = city_responses(city, up), city_responses(city, down)
+    v0 = profit(city, at(own), responses)
+    vp = profit(city, up, r_up)
+    vm = profit(city, down, r_down)
     if vp >= v0 and vp >= vm:
-        return min(hi, own + delta)
-    if vm >= v0 and vm > vp:
-        return max(lo, own - delta)
-    return own
+        probe, new, held = own + delta, min(hi, own + delta), r_up
+    elif vm >= v0 and vm > vp:
+        probe, new, held = own - delta, max(lo, own - delta), r_down
+    else:
+        return own, responses
+    return new, held if new == probe else city_responses(city, at(new))
 
 
 def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
@@ -118,15 +132,15 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
     """Walk both prices to a joint fixed point of the +/- delta moves."""
     start = resolve_init(city, cfg.init)
     p_e, p_h = start.p_e, start.p_h
+    responses = city_responses(city, start)
     delta = cfg.delta0
     trace = NeTrace()
     for it in range(cfg.max_iters):
         before = (p_e, p_h)
-        p_e = aggregator_step(city, "e", p_e, p_h, delta)
-        p_h = aggregator_step(city, "h", p_e, p_h, delta)
+        p_e, responses = aggregator_step(city, "e", p_e, p_h, delta, responses)
+        p_h, responses = aggregator_step(city, "h", p_e, p_h, delta, responses)
         trace.iterations = it + 1
         pair = PricePair(p_e, p_h)
-        responses = city_responses(city, pair)
         trace.steps.append(NeStep(it, p_e, p_h, profit_e(city, pair, responses),
                                   profit_h(city, pair, responses), delta))
         if (p_e, p_h) == before:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 # Shape constant of the log utility.  The adaption coefficients below are
@@ -61,12 +62,13 @@ class ChpParams:
         if not 0.0 < self.eta_r <= 1.0:
             raise MarketError("eta_r must lie in (0, 1]")
 
-    @property
+    # Read in every best response; the fields are frozen, so compute once.
+    @cached_property
     def elec_capacity(self) -> float:
         """Daily electricity output at full burn, J."""
         return self.eta_g * self.q * self.f_m
 
-    @property
+    @cached_property
     def heat_capacity(self) -> float:
         """Daily recovered-heat output at full burn, J."""
         return (1.0 - self.eta_g) * self.eta_r * self.q * self.f_m

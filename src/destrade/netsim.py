@@ -28,8 +28,11 @@ MIN_CONTRACT_JOULES = 1e-9
 # Consensus rounds a trading day may take to drain the contract pool.
 ROUNDS_PER_DAY_CAP = 50
 
-# Largest balance drift the conservation audit forgives, coin.
+# Largest balance drift the conservation audit forgives: this many coin,
+# or this share of the money deposited, whichever is larger, since the
+# rounding in the balance sums grows with the balances.
 DRIFT_TOLERANCE = 1e-6
+DRIFT_SHARE = 1e-12
 
 
 class PhaseNet:
@@ -186,7 +189,7 @@ class PipelineResult:
     def violations(self) -> List[str]:
         """The audits this run failed; empty when it is safe."""
         failed = []
-        if self.drift > DRIFT_TOLERANCE:
+        if self.drift > max(DRIFT_TOLERANCE, DRIFT_SHARE * self.ledger.total_deposited):
             failed.append("balance drift")
         if not self.chain_ok:
             failed.append("chain audit")

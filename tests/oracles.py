@@ -7,9 +7,11 @@ finite differences.  Nothing imports the solver internals being tested.
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+
+from destrade import PricePair, city_responses, profit_e, profit_h
 
 
 def grid_best_utility(chp, com, p, n: int) -> float:
@@ -73,3 +75,41 @@ def scan_argmax(f: Callable[[float], float], lo: float, hi: float,
     vals = [f(float(v)) for v in xs]
     i = int(np.argmax(vals))
     return float(xs[i]), vals[i]
+
+
+def reference_walk(city, start: PricePair, delta0: float, decay: float,
+                   max_iters: int) -> Tuple[Optional[PricePair], List[tuple]]:
+    """The price walk solving every probe and the trace point afresh.
+
+    Seven city evaluations per iteration: three probes per side (stay,
+    up, down) and one trace point.  Returns the fixed point, or None
+    when the budget runs out, and the trace rows as
+    (iteration, p_e, p_h, v_e, v_h, delta).
+    """
+    (lo_e, hi_e), (lo_h, hi_h) = city.price_box()
+
+    def step(own, lo, hi, profit, at, delta):
+        v0 = profit(city, at(own))
+        vp = profit(city, at(own + delta))
+        vm = profit(city, at(own - delta))
+        if vp >= v0 and vp >= vm:
+            return min(hi, own + delta)
+        if vm >= v0 and vm > vp:
+            return max(lo, own - delta)
+        return own
+
+    p_e, p_h = start.p_e, start.p_h
+    delta = delta0
+    rows: List[tuple] = []
+    for it in range(max_iters):
+        before = (p_e, p_h)
+        p_e = step(p_e, lo_e, hi_e, profit_e, lambda x: PricePair(x, p_h), delta)
+        p_h = step(p_h, lo_h, hi_h, profit_h, lambda x: PricePair(p_e, x), delta)
+        pair = PricePair(p_e, p_h)
+        responses = city_responses(city, pair)
+        rows.append((it, p_e, p_h, profit_e(city, pair, responses),
+                     profit_h(city, pair, responses), delta))
+        if (p_e, p_h) == before:
+            return pair, rows
+        delta *= decay
+    return None, rows

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from destrade.cli import main
+from destrade.ledger import Ledger
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -171,6 +172,38 @@ def test_full_fault_roles_beyond_the_group_exit_1(tmp_path, capsys):
     assert not (out / "contracts.csv").exists()
 
 
+def _full_2city(tmp_path, funding, days):
+    scfile = tmp_path / "rich.scn"
+    scfile.write_text(read(scn("full_2city"))
+                      .replace("funding = 2000", f"funding = {funding}")
+                      .replace("days = 3", f"days = {days}"))
+    return main(["full", "--scenario", str(scfile), "--out", str(tmp_path / "out")])
+
+
+def test_full_drift_bound_scales_with_the_money_held(tmp_path, capsys):
+    # the rounding in 4e9 coin of balances exceeds 1e-6 coin
+    assert _full_2city(tmp_path, "1e9", 10) == 0
+    assert "safety violation" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("funding,days", [("2000", 3), ("1e9", 10)])
+def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, days):
+    execute = Ledger.execute_contract
+    leaked = []
+
+    def leaky(self, contract_id, **kwargs):
+        events = execute(self, contract_id, **kwargs)
+        if not leaked:
+            leaked.append(contract_id)
+            self.accounts[events[0].payee].balance += 1.0
+        return events
+
+    monkeypatch.setattr(Ledger, "execute_contract", leaky)
+    assert _full_2city(tmp_path, funding, days) == 3
+    assert leaked
+    assert "safety violation: balance drift" in capsys.readouterr().err
+
+
 def test_full_needs_two_cities(tmp_path, capsys):
     scfile = tmp_path / "one.scn"
     scfile.write_text(SMALL_CONSENSUS + "days = 1\ncities = 1\n")
@@ -195,6 +228,8 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("run", "funding = -5", "funding = -5.0 is out of range"),
     ("run", "funding = 0", "funding = 0.0 is out of range"),
     ("run", "funding = inf", "is not finite"),
+    ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
+    ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
     ("faults", "drop_prob = nan", "is not finite"),
     ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
     ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),

@@ -2,24 +2,36 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import destrade.leader
 from destrade import (
+    CityMarket,
+    CommunityParams,
     Dispatch,
     MarketError,
     NeConfig,
     NoFixedPoint,
     PricePair,
+    city_responses,
     des_utility,
     find_ne,
     profit_e,
     profit_h,
     stackelberg_outcome,
+    valid_k_intervals,
 )
 from destrade.equilibrium import aggregator_step, resolve_init
 from destrade.leader import decoupled_price_optimum
+from destrade.scenario import build_city, build_ne_config, load_scenario
+from conftest import RETAIL_E, RETAIL_H, make_city
 import oracles
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _heat_optimum(city):
@@ -61,32 +73,72 @@ def test_resolve_init(city1):
 # ------------------------------------------------------------
 
 
+def _count_best_responses(monkeypatch):
+    """Record every community best response the leader layer solves."""
+    calls = []
+    solve = destrade.leader.best_response
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(destrade.leader, "best_response", counted)
+    return calls
+
+
+def _step(city, side, p_e, p_h, delta):
+    """aggregator_step from fresh responses; checks the ones it hands back."""
+    new, responses = aggregator_step(city, side, p_e, p_h, delta,
+                                     city_responses(city, PricePair(p_e, p_h)))
+    moved = PricePair(new, p_h) if side == "e" else PricePair(p_e, new)
+    assert list(responses) == city_responses(city, moved)
+    return new
+
+
 def test_step_stays_at_stationary_point(city1):
     p_star = decoupled_price_optimum(city1)
-    assert aggregator_step(city1, "e", p_star, 4.5e-8, 1e-10) == p_star
+    assert _step(city1, "e", p_star, 4.5e-8, 1e-10) == p_star
 
 
 def test_step_climbs_toward_optimum(city1):
     p_star = decoupled_price_optimum(city1)
     below, above = p_star - 5e-10, p_star + 5e-10
-    assert aggregator_step(city1, "e", below, 4.5e-8, 1e-10) == below + 1e-10
-    assert aggregator_step(city1, "e", above, 4.5e-8, 1e-10) == above - 1e-10
+    assert _step(city1, "e", below, 4.5e-8, 1e-10) == below + 1e-10
+    assert _step(city1, "e", above, 4.5e-8, 1e-10) == above - 1e-10
 
 
 def test_step_breaks_ties_upward(city1_mid):
     # alpha saturates below the kink, so profit is flat zero and all
     # three probes tie; the walk drifts up and out of the dead zone
     p_e = 3.05e-8
-    assert aggregator_step(city1_mid, "e", p_e, 6.25e-8, 1e-10) == p_e + 1e-10
+    assert _step(city1_mid, "e", p_e, 6.25e-8, 1e-10) == p_e + 1e-10
 
 
 def test_step_clamps_to_box(city1):
     (lo_e, hi_e), (lo_h, hi_h) = city1.price_box()
     # at the cost corner profit rises upward, never below the floor
-    assert aggregator_step(city1, "e", lo_e, 4.5e-8, 1e-10) >= lo_e
-    assert aggregator_step(city1, "h", 4.5e-8, lo_h, 1e-10) >= lo_h
+    assert _step(city1, "e", lo_e, 4.5e-8, 1e-10) >= lo_e
+    assert _step(city1, "h", 4.5e-8, lo_h, 1e-10) >= lo_h
     with pytest.raises(ValueError):
-        aggregator_step(city1, "x", 4.5e-8, 4.5e-8, 1e-10)
+        _step(city1, "x", 4.5e-8, 4.5e-8, 1e-10)
+
+
+def test_step_solves_the_clamped_point_afresh(chp, floor_tight, monkeypatch):
+    # With heat at retail this community meets its tight floor on
+    # electricity alone (alpha = 1): profit_e is zero at all three
+    # probes, the tie goes up, and the clamp pulls the move back to hi.
+    city = make_city(chp, [(170.0, 106.0)], floor_tight)
+    (_, hi_e), (_, hi_h) = city.price_box()
+    delta = 1e-10
+    own = hi_e - 0.5 * delta
+    assert own + delta != hi_e
+    held = city_responses(city, PricePair(own, hi_h))
+    calls = _count_best_responses(monkeypatch)
+    new, responses = aggregator_step(city, "e", own, hi_h, delta, held)
+    assert new == hi_e
+    assert len(calls) == 3  # up, down and the clamped point
+    assert list(responses) == city_responses(city, PricePair(hi_e, hi_h))
+    assert list(responses) != city_responses(city, PricePair(own + delta, hi_h))
 
 
 def test_step_monotone_improvement(city1_mid):
@@ -95,11 +147,11 @@ def test_step_monotone_improvement(city1_mid):
     for _ in range(100):
         p_e = rng.uniform(3.0e-8 + 2 * delta, 5.5e-8 - 2 * delta)
         p_h = rng.uniform(3.75e-8 + 2 * delta, 6.25e-8 - 2 * delta)
-        new_e = aggregator_step(city1_mid, "e", p_e, p_h, delta)
+        new_e = _step(city1_mid, "e", p_e, p_h, delta)
         v_old = profit_e(city1_mid, PricePair(p_e, p_h))
         v_new = profit_e(city1_mid, PricePair(new_e, p_h))
         assert v_new >= v_old - 1e-12 * max(1.0, abs(v_old))
-        new_h = aggregator_step(city1_mid, "h", new_e, p_h, delta)
+        new_h = _step(city1_mid, "h", new_e, p_h, delta)
         w_old = profit_h(city1_mid, PricePair(new_e, p_h))
         w_new = profit_h(city1_mid, PricePair(new_e, new_h))
         assert w_new >= w_old - 1e-12 * max(1.0, abs(w_old))
@@ -126,6 +178,50 @@ def test_no_unilateral_improvement_at_fixed_point(city1_mid):
     assert profit_e(city1_mid, PricePair(prices.p_e - d, prices.p_h)) <= v_e
     assert profit_h(city1_mid, PricePair(prices.p_e, prices.p_h + d)) <= v_h
     assert profit_h(city1_mid, PricePair(prices.p_e, prices.p_h - d)) <= v_h
+
+
+def test_each_visited_point_is_solved_once(monkeypatch):
+    # the start point, then two probes per side each iteration; the
+    # trace and the next step reuse the responses at the point moved to
+    sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
+    city = build_city(sc)
+    calls = _count_best_responses(monkeypatch)
+    _, trace = find_ne(city, build_ne_config(sc))
+    n = len(city.communities)
+    assert len(calls) == n * (4 * trace.iterations + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_walk_matches_the_reference_walk(chp, data):
+    # drawn cities mix floored and unfloored communities; walks that run
+    # out of budget compare their partial traces
+    (k_e_lo, k_e_hi), (k_h_lo, k_h_hi) = valid_k_intervals(chp, RETAIL_E, RETAIL_H)
+    x, y = chp.elec_capacity, chp.heat_capacity
+    floor = st.one_of(st.just(0.0), st.floats(0.05, 0.95).map(
+        lambda w: w * max(x, y) + (1.0 - w) * (x + y)))
+    community = st.builds(
+        lambda k_e, k_h, m_min: CommunityParams.for_chp(chp, k_e, k_h, m_min),
+        st.floats(k_e_lo * 1.001, k_e_hi * 0.999),
+        st.floats(k_h_lo * 1.001, k_h_hi * 0.999), floor)
+    communities = data.draw(st.lists(community, min_size=1, max_size=8))
+    city = CityMarket(chp=chp, r_e=RETAIL_E, r_h=RETAIL_H, communities=communities)
+    (lo_e, hi_e), (lo_h, hi_h) = city.price_box()
+    init = data.draw(st.one_of(
+        st.sampled_from(["low", "high", "mid"]),
+        st.builds(PricePair, st.floats(lo_e, hi_e), st.floats(lo_h, hi_h))))
+    cfg = NeConfig(delta0=data.draw(st.sampled_from([1e-10, 1e-9, 5e-9])),
+                   decay=data.draw(st.sampled_from([0.999, 0.99])),
+                   init=init, max_iters=120)
+    try:
+        prices, trace = find_ne(city, cfg)
+    except NoFixedPoint as exc:
+        prices, trace = None, exc.trace
+    ref_prices, ref_rows = oracles.reference_walk(
+        city, resolve_init(city, init), cfg.delta0, cfg.decay, cfg.max_iters)
+    assert prices == ref_prices
+    assert [(s.iteration, s.p_e, s.p_h, s.v_e, s.v_h, s.delta)
+            for s in trace.steps] == ref_rows
 
 
 def test_trace_structure(city1):

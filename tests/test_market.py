@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -25,6 +26,21 @@ from conftest import RETAIL_E, RETAIL_H, make_city
 def test_capacities(chp):
     assert chp.elec_capacity == pytest.approx(3.6e9)
     assert chp.heat_capacity == pytest.approx(2.88e9)
+
+
+def test_stored_capacities_follow_the_fields():
+    chp = ChpParams(q=3.6e7, eta_g=0.4, eta_r=0.9, f_m=150.0, c_f=1.2)
+    for _ in range(2):  # the stored value on the second read
+        assert chp.elec_capacity == 0.4 * 3.6e7 * 150.0
+        assert chp.heat_capacity == (1.0 - 0.4) * 0.9 * 3.6e7 * 150.0
+    bigger = dataclasses.replace(chp, f_m=300.0)
+    assert bigger.elec_capacity == 0.4 * 3.6e7 * 300.0
+    assert bigger.heat_capacity == (1.0 - 0.4) * 0.9 * 3.6e7 * 300.0
+    # equality and hash see the fields only, read or unread
+    fresh = ChpParams(q=3.6e7, eta_g=0.4, eta_r=0.9, f_m=150.0, c_f=1.2)
+    assert fresh == chp and hash(fresh) == hash(chp)
+    assert bigger != chp
+    assert dataclasses.replace(bigger, f_m=150.0) == chp
 
 
 def test_unit_costs(chp):
