@@ -8,7 +8,8 @@ stops the first iteration neither price changes, which pins the fixed
 point to within the final step.
 
 Each visited price point is solved once: a step hands on the responses
-at the point it moved to, so an iteration costs four city evaluations.
+at the point it moved to, so an iteration costs four city evaluations,
+and the outcome takes the fixed point's responses from the walk.
 """
 
 from __future__ import annotations
@@ -67,10 +68,15 @@ class NeStep:
 
 @dataclass
 class NeTrace:
-    """Per-iteration record of the search path."""
+    """Per-iteration record of the search path.
+
+    responses holds the city's responses at the fixed point once the
+    walk settles; it stays empty when the budget runs out.
+    """
 
     steps: List[NeStep] = field(default_factory=list)
     iterations: int = 0
+    responses: Tuple[KktSolution, ...] = field(default=(), repr=False)
 
     @property
     def delta_final(self) -> float:
@@ -129,7 +135,15 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
 
 def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
             ) -> Tuple[PricePair, NeTrace]:
-    """Walk both prices to a joint fixed point of the +/- delta moves."""
+    """Walk both prices to a joint fixed point of the +/- delta moves.
+
+    Raises MarketError when delta0 reaches the lower unit cost: a down
+    probe from the cost floor would then leave the positive prices.
+    """
+    floor = min(city.chp.c_e, city.chp.c_h)
+    if cfg.delta0 >= floor:
+        raise MarketError(
+            f"delta0 = {cfg.delta0} must be below the cost floor {floor:.6g}")
     start = resolve_init(city, cfg.init)
     p_e, p_h = start.p_e, start.p_h
     responses = city_responses(city, start)
@@ -144,6 +158,7 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
         trace.steps.append(NeStep(it, p_e, p_h, profit_e(city, pair, responses),
                                   profit_h(city, pair, responses), delta))
         if (p_e, p_h) == before:
+            trace.responses = tuple(responses)
             return pair, trace
         delta *= cfg.decay
     raise NoFixedPoint(f"no fixed point after {cfg.max_iters} iterations", trace)
@@ -164,7 +179,7 @@ def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),
                         ) -> Tuple[SeOutcome, NeTrace]:
     """Run the price search and evaluate everyone at the fixed point."""
     prices, trace = find_ne(city, cfg)
-    responses = tuple(city_responses(city, prices))
+    responses = trace.responses
     utilities = tuple(
         des_utility(city.chp, com, prices, sol.dispatch)
         for com, sol in zip(city.communities, responses))

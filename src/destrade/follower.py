@@ -12,14 +12,18 @@ valid one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .market import ChpParams, CommunityParams, Dispatch, PricePair
 
 # Dispatch fractions within this distance of 1 count as saturated.
 SATURATION_TOL = 1e-9
+
+# Dispatch(...) checks its fractions lie in [0, 1].  The case guards in
+# best_response already confine every fraction it returns, so it builds
+# its dispatches unchecked, with the plain tuple constructor.
+_unchecked = tuple.__new__
 
 # Sign cushion for multiplier checks, in price units.  Large enough to
 # absorb roundoff at case boundaries, small enough that a misclassified
@@ -40,12 +44,12 @@ class KktCase(Enum):
     BETA_SATURATED_CONSTRAINED = "beta_saturated_constrained"
 
 
-@dataclass(frozen=True)
-class KktSolution:
+class KktSolution(NamedTuple):
     """Optimal dispatch with the active case and its multipliers.
 
     lam1 prices the local-use floor, lam2 the alpha=1 bound, lam3 the
-    beta=1 bound.  Inactive multipliers are zero.
+    beta=1 bound.  Inactive multipliers are zero.  A light tuple record:
+    the price walk builds hundreds of thousands of them.
     """
 
     dispatch: Dispatch
@@ -154,8 +158,9 @@ def best_response(chp: ChpParams, com: CommunityParams,
     """
     x, y = chp.elec_capacity, chp.heat_capacity
     m = com.m_min
-    a0 = _alpha_stat(chp, com, p.p_e)
-    b0 = _beta_stat(chp, com, p.p_h)
+    # _alpha_stat/_beta_stat at lam = 0, inline: p - 0.0 == p, same float.
+    a0 = (com.k_e / p.p_e - 1.0 / com.b_e) / x
+    b0 = (com.k_h / p.p_h - 1.0 / com.b_h) / y
     sat_a = a0 >= 1.0 - SATURATION_TOL
     sat_b = b0 >= 1.0 - SATURATION_TOL
     if sat_a and sat_b:
@@ -168,38 +173,39 @@ def best_response(chp: ChpParams, com: CommunityParams,
         # retail can push a stationary fraction to 0, clip there too.
         if sat_a:
             lam2 = x * (com.k_e * com.b_e / math.e - p.p_e)
-            return KktSolution(Dispatch(1.0, _clip01(b0)), KktCase.ALPHA_SATURATED,
-                              lam2=max(lam2, 0.0))
+            return KktSolution(_unchecked(Dispatch, (1.0, _clip01(b0))),
+                               KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
         if sat_b:
             lam3 = y * (com.k_h * com.b_h / math.e - p.p_h)
-            return KktSolution(Dispatch(_clip01(a0), 1.0), KktCase.BETA_SATURATED,
-                              lam3=max(lam3, 0.0))
-        return KktSolution(Dispatch(_clip01(a0), _clip01(b0)), KktCase.INTERIOR)
+            return KktSolution(_unchecked(Dispatch, (_clip01(a0), 1.0)),
+                               KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
+        return KktSolution(_unchecked(Dispatch, (_clip01(a0), _clip01(b0))),
+                           KktCase.INTERIOR)
 
     # Case 1: both streams unsaturated.
     if not sat_a and not sat_b:
         if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
-            return KktSolution(Dispatch(a0, b0), KktCase.INTERIOR)
+            return KktSolution(_unchecked(Dispatch, (a0, b0)), KktCase.INTERIOR)
         border = _border_solution(chp, com, p)
         if border is not None:
             lam, a, b = border
             if (SATURATION_TOL < a < 1.0 - SATURATION_TOL
                     and SATURATION_TOL < b < 1.0 - SATURATION_TOL):
-                return KktSolution(Dispatch(a, b), KktCase.INTERIOR_CONSTRAINED,
-                                   lam1=lam)
+                return KktSolution(_unchecked(Dispatch, (a, b)),
+                                   KktCase.INTERIOR_CONSTRAINED, lam1=lam)
 
     # Case 2: electricity saturated, heat free or on the floor.
     if not sat_b:
         if sat_a and b0 > 0.0 and x + y * b0 >= m:
             lam2 = x * (com.k_e * com.b_e / math.e - p.p_e)
-            return KktSolution(Dispatch(1.0, b0), KktCase.ALPHA_SATURATED,
-                               lam2=max(lam2, 0.0))
+            return KktSolution(_unchecked(Dispatch, (1.0, b0)),
+                               KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
         b_sq = (m - x) / y
         if 0.0 < b_sq < 1.0 - SATURATION_TOL:
             lam1 = p.p_h - com.k_h * com.b_h / (com.b_h * (m - x) + 1.0)
             lam2 = x * (com.k_e * com.b_e / math.e - p.p_e + lam1)
             if lam1 > SIGN_TOL and lam2 >= -SIGN_TOL * x:
-                return KktSolution(Dispatch(1.0, b_sq),
+                return KktSolution(_unchecked(Dispatch, (1.0, b_sq)),
                                    KktCase.ALPHA_SATURATED_CONSTRAINED,
                                    lam1=lam1, lam2=max(lam2, 0.0))
 
@@ -207,14 +213,14 @@ def best_response(chp: ChpParams, com: CommunityParams,
     if not sat_a:
         if sat_b and a0 > 0.0 and x * a0 + y >= m:
             lam3 = y * (com.k_h * com.b_h / math.e - p.p_h)
-            return KktSolution(Dispatch(a0, 1.0), KktCase.BETA_SATURATED,
-                               lam3=max(lam3, 0.0))
+            return KktSolution(_unchecked(Dispatch, (a0, 1.0)),
+                               KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
         a_sq = (m - y) / x
         if 0.0 < a_sq < 1.0 - SATURATION_TOL:
             lam1 = p.p_e - com.k_e * com.b_e / (com.b_e * (m - y) + 1.0)
             lam3 = y * (com.k_h * com.b_h / math.e - p.p_h + lam1)
             if lam1 > SIGN_TOL and lam3 >= -SIGN_TOL * y:
-                return KktSolution(Dispatch(a_sq, 1.0),
+                return KktSolution(_unchecked(Dispatch, (a_sq, 1.0)),
                                    KktCase.BETA_SATURATED_CONSTRAINED,
                                    lam1=lam1, lam3=max(lam3, 0.0))
 

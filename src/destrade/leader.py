@@ -13,7 +13,7 @@ import math
 from typing import List, Sequence, Tuple
 
 from .follower import KktCase, KktSolution, best_response, response_derivative_alpha
-from .market import CityMarket, Dispatch, PricePair
+from .market import CityMarket, PricePair
 
 # Grid cells skipped on each side of a detected case switch when probing
 # curvature or slopes; the response is only piecewise smooth there.

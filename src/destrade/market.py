@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 # Shape constant of the log utility.  The adaption coefficients below are
 # chosen so that consuming the full daily output pushes the log argument
@@ -129,20 +129,24 @@ class PricePair:
     p_h: float
 
     def __post_init__(self):
-        if self.p_e <= 0 or self.p_h <= 0:
+        if not (self.p_e > 0 and self.p_h > 0):  # NaN is not positive either
             raise MarketError("prices must be positive")
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """Local-use fractions chosen by a DES: alpha for electricity, beta for heat."""
+class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
+    """Local-use fractions chosen by a DES: alpha for electricity, beta for heat.
 
-    alpha: float
-    beta: float
+    A light tuple record.  Constructing one checks that both fractions
+    lie in [0, 1]; the best-response solver, whose case guards already
+    confine them, builds its dispatches with tuple.__new__ instead.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.beta <= 1.0:
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, beta: float) -> "Dispatch":
+        if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise MarketError("dispatch fractions must lie in [0, 1]")
+        return tuple.__new__(cls, (alpha, beta))
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,7 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("run", "funding = inf", "is not finite"),
     ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
     ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
+    ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
     ("faults", "drop_prob = nan", "is not finite"),
     ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
     ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),

@@ -68,6 +68,14 @@ def test_resolve_init(city1):
         resolve_init(city1, PricePair(1.0e-8, 5.0e-8))
 
 
+def test_step_reaching_the_cost_floor_is_rejected(city1):
+    # a down probe from the floor would leave the positive prices
+    floor = min(city1.chp.c_e, city1.chp.c_h)
+    with pytest.raises(MarketError, match="delta0 = .* must be below the cost floor"):
+        find_ne(city1, NeConfig(delta0=floor))
+    find_ne(city1, NeConfig(delta0=0.5 * floor))
+
+
 # ------------------------------------------------------------
 # single steps
 # ------------------------------------------------------------
@@ -189,6 +197,18 @@ def test_each_visited_point_is_solved_once(monkeypatch):
     _, trace = find_ne(city, build_ne_config(sc))
     n = len(city.communities)
     assert len(calls) == n * (4 * trace.iterations + 1)
+
+
+def test_outcome_reuses_the_walks_last_responses(monkeypatch):
+    # the outcome solves nothing past the walk, and its responses are
+    # the ones a fresh solve at the fixed point gives
+    sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
+    city = build_city(sc)
+    calls = _count_best_responses(monkeypatch)
+    outcome, trace = stackelberg_outcome(city, build_ne_config(sc))
+    n = len(city.communities)
+    assert len(calls) == n * (4 * trace.iterations + 1)
+    assert outcome.responses == tuple(city_responses(city, outcome.prices))
 
 
 @settings(max_examples=30, deadline=None)

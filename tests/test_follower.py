@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from destrade import (
     ChpParams,
     CommunityParams,
+    Dispatch,
     FollowerError,
     KktCase,
     PricePair,
@@ -28,6 +29,8 @@ from conftest import FIVE_K, make_city
 
 BOX_E = (3.0e-8, 5.5e-8)
 BOX_H = (3.75e-8, 6.25e-8)
+# The default walk step: search probes land this far outside the box.
+PROBE_STEP = 1e-10
 
 
 def _chp():
@@ -203,7 +206,7 @@ def test_both_saturated_is_out_of_envelope(chp):
 
 def test_total_at_search_probes(chp, floor_mid):
     # one step outside every box edge, for all five communities
-    delta = 1e-10
+    delta = PROBE_STEP
     corners = [
         PricePair(BOX_E[1] + delta, BOX_H[1] + delta),
         PricePair(BOX_E[0] - delta, BOX_H[0] - delta),
@@ -298,6 +301,32 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
         assert a == 1.0 and lam3 == 0.0
     if s.case in (KktCase.BETA_SATURATED, KktCase.BETA_SATURATED_CONSTRAINED):
         assert b == 1.0 and lam2 == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k_e=st.floats(116.0, 170.0),
+    k_h=st.floats(105.5, 170.0),
+    p_e=st.floats(BOX_E[0] - PROBE_STEP, BOX_E[1] + PROBE_STEP),
+    p_h=st.floats(BOX_H[0] - PROBE_STEP, BOX_H[1] + PROBE_STEP),
+    floored=st.booleans(),
+    frac=st.floats(1e-3, 1.0 - 1e-3),
+)
+def test_response_records_pass_the_public_check(k_e, k_h, p_e, p_h, floored, frac):
+    # best_response builds its dispatches without Dispatch's range check;
+    # its case guards must keep them in range, on and just off the box
+    chp = _chp()
+    x, y = chp.elec_capacity, chp.heat_capacity
+    m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
+    com = CommunityParams.for_chp(chp, k_e, k_h, m)
+    s = best_response(chp, com, PricePair(p_e, p_h))
+    assert 0.0 <= s.dispatch.alpha <= 1.0
+    assert 0.0 <= s.dispatch.beta <= 1.0
+    assert Dispatch(*s.dispatch) == s.dispatch
+    assert isinstance(s.case, KktCase)
+    again = best_response(chp, com, PricePair(p_e, p_h))
+    assert again == s
+    assert hash(again) == hash(s)
 
 
 def test_alpha_monotone_in_own_price(chp):

@@ -149,6 +149,8 @@ def test_dispatch_bounds():
         Dispatch(-0.01, 0.5)
     with pytest.raises(MarketError):
         Dispatch(0.5, 1.01)
+    with pytest.raises(MarketError):
+        Dispatch(0.5, math.nan)
 
 
 def test_price_pair_must_be_positive():
@@ -156,6 +158,8 @@ def test_price_pair_must_be_positive():
         PricePair(0.0, 4.0e-8)
     with pytest.raises(MarketError):
         PricePair(4.0e-8, -1.0e-8)
+    with pytest.raises(MarketError):
+        PricePair(math.nan, 4.0e-8)
 
 
 def test_chp_params_validation():
