@@ -7,20 +7,17 @@ fabric.  The cli module ties them into runnable scenarios.
 """
 
 from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
-                     EnergySplit, MarketError, PricePair, adaption_coefficients,
-                     des_utility, energy_split, valid_k_intervals)
+                     MarketError, PricePair, adaption_coefficients, des_utility,
+                     valid_k_intervals)
 from .follower import (FollowerError, KktCase, KktSolution, best_response,
-                       interior_stationary, lambda1_quadratic, lambda1_roots,
-                       response_derivative_alpha, response_derivative_beta)
-from .leader import (city_responses, clamp_optimum, concavity_probe,
-                     decoupled_price_optimum, profit_e, profit_e_derivative,
-                     profit_h)
+                       interior_stationary, lambda1_quadratic, lambda1_roots)
+from .leader import city_responses, profit
 from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
                           stackelberg_outcome)
 from .ledger import (Account, BadContractState, Block, Chain, Contract,
                      ContractState, CrossCityPair, EnergyKind,
                      InsufficientBalance, InsufficientCapacity, Ledger,
-                     LedgerError, MeterRejected, NotYetDue, Role, TransferEvent,
+                     LedgerError, MeterRejected, NotYetDue, Role,
                      UnknownAccount, export_chain, make_block, make_genesis,
                      merkle_root, sign, sim_secret, validate_block, verify_chain,
                      verify_signature)

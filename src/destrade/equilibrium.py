@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple, Union
 
 from .follower import KktSolution
-from .leader import city_responses, profit_e, profit_h
+from .leader import city_responses, profit
 from .market import CityMarket, MarketError, PricePair, des_utility
 
 INIT_CHOICES = ("low", "high", "mid")
@@ -110,9 +110,9 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
     the price off the probe.  Probes are unclamped, the move is not.
     """
     if side == "e":
-        (lo, hi), own, profit = city.price_box()[0], p_e, profit_e
+        (lo, hi), own = city.price_box()[0], p_e
     elif side == "h":
-        (lo, hi), own, profit = city.price_box()[1], p_h, profit_h
+        (lo, hi), own = city.price_box()[1], p_h
     else:
         raise ValueError("side must be 'e' or 'h'")
 
@@ -121,9 +121,9 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
 
     up, down = at(own + delta), at(own - delta)
     r_up, r_down = city_responses(city, up), city_responses(city, down)
-    v0 = profit(city, at(own), responses)
-    vp = profit(city, up, r_up)
-    vm = profit(city, down, r_down)
+    v0 = profit(city, side, at(own), responses)
+    vp = profit(city, side, up, r_up)
+    vm = profit(city, side, down, r_down)
     if vp >= v0 and vp >= vm:
         probe, new, held = own + delta, min(hi, own + delta), r_up
     elif vm >= v0 and vm > vp:
@@ -155,8 +155,8 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
         p_h, responses = aggregator_step(city, "h", p_e, p_h, delta, responses)
         trace.iterations = it + 1
         pair = PricePair(p_e, p_h)
-        trace.steps.append(NeStep(it, p_e, p_h, profit_e(city, pair, responses),
-                                  profit_h(city, pair, responses), delta))
+        trace.steps.append(NeStep(it, p_e, p_h, profit(city, "e", pair, responses),
+                                  profit(city, "h", pair, responses), delta))
         if (p_e, p_h) == before:
             trace.responses = tuple(responses)
             return pair, trace
@@ -187,6 +187,6 @@ def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),
         prices=prices,
         responses=responses,
         utilities=utilities,
-        v_e=profit_e(city, prices, responses),
-        v_h=profit_h(city, prices, responses),
+        v_e=profit(city, "e", prices, responses),
+        v_h=profit(city, "h", prices, responses),
     ), trace

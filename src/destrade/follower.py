@@ -232,49 +232,3 @@ def best_response(chp: ChpParams, com: CommunityParams,
 def _clip01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
-
-# ============================================================
-# response sensitivities
-# ============================================================
-
-
-def response_derivative_alpha(chp: ChpParams, com: CommunityParams,
-                              p: PricePair, case: KktCase) -> float:
-    """d(alpha)/d(p_e) of the best response within the given case.
-
-    On the floor the multiplier moves with the price; the chain-rule
-    share below keeps the response tangent to the floor, so the slopes
-    match finite differences of best_response away from case switches.
-    """
-    x = chp.elec_capacity
-    if case in (KktCase.INTERIOR, KktCase.BETA_SATURATED):
-        return -com.k_e / (x * p.p_e * p.p_e)
-    if case is KktCase.INTERIOR_CONSTRAINED:
-        border = _border_solution(chp, com, p)
-        if border is None:
-            raise FollowerError("floor multiplier vanished; wrong case tag")
-        lam = border[0]
-        w_e = com.k_e / (p.p_e - lam) ** 2
-        w_h = com.k_h / (p.p_h - lam) ** 2
-        dlam = w_e / (w_e + w_h)
-        return -(1.0 - dlam) * com.k_e / (x * (p.p_e - lam) ** 2)
-    # Saturated alpha (pinned at 1) or alpha pinned by the floor at beta=1.
-    return 0.0
-
-
-def response_derivative_beta(chp: ChpParams, com: CommunityParams,
-                             p: PricePair, case: KktCase) -> float:
-    """d(beta)/d(p_h) of the best response within the given case."""
-    y = chp.heat_capacity
-    if case in (KktCase.INTERIOR, KktCase.ALPHA_SATURATED):
-        return -com.k_h / (y * p.p_h * p.p_h)
-    if case is KktCase.INTERIOR_CONSTRAINED:
-        border = _border_solution(chp, com, p)
-        if border is None:
-            raise FollowerError("floor multiplier vanished; wrong case tag")
-        lam = border[0]
-        w_e = com.k_e / (p.p_e - lam) ** 2
-        w_h = com.k_h / (p.p_h - lam) ** 2
-        dlam = w_h / (w_e + w_h)
-        return -(1.0 - dlam) * com.k_h / (y * (p.p_h - lam) ** 2)
-    return 0.0

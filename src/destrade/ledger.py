@@ -142,15 +142,6 @@ class Contract:
         ]))
 
 
-@dataclass(frozen=True)
-class TransferEvent:
-    time: int
-    contract_id: str
-    payer: str
-    payee: str
-    amount: float
-
-
 # ============================================================
 # blocks and chain
 # ============================================================
@@ -322,7 +313,6 @@ class Ledger:
     contracts: Dict[str, Contract] = field(default_factory=dict)
     states: Dict[str, ContractState] = field(default_factory=dict)
     capacity: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    transfers: List[TransferEvent] = field(default_factory=list)
     total_deposited: float = 0.0
     _next_id: int = 0
 
@@ -401,7 +391,7 @@ class Ledger:
         self._set_state(contract_id, ContractState.REJECTED)
 
     def execute_contract(self, contract_id: str, meter_ok: bool,
-                         now: int) -> List[TransferEvent]:
+                         now: int) -> None:
         """Settle one verified (or suspended) contract at time now.
 
         A payer balance below zero suspends instead of paying; the
@@ -420,16 +410,11 @@ class Ledger:
         if payer.balance < 0:
             if state is not ContractState.SUSPENDED:
                 self._set_state(contract_id, ContractState.SUSPENDED)
-            return []
+            return
         payee = self._account(contract.seller)
         payer.balance -= contract.payment
         payee.balance += contract.payment
         self._set_state(contract_id, ContractState.EXECUTED)
-        event = TransferEvent(time=now, contract_id=contract_id,
-                              payer=contract.buyer, payee=contract.seller,
-                              amount=contract.payment)
-        self.transfers.append(event)
-        return [event]
 
     def balance_sum(self) -> float:
         return sum(a.balance for a in self.accounts.values())

@@ -149,16 +149,6 @@ class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
         return tuple.__new__(cls, (alpha, beta))
 
 
-@dataclass(frozen=True)
-class EnergySplit:
-    """Daily energy accounting for one DES, J."""
-
-    e_use: float
-    e_exc: float
-    q_use: float
-    q_exc: float
-
-
 # ============================================================
 # city assembly and validation
 # ============================================================
@@ -229,22 +219,11 @@ def valid_k_intervals(chp: ChpParams, r_e: float, r_h: float,
 # ============================================================
 
 
-def energy_split(chp: ChpParams, d: Dispatch) -> EnergySplit:
-    """Split daily output into local use and export for one dispatch."""
-    x, y = chp.elec_capacity, chp.heat_capacity
-    return EnergySplit(
-        e_use=d.alpha * x,
-        e_exc=(1.0 - d.alpha) * x,
-        q_use=d.beta * y,
-        q_exc=(1.0 - d.beta) * y,
-    )
-
-
 def des_utility(chp: ChpParams, com: CommunityParams, p: PricePair,
                 d: Dispatch) -> float:
     """Daily community welfare: log satisfaction plus export revenue minus fuel."""
-    s = energy_split(chp, d)
-    return (com.k_e * math.log1p(com.b_e * s.e_use)
-            + com.k_h * math.log1p(com.b_h * s.q_use)
-            + p.p_e * s.e_exc + p.p_h * s.q_exc
+    x, y = chp.elec_capacity, chp.heat_capacity
+    return (com.k_e * math.log1p(com.b_e * (d.alpha * x))
+            + com.k_h * math.log1p(com.b_h * (d.beta * y))
+            + p.p_e * ((1.0 - d.alpha) * x) + p.p_h * ((1.0 - d.beta) * y)
             - chp.fuel_cost)

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .consensus import (ConsensusError, ConsensusNode, CreditTable,
-                        FaultProfile, RoundOutcome, init_credits, max_faulty,
-                        run_round, update_credits)
+from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
+                        ConsensusNode, CreditTable, FaultProfile, RoundOutcome,
+                        init_credits, max_faulty, run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
 from .ledger import (Chain, ContractState, EnergyKind, Ledger, Role,
                      make_genesis, verify_chain)
@@ -163,7 +163,8 @@ class RoundDriver:
 
 def run_rounds(n_rounds: int, nodes: Dict[str, ConsensusNode],
                profile: FaultProfile, seed: int,
-               delta1: float = 0.05, delta2: float = 0.02) -> RoundDriver:
+               delta1: float = DELTA_LEADER,
+               delta2: float = DELTA_VOTER) -> RoundDriver:
     """Drive n_rounds rounds; the returned driver holds the run record."""
     driver = RoundDriver(nodes, profile, seed, delta1, delta2)
     for _ in range(n_rounds):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .consensus import Behavior, FaultProfile
+from .consensus import DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
 from .equilibrium import NeConfig
 from .market import ChpParams, CityMarket, CommunityParams, PricePair
 
@@ -28,8 +28,6 @@ _KNOWN_KEYS = {
     "run": {"seed", "delta0", "decay", "init", "max_iters", "days",
             "cities", "funding"},
 }
-
-_REQUIRED_MARKET = ("q", "eta_g", "eta_r", "f_m", "c_f", "r_e", "r_h")
 
 
 class ScenarioError(ValueError):
@@ -135,9 +133,6 @@ def _check(ok: bool, name: str, key: str, value, need: str) -> None:
 
 
 def build_city(sc: Scenario) -> CityMarket:
-    for key in _REQUIRED_MARKET:
-        if key not in sc.market:
-            raise ScenarioError(f"section [market] is missing {key!r}")
     chp = ChpParams(
         q=_as_float(sc.market, "market", "q"),
         eta_g=_as_float(sc.market, "market", "eta_g"),
@@ -225,13 +220,18 @@ def build_consensus(sc: Scenario) -> ConsensusSetup:
     _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
     rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
     _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
+    # Credits live in [0, 1], so a step outside it is no credit step.
+    delta1 = _as_float(sc.consensus, "consensus", "delta1", DELTA_LEADER)
+    _check(0.0 <= delta1 <= 1.0, "consensus", "delta1", delta1, "0 to 1")
+    delta2 = _as_float(sc.consensus, "consensus", "delta2", DELTA_VOTER)
+    _check(0.0 <= delta2 <= 1.0, "consensus", "delta2", delta2, "0 to 1")
     ids = [f"n{i:02d}" for i in range(n)]
     return ConsensusSetup(
         node_ids=ids,
         profile=build_faults(sc, ids),
         rounds=rounds,
-        delta1=_as_float(sc.consensus, "consensus", "delta1", 0.05),
-        delta2=_as_float(sc.consensus, "consensus", "delta2", 0.02),
+        delta1=delta1,
+        delta2=delta2,
     )
 
 

@@ -1,7 +1,7 @@
 """Independent reference computations the unit tests compare against.
 
 Everything here is deliberately naive: dense grids, textbook formulas,
-finite differences.  Nothing imports the solver internals being tested.
+fresh solves.  Nothing imports the solver internals being tested.
 """
 
 from __future__ import annotations
@@ -11,7 +11,60 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from destrade import PricePair, city_responses, profit_e, profit_h
+from destrade import PricePair, city_responses, profit
+
+# Grid cells skipped on each side of a detected case switch when probing
+# curvature; the response is only piecewise smooth there.
+KINK_GUARD_CELLS = 2
+
+
+def profit_at(city, side: str, p: PricePair) -> float:
+    """One aggregator's profit at p, solving the responses there."""
+    return profit(city, side, p, city_responses(city, p))
+
+
+def decoupled_price_optimum(city, side: str) -> float:
+    """Closed-form profit-maximising price of one side for one community.
+
+    Exact when the community has no use floor and its response stays
+    interior, which decouples the two price searches.
+    """
+    com = city.communities[0]
+    if side == "e":
+        r, k, cap, b = city.r_e, com.k_e, city.chp.elec_capacity, com.b_e
+    else:
+        r, k, cap, b = city.r_h, com.k_h, city.chp.heat_capacity, com.b_h
+    return math.sqrt(r * k / (cap + 1.0 / b))
+
+
+def concavity_probe(city, p_other: float, n_grid: int,
+                    side: str = "e") -> Tuple[float, float]:
+    """Worst centered second difference of one aggregator's profit.
+
+    Scans n_grid points across the side's price interval holding the
+    other price fixed.  Returns (worst_second_difference, profit_scale).
+    Stencils within KINK_GUARD_CELLS cells of a case switch in any
+    community are excluded; concavity is a per-piece property.
+    """
+    lo, hi = city.price_box()[0 if side == "e" else 1]
+    step = (hi - lo) / (n_grid - 1)
+    values: List[float] = []
+    tags: List[tuple] = []
+    for i in range(n_grid):
+        price = lo + i * step
+        p = PricePair(price, p_other) if side == "e" else PricePair(p_other, price)
+        responses = city_responses(city, p)
+        values.append(profit(city, side, p, responses))
+        tags.append(tuple(r.case for r in responses))
+
+    switch = [i for i in range(1, n_grid) if tags[i] != tags[i - 1]]
+    worst = -math.inf
+    for i in range(1, n_grid - 1):
+        if any(abs(i - s) <= KINK_GUARD_CELLS or abs(i - (s - 1)) <= KINK_GUARD_CELLS
+               for s in switch):
+            continue
+        worst = max(worst, values[i - 1] - 2.0 * values[i] + values[i + 1])
+    return worst, max(abs(v) for v in values)
 
 
 def grid_best_utility(chp, com, p, n: int) -> float:
@@ -64,10 +117,6 @@ def quad_roots_textbook(a: float, b: float, c: float) -> Tuple[float, ...]:
     return tuple(sorted(((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a))))
 
 
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
 def scan_argmax(f: Callable[[float], float], lo: float, hi: float,
                 n: int) -> Tuple[float, float]:
     """Dense-scan maximiser of a scalar function; returns (x, f(x))."""
@@ -88,10 +137,10 @@ def reference_walk(city, start: PricePair, delta0: float, decay: float,
     """
     (lo_e, hi_e), (lo_h, hi_h) = city.price_box()
 
-    def step(own, lo, hi, profit, at, delta):
-        v0 = profit(city, at(own))
-        vp = profit(city, at(own + delta))
-        vm = profit(city, at(own - delta))
+    def step(own, lo, hi, side, at, delta):
+        v0 = profit_at(city, side, at(own))
+        vp = profit_at(city, side, at(own + delta))
+        vm = profit_at(city, side, at(own - delta))
         if vp >= v0 and vp >= vm:
             return min(hi, own + delta)
         if vm >= v0 and vm > vp:
@@ -103,12 +152,12 @@ def reference_walk(city, start: PricePair, delta0: float, decay: float,
     rows: List[tuple] = []
     for it in range(max_iters):
         before = (p_e, p_h)
-        p_e = step(p_e, lo_e, hi_e, profit_e, lambda x: PricePair(x, p_h), delta)
-        p_h = step(p_h, lo_h, hi_h, profit_h, lambda x: PricePair(p_e, x), delta)
+        p_e = step(p_e, lo_e, hi_e, "e", lambda x: PricePair(x, p_h), delta)
+        p_h = step(p_h, lo_h, hi_h, "h", lambda x: PricePair(p_e, x), delta)
         pair = PricePair(p_e, p_h)
         responses = city_responses(city, pair)
-        rows.append((it, p_e, p_h, profit_e(city, pair, responses),
-                     profit_h(city, pair, responses), delta))
+        rows.append((it, p_e, p_h, profit(city, "e", pair, responses),
+                     profit(city, "h", pair, responses), delta))
         if (p_e, p_h) == before:
             return pair, rows
         delta *= decay

@@ -16,7 +16,7 @@ from destrade.cli import main as cli_main
 from destrade.consensus import Behavior, FaultProfile
 from destrade.equilibrium import NeConfig, find_ne
 from destrade.follower import best_response, interior_stationary
-from destrade.leader import concavity_probe
+from oracles import concavity_probe
 from destrade.market import (CommunityParams, PricePair, adaption_coefficients,
                              des_utility, valid_k_intervals)
 from destrade.netsim import make_nodes, run_rounds

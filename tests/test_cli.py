@@ -192,11 +192,10 @@ def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, da
     leaked = []
 
     def leaky(self, contract_id, **kwargs):
-        events = execute(self, contract_id, **kwargs)
+        execute(self, contract_id, **kwargs)
         if not leaked:
             leaked.append(contract_id)
-            self.accounts[events[0].payee].balance += 1.0
-        return events
+            self.accounts[self.contracts[contract_id].seller].balance += 1.0
 
     monkeypatch.setattr(Ledger, "execute_contract", leaky)
     assert _full_2city(tmp_path, funding, days) == 3
@@ -239,6 +238,9 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("consensus", "rounds = 0", "rounds = 0 is out of range"),
     ("consensus", "n_nodes = 3", "n_nodes = 3 is out of range"),
     ("consensus", "n_nodes = inf", "is not finite"),
+    ("consensus", "delta1 = -0.5", "delta1 = -0.5 is out of range"),
+    ("consensus", "delta2 = -3", "delta2 = -3.0 is out of range"),
+    ("consensus", "delta1 = 1.5", "delta1 = 1.5 is out of range"),
 ])
 def test_hostile_scenario_values_exit_1(tmp_path, capsys, section, entry, message):
     scfile = tmp_path / "hostile.scn"

@@ -20,24 +20,16 @@ from destrade import (
     city_responses,
     des_utility,
     find_ne,
-    profit_e,
-    profit_h,
     stackelberg_outcome,
     valid_k_intervals,
 )
 from destrade.equilibrium import aggregator_step, resolve_init
-from destrade.leader import decoupled_price_optimum
 from destrade.scenario import build_city, build_ne_config, load_scenario
 from conftest import RETAIL_E, RETAIL_H, make_city
 import oracles
+from oracles import decoupled_price_optimum, profit_at
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _heat_optimum(city):
-    com = city.communities[0]
-    y = city.chp.heat_capacity
-    return (city.r_h * com.k_h / (y + 1.0 / com.b_h)) ** 0.5
 
 
 # ------------------------------------------------------------
@@ -104,12 +96,12 @@ def _step(city, side, p_e, p_h, delta):
 
 
 def test_step_stays_at_stationary_point(city1):
-    p_star = decoupled_price_optimum(city1)
+    p_star = decoupled_price_optimum(city1, "e")
     assert _step(city1, "e", p_star, 4.5e-8, 1e-10) == p_star
 
 
 def test_step_climbs_toward_optimum(city1):
-    p_star = decoupled_price_optimum(city1)
+    p_star = decoupled_price_optimum(city1, "e")
     below, above = p_star - 5e-10, p_star + 5e-10
     assert _step(city1, "e", below, 4.5e-8, 1e-10) == below + 1e-10
     assert _step(city1, "e", above, 4.5e-8, 1e-10) == above - 1e-10
@@ -133,7 +125,7 @@ def test_step_clamps_to_box(city1):
 
 def test_step_solves_the_clamped_point_afresh(chp, floor_tight, monkeypatch):
     # With heat at retail this community meets its tight floor on
-    # electricity alone (alpha = 1): profit_e is zero at all three
+    # electricity alone (alpha = 1): the electricity profit is zero at all three
     # probes, the tie goes up, and the clamp pulls the move back to hi.
     city = make_city(chp, [(170.0, 106.0)], floor_tight)
     (_, hi_e), (_, hi_h) = city.price_box()
@@ -156,12 +148,12 @@ def test_step_monotone_improvement(city1_mid):
         p_e = rng.uniform(3.0e-8 + 2 * delta, 5.5e-8 - 2 * delta)
         p_h = rng.uniform(3.75e-8 + 2 * delta, 6.25e-8 - 2 * delta)
         new_e = _step(city1_mid, "e", p_e, p_h, delta)
-        v_old = profit_e(city1_mid, PricePair(p_e, p_h))
-        v_new = profit_e(city1_mid, PricePair(new_e, p_h))
+        v_old = profit_at(city1_mid, "e", PricePair(p_e, p_h))
+        v_new = profit_at(city1_mid, "e", PricePair(new_e, p_h))
         assert v_new >= v_old - 1e-12 * max(1.0, abs(v_old))
         new_h = _step(city1_mid, "h", new_e, p_h, delta)
-        w_old = profit_h(city1_mid, PricePair(new_e, p_h))
-        w_new = profit_h(city1_mid, PricePair(new_e, new_h))
+        w_old = profit_at(city1_mid, "h", PricePair(new_e, p_h))
+        w_new = profit_at(city1_mid, "h", PricePair(new_e, new_h))
         assert w_new >= w_old - 1e-12 * max(1.0, abs(w_old))
 
 
@@ -173,19 +165,19 @@ def test_step_monotone_improvement(city1_mid):
 def test_decoupled_fixed_point(city1):
     prices, trace = find_ne(city1, NeConfig())
     tol = 2.0 * trace.delta_final
-    assert abs(prices.p_e - decoupled_price_optimum(city1)) <= tol
-    assert abs(prices.p_h - _heat_optimum(city1)) <= tol
+    assert abs(prices.p_e - decoupled_price_optimum(city1, "e")) <= tol
+    assert abs(prices.p_h - decoupled_price_optimum(city1, "h")) <= tol
 
 
 def test_no_unilateral_improvement_at_fixed_point(city1_mid):
     prices, trace = find_ne(city1_mid, NeConfig())
     d = trace.delta_final
-    v_e = profit_e(city1_mid, prices)
-    v_h = profit_h(city1_mid, prices)
-    assert profit_e(city1_mid, PricePair(prices.p_e + d, prices.p_h)) <= v_e
-    assert profit_e(city1_mid, PricePair(prices.p_e - d, prices.p_h)) <= v_e
-    assert profit_h(city1_mid, PricePair(prices.p_e, prices.p_h + d)) <= v_h
-    assert profit_h(city1_mid, PricePair(prices.p_e, prices.p_h - d)) <= v_h
+    v_e = profit_at(city1_mid, "e", prices)
+    v_h = profit_at(city1_mid, "h", prices)
+    assert profit_at(city1_mid, "e", PricePair(prices.p_e + d, prices.p_h)) <= v_e
+    assert profit_at(city1_mid, "e", PricePair(prices.p_e - d, prices.p_h)) <= v_e
+    assert profit_at(city1_mid, "h", PricePair(prices.p_e, prices.p_h + d)) <= v_h
+    assert profit_at(city1_mid, "h", PricePair(prices.p_e, prices.p_h - d)) <= v_h
 
 
 def test_each_visited_point_is_solved_once(monkeypatch):
@@ -309,15 +301,15 @@ def test_outcome_bundles_consistent_values(city1):
     outcome, trace = stackelberg_outcome(city1, NeConfig())
     assert len(outcome.responses) == len(city1.communities)
     assert len(outcome.utilities) == len(city1.communities)
-    assert outcome.v_e == profit_e(city1, outcome.prices)
-    assert outcome.v_h == profit_h(city1, outcome.prices)
+    assert outcome.v_e == profit_at(city1, "e", outcome.prices)
+    assert outcome.v_h == profit_at(city1, "h", outcome.prices)
     assert trace.iterations >= 1
 
 
 def test_zero_profit_at_retail_corner(city1):
     corner = PricePair(city1.r_e, city1.r_h)
-    assert profit_e(city1, corner) == 0.0
-    assert profit_h(city1, corner) == 0.0
+    assert profit_at(city1, "e", corner) == 0.0
+    assert profit_at(city1, "h", corner) == 0.0
 
 
 def test_followers_cannot_improve_at_outcome(city1, city1_mid):
@@ -343,10 +335,10 @@ def test_decoupled_outcome_matches_independent_scans(city1):
     (lo_e, hi_e), (lo_h, hi_h) = city1.price_box()
     n = 4001
     best_e, _ = oracles.scan_argmax(
-        lambda pe: profit_e(city1, PricePair(pe, outcome.prices.p_h)),
+        lambda pe: profit_at(city1, "e", PricePair(pe, outcome.prices.p_h)),
         lo_e, hi_e, n)
     best_h, _ = oracles.scan_argmax(
-        lambda ph: profit_h(city1, PricePair(outcome.prices.p_e, ph)),
+        lambda ph: profit_at(city1, "h", PricePair(outcome.prices.p_e, ph)),
         lo_h, hi_h, n)
     slack = 2.0 * trace.delta_final
     assert abs(outcome.prices.p_e - best_e) <= (hi_e - lo_e) / (n - 1) + slack

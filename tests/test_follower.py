@@ -20,8 +20,6 @@ from destrade import (
     interior_stationary,
     lambda1_quadratic,
     lambda1_roots,
-    response_derivative_alpha,
-    response_derivative_beta,
 )
 from destrade.follower import _alpha_stat
 import oracles
@@ -336,70 +334,3 @@ def test_alpha_monotone_in_own_price(chp):
         a = best_response(chp, com, PricePair(float(p_e), 4.5e-8)).dispatch.alpha
         assert a <= prev + 1e-15
         prev = a
-
-
-# ------------------------------------------------------------
-# response derivatives
-# ------------------------------------------------------------
-
-
-def test_interior_derivative_value(chp):
-    com = _com()
-    p = PricePair(4.5e-8, 4.5e-8)
-    d = response_derivative_alpha(chp, com, p, KktCase.INTERIOR)
-    assert d == pytest.approx(-1.9623e7, rel=1e-3)
-    assert d == pytest.approx(-com.k_e / (chp.elec_capacity * p.p_e ** 2), rel=1e-12)
-
-
-def test_saturated_derivative_is_zero(chp):
-    com = _com()
-    p = PricePair(2.5e-8, 4.5e-8)
-    assert response_derivative_alpha(chp, com, p, KktCase.ALPHA_SATURATED) == 0.0
-    assert response_derivative_beta(
-        chp, com, PricePair(4.5e-8, 3.0e-8), KktCase.BETA_SATURATED) == 0.0
-    assert response_derivative_alpha(
-        chp, com, p, KktCase.BETA_SATURATED_CONSTRAINED) == 0.0
-
-
-def test_constrained_derivative_matches_fd(chp, floor_mid):
-    com = _com(143.05, 137.81, floor_mid)
-    p = PricePair(4.5e-8, 4.5e-8)
-    s = best_response(chp, com, p)
-    assert s.case is KktCase.INTERIOR_CONSTRAINED
-    h = 1e-12
-
-    def alpha_at(p_e):
-        return best_response(chp, com, PricePair(p_e, p.p_h)).dispatch.alpha
-
-    def beta_at(p_h):
-        return best_response(chp, com, PricePair(p.p_e, p_h)).dispatch.beta
-
-    fd_a = oracles.central_diff(alpha_at, p.p_e, h)
-    fd_b = oracles.central_diff(beta_at, p.p_h, h)
-    an_a = response_derivative_alpha(chp, com, p, s.case)
-    an_b = response_derivative_beta(chp, com, p, s.case)
-    assert an_a == pytest.approx(fd_a, rel=1e-4)
-    assert an_b == pytest.approx(fd_b, rel=1e-4)
-
-
-def test_derivative_fd_sweep(chp, floor_mid, floor_tight):
-    rng = np.random.default_rng(5)
-    h = 1e-12
-    checked = 0
-    for _ in range(50):
-        m = [0.0, floor_mid, floor_tight][rng.integers(0, 3)]
-        com = _com(rng.uniform(118.0, 168.0), rng.uniform(107.0, 168.0), m)
-        p = PricePair(rng.uniform(3.1e-8, 5.4e-8), rng.uniform(3.85e-8, 6.15e-8))
-        mid = best_response(chp, com, p)
-        lo = best_response(chp, com, PricePair(p.p_e - h, p.p_h))
-        hi = best_response(chp, com, PricePair(p.p_e + h, p.p_h))
-        if not (lo.case is mid.case is hi.case):
-            continue  # straddling a case switch; slope undefined there
-        fd = (hi.dispatch.alpha - lo.dispatch.alpha) / (2.0 * h)
-        an = response_derivative_alpha(chp, com, p, mid.case)
-        if abs(an) > 1e-3:
-            assert an == pytest.approx(fd, rel=1e-4)
-        else:
-            assert abs(fd) < 1.0
-        checked += 1
-    assert checked >= 25

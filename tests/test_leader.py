@@ -11,123 +11,69 @@ from destrade import (
     KktSolution,
     PricePair,
     city_responses,
-    clamp_optimum,
-    concavity_probe,
-    decoupled_price_optimum,
-    profit_e,
-    profit_e_derivative,
-    profit_h,
+    profit,
 )
 import oracles
-from conftest import RETAIL_E, make_city
+from conftest import RETAIL_E, RETAIL_H, make_city
+from oracles import concavity_probe, decoupled_price_optimum, profit_at
 
 
 def test_profit_zero_margin_at_retail(city1):
-    assert profit_e(city1, PricePair(RETAIL_E, 4.5e-8)) == 0.0
+    assert profit_at(city1, "e", PricePair(RETAIL_E, 4.5e-8)) == 0.0
 
 
 def test_profit_positive_inside_box(city1):
     p = PricePair(4.0e-8, 4.5e-8)
-    assert profit_e(city1, p) > 0.0
-    assert profit_h(city1, p) > 0.0
+    assert profit_at(city1, "e", p) > 0.0
+    assert profit_at(city1, "h", p) > 0.0
 
 
 def test_profit_examples_with_given_responses(city1):
     def given(alpha, beta):
         return [KktSolution(Dispatch(alpha, beta), KktCase.INTERIOR)]
 
-    at_retail = PricePair(RETAIL_E, 4.0e-8)
-    assert profit_e(city1, at_retail, given(0.5, 0.5)) == 0.0
+    at_retail = PricePair(RETAIL_E, RETAIL_H)
+    assert profit(city1, "e", at_retail, given(0.5, 0.5)) == 0.0
+    assert profit(city1, "h", at_retail, given(0.5, 0.5)) == 0.0
     inside = PricePair(4.0e-8, 4.0e-8)
-    assert profit_e(city1, inside, given(1.0, 1.0)) == 0.0
-    assert profit_h(city1, inside, given(1.0, 1.0)) == 0.0
+    assert profit(city1, "e", inside, given(1.0, 1.0)) == 0.0
+    assert profit(city1, "h", inside, given(1.0, 1.0)) == 0.0
     # half of X = 3.6e9 J sold at a 1.5e-8 margin
-    assert profit_e(city1, inside, given(0.5, 0.5)) == pytest.approx(27.0, rel=1e-12)
-
-
-def test_profit_accepts_precomputed_responses(city5_mid):
-    p = PricePair(4.2e-8, 5.0e-8)
-    responses = city_responses(city5_mid, p)
-    assert profit_e(city5_mid, p, responses) == profit_e(city5_mid, p)
-    assert profit_h(city5_mid, p, responses) == profit_h(city5_mid, p)
+    assert profit(city1, "e", inside, given(0.5, 0.5)) == pytest.approx(27.0, rel=1e-12)
+    with pytest.raises(ValueError):
+        profit(city1, "x", inside, given(0.5, 0.5))
 
 
 def test_profit_e_ignores_heat_price_without_floor(city1):
-    vals = {profit_e(city1, PricePair(4.0e-8, ph))
+    vals = {profit_at(city1, "e", PricePair(4.0e-8, ph))
             for ph in (3.8e-8, 4.5e-8, 5.5e-8, 6.2e-8)}
     assert len(vals) == 1
 
 
 def test_profit_e_depends_on_heat_price_with_floor(city1_mid):
-    vals = {profit_e(city1_mid, PricePair(4.0e-8, ph))
+    vals = {profit_at(city1_mid, "e", PricePair(4.0e-8, ph))
             for ph in (3.8e-8, 5.5e-8)}
     assert len(vals) == 2
 
 
 def test_decoupled_optimum_closed_form(city1):
-    p_star = decoupled_price_optimum(city1)
+    p_star = decoupled_price_optimum(city1, "e")
     com = city1.communities[0]
     x = city1.chp.elec_capacity
     assert p_star == pytest.approx(
         (RETAIL_E * com.k_e / (x + 1.0 / com.b_e)) ** 0.5, rel=1e-12)
     assert p_star == pytest.approx(3.7168e-8, rel=1e-3)
+    assert decoupled_price_optimum(city1, "h") == pytest.approx(4.3479e-8, rel=1e-3)
 
 
 def test_decoupled_optimum_agrees_with_scan(city1):
-    p_star = decoupled_price_optimum(city1)
-    lo, hi = city1.chp.c_e, city1.r_e
-    x_best, _ = oracles.scan_argmax(
-        lambda pe: profit_e(city1, PricePair(pe, 4.5e-8)), lo, hi, 2001)
-    assert abs(x_best - p_star) <= (hi - lo) / 2000
-
-
-def test_clamp_optimum():
-    assert clamp_optimum(6e-8, 3e-8, 5.5e-8) == 5.5e-8
-    assert clamp_optimum(2e-8, 3e-8, 5.5e-8) == 3e-8
-    assert clamp_optimum(4e-8, 3e-8, 5.5e-8) == 4e-8
-    with pytest.raises(ValueError):
-        clamp_optimum(4e-8, 5e-8, 3e-8)
-
-
-# ------------------------------------------------------------
-# analytic slope vs finite differences
-# ------------------------------------------------------------
-
-
-def test_profit_derivative_matches_fd_no_floor(city1):
-    p = PricePair(4.2e-8, 4.5e-8)
-    fd = oracles.central_diff(
-        lambda pe: profit_e(city1, PricePair(pe, p.p_h)), p.p_e, 1e-13)
-    assert profit_e_derivative(city1, p) == pytest.approx(fd, rel=1e-4)
-
-
-def test_profit_derivative_sign_flips_at_optimum(city1):
-    p_star = decoupled_price_optimum(city1)
-    assert profit_e_derivative(city1, PricePair(p_star * 0.95, 4.5e-8)) > 0.0
-    assert profit_e_derivative(city1, PricePair(p_star * 1.05, 4.5e-8)) < 0.0
-    near = profit_e_derivative(city1, PricePair(p_star, 4.5e-8))
-    span = profit_e_derivative(city1, PricePair(city1.chp.c_e, 4.5e-8))
-    assert abs(near) <= 1e-6 * abs(span)
-
-
-def test_profit_derivative_fd_sweep_with_floor(city5_mid):
-    rng = np.random.default_rng(13)
-    h = 1e-13
-    checked = 0
-    for _ in range(40):
-        p = PricePair(rng.uniform(3.1e-8, 5.4e-8), rng.uniform(3.85e-8, 6.15e-8))
-        tags_lo = tuple(r.case for r in
-                        city_responses(city5_mid, PricePair(p.p_e - h, p.p_h)))
-        tags_hi = tuple(r.case for r in
-                        city_responses(city5_mid, PricePair(p.p_e + h, p.p_h)))
-        if tags_lo != tags_hi:
-            continue
-        fd = oracles.central_diff(
-            lambda pe: profit_e(city5_mid, PricePair(pe, p.p_h)), p.p_e, h)
-        an = profit_e_derivative(city5_mid, p)
-        assert an == pytest.approx(fd, rel=1e-4, abs=1e-3)
-        checked += 1
-    assert checked >= 20
+    for side, (lo, hi), at in (
+            ("e", city1.price_box()[0], lambda pe: PricePair(pe, 4.5e-8)),
+            ("h", city1.price_box()[1], lambda ph: PricePair(4.5e-8, ph))):
+        p_star = decoupled_price_optimum(city1, side)
+        x_best, _ = oracles.scan_argmax(
+            lambda v: profit_at(city1, side, at(v)), lo, hi, 2001)
+        assert abs(x_best - p_star) <= (hi - lo) / 2000
 
 
 # ------------------------------------------------------------
@@ -160,7 +106,7 @@ def test_linear_tail_second_difference(chp, floor_tight):
     pes = np.linspace(4.3e-8, 5.3e-8, 21)
     tags = [city_responses(city, PricePair(float(pe), ph))[0].case for pe in pes]
     assert len(set(tags)) == 1
-    vals = [profit_e(city, PricePair(float(pe), ph)) for pe in pes]
+    vals = [profit_at(city, "e", PricePair(float(pe), ph)) for pe in pes]
     scale = max(abs(v) for v in vals)
     for i in range(1, len(vals) - 1):
         d2 = vals[i - 1] - 2.0 * vals[i] + vals[i + 1]
@@ -172,17 +118,10 @@ def test_constant_region_second_difference_exactly_zero(chp, floor_mid):
     city = make_city(chp, [(143.05, 137.81)], floor_mid)
     ph = 6.25e-8
     pes = np.linspace(3.0e-8, 3.1e-8, 11)
-    vals = [profit_e(city, PricePair(float(pe), ph)) for pe in pes]
+    vals = [profit_at(city, "e", PricePair(float(pe), ph)) for pe in pes]
     assert vals == [0.0] * len(vals)
     for i in range(1, len(vals) - 1):
         assert vals[i - 1] - 2.0 * vals[i] + vals[i + 1] == 0.0
-
-
-def test_concavity_probe_validation(city1):
-    with pytest.raises(ValueError):
-        concavity_probe(city1, 4.5e-8, 2, side="e")
-    with pytest.raises(ValueError):
-        concavity_probe(city1, 4.5e-8, 11, side="x")
 
 
 # ------------------------------------------------------------
@@ -199,7 +138,7 @@ def test_argmax_nondecreasing_in_other_price(city1_mid):
     prev = -1.0
     for ph in np.linspace(3.75e-8, 6.25e-8, 26):
         best, _ = oracles.scan_argmax(
-            lambda pe: profit_e(city1_mid, PricePair(pe, float(ph))),
+            lambda pe: profit_at(city1_mid, "e", PricePair(pe, float(ph))),
             lo, hi, n_scan)
         assert best >= prev - step
         prev = best
@@ -215,7 +154,7 @@ def test_argmax_nondecreasing_five_communities_upper_band(city5_mid):
     prev = -1.0
     for ph in np.linspace(4.25e-8, 6.25e-8, 21):
         best, _ = oracles.scan_argmax(
-            lambda pe: profit_e(city5_mid, PricePair(pe, float(ph))),
+            lambda pe: profit_at(city5_mid, "e", PricePair(pe, float(ph))),
             lo, hi, n_scan)
         assert best >= prev - step
         prev = best

@@ -181,11 +181,10 @@ def test_lifecycle_happy_path():
     led.mark_verified([c.contract_id])
     with pytest.raises(NotYetDue):
         led.execute_contract(c.contract_id, meter_ok=True, now=4)
-    events = led.execute_contract(c.contract_id, meter_ok=True, now=5)
+    led.execute_contract(c.contract_id, meter_ok=True, now=5)
     assert led.state_of(c.contract_id) is ContractState.EXECUTED
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
-    assert len(events) == 1 and events[0].amount == 80.0
     with pytest.raises(BadContractState):
         led.execute_contract(c.contract_id, meter_ok=True, now=6)
 
@@ -236,14 +235,13 @@ def test_negative_payer_suspends_next_contract():
     led.execute_contract(first.contract_id, meter_ok=True, now=0)
     assert led.accounts["ea"].balance == -30.0
 
-    events = led.execute_contract(second.contract_id, meter_ok=True, now=0)
-    assert events == []
+    led.execute_contract(second.contract_id, meter_ok=True, now=0)
     assert led.state_of(second.contract_id) is ContractState.SUSPENDED
+    assert led.accounts["ea"].balance == -30.0
 
     # refund brings the payer back to non-negative; settlement resumes
     led.deposit("ea", 30.0)
-    events = led.execute_contract(second.contract_id, meter_ok=True, now=1)
-    assert len(events) == 1
+    led.execute_contract(second.contract_id, meter_ok=True, now=1)
     assert led.state_of(second.contract_id) is ContractState.EXECUTED
     assert led.accounts["ea"].balance == -60.0
     assert led.accounts["des"].balance == 140.0
@@ -273,7 +271,8 @@ def test_conservation_over_random_activity():
             cid = open_ids.pop(rng.integers(0, len(open_ids)))
             led.execute_contract(cid, meter_ok=True, now=0)
         assert led.conservation_drift() <= 1e-9
-    assert led.transfers  # the walk actually settled something
+    # the walk actually settled something
+    assert ContractState.EXECUTED in led.states.values()
 
 
 # ------------------------------------------------------------

@@ -17,7 +17,6 @@ from destrade import (
     PricePair,
     adaption_coefficients,
     des_utility,
-    energy_split,
     valid_k_intervals,
 )
 from conftest import RETAIL_E, RETAIL_H, make_city
@@ -85,33 +84,6 @@ def test_valid_k_intervals_scale_with_capacity(chp):
 def test_valid_k_intervals_infeasible_retail(chp):
     with pytest.raises(MarketError):
         valid_k_intervals(chp, math.e * chp.c_e, RETAIL_H)
-
-
-def test_energy_split_examples(chp):
-    full = energy_split(chp, Dispatch(1.0, 1.0))
-    assert full.e_exc == 0.0 and full.q_exc == 0.0
-    assert full.e_use == chp.elec_capacity
-    assert full.q_use == chp.heat_capacity
-
-    half = energy_split(chp, Dispatch(0.5, 0.5))
-    assert half.e_use == pytest.approx(1.8e9)
-    assert half.e_exc == pytest.approx(1.8e9)
-    assert half.q_use == pytest.approx(1.44e9)
-    assert half.q_exc == pytest.approx(1.44e9)
-
-    none = energy_split(chp, Dispatch(0.0, 0.0))
-    assert none.e_use == 0.0 and none.q_use == 0.0
-    assert none.e_exc == chp.elec_capacity
-    assert none.q_exc == chp.heat_capacity
-
-
-@given(alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0))
-def test_energy_split_conserves(alpha, beta):
-    chp = ChpParams(q=3.6e7, eta_g=0.5, eta_r=0.8, f_m=200.0, c_f=1.08)
-    s = energy_split(chp, Dispatch(alpha, beta))
-    assert s.e_use + s.e_exc == pytest.approx(chp.elec_capacity, rel=1e-12)
-    assert s.q_use + s.q_exc == pytest.approx(chp.heat_capacity, rel=1e-12)
-    assert min(s.e_use, s.e_exc, s.q_use, s.q_exc) >= 0.0
 
 
 def test_des_utility_full_retention(chp):
