@@ -9,7 +9,9 @@ point to within the final step.
 
 Each visited price point is solved once: a step hands on the responses
 at the point it moved to, so an iteration costs four city evaluations,
-and the outcome takes the fixed point's responses from the walk.
+and the outcome takes the fixed point's responses from the walk.  The
+walk carries the follower's plain response tuples; only the fixed
+point's are made into KktSolution records, once per walk.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class NeConfig:
     max_iters: int = 50000
 
     def __post_init__(self):
-        if self.delta0 <= 0:
-            raise MarketError("delta0 must be positive")
+        if not self.delta0 > 0:  # NaN is not positive either
+            raise MarketError(f"delta0 = {self.delta0} must be positive")
         if not 0.0 < self.decay <= 1.0:
             raise MarketError("decay must lie in (0, 1]")
         if self.max_iters < 1:
@@ -101,8 +103,8 @@ def resolve_init(city: CityMarket, init: Union[str, PricePair]) -> PricePair:
 
 
 def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
-                    delta: float, responses: Sequence[KktSolution],
-                    ) -> Tuple[float, Sequence[KktSolution]]:
+                    delta: float, responses: Sequence[tuple],
+                    ) -> Tuple[float, Sequence[tuple]]:
     """One aggregator's move on its own price: side "e" moves p_e, "h" p_h.
 
     Takes the city's responses at (p_e, p_h) and returns the new price
@@ -158,7 +160,7 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
         trace.steps.append(NeStep(it, p_e, p_h, profit(city, "e", pair, responses),
                                   profit(city, "h", pair, responses), delta))
         if (p_e, p_h) == before:
-            trace.responses = tuple(responses)
+            trace.responses = tuple(map(KktSolution._make, responses))
             return pair, trace
         delta *= cfg.decay
     raise NoFixedPoint(f"no fixed point after {cfg.max_iters} iterations", trace)

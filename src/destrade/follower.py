@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 from .market import ChpParams, CommunityParams, Dispatch, PricePair
 
 # Dispatch fractions within this distance of 1 count as saturated.
 SATURATION_TOL = 1e-9
-
-# Dispatch(...) checks its fractions lie in [0, 1].  The case guards in
-# best_response already confine every fraction it returns, so it builds
-# its dispatches unchecked, with the plain tuple constructor.
-_unchecked = tuple.__new__
+_SAT = 1.0 - SATURATION_TOL
 
 # Sign cushion for multiplier checks, in price units.  Large enough to
 # absorb roundoff at case boundaries, small enough that a misclassified
@@ -44,19 +40,31 @@ class KktCase(Enum):
     BETA_SATURATED_CONSTRAINED = "beta_saturated_constrained"
 
 
+# The cases as plain names: reading an Enum attribute costs about as much
+# as the arithmetic of an interior solve.
+(_INTERIOR, _INTERIOR_CONSTRAINED, _ALPHA_SATURATED, _ALPHA_SATURATED_CONSTRAINED,
+ _BETA_SATURATED, _BETA_SATURATED_CONSTRAINED) = KktCase
+
+
 class KktSolution(NamedTuple):
-    """Optimal dispatch with the active case and its multipliers.
+    """Optimal dispatch (alpha, beta) with the active case and its multipliers.
 
     lam1 prices the local-use floor, lam2 the alpha=1 bound, lam3 the
-    beta=1 bound.  Inactive multipliers are zero.  A light tuple record:
-    the price walk builds hundreds of thousands of them.
+    beta=1 bound.  Inactive multipliers are zero.  The fields are those
+    of the plain tuple respond returns, in its order, so a record equals
+    that tuple by value.
     """
 
-    dispatch: Dispatch
+    alpha: float
+    beta: float
     case: KktCase
     lam1: float = 0.0
     lam2: float = 0.0
     lam3: float = 0.0
+
+    @property
+    def dispatch(self) -> Dispatch:
+        return Dispatch(self.alpha, self.beta)
 
     @property
     def multipliers(self) -> Tuple[float, float, float]:
@@ -64,91 +72,17 @@ class KktSolution(NamedTuple):
 
 
 # ============================================================
-# stationary points and multiplier roots
-# ============================================================
-
-
-def _alpha_stat(chp: ChpParams, com: CommunityParams, p_e: float,
-                lam: float = 0.0) -> float:
-    """Unclipped stationary use fraction for electricity at shadow price lam."""
-    return (com.k_e / (p_e - lam) - 1.0 / com.b_e) / chp.elec_capacity
-
-
-def _beta_stat(chp: ChpParams, com: CommunityParams, p_h: float,
-               lam: float = 0.0) -> float:
-    return (com.k_h / (p_h - lam) - 1.0 / com.b_h) / chp.heat_capacity
-
-
-def interior_stationary(chp: ChpParams, com: CommunityParams,
-                        p: PricePair) -> Dispatch:
-    """Stationary dispatch ignoring every constraint.
-
-    Raises FollowerError when a fraction leaves (0, 1); with in-range
-    satisfaction coefficients and in-box prices that cannot happen, so
-    it flags a caller bug.
-    """
-    a = _alpha_stat(chp, com, p.p_e)
-    b = _beta_stat(chp, com, p.p_h)
-    if not 0.0 < a < 1.0 or not 0.0 < b < 1.0:
-        raise FollowerError(f"stationary dispatch ({a}, {b}) outside (0, 1)")
-    return Dispatch(a, b)
-
-
-def lambda1_quadratic(chp: ChpParams, com: CommunityParams,
-                      p: PricePair) -> Tuple[float, float, float]:
-    """Coefficients (A, B, C) of the floor multiplier quadratic.
-
-    Derived by substituting both border-stationary fractions into the
-    binding floor.  For a binding floor B < 0 and C > 0.
-    """
-    a_coef = com.m_min + 1.0 / com.b_e + 1.0 / com.b_h
-    b_coef = com.k_e + com.k_h - a_coef * (p.p_e + p.p_h)
-    c_coef = a_coef * p.p_e * p.p_h - com.k_e * p.p_h - com.k_h * p.p_e
-    return a_coef, b_coef, c_coef
-
-
-def lambda1_roots(chp: ChpParams, com: CommunityParams,
-                  p: PricePair) -> Tuple[float, ...]:
-    """Real roots of the floor multiplier quadratic, ascending.
-
-    Uses the product-form branch to avoid cancellation in the smaller
-    root.  Returns () when the discriminant is negative.
-    """
-    a, b, c = lambda1_quadratic(chp, com, p)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return ()
-    if disc == 0.0:
-        return (-b / (2.0 * a),)
-    sq = math.sqrt(disc)
-    q = -0.5 * (b - sq) if b < 0.0 else -0.5 * (b + sq)
-    r1, r2 = q / a, c / q
-    return (r1, r2) if r1 <= r2 else (r2, r1)
-
-
-def _border_solution(chp: ChpParams, com: CommunityParams, p: PricePair,
-                     ) -> Optional[Tuple[float, float, float]]:
-    """(lam1, alpha, beta) with both fractions stationary on the floor.
-
-    The valid multiplier must sit strictly between 0 and both prices;
-    returns None when no root qualifies.
-    """
-    for lam in lambda1_roots(chp, com, p):
-        if 0.0 < lam < min(p.p_e, p.p_h):
-            a = _alpha_stat(chp, com, p.p_e, lam)
-            b = _beta_stat(chp, com, p.p_h, lam)
-            return lam, a, b
-    return None
-
-
-# ============================================================
 # case walk
 # ============================================================
 
 
-def best_response(chp: ChpParams, com: CommunityParams,
-                  p: PricePair) -> KktSolution:
-    """Globally optimal dispatch for one community at prices p.
+def respond(chp: ChpParams, com: CommunityParams, p_e: float, p_h: float,
+            ) -> Tuple[float, float, KktCase, float, float, float]:
+    """Globally optimal dispatch for one community at prices (p_e, p_h).
+
+    Returns the plain tuple (alpha, beta, case, lam1, lam2, lam3), the
+    fields of KktSolution; the price walk solves hundreds of thousands
+    of these and reads two floats from each.
 
     Total for any positive prices near the admissible box, including
     the one-step-outside probes used by equilibrium search.  Cases are
@@ -157,12 +91,13 @@ def best_response(chp: ChpParams, com: CommunityParams,
     first case with valid multipliers the unique optimum.
     """
     x, y = chp.elec_capacity, chp.heat_capacity
-    m = com.m_min
-    # _alpha_stat/_beta_stat at lam = 0, inline: p - 0.0 == p, same float.
-    a0 = (com.k_e / p.p_e - 1.0 / com.b_e) / x
-    b0 = (com.k_h / p.p_h - 1.0 / com.b_h) / y
-    sat_a = a0 >= 1.0 - SATURATION_TOL
-    sat_b = b0 >= 1.0 - SATURATION_TOL
+    m, k_e, k_h = com.m_min, com.k_e, com.k_h
+    inv_b_e, inv_b_h = 1.0 / com.b_e, 1.0 / com.b_h
+    # Stationary fractions with no constraint active.
+    a0 = (k_e / p_e - inv_b_e) / x
+    b0 = (k_h / p_h - inv_b_h) / y
+    sat_a = a0 >= _SAT
+    sat_b = b0 >= _SAT
     if sat_a and sat_b:
         # Needs both prices below cost by a wide margin; unreachable from
         # admissible coefficients and near-box prices.
@@ -171,64 +106,79 @@ def best_response(chp: ChpParams, com: CommunityParams,
     if m == 0.0:
         # No floor.  Clip each stream independently; a price far above
         # retail can push a stationary fraction to 0, clip there too.
+        a = 0.0 if a0 < 0.0 else 1.0 if a0 > 1.0 else a0
+        b = 0.0 if b0 < 0.0 else 1.0 if b0 > 1.0 else b0
         if sat_a:
-            lam2 = x * (com.k_e * com.b_e / math.e - p.p_e)
-            return KktSolution(_unchecked(Dispatch, (1.0, _clip01(b0))),
-                               KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
+            lam2 = x * (k_e * com.b_e / math.e - p_e)
+            return 1.0, b, _ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
         if sat_b:
-            lam3 = y * (com.k_h * com.b_h / math.e - p.p_h)
-            return KktSolution(_unchecked(Dispatch, (_clip01(a0), 1.0)),
-                               KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
-        return KktSolution(_unchecked(Dispatch, (_clip01(a0), _clip01(b0))),
-                           KktCase.INTERIOR)
+            lam3 = y * (k_h * com.b_h / math.e - p_h)
+            return a, 1.0, _BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
+        return a, b, _INTERIOR, 0.0, 0.0, 0.0
 
     # Case 1: both streams unsaturated.
     if not sat_a and not sat_b:
         if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
-            return KktSolution(_unchecked(Dispatch, (a0, b0)), KktCase.INTERIOR)
-        border = _border_solution(chp, com, p)
-        if border is not None:
-            lam, a, b = border
-            if (SATURATION_TOL < a < 1.0 - SATURATION_TOL
-                    and SATURATION_TOL < b < 1.0 - SATURATION_TOL):
-                return KktSolution(_unchecked(Dispatch, (a, b)),
-                                   KktCase.INTERIOR_CONSTRAINED, lam1=lam)
+            return a0, b0, _INTERIOR, 0.0, 0.0, 0.0
+        # Both fractions stationary on the floor.  Substituting them into
+        # the binding floor gives a quadratic qa*lam^2 + qb*lam + qc = 0
+        # in the floor multiplier lam (qb < 0 and qc > 0 when it binds).
+        qa = m + inv_b_e + inv_b_h
+        qb = k_e + k_h - qa * (p_e + p_h)
+        qc = qa * p_e * p_h - k_e * p_h - k_h * p_e
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            if disc == 0.0:
+                r1 = r2 = -qb / (2.0 * qa)
+            else:
+                # Product form for the smaller root avoids cancellation.
+                sq = math.sqrt(disc)
+                q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                r1, r2 = q / qa, qc / q
+                if not r1 <= r2:
+                    r1, r2 = r2, r1
+            # The valid multiplier is the lower root strictly between 0
+            # and both prices.
+            top = p_h if p_h < p_e else p_e
+            lam = r1 if 0.0 < r1 < top else r2
+            if 0.0 < lam < top:
+                a = (k_e / (p_e - lam) - inv_b_e) / x
+                b = (k_h / (p_h - lam) - inv_b_h) / y
+                if SATURATION_TOL < a < _SAT and SATURATION_TOL < b < _SAT:
+                    return a, b, _INTERIOR_CONSTRAINED, lam, 0.0, 0.0
 
     # Case 2: electricity saturated, heat free or on the floor.
     if not sat_b:
         if sat_a and b0 > 0.0 and x + y * b0 >= m:
-            lam2 = x * (com.k_e * com.b_e / math.e - p.p_e)
-            return KktSolution(_unchecked(Dispatch, (1.0, b0)),
-                               KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
+            lam2 = x * (k_e * com.b_e / math.e - p_e)
+            return 1.0, b0, _ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
         b_sq = (m - x) / y
-        if 0.0 < b_sq < 1.0 - SATURATION_TOL:
-            lam1 = p.p_h - com.k_h * com.b_h / (com.b_h * (m - x) + 1.0)
-            lam2 = x * (com.k_e * com.b_e / math.e - p.p_e + lam1)
+        if 0.0 < b_sq < _SAT:
+            lam1 = p_h - k_h * com.b_h / (com.b_h * (m - x) + 1.0)
+            lam2 = x * (k_e * com.b_e / math.e - p_e + lam1)
             if lam1 > SIGN_TOL and lam2 >= -SIGN_TOL * x:
-                return KktSolution(_unchecked(Dispatch, (1.0, b_sq)),
-                                   KktCase.ALPHA_SATURATED_CONSTRAINED,
-                                   lam1=lam1, lam2=max(lam2, 0.0))
+                return (1.0, b_sq, _ALPHA_SATURATED_CONSTRAINED,
+                        lam1, max(lam2, 0.0), 0.0)
 
     # Case 3: heat saturated, electricity free or on the floor.
     if not sat_a:
         if sat_b and a0 > 0.0 and x * a0 + y >= m:
-            lam3 = y * (com.k_h * com.b_h / math.e - p.p_h)
-            return KktSolution(_unchecked(Dispatch, (a0, 1.0)),
-                               KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
+            lam3 = y * (k_h * com.b_h / math.e - p_h)
+            return a0, 1.0, _BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
         a_sq = (m - y) / x
-        if 0.0 < a_sq < 1.0 - SATURATION_TOL:
-            lam1 = p.p_e - com.k_e * com.b_e / (com.b_e * (m - y) + 1.0)
-            lam3 = y * (com.k_h * com.b_h / math.e - p.p_h + lam1)
+        if 0.0 < a_sq < _SAT:
+            lam1 = p_e - k_e * com.b_e / (com.b_e * (m - y) + 1.0)
+            lam3 = y * (k_h * com.b_h / math.e - p_h + lam1)
             if lam1 > SIGN_TOL and lam3 >= -SIGN_TOL * y:
-                return KktSolution(_unchecked(Dispatch, (a_sq, 1.0)),
-                                   KktCase.BETA_SATURATED_CONSTRAINED,
-                                   lam1=lam1, lam3=max(lam3, 0.0))
+                return (a_sq, 1.0, _BETA_SATURATED_CONSTRAINED,
+                        lam1, 0.0, max(lam3, 0.0))
 
     raise FollowerError(
-        f"no KKT case fits at p=({p.p_e}, {p.p_h}) for k=({com.k_e}, {com.k_h}), "
-        f"m_min={com.m_min}")
+        f"no KKT case fits at p=({p_e}, {p_h}) for k=({k_e}, {k_h}), "
+        f"m_min={m}")
 
 
-def _clip01(v: float) -> float:
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
-
+def best_response(chp: ChpParams, com: CommunityParams,
+                  p: PricePair) -> KktSolution:
+    """respond at p, as a KktSolution record."""
+    return KktSolution._make(respond(chp, com, p.p_e, p.p_h))

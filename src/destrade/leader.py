@@ -9,21 +9,26 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .follower import KktSolution, best_response
+from .follower import respond
 from .market import CityMarket, PricePair
 
 
-def city_responses(city: CityMarket, p: PricePair) -> List[KktSolution]:
-    """Best response of every community at prices p, in community order."""
-    return [best_response(city.chp, com, p) for com in city.communities]
+def city_responses(city: CityMarket, p: PricePair) -> List[tuple]:
+    """Best response of every community at prices p, in community order.
+
+    Each is respond's plain tuple (alpha, beta, case, lam1, lam2, lam3).
+    """
+    chp, p_e, p_h = city.chp, p.p_e, p.p_h
+    return [respond(chp, com, p_e, p_h) for com in city.communities]
 
 
 def profit(city: CityMarket, side: str, p: PricePair,
-           responses: Sequence[KktSolution]) -> float:
+           responses: Sequence[tuple]) -> float:
     """Daily margin of one aggregator at prices p: side "e" or "h".
 
     responses are the communities' best responses at p, in community
-    order; the exports are summed in that order.
+    order, as respond tuples or KktSolution records (alpha is field 0,
+    beta field 1); the exports are summed in that order.
     """
     if side == "e":
         cap, margin, i = city.chp.elec_capacity, city.r_e - p.p_e, 0
@@ -31,4 +36,4 @@ def profit(city: CityMarket, side: str, p: PricePair,
         cap, margin, i = city.chp.heat_capacity, city.r_h - p.p_h, 1
     else:
         raise ValueError("side must be 'e' or 'h'")
-    return margin * sum(cap * (1.0 - r.dispatch[i]) for r in responses)
+    return margin * sum(cap * (1.0 - r[i]) for r in responses)

@@ -137,8 +137,7 @@ class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
     """Local-use fractions chosen by a DES: alpha for electricity, beta for heat.
 
     A light tuple record.  Constructing one checks that both fractions
-    lie in [0, 1]; the best-response solver, whose case guards already
-    confine them, builds its dispatches with tuple.__new__ instead.
+    lie in [0, 1].
     """
 
     __slots__ = ()

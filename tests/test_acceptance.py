@@ -15,8 +15,8 @@ from conftest import FIVE_K, RETAIL_E, RETAIL_H, make_city
 from destrade.cli import main as cli_main
 from destrade.consensus import Behavior, FaultProfile
 from destrade.equilibrium import NeConfig, find_ne
-from destrade.follower import best_response, interior_stationary
-from oracles import concavity_probe
+from destrade.follower import best_response
+from oracles import concavity_probe, interior_stationary
 from destrade.market import (CommunityParams, PricePair, adaption_coefficients,
                              des_utility, valid_k_intervals)
 from destrade.netsim import make_nodes, run_rounds

@@ -13,6 +13,7 @@ from destrade import (
     CityMarket,
     CommunityParams,
     Dispatch,
+    KktSolution,
     MarketError,
     NeConfig,
     NoFixedPoint,
@@ -40,6 +41,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_config_validation():
     with pytest.raises(MarketError):
         NeConfig(delta0=0.0)
+    with pytest.raises(MarketError, match="delta0 = nan must be positive"):
+        NeConfig(delta0=float("nan"))
     with pytest.raises(MarketError):
         NeConfig(decay=0.0)
     with pytest.raises(MarketError):
@@ -76,14 +79,32 @@ def test_step_reaching_the_cost_floor_is_rejected(city1):
 def _count_best_responses(monkeypatch):
     """Record every community best response the leader layer solves."""
     calls = []
-    solve = destrade.leader.best_response
+    solve = destrade.leader.respond
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(destrade.leader, "best_response", counted)
+    monkeypatch.setattr(destrade.leader, "respond", counted)
     return calls
+
+
+def _count_records(monkeypatch):
+    """Record every KktSolution built, by its constructor or by _make."""
+    built = []
+    make, new = KktSolution._make, KktSolution.__new__
+
+    def counted_make(cls, iterable):
+        built.append(cls)
+        return make(iterable)
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(KktSolution, "_make", classmethod(counted_make))
+    monkeypatch.setattr(KktSolution, "__new__", counted_new)
+    return built
 
 
 def _step(city, side, p_e, p_h, delta):
@@ -197,9 +218,13 @@ def test_outcome_reuses_the_walks_last_responses(monkeypatch):
     sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
     city = build_city(sc)
     calls = _count_best_responses(monkeypatch)
+    records = _count_records(monkeypatch)
     outcome, trace = stackelberg_outcome(city, build_ne_config(sc))
     n = len(city.communities)
     assert len(calls) == n * (4 * trace.iterations + 1)
+    # the walk carries plain tuples; only the fixed point's become records
+    assert len(records) == n
+    assert all(isinstance(r, KktSolution) for r in outcome.responses)
     assert outcome.responses == tuple(city_responses(city, outcome.prices))
 
 

@@ -17,12 +17,10 @@ from destrade import (
     PricePair,
     best_response,
     des_utility,
-    interior_stationary,
-    lambda1_quadratic,
-    lambda1_roots,
+    respond,
 )
-from destrade.follower import _alpha_stat
 import oracles
+from oracles import _alpha_stat, interior_stationary, lambda1_quadratic, lambda1_roots
 from conftest import FIVE_K, make_city
 
 BOX_E = (3.0e-8, 5.5e-8)
@@ -112,23 +110,29 @@ def test_lambda1_roots_match_textbook_oracle(chp, floor_mid):
         assert got == pytest.approx(ref, rel=1e-8)
 
 
-def test_lambda1_double_root_degenerate(chp):
-    # Zero satisfaction coefficients at equal prices collapse the
-    # quadratic to A(lam - p)^2.  Nudging m_min until the leading
-    # coefficient is an exact power of two makes the discriminant an
-    # exact float zero, exercising the double-root branch.
+def _double_root_community(chp):
+    """A community whose floor quadratic has an exact double root at 2**-25.
+
+    Zero satisfaction coefficients at equal prices collapse the
+    quadratic to A(lam - p)^2.  Nudging m_min until the leading
+    coefficient is an exact power of two makes the discriminant an
+    exact float zero.
+    """
     target_a = 2.0 ** 33
     ib = 1.0 / _com().b_e + 1.0 / _com().b_h
     m = target_a - ib
-    found = False
     for _ in range(400):
         com = _com(0.0, 0.0, m)
         a, _, _ = lambda1_quadratic(chp, com, PricePair(1.0, 1.0))
         if a == target_a:
-            found = True
-            break
+            return com
         m = math.nextafter(m, math.inf if a < target_a else -math.inf)
-    assert found, "could not pin leading coefficient to a power of two"
+    raise AssertionError("could not pin leading coefficient to a power of two")
+
+
+def test_lambda1_double_root_degenerate(chp):
+    # exercises the double-root branch
+    com = _double_root_community(chp)
     p = 2.0 ** -25
     roots = lambda1_roots(chp, com, PricePair(p, p))
     assert roots == (p,)
@@ -311,8 +315,8 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
     frac=st.floats(1e-3, 1.0 - 1e-3),
 )
 def test_response_records_pass_the_public_check(k_e, k_h, p_e, p_h, floored, frac):
-    # best_response builds its dispatches without Dispatch's range check;
-    # its case guards must keep them in range, on and just off the box
+    # respond returns bare fractions, never passing Dispatch's range
+    # check; its case guards must keep them in range, on and just off the box
     chp = _chp()
     x, y = chp.elec_capacity, chp.heat_capacity
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
@@ -334,3 +338,71 @@ def test_alpha_monotone_in_own_price(chp):
         a = best_response(chp, com, PricePair(float(p_e), 4.5e-8)).dispatch.alpha
         assert a <= prev + 1e-15
         prev = a
+
+
+# ------------------------------------------------------------
+# agreement with the reference solver
+# ------------------------------------------------------------
+
+
+def _solve_both(chp, com, p):
+    """(respond's outcome, the reference's), each a field tuple or the error."""
+    try:
+        got = respond(chp, com, p.p_e, p.p_h)
+    except FollowerError as err:
+        got = (type(err), str(err))
+    try:
+        ref = oracles.reference_best_response(chp, com, p).fields()
+    except FollowerError as err:
+        ref = (type(err), str(err))
+    return got, ref
+
+
+def _assert_same_bits(got, ref):
+    assert got == ref
+    # == lets 0.0 match -0.0; the bit patterns must agree too
+    assert [v.hex() if isinstance(v, float) else v for v in got] \
+        == [v.hex() if isinstance(v, float) else v for v in ref]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    k_e=st.floats(116.0, 170.0),
+    k_h=st.floats(105.5, 170.0),
+    # wide enough to saturate either stream, or both
+    p_e=st.floats(1.5e-8, 7e-8),
+    p_h=st.floats(1.5e-8, 7e-8),
+    floored=st.booleans(),
+    # blends of max(X, Y) and X + Y, a little past either end
+    frac=st.floats(-0.2, 1.2),
+)
+def test_respond_matches_the_reference_bit_for_bit(k_e, k_h, p_e, p_h, floored, frac):
+    chp = _chp()
+    x, y = chp.elec_capacity, chp.heat_capacity
+    m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
+    com = CommunityParams.for_chp(chp, k_e, k_h, m)
+    p = PricePair(p_e, p_h)
+    got, ref = _solve_both(chp, com, p)
+    _assert_same_bits(got, ref)
+    if not isinstance(got[0], type):
+        assert best_response(chp, com, p) == got
+
+
+def test_respond_matches_the_reference_in_every_case(chp, floor_mid, floor_tight):
+    # a fixed grid reaching all six cases and both errors; the four
+    # saturated cases never occur in a walk inside the box
+    x, y = chp.elec_capacity, chp.heat_capacity
+    floors = (0.0, floor_mid, floor_tight, x + y + 1e8)
+    reached = set()
+    for k_e, k_h in FIVE_K:
+        for m in floors:
+            com = _com(k_e, k_h, m)
+            for p_e in np.linspace(1.5e-8, 7e-8, 23):
+                for p_h in np.linspace(1.5e-8, 7e-8, 23):
+                    got, ref = _solve_both(chp, com, PricePair(float(p_e), float(p_h)))
+                    _assert_same_bits(got, ref)
+                    reached.add(got[1][:8] if isinstance(got[0], type) else got[2])
+    # the double-root branch of the floor quadratic
+    p = PricePair(2.0 ** -25, 2.0 ** -25)
+    _assert_same_bits(*_solve_both(chp, _double_root_community(chp), p))
+    assert reached == set(KktCase) | {"both str", "no KKT c"}

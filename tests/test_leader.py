@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from destrade import (
-    Dispatch,
     KktCase,
     KktSolution,
     PricePair,
-    city_responses,
+    best_response,
     profit,
 )
 import oracles
@@ -30,7 +29,7 @@ def test_profit_positive_inside_box(city1):
 
 def test_profit_examples_with_given_responses(city1):
     def given(alpha, beta):
-        return [KktSolution(Dispatch(alpha, beta), KktCase.INTERIOR)]
+        return [KktSolution(alpha, beta, KktCase.INTERIOR)]
 
     at_retail = PricePair(RETAIL_E, RETAIL_H)
     assert profit(city1, "e", at_retail, given(0.5, 0.5)) == 0.0
@@ -42,6 +41,11 @@ def test_profit_examples_with_given_responses(city1):
     assert profit(city1, "e", inside, given(0.5, 0.5)) == pytest.approx(27.0, rel=1e-12)
     with pytest.raises(ValueError):
         profit(city1, "x", inside, given(0.5, 0.5))
+    # the walk's plain response tuples read the same as records
+    records = given(0.25, 0.75)
+    plain = [tuple(r) for r in records]
+    for side in ("e", "h"):
+        assert profit(city1, side, inside, plain) == profit(city1, side, inside, records)
 
 
 def test_profit_e_ignores_heat_price_without_floor(city1):
@@ -104,7 +108,8 @@ def test_linear_tail_second_difference(chp, floor_tight):
     city = make_city(chp, [(143.05, 137.81)], floor_tight)
     ph = 3.75e-8
     pes = np.linspace(4.3e-8, 5.3e-8, 21)
-    tags = [city_responses(city, PricePair(float(pe), ph))[0].case for pe in pes]
+    tags = [best_response(city.chp, city.communities[0], PricePair(float(pe), ph)).case
+            for pe in pes]
     assert len(set(tags)) == 1
     vals = [profit_at(city, "e", PricePair(float(pe), ph)) for pe in pes]
     scale = max(abs(v) for v in vals)
