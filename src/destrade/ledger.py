@@ -6,7 +6,10 @@ payer already below zero gets the pending contract suspended instead;
 it executes once the balance recovers.  Blocks carry full contract
 bodies; the chain links sha256 block digests and a merkle root over the
 contract digests.  Contracts and blocks are frozen, so each computes
-its digests once and keeps them.  Signatures are simulated:
+its digests once and keeps them: a contract its body digest when it is
+built, a block its header digest and the merkle root over its own txs
+when first asked, so every validator of a block shares one root.  The
+chain audit recomputes every root on its own.  Signatures are simulated:
 deterministic digests of a per-account secret, good enough to exercise
 the protocol logic.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from enum import Enum
@@ -56,6 +60,9 @@ class BadContractState(LedgerError):
     pass
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 class Role(Enum):
     DES = "des"
     AGGREGATOR = "aggregator"
@@ -74,13 +81,21 @@ class ContractState(Enum):
     SUSPENDED = "suspended"
 
 
+# Members as plain names for the per-contract paths: reading an Enum
+# attribute costs about a tenth of a microsecond.
+_AGGREGATOR, _DES = Role.AGGREGATOR, Role.DES
+_CREATED, _VERIFIED, _EXECUTED, _REJECTED, _SUSPENDED = (
+    ContractState.CREATED, ContractState.VERIFIED, ContractState.EXECUTED,
+    ContractState.REJECTED, ContractState.SUSPENDED)
+_EXECUTABLE = (_VERIFIED, _SUSPENDED)
+
 # Legal state transitions; execution re-checks funding on its own.
 _TRANSITIONS = {
-    ContractState.CREATED: {ContractState.VERIFIED, ContractState.REJECTED},
-    ContractState.VERIFIED: {ContractState.EXECUTED, ContractState.SUSPENDED},
-    ContractState.SUSPENDED: {ContractState.EXECUTED},
-    ContractState.EXECUTED: set(),
-    ContractState.REJECTED: set(),
+    _CREATED: (_VERIFIED, _REJECTED),
+    _VERIFIED: (_EXECUTED, _SUSPENDED),
+    _SUSPENDED: (_EXECUTED,),
+    _EXECUTED: (),
+    _REJECTED: (),
 }
 
 
@@ -130,16 +145,32 @@ class Contract:
     def payment(self) -> float:
         return self.price * self.amount
 
+    def __post_init__(self):
+        object.__setattr__(self, "_body_digest", _sha(_body_json(
+            self.contract_id, self.buyer, self.seller, self.kind.value,
+            repr(self.price), repr(self.amount), self.trans_time, self.stime)))
+
     def body_digest(self) -> str:
-        """Digest of everything but the signatures."""
+        """Digest of everything but the signatures, computed at construction."""
         return self._body_digest
 
-    @cached_property
-    def _body_digest(self) -> str:
-        return _sha(json.dumps([
-            self.contract_id, self.buyer, self.seller, self.kind.value,
-            repr(self.price), repr(self.amount), self.trans_time, self.stime,
-        ]))
+
+def _body_json(*body) -> str:
+    """json.dumps(list(body)), byte for byte, for the contract body fields.
+
+    Plain str and int fields are written directly, as json writes them;
+    any other type (a bool or float in an int slot, a non-string id)
+    goes through json itself.
+    """
+    cid, buyer, seller, kind, price, amount, trans_time, stime = body
+    if type(trans_time) is int and type(stime) is int:
+        try:
+            return (f"[{_encode_str(cid)}, {_encode_str(buyer)}, {_encode_str(seller)}, "
+                    f"{_encode_str(kind)}, {_encode_str(price)}, {_encode_str(amount)}, "
+                    f"{trans_time}, {stime}]")
+        except TypeError:
+            pass
+    return json.dumps(list(body))
 
 
 # ============================================================
@@ -155,7 +186,7 @@ def merkle_root(digests: Sequence[str]) -> str:
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
-        level = [_sha(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        level = [_sha(a + b) for a, b in zip(level[::2], level[1::2])]
     return level[0]
 
 
@@ -187,6 +218,14 @@ class Block:
     @cached_property
     def _block_hash(self) -> str:
         return _sha(self._header_digest + ":" + self.signature)
+
+    @cached_property
+    def _own_txs(self) -> Tuple[str, bool]:
+        """Merkle root over the txs' digests, and whether a contract id
+        repeats among them; every validator of the block reads this one."""
+        txs = self.txs
+        return (merkle_root([c.body_digest() for c in txs]),
+                len({c.contract_id for c in txs}) < len(txs))
 
 
 def _signed_block(**header) -> Block:
@@ -248,17 +287,24 @@ def validate_block(block: Block, pool: Dict[str, Contract],
                    chain: Chain) -> Tuple[bool, Optional[str]]:
     """Full check of a proposed block against local state.
 
-    Returns (ok, reason); reason is one of BadPrevHash, BadMerkle,
-    UnknownTx, BadLeaderSig.
+    Returns (ok, reason); reason is the first failing check of
+    BadPrevHash (not on the local tip), BadMerkle (header root is not
+    the root of the block's own txs), DuplicateTx (a contract listed
+    twice), UnknownTx (a tx whose digest differs from the pooled copy,
+    or that is not pooled), BadLeaderSig.
     """
     if block.prev_hash != chain.tip.block_hash() or block.height != chain.height + 1:
         return False, "BadPrevHash"
-    digests = [c.body_digest() for c in block.txs]
-    if block.merkle != merkle_root(digests):
+    root, duplicate = block._own_txs
+    if block.merkle != root:
         return False, "BadMerkle"
-    for c, digest in zip(block.txs, digests):
-        pooled = pool.get(c.contract_id)
-        if pooled is None or pooled.body_digest() != digest:
+    if duplicate:
+        return False, "DuplicateTx"
+    get = pool.get
+    for c in block.txs:
+        pooled = get(c.contract_id)
+        if pooled is not c and (pooled is None
+                                or pooled.body_digest() != c.body_digest()):
             return False, "UnknownTx"
     if not verify_signature(block.header_digest(), block.signature, block.leader_id):
         return False, "BadLeaderSig"
@@ -276,9 +322,17 @@ def export_chain(chain: Chain) -> str:
 
 
 def verify_chain(chain: Chain) -> bool:
-    """Audit hash links, merkle roots and leader signatures over the chain."""
+    """Audit hash links, merkle roots and leader signatures over the chain,
+    and that no contract is committed twice.
+
+    Every merkle root is rebuilt here from the txs, not read from the
+    blocks' shared roots.
+    """
     blocks = chain.blocks
     if not blocks or blocks[0].height != 0 or blocks[0].prev_hash != ZERO_HASH:
+        return False
+    ids = [c.contract_id for b in blocks for c in b.txs]
+    if len(set(ids)) < len(ids):
         return False
     for i, b in enumerate(blocks):
         if b.height != i:
@@ -324,6 +378,8 @@ class Ledger:
         return acct
 
     def deposit(self, account_id: str, amount: float) -> None:
+        if not math.isfinite(amount):
+            raise LedgerError(f"deposit {amount} is not finite")
         if amount < 0:
             raise LedgerError("deposit must be non-negative")
         self._account(account_id).balance += amount
@@ -331,8 +387,10 @@ class Ledger:
 
     def set_capacity(self, des_id: str, kind: EnergyKind, amount: float) -> None:
         """Declare a DES's uncommitted exportable energy for the coming day."""
-        if self._account(des_id).role is not Role.DES:
+        if self._account(des_id).role is not _DES:
             raise LedgerError(f"{des_id} is not a DES")
+        if not (math.isfinite(amount) and amount >= 0):
+            raise LedgerError(f"capacity {amount} must be finite and non-negative")
         self.capacity[(des_id, kind.value)] = amount
 
     def remaining_capacity(self, des_id: str, kind: EnergyKind) -> float:
@@ -344,20 +402,23 @@ class Ledger:
         """Sign a new contract; reserves seller capacity immediately."""
         b = self._account(buyer)
         s = self._account(seller)
-        if b.role is not Role.AGGREGATOR or s.role is not Role.DES:
+        if b.role is not _AGGREGATOR or s.role is not _DES:
             raise LedgerError("contracts run aggregator -> DES")
         if b.city != s.city:
             raise CrossCityPair(f"{buyer} ({b.city}) cannot trade with "
                                 f"{seller} ({s.city})")
+        if not (math.isfinite(price) and math.isfinite(amount)):
+            raise LedgerError(f"price {price} and amount {amount} must be finite")
         if price <= 0 or amount <= 0:
             raise LedgerError("price and amount must be positive")
-        if b.balance < price * amount:
-            raise InsufficientBalance(
-                f"{buyer} holds {b.balance}, needs {price * amount}")
-        remaining = self.remaining_capacity(seller, kind)
+        payment = price * amount
+        if b.balance < payment:
+            raise InsufficientBalance(f"{buyer} holds {b.balance}, needs {payment}")
+        slot = (seller, kind.value)
+        remaining = self.capacity.get(slot, 0.0)
         if amount > remaining:
             raise InsufficientCapacity(
-                f"{seller} has {remaining} {kind.value} left, asked {amount}")
+                f"{seller} has {remaining} {slot[1]} left, asked {amount}")
         cid = f"ct-{self._next_id:06d}"
         self._next_id += 1
         contract = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
@@ -368,9 +429,9 @@ class Ledger:
         digest = contract.body_digest()
         object.__setattr__(contract, "signatures", (
             sign(digest, sim_secret(buyer)), sign(digest, sim_secret(seller))))
-        self.capacity[(seller, kind.value)] = remaining - amount
+        self.capacity[slot] = remaining - amount
         self.contracts[cid] = contract
-        self.states[cid] = ContractState.CREATED
+        self.states[cid] = _CREATED
         return contract
 
     def state_of(self, contract_id: str) -> ContractState:
@@ -385,10 +446,10 @@ class Ledger:
     def mark_verified(self, contract_ids: Iterable[str]) -> None:
         """Flip freshly committed contracts to Verified."""
         for cid in contract_ids:
-            self._set_state(cid, ContractState.VERIFIED)
+            self._set_state(cid, _VERIFIED)
 
     def mark_rejected(self, contract_id: str) -> None:
-        self._set_state(contract_id, ContractState.REJECTED)
+        self._set_state(contract_id, _REJECTED)
 
     def execute_contract(self, contract_id: str, meter_ok: bool,
                          now: int) -> None:
@@ -400,7 +461,7 @@ class Ledger:
         """
         contract = self.contracts[contract_id]
         state = self.states[contract_id]
-        if state not in (ContractState.VERIFIED, ContractState.SUSPENDED):
+        if state not in _EXECUTABLE:
             raise BadContractState(f"{contract_id} is {state.value}, not executable")
         if now < contract.trans_time:
             raise NotYetDue(f"{contract_id} due at {contract.trans_time}, now {now}")
@@ -408,13 +469,14 @@ class Ledger:
             raise MeterRejected(f"meter refused delivery for {contract_id}")
         payer = self._account(contract.buyer)
         if payer.balance < 0:
-            if state is not ContractState.SUSPENDED:
-                self._set_state(contract_id, ContractState.SUSPENDED)
+            if state is not _SUSPENDED:
+                self._set_state(contract_id, _SUSPENDED)
             return
         payee = self._account(contract.seller)
-        payer.balance -= contract.payment
-        payee.balance += contract.payment
-        self._set_state(contract_id, ContractState.EXECUTED)
+        payment = contract.payment
+        payer.balance -= payment
+        payee.balance += payment
+        self._set_state(contract_id, _EXECUTED)
 
     def balance_sum(self) -> float:
         return sum(a.balance for a in self.accounts.values())

@@ -17,7 +17,7 @@ from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
                         ConsensusNode, CreditTable, FaultProfile, RoundOutcome,
                         init_credits, max_faulty, run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
-from .ledger import (Chain, ContractState, EnergyKind, Ledger, Role,
+from .ledger import (Chain, Contract, ContractState, EnergyKind, Ledger, Role,
                      make_genesis, verify_chain)
 from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
                        build_faults, build_ne_config, build_run)
@@ -190,7 +190,9 @@ class PipelineResult:
     def violations(self) -> List[str]:
         """The audits this run failed; empty when it is safe."""
         failed = []
-        if self.drift > max(DRIFT_TOLERANCE, DRIFT_SHARE * self.ledger.total_deposited):
+        # Written so that a NaN drift fails the audit too.
+        if not self.drift <= max(DRIFT_TOLERANCE,
+                                 DRIFT_SHARE * self.ledger.total_deposited):
             failed.append("balance drift")
         if not self.chain_ok:
             failed.append("chain audit")
@@ -244,7 +246,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     driver = RoundDriver(nodes, profile, seed, setup.delta1, setup.delta2)
 
     for day in range(run.days):
-        day_ids: List[str] = []
+        day_contracts: Dict[str, Contract] = {}
         for cname in names:
             for j, community_offers in enumerate(offers):
                 did = f"{cname}.des{j}"
@@ -253,10 +255,9 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
                     if amount > MIN_CONTRACT_JOULES:
                         c = ledger.create_contract(f"{cname}.{side}", did, kind, price,
                                                    amount, trans_time=day, stime=day)
-                        day_ids.append(c.contract_id)
+                        day_contracts[c.contract_id] = c
         for node in nodes.values():
-            for cid in day_ids:
-                node.pool[cid] = ledger.contracts[cid]
+            node.pool.update(day_contracts)
 
         committed_today: List[str] = []
         rounds = 0

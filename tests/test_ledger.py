@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from destrade import (
     BadContractState,
     Chain,
+    Contract,
     ContractState,
     CrossCityPair,
     EnergyKind,
@@ -92,6 +95,27 @@ def test_capacity_only_for_des():
         led.set_capacity("ea", EnergyKind.ELECTRICITY, 1.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("amount", NON_FINITE)
+def test_deposit_rejects_non_finite(amount):
+    led = funded_ledger(balance=100.0)
+    with pytest.raises(LedgerError, match="not finite"):
+        led.deposit("ea", amount)
+    assert led.accounts["ea"].balance == 100.0
+    assert led.total_deposited == 100.0
+    assert led.conservation_drift() == 0.0
+
+
+@pytest.mark.parametrize("amount", NON_FINITE + [-1.0])
+def test_capacity_rejects_non_finite_and_negative(amount):
+    led = funded_ledger(capacity=50.0)
+    with pytest.raises(LedgerError, match="finite and non-negative"):
+        led.set_capacity("des", EnergyKind.ELECTRICITY, amount)
+    assert led.remaining_capacity("des", EnergyKind.ELECTRICITY) == 50.0
+
+
 # ------------------------------------------------------------
 # contract creation
 # ------------------------------------------------------------
@@ -151,6 +175,18 @@ def test_create_contract_role_and_positivity():
     with pytest.raises(LedgerError):
         led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             price=1.0, amount=-1.0, trans_time=0)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["price", "amount"])
+def test_create_contract_rejects_non_finite(field, bad):
+    led = funded_ledger(capacity=50.0)
+    terms = {"price": 1.0, "amount": 2.0, field: bad}
+    with pytest.raises(LedgerError, match="must be finite"):
+        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
+                            trans_time=0, **terms)
+    assert led.contracts == {} and led.states == {}
+    assert led.remaining_capacity("des", EnergyKind.ELECTRICITY) == 50.0
 
 
 def test_contract_ids_and_signatures():
@@ -404,6 +440,29 @@ def test_tampered_copies_get_fresh_digests():
         assert not verify_chain(broken)
 
 
+def test_duplicate_tx_fails_validation_and_the_audit():
+    pool, c = _pool_with_contract()
+    chain = Chain()
+    twice = make_block("ea", chain, 0, [c, c])
+    # header root, pooled digests and signature are all in order
+    assert twice.merkle == merkle_root([c.body_digest()] * 2)
+    assert validate_block(twice, pool, chain) == (False, "DuplicateTx")
+    # a wrong header root is reported before the duplicate
+    assert validate_block(replace(twice, merkle="cd" * 32), pool, chain) == (
+        False, "BadMerkle")
+    chain.append(twice)
+    assert not verify_chain(chain)
+
+
+def test_verify_chain_rejects_a_contract_in_two_blocks():
+    _pool, c = _pool_with_contract()
+    chain = Chain()
+    chain.append(make_block("ea", chain, 0, [c]))
+    assert verify_chain(chain)
+    chain.append(make_block("ha", chain, 1, [c]))
+    assert not verify_chain(chain)
+
+
 def test_validate_rejects_recommitted_contract():
     pool, c = _pool_with_contract()
     chain = Chain()
@@ -447,3 +506,40 @@ def test_signature_roundtrip():
     assert verify_signature("payload", sig, "ea")
     assert not verify_signature("payload", sig, "ha")
     assert not verify_signature("other", sig, "ea")
+
+
+# ------------------------------------------------------------
+# body digest encoding
+# ------------------------------------------------------------
+
+# Ids that stress json's string escapes: quotes, backslashes, control
+# characters, non-ASCII (one- and two-unit UTF-16) and lone surrogates.
+_IDS = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\r\u2028\xe9\U0001f600\ud800a'),
+            max_size=12),
+)
+# The prices and amounts create_contract accepts: finite and positive.
+_MONEY = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# Large and negative ints, plus the bools and floats json writes its own way.
+_INTS = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2**70),
+                  st.booleans(), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(cid=_IDS, buyer=_IDS, seller=_IDS, kind=st.sampled_from(EnergyKind),
+       price=_MONEY, amount=_MONEY, trans_time=_INTS, stime=_INTS)
+def test_body_digest_is_the_digest_of_the_json_body(cid, buyer, seller, kind, price,
+                                                   amount, trans_time, stime):
+    c = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
+                 price=price, amount=amount, trans_time=trans_time, stime=stime)
+    assert c.body_digest() == _sha(json.dumps([
+        cid, buyer, seller, kind.value, repr(price), repr(amount), trans_time, stime]))
+
+
+@pytest.mark.parametrize("cid", [7, None, 1.5])
+def test_body_digest_of_a_non_string_id_follows_json(cid):
+    c = Contract(contract_id=cid, buyer="ea", seller="des", kind=EnergyKind.HEAT,
+                 price=1.0, amount=2.0, trans_time=0, stime=0)
+    assert c.body_digest() == _sha(json.dumps(
+        [cid, "ea", "des", "heat", "1.0", "2.0", 0, 0]))

@@ -136,15 +136,27 @@ def test_pipeline_reads_the_divergence_audit():
     assert res.driver.commit_count == len(res.driver.rows) == res.chain.height
     res.driver.divergence_count = 1
     assert res.violations == ["divergent chains"]
+    res.driver.divergence_count = 0
+    # a NaN drift compares false with any bound, and must still fail
+    res.drift = float("nan")
+    assert res.violations == ["balance drift"]
+
+
+def _is_hex_digest(s: str) -> bool:
+    return len(s) == 64 and all(ch in "0123456789abcdef" for ch in s)
 
 
 def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
     inputs = []
+    roots = {}  # output -> times a merkle node hash produced it
     sha = ledger._sha
 
     def counted(data: str) -> str:
         inputs.append(data)
-        return sha(data)
+        out = sha(data)
+        if len(data) == 128 and _is_hex_digest(data[:64]) and _is_hex_digest(data[64:]):
+            roots[out] = roots.get(out, 0) + 1
+        return out
 
     monkeypatch.setattr(ledger, "_sha", counted)
     res = run_pipeline(load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn")),
@@ -155,3 +167,11 @@ def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
     headers = [d for d in inputs if d[:1] == "[" and d[1:2].isdigit()]
     assert len(bodies) == len(set(bodies)) == len(res.ledger.contracts)
     assert len(headers) == len(set(headers)) == len(res.chain.blocks)
+    # Each root is built by make_block, once more for all the validators
+    # together, and once by the chain audit; 4 aggregators validate each block.
+    assert len(res.driver.ids) == 4
+    multi = [b for b in res.chain.blocks if len(b.txs) > 1]
+    assert multi
+    assert all(roots[b.merkle] == 3 for b in multi)
+    # and no merkle node of any block is hashed more than 3 times
+    assert max(roots.values()) == 3
