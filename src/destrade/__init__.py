@@ -9,8 +9,9 @@ fabric.  The cli module ties them into runnable scenarios.
 from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
                      MarketError, PricePair, adaption_coefficients, des_utility,
                      valid_k_intervals)
-from .follower import FollowerError, KktCase, KktSolution, best_response, respond
-from .leader import city_responses, profit
+from .follower import (FollowerError, KktCase, KktSolution, best_response,
+                       export_totals, respond)
+from .leader import profit
 from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
                           stackelberg_outcome)
 from .ledger import (Account, BadContractState, Block, Chain, Contract,

@@ -5,29 +5,35 @@ step down in their own price at the current step size, keep the better
 move (ties prefer up, then down, then stay), clamp the new price to the
 cost/retail interval, then shrink the step geometrically.  The search
 stops the first iteration neither price changes, which pins the fixed
-point to within the final step.
+point to within the final step; a step too small to move a price ends
+it without one.
 
-Each visited price point is solved once: a step hands on the responses
-at the point it moved to, so an iteration costs four city evaluations,
-and the outcome takes the fixed point's responses from the walk.  The
-walk carries the follower's plain response tuples; only the fixed
-point's are made into KktSolution records, once per walk.
+Each visited price point is solved once: a step hands on the export
+totals at the point it moved to, so an iteration costs four city
+evaluations.  The walk carries only the two totals
+follower.export_totals returns; the outcome solves the fixed point once
+more for the communities' KktSolution records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
-from .follower import KktSolution
-from .leader import city_responses, profit
+from .follower import KktSolution, export_totals
+from .leader import profit
 from .market import CityMarket, MarketError, PricePair, des_utility
 
 INIT_CHOICES = ("low", "high", "mid")
 
 
 class NoFixedPoint(RuntimeError):
-    """Iteration budget exhausted before both prices went quiet."""
+    """The walk ended without a fixed point.
+
+    Either the iteration budget ran out before both prices went quiet,
+    or the step shrank until it no longer moves a price, so every probe
+    ties with staying put.
+    """
 
     def __init__(self, msg: str, trace: "NeTrace"):
         super().__init__(msg)
@@ -70,15 +76,10 @@ class NeStep:
 
 @dataclass
 class NeTrace:
-    """Per-iteration record of the search path.
-
-    responses holds the city's responses at the fixed point once the
-    walk settles; it stays empty when the budget runs out.
-    """
+    """Per-iteration record of the search path."""
 
     steps: List[NeStep] = field(default_factory=list)
     iterations: int = 0
-    responses: Tuple[KktSolution, ...] = field(default=(), repr=False)
 
     @property
     def delta_final(self) -> float:
@@ -103,14 +104,15 @@ def resolve_init(city: CityMarket, init: Union[str, PricePair]) -> PricePair:
 
 
 def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
-                    delta: float, responses: Sequence[tuple],
-                    ) -> Tuple[float, Sequence[tuple]]:
+                    delta: float, totals: Tuple[float, float],
+                    ) -> Tuple[float, Tuple[float, float]]:
     """One aggregator's move on its own price: side "e" moves p_e, "h" p_h.
 
-    Takes the city's responses at (p_e, p_h) and returns the new price
-    with the responses there, solved afresh only when the clamp moves
+    Takes the city's export totals at (p_e, p_h) and returns the new
+    price with the totals there, solved afresh only when the clamp moves
     the price off the probe.  Probes are unclamped, the move is not.
     """
+    chp, rows = city.chp, city.kkt_table
     if side == "e":
         (lo, hi), own = city.price_box()[0], p_e
     elif side == "h":
@@ -118,29 +120,39 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
     else:
         raise ValueError("side must be 'e' or 'h'")
 
-    def at(price: float) -> PricePair:
-        return PricePair(price, p_h) if side == "e" else PricePair(p_e, price)
+    def solve(price: float) -> Tuple[float, float]:
+        if side == "e":
+            return export_totals(chp, rows, price, p_h)
+        return export_totals(chp, rows, p_e, price)
 
-    up, down = at(own + delta), at(own - delta)
-    r_up, r_down = city_responses(city, up), city_responses(city, down)
-    v0 = profit(city, side, at(own), responses)
-    vp = profit(city, side, up, r_up)
-    vm = profit(city, side, down, r_down)
+    up, down = own + delta, own - delta
+    t_up, t_down = solve(up), solve(down)
+    v0 = profit(city, side, own, totals)
+    vp = profit(city, side, up, t_up)
+    vm = profit(city, side, down, t_down)
     if vp >= v0 and vp >= vm:
-        probe, new, held = own + delta, min(hi, own + delta), r_up
+        probe, new, held = up, min(hi, up), t_up
     elif vm >= v0 and vm > vp:
-        probe, new, held = own - delta, max(lo, own - delta), r_down
+        probe, new, held = down, max(lo, down), t_down
     else:
-        return own, responses
-    return new, held if new == probe else city_responses(city, at(new))
+        return own, totals
+    return new, held if new == probe else solve(new)
+
+
+def _stalls(price: float, delta: float) -> bool:
+    """True when a step of delta up or down leaves price where it is."""
+    return price + delta == price or price - delta == price
 
 
 def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
             ) -> Tuple[PricePair, NeTrace]:
     """Walk both prices to a joint fixed point of the +/- delta moves.
 
-    Raises MarketError when delta0 reaches the lower unit cost: a down
-    probe from the cost floor would then leave the positive prices.
+    Raises MarketError when delta0 reaches the lower unit cost (a down
+    probe from the cost floor would then leave the positive prices) or
+    is too small to move a start price.  Raises NoFixedPoint when the
+    budget runs out, or when the walk stops at a step that no longer
+    moves a price: every probe there ties, so the stop proves nothing.
     """
     floor = min(city.chp.c_e, city.chp.c_h)
     if cfg.delta0 >= floor:
@@ -148,20 +160,26 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
             f"delta0 = {cfg.delta0} must be below the cost floor {floor:.6g}")
     start = resolve_init(city, cfg.init)
     p_e, p_h = start.p_e, start.p_h
-    responses = city_responses(city, start)
+    if _stalls(p_e, cfg.delta0) or _stalls(p_h, cfg.delta0):
+        raise MarketError(
+            f"delta0 = {cfg.delta0} is too small to move the start prices "
+            f"({p_e}, {p_h})")
+    totals = export_totals(city.chp, city.kkt_table, p_e, p_h)
     delta = cfg.delta0
     trace = NeTrace()
     for it in range(cfg.max_iters):
         before = (p_e, p_h)
-        p_e, responses = aggregator_step(city, "e", p_e, p_h, delta, responses)
-        p_h, responses = aggregator_step(city, "h", p_e, p_h, delta, responses)
+        p_e, totals = aggregator_step(city, "e", p_e, p_h, delta, totals)
+        p_h, totals = aggregator_step(city, "h", p_e, p_h, delta, totals)
         trace.iterations = it + 1
-        pair = PricePair(p_e, p_h)
-        trace.steps.append(NeStep(it, p_e, p_h, profit(city, "e", pair, responses),
-                                  profit(city, "h", pair, responses), delta))
+        trace.steps.append(NeStep(it, p_e, p_h, profit(city, "e", p_e, totals),
+                                  profit(city, "h", p_h, totals), delta))
         if (p_e, p_h) == before:
-            trace.responses = tuple(map(KktSolution._make, responses))
-            return pair, trace
+            if _stalls(p_e, delta) or _stalls(p_h, delta):
+                raise NoFixedPoint(
+                    f"step {delta} no longer moves the prices ({p_e}, {p_h}) "
+                    f"after {it + 1} iterations", trace)
+            return PricePair(p_e, p_h), trace
         delta *= cfg.decay
     raise NoFixedPoint(f"no fixed point after {cfg.max_iters} iterations", trace)
 
@@ -181,7 +199,9 @@ def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),
                         ) -> Tuple[SeOutcome, NeTrace]:
     """Run the price search and evaluate everyone at the fixed point."""
     prices, trace = find_ne(city, cfg)
-    responses = trace.responses
+    records: list = []
+    totals = export_totals(city.chp, city.kkt_table, prices.p_e, prices.p_h, records)
+    responses = tuple(map(KktSolution._make, records))
     utilities = tuple(
         des_utility(city.chp, com, prices, sol.dispatch)
         for com, sol in zip(city.communities, responses))
@@ -189,6 +209,6 @@ def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),
         prices=prices,
         responses=responses,
         utilities=utilities,
-        v_e=profit(city, "e", prices, responses),
-        v_h=profit(city, "h", prices, responses),
+        v_e=profit(city, "e", prices.p_e, totals),
+        v_h=profit(city, "h", prices.p_h, totals),
     ), trace

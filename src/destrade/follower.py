@@ -7,13 +7,18 @@ closed form by walking the KKT cases: unsaturated dispatch first, then
 each output stream pinned at full local use.  When the use floor binds,
 its multiplier solves a quadratic; the root below both prices is the
 valid one.
+
+One loop walks the cases for every community of a city on plain floats:
+export_totals returns the two export totals the aggregators' profits
+read, and builds response tuples only when asked.  respond, the
+per-community solve, is that loop over a one-row table.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .market import ChpParams, CommunityParams, Dispatch, PricePair
 
@@ -51,8 +56,8 @@ class KktSolution(NamedTuple):
 
     lam1 prices the local-use floor, lam2 the alpha=1 bound, lam3 the
     beta=1 bound.  Inactive multipliers are zero.  The fields are those
-    of the plain tuple respond returns, in its order, so a record equals
-    that tuple by value.
+    of the plain tuples export_totals appends and respond returns, in
+    their order, so a record equals such a tuple by value.
     """
 
     alpha: float
@@ -75,14 +80,22 @@ class KktSolution(NamedTuple):
 # case walk
 # ============================================================
 
+# A local name: one global read per use instead of two.
+_E = math.e
 
-def respond(chp: ChpParams, com: CommunityParams, p_e: float, p_h: float,
-            ) -> Tuple[float, float, KktCase, float, float, float]:
-    """Globally optimal dispatch for one community at prices (p_e, p_h).
 
-    Returns the plain tuple (alpha, beta, case, lam1, lam2, lam3), the
-    fields of KktSolution; the price walk solves hundreds of thousands
-    of these and reads two floats from each.
+def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
+                  p_e: float, p_h: float, records: Optional[list] = None,
+                  ) -> Tuple[float, float]:
+    """Exports of the communities in rows at prices (p_e, p_h), per stream.
+
+    rows are kkt_row tuples (m_min, k_e, k_h, b_e, b_h, 1/b_e, 1/b_h);
+    CityMarket.kkt_table holds a city's.  Solves each community's
+    globally optimal dispatch and returns (sum of X*(1 - alpha), sum of
+    Y*(1 - beta)), added left to right in row order.  When records is a
+    list, each community's (alpha, beta, case, lam1, lam2, lam3), the
+    fields of KktSolution, is appended to it; the price walk solves
+    thousands of cities and reads only the two totals.
 
     Total for any positive prices near the admissible box, including
     the one-step-outside probes used by equilibrium search.  Cases are
@@ -91,91 +104,121 @@ def respond(chp: ChpParams, com: CommunityParams, p_e: float, p_h: float,
     first case with valid multipliers the unique optimum.
     """
     x, y = chp.elec_capacity, chp.heat_capacity
-    m, k_e, k_h = com.m_min, com.k_e, com.k_h
-    inv_b_e, inv_b_h = 1.0 / com.b_e, 1.0 / com.b_h
-    # Stationary fractions with no constraint active.
-    a0 = (k_e / p_e - inv_b_e) / x
-    b0 = (k_h / p_h - inv_b_h) / y
-    sat_a = a0 >= _SAT
-    sat_b = b0 >= _SAT
-    if sat_a and sat_b:
-        # Needs both prices below cost by a wide margin; unreachable from
-        # admissible coefficients and near-box prices.
-        raise FollowerError("both streams saturated; outside modeled envelope")
+    tot_e = tot_h = 0.0
+    for m, k_e, k_h, b_e, b_h, inv_b_e, inv_b_h in rows:
+        # Stationary fractions with no constraint active.
+        a0 = (k_e / p_e - inv_b_e) / x
+        b0 = (k_h / p_h - inv_b_h) / y
+        sat_a = a0 >= _SAT
+        sat_b = b0 >= _SAT
+        if sat_a and sat_b:
+            # Needs both prices below cost by a wide margin; unreachable from
+            # admissible coefficients and near-box prices.
+            raise FollowerError("both streams saturated; outside modeled envelope")
+        lam1 = lam2 = lam3 = 0.0
 
-    if m == 0.0:
-        # No floor.  Clip each stream independently; a price far above
-        # retail can push a stationary fraction to 0, clip there too.
-        a = 0.0 if a0 < 0.0 else 1.0 if a0 > 1.0 else a0
-        b = 0.0 if b0 < 0.0 else 1.0 if b0 > 1.0 else b0
-        if sat_a:
-            lam2 = x * (k_e * com.b_e / math.e - p_e)
-            return 1.0, b, _ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
-        if sat_b:
-            lam3 = y * (k_h * com.b_h / math.e - p_h)
-            return a, 1.0, _BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
-        return a, b, _INTERIOR, 0.0, 0.0, 0.0
-
-    # Case 1: both streams unsaturated.
-    if not sat_a and not sat_b:
-        if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
-            return a0, b0, _INTERIOR, 0.0, 0.0, 0.0
-        # Both fractions stationary on the floor.  Substituting them into
-        # the binding floor gives a quadratic qa*lam^2 + qb*lam + qc = 0
-        # in the floor multiplier lam (qb < 0 and qc > 0 when it binds).
-        qa = m + inv_b_e + inv_b_h
-        qb = k_e + k_h - qa * (p_e + p_h)
-        qc = qa * p_e * p_h - k_e * p_h - k_h * p_e
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            if disc == 0.0:
-                r1 = r2 = -qb / (2.0 * qa)
+        if m == 0.0:
+            # No floor.  Clip each stream independently; a price far above
+            # retail can push a stationary fraction to 0, clip there too.
+            a = 0.0 if a0 < 0.0 else 1.0 if a0 > 1.0 else a0
+            b = 0.0 if b0 < 0.0 else 1.0 if b0 > 1.0 else b0
+            if sat_a:
+                a, case = 1.0, _ALPHA_SATURATED
+                lam2 = x * (k_e * b_e / _E - p_e)
+            elif sat_b:
+                b, case = 1.0, _BETA_SATURATED
+                lam3 = y * (k_h * b_h / _E - p_h)
             else:
-                # Product form for the smaller root avoids cancellation.
-                sq = math.sqrt(disc)
-                q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
-                r1, r2 = q / qa, qc / q
-                if not r1 <= r2:
-                    r1, r2 = r2, r1
-            # The valid multiplier is the lower root strictly between 0
-            # and both prices.
-            top = p_h if p_h < p_e else p_e
-            lam = r1 if 0.0 < r1 < top else r2
-            if 0.0 < lam < top:
-                a = (k_e / (p_e - lam) - inv_b_e) / x
-                b = (k_h / (p_h - lam) - inv_b_h) / y
-                if SATURATION_TOL < a < _SAT and SATURATION_TOL < b < _SAT:
-                    return a, b, _INTERIOR_CONSTRAINED, lam, 0.0, 0.0
+                case = _INTERIOR
+        else:
+            # Each case below sets case once its multipliers check out;
+            # a rejected case leaves it None and the next one is tried.
+            case = None
 
-    # Case 2: electricity saturated, heat free or on the floor.
-    if not sat_b:
-        if sat_a and b0 > 0.0 and x + y * b0 >= m:
-            lam2 = x * (k_e * com.b_e / math.e - p_e)
-            return 1.0, b0, _ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
-        b_sq = (m - x) / y
-        if 0.0 < b_sq < _SAT:
-            lam1 = p_h - k_h * com.b_h / (com.b_h * (m - x) + 1.0)
-            lam2 = x * (k_e * com.b_e / math.e - p_e + lam1)
-            if lam1 > SIGN_TOL and lam2 >= -SIGN_TOL * x:
-                return (1.0, b_sq, _ALPHA_SATURATED_CONSTRAINED,
-                        lam1, max(lam2, 0.0), 0.0)
+            # Case 1: both streams unsaturated.
+            if not sat_a and not sat_b:
+                if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
+                    a, b, case = a0, b0, _INTERIOR
+                else:
+                    # Both fractions stationary on the floor.  Substituting
+                    # them into the binding floor gives a quadratic
+                    # qa*lam^2 + qb*lam + qc = 0 in the floor multiplier lam
+                    # (qb < 0 and qc > 0 when it binds).
+                    qa = m + inv_b_e + inv_b_h
+                    qb = k_e + k_h - qa * (p_e + p_h)
+                    qc = qa * p_e * p_h - k_e * p_h - k_h * p_e
+                    disc = qb * qb - 4.0 * qa * qc
+                    if disc >= 0.0:
+                        if disc == 0.0:
+                            r1 = r2 = -qb / (2.0 * qa)
+                        else:
+                            # Product form for the smaller root avoids
+                            # cancellation.
+                            sq = math.sqrt(disc)
+                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                            r1, r2 = q / qa, qc / q
+                            if not r1 <= r2:
+                                r1, r2 = r2, r1
+                        # The valid multiplier is the lower root strictly
+                        # between 0 and both prices.
+                        top = p_h if p_h < p_e else p_e
+                        lam = r1 if 0.0 < r1 < top else r2
+                        if 0.0 < lam < top:
+                            a = (k_e / (p_e - lam) - inv_b_e) / x
+                            b = (k_h / (p_h - lam) - inv_b_h) / y
+                            if SATURATION_TOL < a < _SAT and SATURATION_TOL < b < _SAT:
+                                case, lam1 = _INTERIOR_CONSTRAINED, lam
 
-    # Case 3: heat saturated, electricity free or on the floor.
-    if not sat_a:
-        if sat_b and a0 > 0.0 and x * a0 + y >= m:
-            lam3 = y * (k_h * com.b_h / math.e - p_h)
-            return a0, 1.0, _BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
-        a_sq = (m - y) / x
-        if 0.0 < a_sq < _SAT:
-            lam1 = p_e - k_e * com.b_e / (com.b_e * (m - y) + 1.0)
-            lam3 = y * (k_h * com.b_h / math.e - p_h + lam1)
-            if lam1 > SIGN_TOL and lam3 >= -SIGN_TOL * y:
-                return (a_sq, 1.0, _BETA_SATURATED_CONSTRAINED,
-                        lam1, 0.0, max(lam3, 0.0))
+            # Case 2: electricity saturated, heat free or on the floor.
+            if case is None and not sat_b:
+                if sat_a and b0 > 0.0 and x + y * b0 >= m:
+                    a, b, case = 1.0, b0, _ALPHA_SATURATED
+                    lam2 = x * (k_e * b_e / _E - p_e)
+                else:
+                    b_sq = (m - x) / y
+                    if 0.0 < b_sq < _SAT:
+                        l1 = p_h - k_h * b_h / (b_h * (m - x) + 1.0)
+                        l2 = x * (k_e * b_e / _E - p_e + l1)
+                        if l1 > SIGN_TOL and l2 >= -SIGN_TOL * x:
+                            a, b, case = 1.0, b_sq, _ALPHA_SATURATED_CONSTRAINED
+                            lam1, lam2 = l1, l2
 
-    raise FollowerError(
-        f"no KKT case fits at p=({p_e}, {p_h}) for k=({k_e}, {k_h}), "
-        f"m_min={m}")
+            # Case 3: heat saturated, electricity free or on the floor.
+            if case is None and not sat_a:
+                if sat_b and a0 > 0.0 and x * a0 + y >= m:
+                    a, b, case = a0, 1.0, _BETA_SATURATED
+                    lam3 = y * (k_h * b_h / _E - p_h)
+                else:
+                    a_sq = (m - y) / x
+                    if 0.0 < a_sq < _SAT:
+                        l1 = p_e - k_e * b_e / (b_e * (m - y) + 1.0)
+                        l3 = y * (k_h * b_h / _E - p_h + l1)
+                        if l1 > SIGN_TOL and l3 >= -SIGN_TOL * y:
+                            a, b, case = a_sq, 1.0, _BETA_SATURATED_CONSTRAINED
+                            lam1, lam3 = l1, l3
+
+            if case is None:
+                raise FollowerError(
+                    f"no KKT case fits at p=({p_e}, {p_h}) for k=({k_e}, {k_h}), "
+                    f"m_min={m}")
+
+        tot_e += x * (1.0 - a)
+        tot_h += y * (1.0 - b)
+        if records is not None:
+            records.append((a, b, case, lam1, max(lam2, 0.0), max(lam3, 0.0)))
+    return tot_e, tot_h
+
+
+def respond(chp: ChpParams, com: CommunityParams, p_e: float, p_h: float,
+            ) -> Tuple[float, float, KktCase, float, float, float]:
+    """Globally optimal dispatch for one community at prices (p_e, p_h).
+
+    The plain tuple (alpha, beta, case, lam1, lam2, lam3), the fields of
+    KktSolution: export_totals on a one-row table.
+    """
+    records: list = []
+    export_totals(chp, (com.kkt_row,), p_e, p_h, records)
+    return records[0]
 
 
 def best_response(chp: ChpParams, com: CommunityParams,

@@ -2,38 +2,26 @@
 
 Both aggregators buy exports at their posted wholesale price and resell
 at the city retail rate, so each one's profit is its margin times the
-export volume the communities choose in best response.
+export volume the communities choose in best response: one of the two
+totals follower.export_totals returns.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Tuple
 
-from .follower import respond
-from .market import CityMarket, PricePair
-
-
-def city_responses(city: CityMarket, p: PricePair) -> List[tuple]:
-    """Best response of every community at prices p, in community order.
-
-    Each is respond's plain tuple (alpha, beta, case, lam1, lam2, lam3).
-    """
-    chp, p_e, p_h = city.chp, p.p_e, p.p_h
-    return [respond(chp, com, p_e, p_h) for com in city.communities]
+from .market import CityMarket
 
 
-def profit(city: CityMarket, side: str, p: PricePair,
-           responses: Sequence[tuple]) -> float:
-    """Daily margin of one aggregator at prices p: side "e" or "h".
+def profit(city: CityMarket, side: str, price: float,
+           totals: Tuple[float, float]) -> float:
+    """Daily margin of one aggregator at its own price: side "e" or "h".
 
-    responses are the communities' best responses at p, in community
-    order, as respond tuples or KktSolution records (alpha is field 0,
-    beta field 1); the exports are summed in that order.
+    totals are the city's export totals (electricity, heat) in J at the
+    prices posted, as export_totals returns them.
     """
     if side == "e":
-        cap, margin, i = city.chp.elec_capacity, city.r_e - p.p_e, 0
-    elif side == "h":
-        cap, margin, i = city.chp.heat_capacity, city.r_h - p.p_h, 1
-    else:
-        raise ValueError("side must be 'e' or 'h'")
-    return margin * sum(cap * (1.0 - r[i]) for r in responses)
+        return (city.r_e - price) * totals[0]
+    if side == "h":
+        return (city.r_h - price) * totals[1]
+    raise ValueError("side must be 'e' or 'h'")

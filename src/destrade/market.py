@@ -115,6 +115,13 @@ class CommunityParams:
         b_e, b_h = adaption_coefficients(chp)
         return cls(k_e=k_e, k_h=k_h, m_min=m_min, b_e=b_e, b_h=b_h)
 
+    # The best response's row, read on every solve; frozen, so build once.
+    @cached_property
+    def kkt_row(self) -> Tuple[float, ...]:
+        """(m_min, k_e, k_h, b_e, b_h, 1/b_e, 1/b_h) as plain floats."""
+        return (self.m_min, self.k_e, self.k_h, self.b_e, self.b_h,
+                1.0 / self.b_e, 1.0 / self.b_h)
+
 
 @dataclass(frozen=True)
 class PricePair:
@@ -182,6 +189,11 @@ class CityMarket:
             if com.m_min != 0.0 and not max(x, y) < com.m_min < x + y:
                 raise MarketError(
                     f"community {i}: m_min={com.m_min} must be 0 or in (max(X,Y), X+Y)")
+
+    @cached_property
+    def kkt_table(self) -> Tuple[Tuple[float, ...], ...]:
+        """Every community's kkt_row, in community order."""
+        return tuple(com.kkt_row for com in self.communities)
 
     def price_box(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         """Admissible wholesale range per stream: cost floor, retail ceiling."""

@@ -12,7 +12,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from destrade import (ChpParams, CommunityParams, Dispatch, FollowerError, KktCase,
-                      KktSolution, PricePair, city_responses, profit)
+                      KktSolution, PricePair, respond)
 from destrade.follower import SATURATION_TOL, SIGN_TOL
 
 # Grid cells skipped on each side of a detected case switch when probing
@@ -20,9 +20,33 @@ from destrade.follower import SATURATION_TOL, SIGN_TOL
 KINK_GUARD_CELLS = 2
 
 
+def city_responses(city, p: PricePair) -> List[tuple]:
+    """Every community's respond tuple at p, one solve each, in order."""
+    return [respond(city.chp, com, p.p_e, p.p_h) for com in city.communities]
+
+
+def margin_profit(city, side: str, p: PricePair, responses) -> float:
+    """One aggregator's margin times the exports in responses at p.
+
+    The exports are added one by one, left to right in community order,
+    as the walk adds them; sum() would not pin that order, since from
+    Python 3.12 it adds floats with compensation.
+    """
+    if side == "e":
+        cap, margin, i = city.chp.elec_capacity, city.r_e - p.p_e, 0
+    elif side == "h":
+        cap, margin, i = city.chp.heat_capacity, city.r_h - p.p_h, 1
+    else:
+        raise ValueError("side must be 'e' or 'h'")
+    total = 0.0
+    for r in responses:
+        total += cap * (1.0 - r[i])
+    return margin * total
+
+
 def profit_at(city, side: str, p: PricePair) -> float:
     """One aggregator's profit at p, solving the responses there."""
-    return profit(city, side, p, city_responses(city, p))
+    return margin_profit(city, side, p, city_responses(city, p))
 
 
 def decoupled_price_optimum(city, side: str) -> float:
@@ -56,7 +80,7 @@ def concavity_probe(city, p_other: float, n_grid: int,
         price = lo + i * step
         p = PricePair(price, p_other) if side == "e" else PricePair(p_other, price)
         responses = city_responses(city, p)
-        values.append(profit(city, side, p, responses))
+        values.append(margin_profit(city, side, p, responses))
         tags.append(tuple(KktSolution._make(r).case for r in responses))
 
     switch = [i for i in range(1, n_grid) if tags[i] != tags[i - 1]]
@@ -158,8 +182,8 @@ def reference_walk(city, start: PricePair, delta0: float, decay: float,
         p_h = step(p_h, lo_h, hi_h, "h", lambda x: PricePair(p_e, x), delta)
         pair = PricePair(p_e, p_h)
         responses = city_responses(city, pair)
-        rows.append((it, p_e, p_h, profit(city, "e", pair, responses),
-                     profit(city, "h", pair, responses), delta))
+        rows.append((it, p_e, p_h, margin_profit(city, "e", pair, responses),
+                     margin_profit(city, "h", pair, responses), delta))
         if (p_e, p_h) == before:
             return pair, rows
         delta *= decay
@@ -171,8 +195,9 @@ def reference_walk(city, start: PricePair, delta0: float, decay: float,
 # ============================================================
 #
 # The KKT case walk as a chain of small helpers building a nested record,
-# kept to check that follower.respond, which inlines all of it on plain
-# floats, gives the same floats, case and error at every price.
+# kept to check that follower's case walk, which inlines all of it on
+# plain floats in one loop over a city, gives the same floats, case and
+# error at every price.
 
 # The reference builds its dispatches unchecked, like the walk.
 _unchecked = tuple.__new__

@@ -71,6 +71,37 @@ def test_equilibrium_trace_flag(tmp_path):
     assert lines[2].startswith("0,")
 
 
+def _city5_floor_with(tmp_path, key, value):
+    """city5_floor.scn with one [run] value replaced."""
+    text = read(scn("city5_floor"))
+    line = next(l for l in text.splitlines() if l.startswith(key + " = "))
+    scfile = tmp_path / "city5_floor.scn"
+    scfile.write_text(text.replace(line, f"{key} = {value}"))
+    return str(scfile)
+
+
+def test_step_too_small_to_move_a_start_price_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["equilibrium", "--scenario", _city5_floor_with(tmp_path, "delta0", "5e-324"),
+               "--out", str(out)])
+    assert rc == 1
+    assert "delta0 = 5e-324 is too small to move the start prices" in capsys.readouterr().err
+    assert not (out / "equilibrium.csv").exists()
+
+
+def test_walk_ended_by_a_vanished_step_exits_2(tmp_path, capsys):
+    # the step underflows to 0 after one iteration; the tie that follows
+    # is no equilibrium
+    out = tmp_path / "out"
+    rc = main(["equilibrium", "--scenario", _city5_floor_with(tmp_path, "decay", "1e-320"),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: step 0.0 no longer moves the prices" in err
+    assert "after 2 iterations" in err
+    assert not (out / "equilibrium.csv").exists()
+
+
 def test_seed_override_lands_in_header(tmp_path):
     out = tmp_path / "out"
     rc = main(["equilibrium", "--scenario", scn("city1_nofloor"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import destrade.leader
+import destrade.equilibrium
 from destrade import (
     CityMarket,
     CommunityParams,
@@ -18,8 +18,8 @@ from destrade import (
     NeConfig,
     NoFixedPoint,
     PricePair,
-    city_responses,
     des_utility,
+    export_totals,
     find_ne,
     stackelberg_outcome,
     valid_k_intervals,
@@ -28,7 +28,7 @@ from destrade.equilibrium import aggregator_step, resolve_init
 from destrade.scenario import build_city, build_ne_config, load_scenario
 from conftest import RETAIL_E, RETAIL_H, make_city
 import oracles
-from oracles import decoupled_price_optimum, profit_at
+from oracles import city_responses, decoupled_price_optimum, profit_at
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -76,17 +76,21 @@ def test_step_reaching_the_cost_floor_is_rejected(city1):
 # ------------------------------------------------------------
 
 
-def _count_best_responses(monkeypatch):
-    """Record every community best response the leader layer solves."""
+def _count_city_solves(monkeypatch):
+    """Record every city solve the walk and the outcome make."""
     calls = []
-    solve = destrade.leader.respond
+    solve = destrade.equilibrium.export_totals
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(destrade.leader, "respond", counted)
+    monkeypatch.setattr(destrade.equilibrium, "export_totals", counted)
     return calls
+
+
+def _totals_at(city, p_e, p_h):
+    return export_totals(city.chp, city.kkt_table, p_e, p_h)
 
 
 def _count_records(monkeypatch):
@@ -108,11 +112,11 @@ def _count_records(monkeypatch):
 
 
 def _step(city, side, p_e, p_h, delta):
-    """aggregator_step from fresh responses; checks the ones it hands back."""
-    new, responses = aggregator_step(city, side, p_e, p_h, delta,
-                                     city_responses(city, PricePair(p_e, p_h)))
-    moved = PricePair(new, p_h) if side == "e" else PricePair(p_e, new)
-    assert list(responses) == city_responses(city, moved)
+    """aggregator_step from fresh totals; checks the ones it hands back."""
+    new, totals = aggregator_step(city, side, p_e, p_h, delta,
+                                  _totals_at(city, p_e, p_h))
+    moved = (new, p_h) if side == "e" else (p_e, new)
+    assert totals == _totals_at(city, *moved)
     return new
 
 
@@ -153,13 +157,14 @@ def test_step_solves_the_clamped_point_afresh(chp, floor_tight, monkeypatch):
     delta = 1e-10
     own = hi_e - 0.5 * delta
     assert own + delta != hi_e
-    held = city_responses(city, PricePair(own, hi_h))
-    calls = _count_best_responses(monkeypatch)
-    new, responses = aggregator_step(city, "e", own, hi_h, delta, held)
+    held = _totals_at(city, own, hi_h)
+    calls = _count_city_solves(monkeypatch)
+    new, totals = aggregator_step(city, "e", own, hi_h, delta, held)
     assert new == hi_e
     assert len(calls) == 3  # up, down and the clamped point
-    assert list(responses) == city_responses(city, PricePair(hi_e, hi_h))
-    assert list(responses) != city_responses(city, PricePair(own + delta, hi_h))
+    assert [args[2:] for args in calls] == [(own + delta, hi_h), (own - delta, hi_h),
+                                            (hi_e, hi_h)]
+    assert totals == _totals_at(city, hi_e, hi_h)
 
 
 def test_step_monotone_improvement(city1_mid):
@@ -203,29 +208,32 @@ def test_no_unilateral_improvement_at_fixed_point(city1_mid):
 
 def test_each_visited_point_is_solved_once(monkeypatch):
     # the start point, then two probes per side each iteration; the
-    # trace and the next step reuse the responses at the point moved to
+    # trace and the next step reuse the totals at the point moved to
     sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
     city = build_city(sc)
-    calls = _count_best_responses(monkeypatch)
+    calls = _count_city_solves(monkeypatch)
     _, trace = find_ne(city, build_ne_config(sc))
-    n = len(city.communities)
-    assert len(calls) == n * (4 * trace.iterations + 1)
+    assert len(calls) == 4 * trace.iterations + 1
+    # the walk asks for totals only, never for response tuples
+    assert all(len(args) == 4 for args in calls)
 
 
-def test_outcome_reuses_the_walks_last_responses(monkeypatch):
-    # the outcome solves nothing past the walk, and its responses are
-    # the ones a fresh solve at the fixed point gives
+def test_outcome_solves_the_fixed_point_once_more_for_records(monkeypatch):
+    # one solve past the walk, at the fixed point, fills the N records;
+    # they are the ones per-community solves there give
     sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
     city = build_city(sc)
-    calls = _count_best_responses(monkeypatch)
+    calls = _count_city_solves(monkeypatch)
     records = _count_records(monkeypatch)
     outcome, trace = stackelberg_outcome(city, build_ne_config(sc))
     n = len(city.communities)
-    assert len(calls) == n * (4 * trace.iterations + 1)
-    # the walk carries plain tuples; only the fixed point's become records
+    assert len(calls) == 4 * trace.iterations + 2
+    assert calls[-1][2:4] == (outcome.prices.p_e, outcome.prices.p_h)
     assert len(records) == n
     assert all(isinstance(r, KktSolution) for r in outcome.responses)
     assert outcome.responses == tuple(city_responses(city, outcome.prices))
+    last = trace.steps[-1]
+    assert (outcome.v_e, outcome.v_h) == (last.v_e, last.v_h)
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,6 +316,25 @@ def test_larger_step_converges_in_fewer_iterations(city1_mid):
         raise AssertionError("never settled")
 
     assert iters_to_settle(1e-9) <= iters_to_settle(1e-10)
+
+
+def test_step_too_small_to_move_a_start_price_is_rejected(city1):
+    # a step below half an ulp of the start prices leaves every probe
+    # on the start point: no walk at all
+    with pytest.raises(MarketError, match="delta0 = 5e-324 is too small to move"):
+        find_ne(city1, NeConfig(delta0=5e-324))
+    with pytest.raises(MarketError, match="delta0 = 1e-30 is too small to move"):
+        find_ne(city1, NeConfig(delta0=1e-30, init="high"))
+
+
+def test_walk_stopped_by_a_vanished_step_is_no_fixed_point(city1):
+    # the step underflows to 0 after the first iteration, so the second
+    # one ties every probe and stops without proving anything
+    with pytest.raises(NoFixedPoint, match="no longer moves the prices") as exc:
+        find_ne(city1, NeConfig(decay=1e-320))
+    trace = exc.value.trace
+    assert trace.iterations == 2
+    assert trace.delta_final == 0.0
 
 
 def test_exhausted_budget_raises_with_trace(city1):

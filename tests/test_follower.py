@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from destrade import (
     ChpParams,
+    CityMarket,
     CommunityParams,
     Dispatch,
     FollowerError,
@@ -17,11 +18,13 @@ from destrade import (
     PricePair,
     best_response,
     des_utility,
+    export_totals,
     respond,
+    valid_k_intervals,
 )
 import oracles
 from oracles import _alpha_stat, interior_stationary, lambda1_quadratic, lambda1_roots
-from conftest import FIVE_K, make_city
+from conftest import FIVE_K, RETAIL_E, RETAIL_H, make_city
 
 BOX_E = (3.0e-8, 5.5e-8)
 BOX_H = (3.75e-8, 6.25e-8)
@@ -406,3 +409,74 @@ def test_respond_matches_the_reference_in_every_case(chp, floor_mid, floor_tight
     p = PricePair(2.0 ** -25, 2.0 ** -25)
     _assert_same_bits(*_solve_both(chp, _double_root_community(chp), p))
     assert reached == set(KktCase) | {"both str", "no KKT c"}
+
+
+# ------------------------------------------------------------
+# one loop over a city
+# ------------------------------------------------------------
+
+
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_city_totals_match_per_community_solves_bit_for_bit(chp, data):
+    # drawn cities mix floored and unfloored communities; prices lie in
+    # the box or one walk step outside it, or far enough out to saturate
+    # streams and reach both errors
+    (k_e_lo, k_e_hi), (k_h_lo, k_h_hi) = valid_k_intervals(chp, RETAIL_E, RETAIL_H)
+    x, y = chp.elec_capacity, chp.heat_capacity
+    floor = st.one_of(st.just(0.0), st.floats(0.05, 0.95).map(
+        lambda w: w * max(x, y) + (1.0 - w) * (x + y)))
+    community = st.builds(
+        lambda k_e, k_h, m_min: CommunityParams.for_chp(chp, k_e, k_h, m_min),
+        st.floats(k_e_lo * 1.001, k_e_hi * 0.999),
+        st.floats(k_h_lo * 1.001, k_h_hi * 0.999), floor)
+    communities = data.draw(st.lists(community, min_size=1, max_size=12))
+    city = CityMarket(chp=chp, r_e=RETAIL_E, r_h=RETAIL_H, communities=communities)
+    (lo_e, hi_e), (lo_h, hi_h) = city.price_box()
+    near = st.tuples(st.floats(lo_e - PROBE_STEP, hi_e + PROBE_STEP),
+                     st.floats(lo_h - PROBE_STEP, hi_h + PROBE_STEP))
+    wide = st.tuples(st.floats(1.5e-8, 7e-8), st.floats(1.5e-8, 7e-8))
+    p_e, p_h = data.draw(st.one_of(near, wide))
+
+    expected, error = [], None
+    try:
+        for com in communities:
+            expected.append(respond(chp, com, p_e, p_h))
+    except FollowerError as err:
+        error = str(err)
+
+    records = []
+    if error is not None:
+        with pytest.raises(FollowerError) as exc:
+            export_totals(chp, city.kkt_table, p_e, p_h, records)
+        assert str(exc.value) == error
+        # the communities before the failing one were recorded in order
+        assert [_hex(r) for r in records] == [_hex(r) for r in expected]
+        with pytest.raises(FollowerError) as exc:
+            export_totals(chp, city.kkt_table, p_e, p_h)
+        assert str(exc.value) == error
+        return
+    totals = export_totals(chp, city.kkt_table, p_e, p_h, records)
+    # one add at a time, left to right: the order the walk's totals keep
+    tot_e = tot_h = 0.0
+    for r in expected:
+        tot_e += x * (1.0 - r[0])
+        tot_h += y * (1.0 - r[1])
+    assert _hex(totals) == _hex((tot_e, tot_h))
+    assert _hex(export_totals(chp, city.kkt_table, p_e, p_h)) == _hex(totals)
+    assert len(records) == len(expected)
+    for got, ref in zip(records, expected):
+        _assert_same_bits(got, ref)
+
+
+def test_city_table_holds_each_communitys_row(city5_mid):
+    rows = city5_mid.kkt_table
+    assert rows is city5_mid.kkt_table  # built once per city
+    for row, com in zip(rows, city5_mid.communities):
+        assert row == (com.m_min, com.k_e, com.k_h, com.b_e, com.b_h,
+                       1.0 / com.b_e, 1.0 / com.b_h)
+    assert len(rows) == len(city5_mid.communities)

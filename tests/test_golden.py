@@ -24,6 +24,10 @@ GOLDEN = {
         "equilibrium.csv": "cdc76c69418b98457fce5c0d1ca7822a6efca3171a5fd41a256e9badc3b617e1",
         "trace.csv": "b999ae6eb6c5ac5271a67c2a3f827cd9a54cacf31e2708dd3a1a3e17871c7d1f",
     },
+    ("equilibrium", "city40_mixed"): {
+        "equilibrium.csv": "cb556bc40aceab8a5735705bdf8c0a8acfbb6ba34ace38571180d4e6f682a246",
+        "trace.csv": "9c6dffe251df76f0572b5d54db7d3fbe4581536ebcfea796707042a23d536d31",
+    },
     ("consensus", "consensus20"): {
         "rounds.csv": "4f6a50035b24bc9ecd61e53b9c5fd861ccca4e2f2dd054e6ad3361d1e131be51",
     },

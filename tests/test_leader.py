@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from destrade import (
-    KktCase,
-    KktSolution,
-    PricePair,
-    best_response,
-    profit,
-)
+from destrade import PricePair, best_response, export_totals, profit
 import oracles
 from conftest import RETAIL_E, RETAIL_H, make_city
 from oracles import concavity_probe, decoupled_price_optimum, profit_at
@@ -27,25 +21,29 @@ def test_profit_positive_inside_box(city1):
     assert profit_at(city1, "h", p) > 0.0
 
 
-def test_profit_examples_with_given_responses(city1):
-    def given(alpha, beta):
-        return [KktSolution(alpha, beta, KktCase.INTERIOR)]
-
-    at_retail = PricePair(RETAIL_E, RETAIL_H)
-    assert profit(city1, "e", at_retail, given(0.5, 0.5)) == 0.0
-    assert profit(city1, "h", at_retail, given(0.5, 0.5)) == 0.0
-    inside = PricePair(4.0e-8, 4.0e-8)
-    assert profit(city1, "e", inside, given(1.0, 1.0)) == 0.0
-    assert profit(city1, "h", inside, given(1.0, 1.0)) == 0.0
+def test_profit_is_the_margin_times_the_sides_total(city1):
+    x, y = city1.chp.elec_capacity, city1.chp.heat_capacity
+    half = (0.5 * x, 0.5 * y)
+    assert profit(city1, "e", RETAIL_E, half) == 0.0
+    assert profit(city1, "h", RETAIL_H, half) == 0.0
+    assert profit(city1, "e", 4.0e-8, (0.0, 0.0)) == 0.0
+    assert profit(city1, "h", 4.0e-8, (0.0, 0.0)) == 0.0
     # half of X = 3.6e9 J sold at a 1.5e-8 margin
-    assert profit(city1, "e", inside, given(0.5, 0.5)) == pytest.approx(27.0, rel=1e-12)
+    assert profit(city1, "e", 4.0e-8, half) == pytest.approx(27.0, rel=1e-12)
     with pytest.raises(ValueError):
-        profit(city1, "x", inside, given(0.5, 0.5))
-    # the walk's plain response tuples read the same as records
-    records = given(0.25, 0.75)
-    plain = [tuple(r) for r in records]
-    for side in ("e", "h"):
-        assert profit(city1, side, inside, plain) == profit(city1, side, inside, records)
+        profit(city1, "x", 4.0e-8, half)
+    # each side reads its own total only
+    assert profit(city1, "e", 4.0e-8, (x, 0.0)) == profit(city1, "e", 4.0e-8, (x, y))
+    assert profit(city1, "h", 4.0e-8, (0.0, y)) == profit(city1, "h", 4.0e-8, (x, y))
+
+
+def test_profit_on_city_totals_matches_the_oracle(city5_mid, city5_tight):
+    # the walk's totals against per-community solves added one by one
+    for city in (city5_mid, city5_tight):
+        for p in (PricePair(3.3e-8, 4.0e-8), PricePair(4.5e-8, 5.5e-8)):
+            totals = export_totals(city.chp, city.kkt_table, p.p_e, p.p_h)
+            assert profit(city, "e", p.p_e, totals) == profit_at(city, "e", p)
+            assert profit(city, "h", p.p_h, totals) == profit_at(city, "h", p)
 
 
 def test_profit_e_ignores_heat_price_without_floor(city1):
