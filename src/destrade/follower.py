@@ -10,7 +10,7 @@ valid one.
 
 One loop walks the cases for every community of a city on plain floats:
 export_totals returns the two export totals the aggregators' profits
-read, and builds response tuples only when asked.  respond, the
+read, and builds response tuples only when asked.  best_response, the
 per-community solve, is that loop over a one-row table.
 """
 
@@ -56,8 +56,8 @@ class KktSolution(NamedTuple):
 
     lam1 prices the local-use floor, lam2 the alpha=1 bound, lam3 the
     beta=1 bound.  Inactive multipliers are zero.  The fields are those
-    of the plain tuples export_totals appends and respond returns, in
-    their order, so a record equals such a tuple by value.
+    of the plain tuples export_totals appends, in their order, so a
+    record equals such a tuple by value.
     """
 
     alpha: float
@@ -209,19 +209,12 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
     return tot_e, tot_h
 
 
-def respond(chp: ChpParams, com: CommunityParams, p_e: float, p_h: float,
-            ) -> Tuple[float, float, KktCase, float, float, float]:
-    """Globally optimal dispatch for one community at prices (p_e, p_h).
-
-    The plain tuple (alpha, beta, case, lam1, lam2, lam3), the fields of
-    KktSolution: export_totals on a one-row table.
-    """
-    records: list = []
-    export_totals(chp, (com.kkt_row,), p_e, p_h, records)
-    return records[0]
-
-
 def best_response(chp: ChpParams, com: CommunityParams,
                   p: PricePair) -> KktSolution:
-    """respond at p, as a KktSolution record."""
-    return KktSolution._make(respond(chp, com, p.p_e, p.p_h))
+    """Globally optimal dispatch for one community at prices p.
+
+    export_totals on a one-row table, its one record as a KktSolution.
+    """
+    records: list = []
+    export_totals(chp, (com.kkt_row,), p.p_e, p.p_h, records)
+    return KktSolution._make(records[0])

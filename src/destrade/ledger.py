@@ -1,17 +1,20 @@
 """Contract ledger: accounts, energy contracts, and a hash-linked chain.
 
-Payments settle between aggregator and DES accounts when a verified
-contract's transfer time arrives and the meter confirms delivery.  A
-payer already below zero gets the pending contract suspended instead;
-it executes once the balance recovers.  Blocks carry full contract
-bodies; the chain links sha256 block digests and a merkle root over the
-contract digests.  Contracts and blocks are frozen, so each computes
-its digests once and keeps them: a contract its body digest when it is
-built, a block its header digest and the merkle root over its own txs
-when first asked, so every validator of a block shares one root.  The
-chain audit recomputes every root on its own.  Signatures are simulated:
-deterministic digests of a per-account secret, good enough to exercise
-the protocol logic.
+A contract is created, reserving the seller's capacity; verified once
+consensus commits it; then executed, moving its payment from the
+aggregator to the DES account.  A payer already below zero gets the
+contract suspended instead; it executes once the balance recovers.  The
+contract that takes a payer below zero still settles.  Blocks carry full
+contract bodies; the chain links sha256 block digests and a merkle root
+over the contract digests.  Contracts and blocks are frozen, so each
+computes its digests once and keeps them: a contract its body digest
+when it is built, a block its header digest and the merkle root over
+its own txs when first asked, so every validator of a block shares one
+root.  The chain audit recomputes every root on its own.  Block leaders
+sign with simulated keys: deterministic digests of a per-account
+secret, good enough to exercise the protocol logic.  Contracts carry no
+signature; a validator matches each tx to its own pooled copy by body
+digest.
 """
 
 from __future__ import annotations
@@ -48,14 +51,6 @@ class CrossCityPair(LedgerError):
     pass
 
 
-class MeterRejected(LedgerError):
-    pass
-
-
-class NotYetDue(LedgerError):
-    pass
-
-
 class BadContractState(LedgerError):
     pass
 
@@ -77,26 +72,14 @@ class ContractState(Enum):
     CREATED = "created"
     VERIFIED = "verified"
     EXECUTED = "executed"
-    REJECTED = "rejected"
     SUSPENDED = "suspended"
 
 
 # Members as plain names for the per-contract paths: reading an Enum
 # attribute costs about a tenth of a microsecond.
 _AGGREGATOR, _DES = Role.AGGREGATOR, Role.DES
-_CREATED, _VERIFIED, _EXECUTED, _REJECTED, _SUSPENDED = (
-    ContractState.CREATED, ContractState.VERIFIED, ContractState.EXECUTED,
-    ContractState.REJECTED, ContractState.SUSPENDED)
+_CREATED, _VERIFIED, _EXECUTED, _SUSPENDED = ContractState
 _EXECUTABLE = (_VERIFIED, _SUSPENDED)
-
-# Legal state transitions; execution re-checks funding on its own.
-_TRANSITIONS = {
-    _CREATED: (_VERIFIED, _REJECTED),
-    _VERIFIED: (_EXECUTED, _SUSPENDED),
-    _SUSPENDED: (_EXECUTED,),
-    _EXECUTED: (),
-    _REJECTED: (),
-}
 
 
 # ============================================================
@@ -139,7 +122,6 @@ class Contract:
     amount: float
     trans_time: int
     stime: int
-    signatures: Tuple[str, str] = ("", "")
 
     @property
     def payment(self) -> float:
@@ -151,7 +133,7 @@ class Contract:
             repr(self.price), repr(self.amount), self.trans_time, self.stime)))
 
     def body_digest(self) -> str:
-        """Digest of everything but the signatures, computed at construction."""
+        """Digest of the body, computed at construction."""
         return self._body_digest
 
 
@@ -279,9 +261,6 @@ class Chain:
             raise LedgerError("block does not extend the tip")
         self.blocks.append(block)
 
-    def committed_ids(self) -> List[str]:
-        return [c.contract_id for b in self.blocks for c in b.txs]
-
 
 def validate_block(block: Block, pool: Dict[str, Contract],
                    chain: Chain) -> Tuple[bool, Optional[str]]:
@@ -399,7 +378,7 @@ class Ledger:
     def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
                         price: float, amount: float, trans_time: int,
                         stime: int = 0) -> Contract:
-        """Sign a new contract; reserves seller capacity immediately."""
+        """Create a new contract; reserves seller capacity immediately."""
         b = self._account(buyer)
         s = self._account(seller)
         if b.role is not _AGGREGATOR or s.role is not _DES:
@@ -424,11 +403,6 @@ class Ledger:
         contract = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
                             price=price, amount=amount, trans_time=trans_time,
                             stime=stime)
-        # The signatures lie outside the body digest, so setting them on
-        # the fresh contract keeps the digest they sign.
-        digest = contract.body_digest()
-        object.__setattr__(contract, "signatures", (
-            sign(digest, sim_secret(buyer)), sign(digest, sim_secret(seller))))
         self.capacity[slot] = remaining - amount
         self.contracts[cid] = contract
         self.states[cid] = _CREATED
@@ -437,23 +411,16 @@ class Ledger:
     def state_of(self, contract_id: str) -> ContractState:
         return self.states[contract_id]
 
-    def _set_state(self, contract_id: str, new: ContractState) -> None:
-        cur = self.states[contract_id]
-        if new not in _TRANSITIONS[cur]:
-            raise BadContractState(f"{contract_id}: {cur.value} -> {new.value}")
-        self.states[contract_id] = new
-
     def mark_verified(self, contract_ids: Iterable[str]) -> None:
-        """Flip freshly committed contracts to Verified."""
+        """Flip freshly committed contracts from Created to Verified."""
+        states = self.states
         for cid in contract_ids:
-            self._set_state(cid, _VERIFIED)
+            if states[cid] is not _CREATED:
+                raise BadContractState(f"{cid}: {states[cid].value} -> verified")
+            states[cid] = _VERIFIED
 
-    def mark_rejected(self, contract_id: str) -> None:
-        self._set_state(contract_id, _REJECTED)
-
-    def execute_contract(self, contract_id: str, meter_ok: bool,
-                         now: int) -> None:
-        """Settle one verified (or suspended) contract at time now.
+    def execute_contract(self, contract_id: str) -> None:
+        """Settle one verified (or suspended) contract.
 
         A payer balance below zero suspends instead of paying; the
         triggering contract itself still settles even if it drives the
@@ -463,27 +430,20 @@ class Ledger:
         state = self.states[contract_id]
         if state not in _EXECUTABLE:
             raise BadContractState(f"{contract_id} is {state.value}, not executable")
-        if now < contract.trans_time:
-            raise NotYetDue(f"{contract_id} due at {contract.trans_time}, now {now}")
-        if not meter_ok:
-            raise MeterRejected(f"meter refused delivery for {contract_id}")
         payer = self._account(contract.buyer)
         if payer.balance < 0:
-            if state is not _SUSPENDED:
-                self._set_state(contract_id, _SUSPENDED)
+            self.states[contract_id] = _SUSPENDED
             return
         payee = self._account(contract.seller)
         payment = contract.payment
         payer.balance -= payment
         payee.balance += payment
-        self._set_state(contract_id, _EXECUTED)
-
-    def balance_sum(self) -> float:
-        return sum(a.balance for a in self.accounts.values())
+        self.states[contract_id] = _EXECUTED
 
     def conservation_drift(self) -> float:
         """Absolute gap between held balances and external deposits."""
-        return abs(self.balance_sum() - self.total_deposited)
+        return abs(sum(a.balance for a in self.accounts.values())
+                   - self.total_deposited)
 
     def _account(self, account_id: str) -> Account:
         try:

@@ -271,7 +271,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
                 committed_today.extend(c.contract_id for c in block.txs)
         ledger.mark_verified(committed_today)
         for cid in sorted(committed_today):
-            ledger.execute_contract(cid, meter_ok=True, now=day)
+            ledger.execute_contract(cid)
 
     # Stage 3: audits.
     ref = nodes[driver.ids[0]].chain

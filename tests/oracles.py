@@ -12,7 +12,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from destrade import (ChpParams, CommunityParams, Dispatch, FollowerError, KktCase,
-                      KktSolution, PricePair, respond)
+                      KktSolution, PricePair, best_response)
 from destrade.follower import SATURATION_TOL, SIGN_TOL
 
 # Grid cells skipped on each side of a detected case switch when probing
@@ -20,9 +20,9 @@ from destrade.follower import SATURATION_TOL, SIGN_TOL
 KINK_GUARD_CELLS = 2
 
 
-def city_responses(city, p: PricePair) -> List[tuple]:
-    """Every community's respond tuple at p, one solve each, in order."""
-    return [respond(city.chp, com, p.p_e, p.p_h) for com in city.communities]
+def city_responses(city, p: PricePair) -> List[KktSolution]:
+    """Every community's best response at p, one solve each, in order."""
+    return [best_response(city.chp, com, p) for com in city.communities]
 
 
 def margin_profit(city, side: str, p: PricePair, responses) -> float:
@@ -81,7 +81,7 @@ def concavity_probe(city, p_other: float, n_grid: int,
         p = PricePair(price, p_other) if side == "e" else PricePair(p_other, price)
         responses = city_responses(city, p)
         values.append(margin_profit(city, side, p, responses))
-        tags.append(tuple(KktSolution._make(r).case for r in responses))
+        tags.append(tuple(r.case for r in responses))
 
     switch = [i for i in range(1, n_grid) if tags[i] != tags[i - 1]]
     worst = -math.inf
@@ -213,7 +213,7 @@ class ReferenceSolution(NamedTuple):
     lam3: float = 0.0
 
     def fields(self) -> tuple:
-        """(alpha, beta, case, lam1, lam2, lam3), respond's tuple layout."""
+        """(alpha, beta, case, lam1, lam2, lam3), KktSolution's field order."""
         return (self.dispatch.alpha, self.dispatch.beta, self.case,
                 self.lam1, self.lam2, self.lam3)
 

@@ -217,6 +217,18 @@ def test_full_drift_bound_scales_with_the_money_held(tmp_path, capsys):
     assert "safety violation" not in capsys.readouterr().err
 
 
+def test_full_suspends_contracts_of_an_overdrawn_payer(tmp_path, capsys):
+    # a contract that takes its payer below zero still settles; that
+    # payer's later contracts on the day are suspended, and the run
+    # reports them as unexecuted
+    assert _full_2city(tmp_path, "2100", 10) == 3
+    states = [line.rsplit(",", 1)[1]
+              for line in read(tmp_path / "out" / "contracts.csv").splitlines()[2:]]
+    assert states.count("suspended") == 4
+    assert set(states) == {"executed", "suspended"}
+    assert "4 unexecuted contracts" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("funding,days", [("2000", 3), ("1e9", 10)])
 def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, days):
     execute = Ledger.execute_contract

@@ -19,7 +19,6 @@ from destrade import (
     best_response,
     des_utility,
     export_totals,
-    respond,
     valid_k_intervals,
 )
 import oracles
@@ -318,8 +317,8 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
     frac=st.floats(1e-3, 1.0 - 1e-3),
 )
 def test_response_records_pass_the_public_check(k_e, k_h, p_e, p_h, floored, frac):
-    # respond returns bare fractions, never passing Dispatch's range
-    # check; its case guards must keep them in range, on and just off the box
+    # best_response's record holds bare fractions, never passing Dispatch's
+    # range check; its case guards must keep them in range, on and just off the box
     chp = _chp()
     x, y = chp.elec_capacity, chp.heat_capacity
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
@@ -349,9 +348,9 @@ def test_alpha_monotone_in_own_price(chp):
 
 
 def _solve_both(chp, com, p):
-    """(respond's outcome, the reference's), each a field tuple or the error."""
+    """(best_response's outcome, the reference's), each a field tuple or the error."""
     try:
-        got = respond(chp, com, p.p_e, p.p_h)
+        got = best_response(chp, com, p)
     except FollowerError as err:
         got = (type(err), str(err))
     try:
@@ -385,10 +384,7 @@ def test_respond_matches_the_reference_bit_for_bit(k_e, k_h, p_e, p_h, floored, 
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
     com = CommunityParams.for_chp(chp, k_e, k_h, m)
     p = PricePair(p_e, p_h)
-    got, ref = _solve_both(chp, com, p)
-    _assert_same_bits(got, ref)
-    if not isinstance(got[0], type):
-        assert best_response(chp, com, p) == got
+    _assert_same_bits(*_solve_both(chp, com, p))
 
 
 def test_respond_matches_the_reference_in_every_case(chp, floor_mid, floor_tight):
@@ -445,7 +441,7 @@ def test_city_totals_match_per_community_solves_bit_for_bit(chp, data):
     expected, error = [], None
     try:
         for com in communities:
-            expected.append(respond(chp, com, p_e, p_h))
+            expected.append(best_response(chp, com, PricePair(p_e, p_h)))
     except FollowerError as err:
         error = str(err)
 
