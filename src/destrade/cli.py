@@ -111,12 +111,14 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
           f"{res.driver.credits[a.account_id]:.3f}"
           if a.role is Role.AGGREGATOR else ""]
          for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)])
+    # Enum `_value_` reads skip the `value` property, twice per contract.
+    states = ledger.states
     _write_rows(
         os.path.join(args.out, "contracts.csv"), seed,
         ["contract_id", "buyer", "seller", "kind", "price", "amount",
          "trans_time", "state"],
-        [[c.contract_id, c.buyer, c.seller, c.kind.value, f"{c.price:.12e}",
-          f"{c.amount:.6f}", c.trans_time, ledger.state_of(c.contract_id).value]
+        [[c.contract_id, c.buyer, c.seller, c.kind._value_, f"{c.price:.12e}",
+          f"{c.amount:.6f}", c.trans_time, states[c.contract_id]._value_]
          for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id)])
     o = res.outcome
     for cname in res.city_names:

@@ -8,13 +8,14 @@ contract that takes a payer below zero still settles.  Blocks carry full
 contract bodies; the chain links sha256 block digests and a merkle root
 over the contract digests.  Contracts and blocks are frozen, so each
 computes its digests once and keeps them: a contract its body digest
-when it is built, a block its header digest and the merkle root over
-its own txs when first asked, so every validator of a block shares one
-root.  The chain audit recomputes every root on its own.  Block leaders
-sign with simulated keys: deterministic digests of a per-account
-secret, good enough to exercise the protocol logic.  Contracts carry no
-signature; a validator matches each tx to its own pooled copy by body
-digest.
+when it is built, a block its header digest when first asked.  The
+leader's block keeps the merkle root it was built with, which every
+validator of the block reads; a block built any other way computes the
+root over its own txs when first asked.  The chain audit rebuilds every
+root on its own.  Block leaders sign with simulated keys: deterministic
+digests of a per-account secret, good enough to exercise the protocol
+logic.  Contracts carry no signature; a validator matches each tx to
+its own pooled copy by body digest.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class ContractState(Enum):
 
 
 # Members as plain names for the per-contract paths: reading an Enum
-# attribute costs about a tenth of a microsecond.
+# attribute costs about a tenth of a microsecond.  For the same reason
+# those paths read a member's `_value_`, not its `value` property.
 _AGGREGATOR, _DES = Role.AGGREGATOR, Role.DES
 _CREATED, _VERIFIED, _EXECUTED, _SUSPENDED = ContractState
 _EXECUTABLE = (_VERIFIED, _SUSPENDED)
@@ -110,7 +112,7 @@ def verify_signature(payload: str, signature: str, account_id: str) -> bool:
 # ============================================================
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Contract:
     """Immutable body of one energy sale; lifecycle state lives in the ledger."""
 
@@ -122,15 +124,28 @@ class Contract:
     amount: float
     trans_time: int
     stime: int
+    _body_digest: str = field(init=False, repr=False, compare=False)
+
+    def __init__(self, contract_id: str, buyer: str, seller: str, kind: EnergyKind,
+                 price: float, amount: float, trans_time: int, stime: int):
+        # Written out: the generated frozen init, plus a __post_init__
+        # call, costs about as much as hashing the body.
+        set_ = object.__setattr__
+        set_(self, "contract_id", contract_id)
+        set_(self, "buyer", buyer)
+        set_(self, "seller", seller)
+        set_(self, "kind", kind)
+        set_(self, "price", price)
+        set_(self, "amount", amount)
+        set_(self, "trans_time", trans_time)
+        set_(self, "stime", stime)
+        set_(self, "_body_digest", _sha(_body_json(
+            contract_id, buyer, seller, kind._value_, repr(price), repr(amount),
+            trans_time, stime)))
 
     @property
     def payment(self) -> float:
         return self.price * self.amount
-
-    def __post_init__(self):
-        object.__setattr__(self, "_body_digest", _sha(_body_json(
-            self.contract_id, self.buyer, self.seller, self.kind.value,
-            repr(self.price), repr(self.amount), self.trans_time, self.stime)))
 
     def body_digest(self) -> str:
         """Digest of the body, computed at construction."""
@@ -204,10 +219,14 @@ class Block:
     @cached_property
     def _own_txs(self) -> Tuple[str, bool]:
         """Merkle root over the txs' digests, and whether a contract id
-        repeats among them; every validator of the block reads this one."""
-        txs = self.txs
-        return (merkle_root([c.body_digest() for c in txs]),
-                len({c.contract_id for c in txs}) < len(txs))
+        repeats among them; make_block sets the leader's, and every
+        validator of the block reads this one."""
+        return _txs_root(self.txs)
+
+
+def _txs_root(txs: Sequence[Contract]) -> Tuple[str, bool]:
+    return (merkle_root([c.body_digest() for c in txs]),
+            len({c.contract_id for c in txs}) < len(txs))
 
 
 def _signed_block(**header) -> Block:
@@ -231,15 +250,20 @@ def make_genesis() -> Block:
 
 def make_block(leader_id: str, chain: "Chain", round_no: int,
                txs: Sequence[Contract]) -> Block:
+    """The leader's signed block over txs; it keeps the root it was built
+    with as its own, so its validators do not rebuild it."""
     txs = tuple(txs)
-    return _signed_block(
+    own = _txs_root(txs)
+    blk = _signed_block(
         height=chain.height + 1,
         prev_hash=chain.tip.block_hash(),
-        merkle=merkle_root([c.body_digest() for c in txs]),
+        merkle=own[0],
         leader_id=leader_id,
         round_no=round_no,
         txs=txs,
     )
+    object.__setattr__(blk, "_own_txs", own)
+    return blk
 
 
 class Chain:
@@ -370,10 +394,10 @@ class Ledger:
             raise LedgerError(f"{des_id} is not a DES")
         if not (math.isfinite(amount) and amount >= 0):
             raise LedgerError(f"capacity {amount} must be finite and non-negative")
-        self.capacity[(des_id, kind.value)] = amount
+        self.capacity[(des_id, kind._value_)] = amount
 
     def remaining_capacity(self, des_id: str, kind: EnergyKind) -> float:
-        return self.capacity.get((des_id, kind.value), 0.0)
+        return self.capacity.get((des_id, kind._value_), 0.0)
 
     def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
                         price: float, amount: float, trans_time: int,
@@ -393,7 +417,7 @@ class Ledger:
         payment = price * amount
         if b.balance < payment:
             raise InsufficientBalance(f"{buyer} holds {b.balance}, needs {payment}")
-        slot = (seller, kind.value)
+        slot = (seller, kind._value_)
         remaining = self.capacity.get(slot, 0.0)
         if amount > remaining:
             raise InsufficientCapacity(

@@ -198,6 +198,8 @@ class PipelineResult:
             failed.append("chain audit")
         if not self.chains_equal or self.driver.divergence_count:
             failed.append("divergent chains")
+        if any(a.balance < 0.0 for a in self.ledger.accounts.values()):
+            failed.append("negative balance")
         if self.unexecuted:
             failed.append(f"{len(self.unexecuted)} unexecuted contracts")
         return failed
@@ -233,13 +235,19 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
         for j in range(len(city.communities)):
             ledger.register(f"{cname}.des{j}", Role.DES, cname)
 
-    # Stage 1: the price equilibrium and what each community offers daily.
+    # Stage 1: the price equilibrium and what each community offers daily,
+    # as (buyer, seller, kind, price, amount) rows in contract id order.
     outcome, _trace = stackelberg_outcome(city, cfg)
     p = outcome.prices
     x, y = city.chp.elec_capacity, city.chp.heat_capacity
-    offers = [((EnergyKind.ELECTRICITY, "ea", p.p_e, (1.0 - sol.dispatch.alpha) * x),
-               (EnergyKind.HEAT, "ha", p.p_h, (1.0 - sol.dispatch.beta) * y))
-              for sol in outcome.responses]
+    offers = []
+    for cname in names:
+        for j, sol in enumerate(outcome.responses):
+            did = f"{cname}.des{j}"
+            offers.append((f"{cname}.ea", did, EnergyKind.ELECTRICITY, p.p_e,
+                           (1.0 - sol.dispatch.alpha) * x))
+            offers.append((f"{cname}.ha", did, EnergyKind.HEAT, p.p_h,
+                           (1.0 - sol.dispatch.beta) * y))
 
     # Stage 2: consensus group of all aggregators settling daily contracts.
     nodes = make_nodes(agg_ids)
@@ -247,15 +255,12 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
 
     for day in range(run.days):
         day_contracts: Dict[str, Contract] = {}
-        for cname in names:
-            for j, community_offers in enumerate(offers):
-                did = f"{cname}.des{j}"
-                for kind, side, price, amount in community_offers:
-                    ledger.set_capacity(did, kind, amount)
-                    if amount > MIN_CONTRACT_JOULES:
-                        c = ledger.create_contract(f"{cname}.{side}", did, kind, price,
-                                                   amount, trans_time=day, stime=day)
-                        day_contracts[c.contract_id] = c
+        for buyer, seller, kind, price, amount in offers:
+            ledger.set_capacity(seller, kind, amount)
+            if amount > MIN_CONTRACT_JOULES:
+                c = ledger.create_contract(buyer, seller, kind, price, amount,
+                                           trans_time=day, stime=day)
+                day_contracts[c.contract_id] = c
         for node in nodes.values():
             node.pool.update(day_contracts)
 

@@ -229,6 +229,22 @@ def test_full_suspends_contracts_of_an_overdrawn_payer(tmp_path, capsys):
     assert "4 unexecuted contracts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("funding,days,balance", [("2000", 9, "-15.202579"),
+                                                  ("2180", 10, "-59.113977")])
+def test_full_flags_an_overdrawn_aggregator(tmp_path, capsys, funding, days, balance):
+    # the contract that overdraws its payer settles and nothing is left
+    # suspended, but the run still must not end with a negative balance
+    assert _full_2city(tmp_path, funding, days) == 3
+    rows = read(tmp_path / "out" / "balances.csv").splitlines()[2:]
+    negative = sorted(line.split(",")[0] for line in rows if ",-" in line)
+    assert negative == ["c0.ha", "c1.ha"]
+    assert any(line.startswith(f"c0.ha,aggregator,c0,{balance},") for line in rows)
+    states = [line.rsplit(",", 1)[1]
+              for line in read(tmp_path / "out" / "contracts.csv").splitlines()[2:]]
+    assert set(states) == {"executed"}
+    assert "safety violation: negative balance" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("funding,days", [("2000", 3), ("1e9", 10)])
 def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, days):
     execute = Ledger.execute_contract

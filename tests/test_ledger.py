@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -195,6 +195,43 @@ def test_contract_ids_and_signatures():
                              price=1.0, amount=1.0, trans_time=0)
     assert c0.contract_id == "ct-000000"
     assert c1.contract_id == "ct-000001"
+
+
+def _contract(**changes) -> Contract:
+    body = dict(contract_id="ct-000000", buyer="ea", seller="des",
+                kind=EnergyKind.HEAT, price=1.5, amount=2.0, trans_time=3, stime=4)
+    body.update(changes)
+    return Contract(**body)
+
+
+@pytest.mark.parametrize("name", ["contract_id", "price", "kind", "_body_digest"])
+def test_contract_fields_cannot_be_assigned(name):
+    c = _contract()
+    with pytest.raises(FrozenInstanceError):
+        setattr(c, name, getattr(c, name))
+
+
+def test_contract_is_slotted():
+    assert not hasattr(_contract(), "__dict__")
+
+
+def test_contract_replace_recomputes_the_digest():
+    c = _contract()
+    for changes in ({"amount": 2.5}, {"kind": EnergyKind.ELECTRICITY},
+                    {"contract_id": "ct-000001"}, {"stime": 5}):
+        altered = replace(c, **changes)
+        assert altered.body_digest() != c.body_digest()
+        assert altered.body_digest() == _contract(**changes).body_digest()
+    assert replace(c).body_digest() == c.body_digest()
+
+
+def test_equal_bodies_compare_and_hash_equal():
+    a, b = _contract(), _contract()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != _contract(price=1.25)
+    assert "_body_digest" not in repr(a)
 
 
 # ------------------------------------------------------------

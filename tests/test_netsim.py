@@ -167,11 +167,12 @@ def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
     headers = [d for d in inputs if d[:1] == "[" and d[1:2].isdigit()]
     assert len(bodies) == len(set(bodies)) == len(res.ledger.contracts)
     assert len(headers) == len(set(headers)) == len(res.chain.blocks)
-    # Each root is built by make_block, once more for all the validators
-    # together, and once by the chain audit; 4 aggregators validate each block.
+    # Each root is built by make_block, whose root all the validators
+    # share, and once more by the chain audit; 4 aggregators validate
+    # each block.
     assert len(res.driver.ids) == 4
     multi = [b for b in res.chain.blocks if len(b.txs) > 1]
     assert multi
-    assert all(roots[b.merkle] == 3 for b in multi)
-    # and no merkle node of any block is hashed more than 3 times
-    assert max(roots.values()) == 3
+    assert all(roots[b.merkle] == 2 for b in multi)
+    # and no merkle node of any block is hashed more than twice
+    assert max(roots.values()) == 2
