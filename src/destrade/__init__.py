@@ -16,10 +16,10 @@ from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
                           stackelberg_outcome)
 from .ledger import (Account, BadContractState, Block, Chain, Contract,
                      ContractState, CrossCityPair, EnergyKind,
-                     InsufficientBalance, InsufficientCapacity, Ledger,
-                     LedgerError, Role, UnknownAccount, export_chain,
-                     make_block, make_genesis, merkle_root, sign, sim_secret,
-                     validate_block, verify_chain, verify_signature)
+                     InsufficientBalance, Ledger, LedgerError, Role,
+                     UnknownAccount, export_chain, make_block, make_genesis,
+                     merkle_root, sign, sim_secret, validate_block,
+                     verify_chain, verify_signature)
 from .consensus import (AllCreditsZero, Behavior, ConsensusNode, FaultProfile,
                         RoundOutcome, TooFewNodes, check_quorum, elect_leader,
                         init_credits, min_quorum_cardinality, quorum_weight,

@@ -65,7 +65,6 @@ class FaultProfile:
 class ConsensusNode:
     """Protocol-visible state of one aggregator."""
 
-    node_id: str
     chain: Chain
     pool: Dict[str, Contract] = field(default_factory=dict)
 
@@ -166,7 +165,9 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     n = len(ids)
     total = sum(credits.values())
     leader_id = elect_leader(credits, total, seed)
-    rng = random.Random(f"round:{seed}")
+    # Only an equivocating voter draws from the round's stream, so it is
+    # seeded on the first such draw.
+    rng: Optional[random.Random] = None
 
     beh_leader = profile.behavior_of(leader_id)
     proposal: Optional[Block] = None
@@ -205,6 +206,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             if not ok:
                 continue
             if beh is Behavior.EQUIVOCATOR:
+                if rng is None:
+                    rng = random.Random(f"round:{seed}")
                 targets = set(rng.sample(ids, rng.randint(0, n)))
                 for dst in sorted(targets - {k}):
                     net.send(k, dst, ("prepare", k))

@@ -1,21 +1,20 @@
 """Contract ledger: accounts, energy contracts, and a hash-linked chain.
 
-A contract is created, reserving the seller's capacity; verified once
-consensus commits it; then executed, moving its payment from the
-aggregator to the DES account.  A payer already below zero gets the
-contract suspended instead; it executes once the balance recovers.  The
-contract that takes a payer below zero still settles.  Blocks carry full
-contract bodies; the chain links sha256 block digests and a merkle root
-over the contract digests.  Contracts and blocks are frozen, so each
-computes its digests once and keeps them: a contract its body digest
-when it is built, a block its header digest when first asked.  The
-leader's block keeps the merkle root it was built with, which every
-validator of the block reads; a block built any other way computes the
-root over its own txs when first asked.  The chain audit rebuilds every
-root on its own.  Block leaders sign with simulated keys: deterministic
-digests of a per-account secret, good enough to exercise the protocol
-logic.  Contracts carry no signature; a validator matches each tx to
-its own pooled copy by body digest.
+A contract is created from a DES's offer and executed once consensus
+commits it, moving its payment from the aggregator to the DES account.
+A payer already below zero gets the contract suspended instead, for
+good; the contract that takes a payer below zero still settles.  Blocks
+carry full contract bodies; the chain links sha256 block digests and a
+merkle root over the contract digests.  Contracts and blocks are
+frozen, so each computes its digests once and keeps them: a contract
+its body digest when it is built, a block its header digest when first
+asked.  The leader's block keeps the merkle root it was built with,
+which every validator of the block reads; a block built any other way
+computes the root over its own txs when first asked.  The chain audit
+rebuilds every root on its own.  Block leaders sign with simulated
+keys: deterministic digests of a per-account secret, good enough to
+exercise the protocol logic.  Contracts carry no signature; a validator
+matches each tx to its own pooled copy by body digest.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 HASH_ALGO = "sha256"
 ZERO_HASH = "0" * 64
@@ -41,10 +40,6 @@ class UnknownAccount(LedgerError):
 
 
 class InsufficientBalance(LedgerError):
-    pass
-
-
-class InsufficientCapacity(LedgerError):
     pass
 
 
@@ -71,7 +66,6 @@ class EnergyKind(Enum):
 
 class ContractState(Enum):
     CREATED = "created"
-    VERIFIED = "verified"
     EXECUTED = "executed"
     SUSPENDED = "suspended"
 
@@ -80,8 +74,7 @@ class ContractState(Enum):
 # attribute costs about a tenth of a microsecond.  For the same reason
 # those paths read a member's `_value_`, not its `value` property.
 _AGGREGATOR, _DES = Role.AGGREGATOR, Role.DES
-_CREATED, _VERIFIED, _EXECUTED, _SUSPENDED = ContractState
-_EXECUTABLE = (_VERIFIED, _SUSPENDED)
+_CREATED, _EXECUTED, _SUSPENDED = ContractState
 
 
 # ============================================================
@@ -369,7 +362,6 @@ class Ledger:
     accounts: Dict[str, Account] = field(default_factory=dict)
     contracts: Dict[str, Contract] = field(default_factory=dict)
     states: Dict[str, ContractState] = field(default_factory=dict)
-    capacity: Dict[Tuple[str, str], float] = field(default_factory=dict)
     total_deposited: float = 0.0
     _next_id: int = 0
 
@@ -388,21 +380,10 @@ class Ledger:
         self._account(account_id).balance += amount
         self.total_deposited += amount
 
-    def set_capacity(self, des_id: str, kind: EnergyKind, amount: float) -> None:
-        """Declare a DES's uncommitted exportable energy for the coming day."""
-        if self._account(des_id).role is not _DES:
-            raise LedgerError(f"{des_id} is not a DES")
-        if not (math.isfinite(amount) and amount >= 0):
-            raise LedgerError(f"capacity {amount} must be finite and non-negative")
-        self.capacity[(des_id, kind._value_)] = amount
-
-    def remaining_capacity(self, des_id: str, kind: EnergyKind) -> float:
-        return self.capacity.get((des_id, kind._value_), 0.0)
-
     def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
                         price: float, amount: float, trans_time: int,
                         stime: int = 0) -> Contract:
-        """Create a new contract; reserves seller capacity immediately."""
+        """Create a new contract in the CREATED state."""
         b = self._account(buyer)
         s = self._account(seller)
         if b.role is not _AGGREGATOR or s.role is not _DES:
@@ -417,52 +398,37 @@ class Ledger:
         payment = price * amount
         if b.balance < payment:
             raise InsufficientBalance(f"{buyer} holds {b.balance}, needs {payment}")
-        slot = (seller, kind._value_)
-        remaining = self.capacity.get(slot, 0.0)
-        if amount > remaining:
-            raise InsufficientCapacity(
-                f"{seller} has {remaining} {slot[1]} left, asked {amount}")
         cid = f"ct-{self._next_id:06d}"
         self._next_id += 1
         contract = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
                             price=price, amount=amount, trans_time=trans_time,
                             stime=stime)
-        self.capacity[slot] = remaining - amount
         self.contracts[cid] = contract
         self.states[cid] = _CREATED
         return contract
 
-    def state_of(self, contract_id: str) -> ContractState:
-        return self.states[contract_id]
-
-    def mark_verified(self, contract_ids: Iterable[str]) -> None:
-        """Flip freshly committed contracts from Created to Verified."""
-        states = self.states
-        for cid in contract_ids:
-            if states[cid] is not _CREATED:
-                raise BadContractState(f"{cid}: {states[cid].value} -> verified")
-            states[cid] = _VERIFIED
-
     def execute_contract(self, contract_id: str) -> None:
-        """Settle one verified (or suspended) contract.
+        """Settle one committed contract, which must still be CREATED.
 
         A payer balance below zero suspends instead of paying; the
         triggering contract itself still settles even if it drives the
-        balance negative.
+        balance negative.  Settling a contract twice raises, so a
+        contract committed twice cannot pay twice.
         """
+        states = self.states
+        state = states[contract_id]
+        if state is not _CREATED:
+            raise BadContractState(f"{contract_id} is {state._value_}, not created")
         contract = self.contracts[contract_id]
-        state = self.states[contract_id]
-        if state not in _EXECUTABLE:
-            raise BadContractState(f"{contract_id} is {state.value}, not executable")
         payer = self._account(contract.buyer)
         if payer.balance < 0:
-            self.states[contract_id] = _SUSPENDED
+            states[contract_id] = _SUSPENDED
             return
         payee = self._account(contract.seller)
         payment = contract.payment
         payer.balance -= payment
         payee.balance += payment
-        self.states[contract_id] = _EXECUTED
+        states[contract_id] = _EXECUTED
 
     def conservation_drift(self) -> float:
         """Absolute gap between held balances and external deposits."""

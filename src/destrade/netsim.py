@@ -73,7 +73,7 @@ def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
     election and quorum check.
     """
     genesis = make_genesis()
-    return {k: ConsensusNode(node_id=k, chain=Chain(genesis)) for k in node_ids}
+    return {k: ConsensusNode(Chain(genesis)) for k in node_ids}
 
 
 # ============================================================
@@ -179,7 +179,7 @@ class PipelineResult:
     city_names: List[str]
     outcome: SeOutcome  # every city is a clone, so one equilibrium serves all
     ledger: Ledger
-    chain: Chain  # the first aggregator's chain; the one exported and audited
+    chain: Chain  # the first honest aggregator's chain; exported and audited
     driver: RoundDriver  # the aggregator group's run record
     unexecuted: List[str]
     drift: float
@@ -245,9 +245,10 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
         for j, sol in enumerate(outcome.responses):
             did = f"{cname}.des{j}"
             offers.append((f"{cname}.ea", did, EnergyKind.ELECTRICITY, p.p_e,
-                           (1.0 - sol.dispatch.alpha) * x))
+                           (1.0 - sol.alpha) * x))
             offers.append((f"{cname}.ha", did, EnergyKind.HEAT, p.p_h,
-                           (1.0 - sol.dispatch.beta) * y))
+                           (1.0 - sol.beta) * y))
+    offers = [row for row in offers if row[4] > MIN_CONTRACT_JOULES]
 
     # Stage 2: consensus group of all aggregators settling daily contracts.
     nodes = make_nodes(agg_ids)
@@ -256,11 +257,9 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     for day in range(run.days):
         day_contracts: Dict[str, Contract] = {}
         for buyer, seller, kind, price, amount in offers:
-            ledger.set_capacity(seller, kind, amount)
-            if amount > MIN_CONTRACT_JOULES:
-                c = ledger.create_contract(buyer, seller, kind, price, amount,
-                                           trans_time=day, stime=day)
-                day_contracts[c.contract_id] = c
+            c = ledger.create_contract(buyer, seller, kind, price, amount,
+                                       trans_time=day, stime=day)
+            day_contracts[c.contract_id] = c
         for node in nodes.values():
             node.pool.update(day_contracts)
 
@@ -274,12 +273,11 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
             block = driver.step().block
             if block is not None:
                 committed_today.extend(c.contract_id for c in block.txs)
-        ledger.mark_verified(committed_today)
         for cid in sorted(committed_today):
             ledger.execute_contract(cid)
 
-    # Stage 3: audits.
-    ref = nodes[driver.ids[0]].chain
+    # Stage 3: audits, on the first honest aggregator's chain.
+    ref = nodes[min(driver.honest)].chain
     ref_hashes = [b.block_hash() for b in ref.blocks]
     return PipelineResult(
         city_names=names,

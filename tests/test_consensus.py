@@ -167,6 +167,40 @@ def test_round_all_honest_commits():
     assert all(outcome.matched[k] for k in ids if k != outcome.leader_id)
 
 
+def _count_randoms(monkeypatch):
+    """Record the seed of every random.Random built from here on."""
+    made = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    return made
+
+
+def test_fault_free_round_seeds_only_the_election(monkeypatch):
+    ids = _ids(4)
+    nodes, credits, net = make_nodes(ids), init_credits(ids), _net(ids)
+    made = _count_randoms(monkeypatch)
+    assert run_round(nodes, credits, FaultProfile(), net, 0, seed=1).committed
+    assert made == [1]
+
+
+def test_equivocating_voter_seeds_the_round_stream_once(monkeypatch):
+    ids = _ids(7)
+    credits = init_credits(ids)
+    leader = elect_leader(credits, 3.5, 5)
+    voters = [k for k in ids if k != leader][:2]
+    nodes, net = make_nodes(ids), _net(ids)
+    profile = FaultProfile(behaviors={k: Behavior.EQUIVOCATOR for k in voters})
+    made = _count_randoms(monkeypatch)
+    run_round(nodes, credits, profile, net, 0, seed=5)
+    # both equivocators draw from one stream
+    assert made == [5, "round:5"]
+
+
 def test_round_silent_leader_aborts():
     ids = _ids(4)
     credits = init_credits(ids)

@@ -19,7 +19,6 @@ from destrade import (
     CrossCityPair,
     EnergyKind,
     InsufficientBalance,
-    InsufficientCapacity,
     Ledger,
     LedgerError,
     Role,
@@ -49,11 +48,9 @@ def fresh_ledger() -> Ledger:
     return led
 
 
-def funded_ledger(balance=1000.0, capacity=1e9) -> Ledger:
+def funded_ledger(balance=1000.0) -> Ledger:
     led = fresh_ledger()
     led.deposit("ea", balance)
-    led.set_capacity("des", EnergyKind.ELECTRICITY, capacity)
-    led.set_capacity("des", EnergyKind.HEAT, capacity)
     return led
 
 
@@ -87,12 +84,6 @@ def test_deposit_validation():
         led.deposit("ea", -1.0)
 
 
-def test_capacity_only_for_des():
-    led = fresh_ledger()
-    with pytest.raises(LedgerError):
-        led.set_capacity("ea", EnergyKind.ELECTRICITY, 1.0)
-
-
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -106,14 +97,6 @@ def test_deposit_rejects_non_finite(amount):
     assert led.conservation_drift() == 0.0
 
 
-@pytest.mark.parametrize("amount", NON_FINITE + [-1.0])
-def test_capacity_rejects_non_finite_and_negative(amount):
-    led = funded_ledger(capacity=50.0)
-    with pytest.raises(LedgerError, match="finite and non-negative"):
-        led.set_capacity("des", EnergyKind.ELECTRICITY, amount)
-    assert led.remaining_capacity("des", EnergyKind.ELECTRICITY) == 50.0
-
-
 # ------------------------------------------------------------
 # contract creation
 # ------------------------------------------------------------
@@ -123,7 +106,7 @@ def test_create_contract_boundary_balance_passes():
     led = funded_ledger(balance=100.0)
     c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             price=1.0, amount=100.0, trans_time=0)
-    assert led.state_of(c.contract_id) is ContractState.CREATED
+    assert led.states[c.contract_id] is ContractState.CREATED
     assert c.payment == 100.0
 
 
@@ -132,26 +115,6 @@ def test_create_contract_insufficient_balance():
     with pytest.raises(InsufficientBalance):
         led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             price=1.0, amount=100.0, trans_time=0)
-
-
-def test_create_contract_insufficient_capacity():
-    led = funded_ledger(capacity=50.0)
-    with pytest.raises(InsufficientCapacity):
-        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=51.0, trans_time=0)
-
-
-def test_create_contract_reserves_capacity():
-    led = funded_ledger(capacity=100.0)
-    led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                        price=1.0, amount=60.0, trans_time=0)
-    assert led.remaining_capacity("des", EnergyKind.ELECTRICITY) == 40.0
-    with pytest.raises(InsufficientCapacity):
-        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=41.0, trans_time=0)
-    # the other energy kind has its own reservation
-    led.create_contract("ea", "des", EnergyKind.HEAT,
-                        price=1.0, amount=90.0, trans_time=0)
 
 
 def test_create_contract_cross_city():
@@ -178,13 +141,12 @@ def test_create_contract_role_and_positivity():
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("field", ["price", "amount"])
 def test_create_contract_rejects_non_finite(field, bad):
-    led = funded_ledger(capacity=50.0)
+    led = funded_ledger()
     terms = {"price": 1.0, "amount": 2.0, field: bad}
     with pytest.raises(LedgerError, match="must be finite"):
         led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             trans_time=0, **terms)
     assert led.contracts == {} and led.states == {}
-    assert led.remaining_capacity("des", EnergyKind.ELECTRICITY) == 50.0
 
 
 def test_contract_ids_and_signatures():
@@ -243,28 +205,26 @@ def test_lifecycle_happy_path():
     led = funded_ledger(balance=100.0)
     c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             price=1.0, amount=80.0, trans_time=5)
-    with pytest.raises(BadContractState):
-        led.execute_contract(c.contract_id)
-    led.mark_verified([c.contract_id])
-    with pytest.raises(BadContractState):
-        led.mark_verified([c.contract_id])
+    assert led.states[c.contract_id] is ContractState.CREATED
     led.execute_contract(c.contract_id)
-    assert led.state_of(c.contract_id) is ContractState.EXECUTED
+    assert led.states[c.contract_id] is ContractState.EXECUTED
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
-    with pytest.raises(BadContractState):
+    # a contract committed twice cannot pay twice
+    with pytest.raises(BadContractState, match="is executed, not created"):
         led.execute_contract(c.contract_id)
+    assert led.accounts["ea"].balance == 20.0
+    assert led.accounts["des"].balance == 80.0
 
 
 def test_payment_completes_into_negative_balance():
     led = funded_ledger(balance=100.0)
     c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             price=1.0, amount=80.0, trans_time=0)
-    led.mark_verified([c.contract_id])
-    led.accounts["ea"].balance = 50.0  # outside drain between signing and due date
+    led.accounts["ea"].balance = 50.0  # outside drain between creation and commit
     led.execute_contract(c.contract_id)
     assert led.accounts["ea"].balance == -30.0
-    assert led.state_of(c.contract_id) is ContractState.EXECUTED
+    assert led.states[c.contract_id] is ContractState.EXECUTED
 
 
 def test_negative_payer_suspends_next_contract():
@@ -273,26 +233,26 @@ def test_negative_payer_suspends_next_contract():
                                 price=1.0, amount=80.0, trans_time=0)
     second = led.create_contract("ea", "des", EnergyKind.HEAT,
                                  price=1.0, amount=60.0, trans_time=0)
-    led.mark_verified([first.contract_id, second.contract_id])
     led.accounts["ea"].balance = 50.0
     led.execute_contract(first.contract_id)
     assert led.accounts["ea"].balance == -30.0
 
     led.execute_contract(second.contract_id)
-    assert led.state_of(second.contract_id) is ContractState.SUSPENDED
+    assert led.states[second.contract_id] is ContractState.SUSPENDED
     assert led.accounts["ea"].balance == -30.0
 
-    # refund brings the payer back to non-negative; settlement resumes
+    # suspended is final: a refund does not make it executable again
     led.deposit("ea", 30.0)
-    led.execute_contract(second.contract_id)
-    assert led.state_of(second.contract_id) is ContractState.EXECUTED
-    assert led.accounts["ea"].balance == -60.0
-    assert led.accounts["des"].balance == 140.0
+    with pytest.raises(BadContractState, match="is suspended, not created"):
+        led.execute_contract(second.contract_id)
+    assert led.states[second.contract_id] is ContractState.SUSPENDED
+    assert led.accounts["ea"].balance == 0.0
+    assert led.accounts["des"].balance == 80.0
 
 
 def test_conservation_over_random_activity():
     rng = np.random.default_rng(29)
-    led = funded_ledger(balance=500.0, capacity=1e6)
+    led = funded_ledger(balance=500.0)
     led.deposit("ha", 500.0)
     open_ids = []
     for step in range(300):
@@ -306,7 +266,6 @@ def test_conservation_over_random_activity():
             try:
                 c = led.create_contract(buyer, "des", EnergyKind.ELECTRICITY,
                                         price=price, amount=amount, trans_time=0)
-                led.mark_verified([c.contract_id])
                 open_ids.append(c.contract_id)
             except LedgerError:
                 pass

@@ -14,7 +14,7 @@ from destrade import (
     run_pipeline,
     run_rounds,
 )
-from destrade.scenario import load_scenario
+from destrade.scenario import load_scenario, parse_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -140,6 +140,16 @@ def test_pipeline_reads_the_divergence_audit():
     # a NaN drift compares false with any bound, and must still fail
     res.drift = float("nan")
     assert res.violations == ["balance drift"]
+
+
+def test_pipeline_exports_the_first_honest_chain():
+    with open(os.path.join(REPO, "scenarios", "full_2city.scn")) as fh:
+        text = fh.read().replace("[faults]", "[faults]\ndissenters = 1")
+    res = run_pipeline(parse_scenario(text), seed=7)
+    # fault roles go onto ids in order, so the first id dissents
+    assert res.driver.profile.behaviors == {"c0.ea": Behavior.DISSENTER}
+    assert res.chain is res.driver.nodes["c0.ha"].chain
+    assert res.violations == []
 
 
 def _is_hex_digest(s: str) -> bool:
