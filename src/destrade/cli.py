@@ -23,7 +23,7 @@ from .ledger import LedgerError, Role, export_chain
 from .market import MarketError
 from .netsim import make_nodes, run_pipeline, run_rounds
 from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
-                       build_ne_config, build_run, load_scenario)
+                       build_ne_config, load_scenario, read_seed)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -163,7 +163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.scenario)
-        seed = args.seed if args.seed is not None else build_run(sc).seed
+        seed = args.seed if args.seed is not None else read_seed(sc)
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args, sc, seed)
     except (ScenarioError, MarketError, FileNotFoundError) as exc:

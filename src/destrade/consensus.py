@@ -142,12 +142,10 @@ def min_quorum_cardinality(credits: CreditTable, total: float,
 
 @dataclass
 class RoundOutcome:
-    round_no: int
     leader_id: str
     committed: bool
     abort_reason: Optional[str]
     block: Optional[Block]
-    committed_nodes: Set[str]
     matched: Dict[str, bool]
     prepare_needed: int
 
@@ -157,9 +155,12 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
               seed: int) -> RoundOutcome:
     """Execute one proposal/prepare/commit exchange over the given fabric.
 
-    The fabric only needs broadcast(src, msg) and deliver_phase().
-    Commit appends to each convinced node's own chain; the outcome's
-    committed flag reports whether any honest node committed.
+    The fabric only needs send(src, dst) and broadcast(src), which say
+    whether a copy landed and which nodes a copy reached.  Each vote
+    joins its receivers' sets as it lands; those sets are read only once
+    the phase's votes are all out.  Commit appends to each convinced
+    node's own chain; the outcome's committed flag reports whether any
+    honest node committed.
     """
     ids = sorted(nodes)
     n = len(ids)
@@ -188,11 +189,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     prepare_needed = min_quorum_cardinality(credits, total, n)
 
     if proposal is not None:
-        net.broadcast(leader_id, ("preprepare", proposal))
-        saw: Set[str] = {leader_id}
-        for dst, _src, (tag, blk) in net.deliver_phase():
-            if tag == "preprepare":
-                saw.add(dst)
+        saw = set(net.broadcast(leader_id))
+        saw.add(leader_id)
 
         # Prepare phase.  A node's own vote counts toward its quorum.
         prepares: Dict[str, Set[str]] = {k: set() for k in ids}
@@ -210,17 +208,16 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                     rng = random.Random(f"round:{seed}")
                 targets = set(rng.sample(ids, rng.randint(0, n)))
                 for dst in sorted(targets - {k}):
-                    net.send(k, dst, ("prepare", k))
+                    if net.send(k, dst):
+                        prepares[dst].add(k)
                 if k in targets:
                     prepares[k].add(k)
                 voted_full[k] = targets == set(ids)
             else:
-                net.broadcast(k, ("prepare", k))
+                for dst in net.broadcast(k):
+                    prepares[dst].add(k)
                 prepares[k].add(k)
                 voted_full[k] = True
-        for dst, _src, (tag, voter) in net.deliver_phase():
-            if tag == "prepare":
-                prepares[dst].add(voter)
 
         # Commit phase.
         commits: Dict[str, Set[str]] = {k: set() for k in ids}
@@ -228,11 +225,9 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             if profile.behavior_of(k) is Behavior.DISSENTER:
                 continue
             if check_quorum(prepares[k], credits, total, n):
-                net.broadcast(k, ("commit", k))
+                for dst in net.broadcast(k):
+                    commits[dst].add(k)
                 commits[k].add(k)
-        for dst, _src, (tag, voter) in net.deliver_phase():
-            if tag == "commit":
-                commits[dst].add(voter)
 
         for k in ids:
             if check_quorum(commits[k], credits, total, n):
@@ -263,12 +258,10 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     matched = {k: voted_full[k] == committed for k in ids if k != leader_id}
 
     return RoundOutcome(
-        round_no=round_no,
         leader_id=leader_id,
         committed=committed,
         abort_reason=abort_reason,
         block=proposal if committed else None,
-        committed_nodes=committed_nodes,
         matched=matched,
         prepare_needed=prepare_needed,
     )

@@ -1,25 +1,25 @@
 """Deterministic message fabric and run drivers.
 
-Each phase's messages sit in one outbox and all land when the phase
-closes; links drop each copy independently.  Receivers only collect
-sets, so delivery order carries no meaning.  One round driver owns the
-seed streams, so a seeded run is byte-for-byte reproducible, and keeps
-the run record both subcommands read.
+The fabric carries no payloads: it only says whether each copy landed,
+and links drop each copy independently.  Receivers only collect sets,
+so the order in which copies land carries no meaning.  One round driver
+owns the seed streams, so a seeded run is byte-for-byte reproducible,
+and keeps the run record both subcommands read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
-                        ConsensusNode, CreditTable, FaultProfile, RoundOutcome,
+                        ConsensusNode, FaultProfile, RoundOutcome,
                         init_credits, max_faulty, run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
 from .ledger import (Chain, Contract, ContractState, EnergyKind, Ledger, Role,
                      make_genesis, verify_chain)
-from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
+from .scenario import (Scenario, ScenarioError, build_city, build_credit_steps,
                        build_faults, build_ne_config, build_run)
 
 # Contracts below this many joules are noise, not trades.
@@ -36,33 +36,27 @@ DRIFT_SHARE = 1e-12
 
 
 class PhaseNet:
-    """Synchronous-phase outbox for one node set."""
+    """Lossy links among one node set, counting the copies sent and dropped."""
 
     def __init__(self, node_ids: Iterable[str], drop_prob: float = 0.0,
                  rng: Optional[random.Random] = None):
         self.ids = sorted(node_ids)
         self.drop_prob = drop_prob
         self.rng = rng if rng is not None else random.Random(0)
-        self.outbox: List[Tuple[str, str, object]] = []
         self.sent = 0
         self.dropped = 0
 
-    def send(self, src: str, dst: str, msg) -> None:
+    def send(self, src: str, dst: str) -> bool:
+        """Send one copy from src to dst; True when it lands."""
         self.sent += 1
         if self.drop_prob > 0.0 and self.rng.random() < self.drop_prob:
             self.dropped += 1
-            return
-        self.outbox.append((dst, src, msg))
+            return False
+        return True
 
-    def broadcast(self, src: str, msg) -> None:
-        for dst in self.ids:
-            if dst != src:
-                self.send(src, dst, msg)
-
-    def deliver_phase(self) -> List[Tuple[str, str, object]]:
-        """Close the phase: every (dst, src, msg) not dropped lands."""
-        landed, self.outbox = self.outbox, []
-        return landed
+    def broadcast(self, src: str) -> List[str]:
+        """Send one copy to every other node, in id order; the ids it reached."""
+        return [dst for dst in self.ids if dst != src and self.send(src, dst)]
 
 
 def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
@@ -98,9 +92,11 @@ class RoundDriver:
 
     Owns the seed streams (leader seeds from Random(seed), link drops
     from Random(f"net:{seed}")), the fabric and the credits.  Each step
-    appends a log row and the new credit table, and tallies commits,
-    abort reasons and divergence: heights at which two honest nodes
-    ever committed different blocks.  Any divergence is a safety
+    replaces the credit table, appends a log row, and tallies commits,
+    abort reasons and divergence: rounds whose committed block lands at
+    a height where another committed block has already been seen.  Every
+    node that commits a round appends that round's block, so one hash
+    per committed round covers all of them.  Any divergence is a safety
     violation.
     """
 
@@ -116,7 +112,6 @@ class RoundDriver:
                             rng=random.Random(f"net:{seed}"))
         self._seeds = random.Random(seed)
         self.rows: List[RoundLogRow] = []
-        self.credit_history: List[CreditTable] = []
         self.commit_count = 0
         self.abort_reasons: Dict[str, int] = {}
         self.divergence_count = 0
@@ -129,7 +124,6 @@ class RoundDriver:
                             len(self.rows), self._seeds.getrandbits(63))
         credits = self.credits = update_credits(self.credits, outcome,
                                                 self.delta1, self.delta2)
-        self.credit_history.append(credits)
 
         if outcome.committed:
             self.commit_count += 1
@@ -138,12 +132,8 @@ class RoundDriver:
             self.abort_reasons[key] = self.abort_reasons.get(key, 0) + 1
 
         if outcome.block is not None:
-            h = outcome.block.height
-            hashes = self._seen_at_height.setdefault(h, set())
-            for k in outcome.committed_nodes & honest:
-                hashes.add(nodes[k].chain.blocks[h].block_hash()
-                           if nodes[k].chain.height >= h else None)
-            hashes.discard(None)
+            hashes = self._seen_at_height.setdefault(outcome.block.height, set())
+            hashes.add(outcome.block.block_hash())
             if len(hashes) > 1:
                 self.divergence_count += 1
 
@@ -184,7 +174,7 @@ class PipelineResult:
     unexecuted: List[str]
     drift: float
     chain_ok: bool
-    chains_equal: bool
+    chains_equal: bool  # every honest aggregator holds the exported chain
 
     @property
     def violations(self) -> List[str]:
@@ -211,12 +201,14 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     The scenario's city is cloned [run] cities times.  All aggregators
     form one consensus group and take the [faults] roles in id order;
     more roles than the group tolerates, f = floor((n-1)/3) of n, raise
-    ScenarioError before any work.  Raises ConsensusError when a day's
-    contracts do not all commit within ROUNDS_PER_DAY_CAP rounds.
+    ScenarioError before any work.  Of [consensus] only the credit steps
+    apply, since the group is the aggregators.  Raises ConsensusError
+    when a day's contracts do not all commit within ROUNDS_PER_DAY_CAP
+    rounds.
     """
     city = build_city(sc)
     cfg = build_ne_config(sc)
-    setup = build_consensus(sc)
+    delta1, delta2 = build_credit_steps(sc)
     run = build_run(sc)
     names = [f"c{i}" for i in range(run.cities)]
     agg_ids = [f"{cname}.{side}" for cname in names for side in ("ea", "ha")]
@@ -252,7 +244,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
 
     # Stage 2: consensus group of all aggregators settling daily contracts.
     nodes = make_nodes(agg_ids)
-    driver = RoundDriver(nodes, profile, seed, setup.delta1, setup.delta2)
+    driver = RoundDriver(nodes, profile, seed, delta1, delta2)
 
     for day in range(run.days):
         day_contracts: Dict[str, Contract] = {}
@@ -289,6 +281,6 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
                     if state is not ContractState.EXECUTED],
         drift=ledger.conservation_drift(),
         chain_ok=verify_chain(ref),
-        chains_equal=all([b.block_hash() for b in node.chain.blocks] == ref_hashes
-                         for node in nodes.values()),
+        chains_equal=all([b.block_hash() for b in nodes[k].chain.blocks] == ref_hashes
+                         for k in driver.honest),
     )

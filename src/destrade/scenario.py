@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .consensus import DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
 from .equilibrium import NeConfig
@@ -215,16 +215,22 @@ class ConsensusSetup:
     delta2: float
 
 
-def build_consensus(sc: Scenario) -> ConsensusSetup:
-    n = _as_int(sc.consensus, "consensus", "n_nodes", 20)
-    _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
-    rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
-    _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
+def build_credit_steps(sc: Scenario) -> Tuple[float, float]:
+    """The [consensus] credit steps (delta1, delta2), the only keys `full` reads."""
     # Credits live in [0, 1], so a step outside it is no credit step.
     delta1 = _as_float(sc.consensus, "consensus", "delta1", DELTA_LEADER)
     _check(0.0 <= delta1 <= 1.0, "consensus", "delta1", delta1, "0 to 1")
     delta2 = _as_float(sc.consensus, "consensus", "delta2", DELTA_VOTER)
     _check(0.0 <= delta2 <= 1.0, "consensus", "delta2", delta2, "0 to 1")
+    return delta1, delta2
+
+
+def build_consensus(sc: Scenario) -> ConsensusSetup:
+    n = _as_int(sc.consensus, "consensus", "n_nodes", 20)
+    _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
+    rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
+    _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
+    delta1, delta2 = build_credit_steps(sc)
     ids = [f"n{i:02d}" for i in range(n)]
     return ConsensusSetup(
         node_ids=ids,
@@ -235,11 +241,15 @@ def build_consensus(sc: Scenario) -> ConsensusSetup:
     )
 
 
+def read_seed(sc: Scenario) -> int:
+    """The [run] seed (default 0), read apart from every other value."""
+    return _as_int(sc.run, "run", "seed", 0)
+
+
 @dataclass
 class RunSetup:
-    """The [run] values beyond the price search: seed and the full-run shape."""
+    """The [run] values that shape a full run."""
 
-    seed: int
     days: int
     cities: int
     funding: float
@@ -247,7 +257,6 @@ class RunSetup:
 
 def build_run(sc: Scenario) -> RunSetup:
     run = RunSetup(
-        seed=_as_int(sc.run, "run", "seed", 0),
         days=_as_int(sc.run, "run", "days", 3),
         cities=_as_int(sc.run, "run", "cities", 2),
         funding=_as_float(sc.run, "run", "funding", 10000.0),

@@ -1,5 +1,6 @@
 """Command line entry points, run in process via main(argv)."""
 
+import hashlib
 import os
 
 import pytest
@@ -102,6 +103,19 @@ def test_walk_ended_by_a_vanished_step_exits_2(tmp_path, capsys):
     assert not (out / "equilibrium.csv").exists()
 
 
+@pytest.mark.parametrize("seed_args", [[], ["--seed", "1"]])
+def test_equilibrium_ignores_the_full_run_shape(tmp_path, seed_args):
+    # [run] cities shapes only `full`; the seed is read on its own
+    scfile = tmp_path / "one_city.scn"
+    scfile.write_text(read(scn("city1_nofloor")) + "cities = 1\n")
+    assert main(["equilibrium", "--scenario", str(scfile),
+                 "--out", str(tmp_path / "a")] + seed_args) == 0
+    assert main(["equilibrium", "--scenario", scn("city1_nofloor"),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert read(tmp_path / "a" / "equilibrium.csv") == read(
+        tmp_path / "b" / "equilibrium.csv")
+
+
 def test_seed_override_lands_in_header(tmp_path):
     out = tmp_path / "out"
     rc = main(["equilibrium", "--scenario", scn("city1_nofloor"),
@@ -168,6 +182,20 @@ def test_consensus_reruns_identical(tmp_path):
     assert read(out_a / "rounds.csv") == read(out_b / "rounds.csv")
 
 
+def test_lossy_consensus_run_is_pinned(tmp_path, capsys):
+    # No shipped scenario drops messages, so this digest is what pins the
+    # order of the link drop draws.
+    scfile = tmp_path / "lossy.scn"
+    scfile.write_text(read(scn("consensus20"))
+                      .replace("drop_prob = 0.0", "drop_prob = 0.05"))
+    out = tmp_path / "out"
+    assert main(["consensus", "--scenario", str(scfile), "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert "commits=866 aborts=134" in capsys.readouterr().out
+    assert hashlib.sha256((out / "rounds.csv").read_bytes()).hexdigest() == (
+        "09eeab320bcbde4d953d3c03c5be568af8fb409074631b22d0abeccddaab1fb7")
+
+
 # ============================================================
 # full pipeline
 # ============================================================
@@ -201,6 +229,24 @@ def test_full_fault_roles_beyond_the_group_exit_1(tmp_path, capsys):
     assert rc == 1
     assert "more faulty nodes than nodes" in capsys.readouterr().err
     assert not (out / "contracts.csv").exists()
+
+
+@pytest.mark.parametrize("n_nodes", ["3", "4"])
+def test_full_ignores_the_synthetic_group_shape(tmp_path, n_nodes):
+    # 8 cities make 16 aggregators, which tolerate f = 5 roles; [consensus]
+    # n_nodes shapes only the `consensus` subcommand's group
+    def run(n, out):
+        scfile = tmp_path / f"eight_{n}.scn"
+        scfile.write_text(read(scn("full_2city"))
+                          .replace("cities = 2", "cities = 8")
+                          .replace("[faults]\n", "[faults]\ndissenters = 5\n")
+                          .replace("[consensus]\n", f"[consensus]\nn_nodes = {n}\n"))
+        return main(["full", "--scenario", str(scfile), "--out", str(out)])
+
+    assert run(n_nodes, tmp_path / "a") == 0
+    assert run("20", tmp_path / "b") == 0
+    for name in ("chain.txt", "balances.csv", "contracts.csv"):
+        assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
 
 
 def _full_2city(tmp_path, funding, days):
@@ -305,10 +351,13 @@ def test_hostile_scenario_values_exit_1(tmp_path, capsys, section, entry, messag
     scfile = tmp_path / "hostile.scn"
     scfile.write_text(f"{CITY_ONLY}[{section}]\n{entry}\n")
     out = tmp_path / "out"
-    rc = main(["full", "--scenario", str(scfile), "--out", str(out)])
+    # [consensus] n_nodes and rounds shape only the `consensus` subcommand
+    command = "consensus" if entry.startswith(("n_nodes", "rounds")) else "full"
+    rc = main([command, "--scenario", str(scfile), "--out", str(out)])
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (out / "contracts.csv").exists()
+    assert not (out / "rounds.csv").exists()
 
 
 def test_undrained_pool_is_a_runtime_failure(tmp_path, capsys):

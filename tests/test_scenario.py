@@ -6,7 +6,7 @@ from destrade.consensus import Behavior
 from destrade.market import MarketError, PricePair
 from destrade.scenario import (ScenarioError, build_city, build_consensus,
                                build_faults, build_ne_config, build_run,
-                               load_scenario, parse_scenario)
+                               load_scenario, parse_scenario, read_seed)
 
 VALID = """\
 # comment up top
@@ -156,16 +156,17 @@ def test_ne_config_defaults():
 
 
 def test_run_defaults_and_overrides():
-    run = build_run(parse_scenario("[market]\nq = 1\n"))
-    assert (run.seed, run.days, run.cities, run.funding) == (0, 3, 2, 10000.0)
-    run = build_run(parse_scenario(
-        "[run]\nseed = 9\ndays = 4.0\ncities = 3\nfunding = 2.5e3\n"))
-    assert (run.seed, run.days, run.cities, run.funding) == (9, 4, 3, 2500.0)
+    sc = parse_scenario("[market]\nq = 1\n")
+    run = build_run(sc)
+    assert (read_seed(sc), run.days, run.cities, run.funding) == (0, 3, 2, 10000.0)
+    sc = parse_scenario("[run]\nseed = 9\ndays = 4.0\ncities = 3\nfunding = 2.5e3\n")
+    run = build_run(sc)
+    assert (read_seed(sc), run.days, run.cities, run.funding) == (9, 4, 3, 2500.0)
     assert isinstance(run.days, int)
     # integers stay exact beyond 2**53; float spellings of whole numbers pass
-    run = build_run(parse_scenario(
-        "[run]\nseed = 9007199254740993\ndays = 2e1\ncities = 20.0\n"))
-    assert (run.seed, run.days, run.cities) == (9007199254740993, 20, 20)
+    sc = parse_scenario("[run]\nseed = 9007199254740993\ndays = 2e1\ncities = 20.0\n")
+    run = build_run(sc)
+    assert (read_seed(sc), run.days, run.cities) == (9007199254740993, 20, 20)
     assert isinstance(run.cities, int)
 
 
