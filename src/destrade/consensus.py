@@ -159,8 +159,9 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     whether a copy landed and which nodes a copy reached.  Each vote
     joins its receivers' sets as it lands; those sets are read only once
     the phase's votes are all out.  Commit appends to each convinced
-    node's own chain; the outcome's committed flag reports whether any
-    honest node committed.
+    node's own chain when the block extends its tip; a node that lags
+    abstains.  The outcome's committed flag reports whether any honest
+    node committed.
     """
     ids = sorted(nodes)
     n = len(ids)
@@ -229,8 +230,11 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                     commits[dst].add(k)
                 commits[k].add(k)
 
+        # A node that missed an earlier commit is not on the block's
+        # parent; it abstains rather than append off its tip.
         for k in ids:
-            if check_quorum(commits[k], credits, total, n):
+            if (check_quorum(commits[k], credits, total, n)
+                    and nodes[k].chain.extends(proposal)):
                 committed_nodes.add(k)
                 nodes[k].chain.append(proposal)
                 for c in proposal.txs:

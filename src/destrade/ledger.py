@@ -273,8 +273,12 @@ class Chain:
     def height(self) -> int:
         return self.tip.height
 
+    def extends(self, block: Block) -> bool:
+        """True when block is the next block on this chain's tip."""
+        return block.prev_hash == self.tip.block_hash() and block.height == self.height + 1
+
     def append(self, block: Block) -> None:
-        if block.prev_hash != self.tip.block_hash() or block.height != self.height + 1:
+        if not self.extends(block):
             raise LedgerError("block does not extend the tip")
         self.blocks.append(block)
 
@@ -289,7 +293,7 @@ def validate_block(block: Block, pool: Dict[str, Contract],
     twice), UnknownTx (a tx whose digest differs from the pooled copy,
     or that is not pooled), BadLeaderSig.
     """
-    if block.prev_hash != chain.tip.block_hash() or block.height != chain.height + 1:
+    if not chain.extends(block):
         return False, "BadPrevHash"
     root, duplicate = block._own_txs
     if block.merkle != root:

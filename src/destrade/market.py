@@ -118,9 +118,16 @@ class CommunityParams:
     # The best response's row, read on every solve; frozen, so build once.
     @cached_property
     def kkt_row(self) -> Tuple[float, ...]:
-        """(m_min, k_e, k_h, b_e, b_h, 1/b_e, 1/b_h) as plain floats."""
+        """(m_min, k_e, k_h, b_e, b_h, 1/b_e, 1/b_h, qa, k_e + k_h, 4*qa).
+
+        Plain floats.  qa = m_min + 1/b_e + 1/b_h is the leading
+        coefficient of the floor multiplier's quadratic, added in that
+        order; it does not depend on the prices.
+        """
+        inv_b_e, inv_b_h = 1.0 / self.b_e, 1.0 / self.b_h
+        qa = self.m_min + inv_b_e + inv_b_h
         return (self.m_min, self.k_e, self.k_h, self.b_e, self.b_h,
-                1.0 / self.b_e, 1.0 / self.b_h)
+                inv_b_e, inv_b_h, qa, self.k_e + self.k_h, 4.0 * qa)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -21,12 +22,16 @@ from destrade import (
     export_totals,
     valid_k_intervals,
 )
+import destrade.follower
+from destrade.equilibrium import find_ne
+from destrade.scenario import build_city, build_ne_config, load_scenario
 import oracles
 from oracles import _alpha_stat, interior_stationary, lambda1_quadratic, lambda1_roots
 from conftest import FIVE_K, RETAIL_E, RETAIL_H, make_city
 
 BOX_E = (3.0e-8, 5.5e-8)
 BOX_H = (3.75e-8, 6.25e-8)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The default walk step: search probes land this far outside the box.
 PROBE_STEP = 1e-10
 
@@ -387,24 +392,86 @@ def test_respond_matches_the_reference_bit_for_bit(k_e, k_h, p_e, p_h, floored, 
     _assert_same_bits(*_solve_both(chp, com, p))
 
 
-def test_respond_matches_the_reference_in_every_case(chp, floor_mid, floor_tight):
-    # a fixed grid reaching all six cases and both errors; the four
-    # saturated cases never occur in a walk inside the box
+def _every_case_grid(chp, floor_mid, floor_tight):
+    """(community, prices) over a fixed grid reaching all six cases and
+    both errors, then the double-root branch of the floor quadratic; the
+    four saturated cases never occur in a walk inside the box."""
     x, y = chp.elec_capacity, chp.heat_capacity
-    floors = (0.0, floor_mid, floor_tight, x + y + 1e8)
-    reached = set()
     for k_e, k_h in FIVE_K:
-        for m in floors:
+        for m in (0.0, floor_mid, floor_tight, x + y + 1e8):
             com = _com(k_e, k_h, m)
             for p_e in np.linspace(1.5e-8, 7e-8, 23):
                 for p_h in np.linspace(1.5e-8, 7e-8, 23):
-                    got, ref = _solve_both(chp, com, PricePair(float(p_e), float(p_h)))
-                    _assert_same_bits(got, ref)
-                    reached.add(got[1][:8] if isinstance(got[0], type) else got[2])
-    # the double-root branch of the floor quadratic
-    p = PricePair(2.0 ** -25, 2.0 ** -25)
-    _assert_same_bits(*_solve_both(chp, _double_root_community(chp), p))
+                    yield com, PricePair(float(p_e), float(p_h))
+    yield _double_root_community(chp), PricePair(2.0 ** -25, 2.0 ** -25)
+
+
+def test_respond_matches_the_reference_in_every_case(chp, floor_mid, floor_tight):
+    reached = set()
+    for com, p in _every_case_grid(chp, floor_mid, floor_tight):
+        got, ref = _solve_both(chp, com, p)
+        _assert_same_bits(got, ref)
+        reached.add(got[1][:8] if isinstance(got[0], type) else got[2])
     assert reached == set(KktCase) | {"both str", "no KKT c"}
+
+
+def _count_case_walks(monkeypatch):
+    calls = []
+    walk = destrade.follower._case_walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(destrade.follower, "_case_walk", counted)
+    return calls
+
+
+def _totals_both(chp, com, p):
+    """(export_totals on com's one-row table, the reference's exports),
+    each a pair of floats or the error."""
+    x, y = chp.elec_capacity, chp.heat_capacity
+    try:
+        got = export_totals(chp, (com.kkt_row,), p.p_e, p.p_h)
+    except FollowerError as err:
+        got = (type(err), str(err))
+    try:
+        ref = oracles.reference_best_response(chp, com, p).dispatch
+        ref = (x * (1.0 - ref.alpha), y * (1.0 - ref.beta))
+    except FollowerError as err:
+        ref = (type(err), str(err))
+    return got, ref
+
+
+def test_totals_match_the_reference_in_every_case(monkeypatch, chp, floor_mid,
+                                                  floor_tight):
+    # export_totals without records takes its inline cases where it can;
+    # whichever path solved a row, its totals and error text must be the
+    # reference's
+    walks = _count_case_walks(monkeypatch)
+    errors, solves = set(), 0
+    for com, p in _every_case_grid(chp, floor_mid, floor_tight):
+        got, ref = _totals_both(chp, com, p)
+        _assert_same_bits(got, ref)
+        if isinstance(got[0], type):
+            errors.add(got[1][:8])
+        solves += 1
+    assert errors == {"both str", "no KKT c"}
+    assert 0 < len(walks) < solves  # both paths were taken
+
+
+@pytest.mark.parametrize("name", ["city5_floor.scn", "city40_mixed.scn"])
+def test_price_walk_never_leaves_the_inline_cases(monkeypatch, name):
+    # every row the shipped walks solve is one of export_totals' inline
+    # cases; a row sent to _case_walk there would slow the walk down
+    sc = load_scenario(os.path.join(REPO, "scenarios", name))
+    city = build_city(sc)
+    calls = _count_case_walks(monkeypatch)
+    prices, trace = find_ne(city, build_ne_config(sc))
+    assert trace.iterations > 0 and calls == []
+    # the counter does see the walk: a records call goes through it
+    export_totals(city.chp, city.kkt_table, prices.p_e, prices.p_h, [])
+    assert len(calls) == len(city.communities)
 
 
 # ------------------------------------------------------------
@@ -473,6 +540,9 @@ def test_city_table_holds_each_communitys_row(city5_mid):
     rows = city5_mid.kkt_table
     assert rows is city5_mid.kkt_table  # built once per city
     for row, com in zip(rows, city5_mid.communities):
-        assert row == (com.m_min, com.k_e, com.k_h, com.b_e, com.b_h,
-                       1.0 / com.b_e, 1.0 / com.b_h)
+        # the derived fields are the walk's own expressions, bit for bit
+        qa = com.m_min + 1.0 / com.b_e + 1.0 / com.b_h
+        assert _hex(row) == _hex((com.m_min, com.k_e, com.k_h, com.b_e, com.b_h,
+                                  1.0 / com.b_e, 1.0 / com.b_h,
+                                  qa, com.k_e + com.k_h, 4.0 * qa))
     assert len(rows) == len(city5_mid.communities)

@@ -117,6 +117,29 @@ def test_lossy_network_stays_safe():
 
 
 
+def test_lagging_nodes_abstain_under_loss():
+    # six byzantine roles and 5% drops: a node that missed a commit can
+    # still see a commit quorum for the next block, and must not append
+    # it off its own tip; seeds 4-7 used to raise LedgerError
+    ids = _ids(20)
+    roles = (Behavior.DISSENTER, Behavior.SILENT_LEADER,
+             Behavior.INVALID_BLOCK_LEADER, Behavior.EQUIVOCATOR,
+             Behavior.DISSENTER, Behavior.EQUIVOCATOR)
+    lagged = 0
+    for seed in range(1, 21):
+        nodes = make_nodes(ids)
+        profile = FaultProfile(behaviors=dict(zip(ids, roles)), drop_prob=0.05)
+        result = run_rounds(60, nodes, profile, seed=seed)
+        assert result.divergence_count == 0
+        chains = [[b.block_hash() for b in nodes[k].chain.blocks]
+                  for k in sorted(result.honest)]
+        longest = max(chains, key=len)
+        assert all(c == longest[:len(c)] for c in chains)
+        lagged += len({len(c) for c in chains}) > 1
+    # until lagging nodes catch up, some runs leave one behind
+    assert lagged > 0
+
+
 # ------------------------------------------------------------
 # full pipeline
 # ------------------------------------------------------------
