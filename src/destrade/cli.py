@@ -81,13 +81,13 @@ def cmd_consensus(args, sc: Scenario, seed: int) -> int:
         [[r.round_no, r.leader_id, r.decision, r.abort_reason, r.committed_height,
           f"{r.credit_honest:.6f}", f"{r.credit_byz:.6f}", r.prepare_needed]
          for r in run.rows])
-    n_rounds = len(run.rows)
+    n_rounds, forks = len(run.rows), run.divergence_count
     print(f"consensus: rounds={n_rounds} commits={run.commit_count} "
           f"aborts={n_rounds - run.commit_count} "
-          f"divergent={run.divergence_count} dropped={run.net.dropped}")
+          f"divergent={forks} dropped={run.net.dropped}")
     for reason, count in sorted(run.abort_reasons.items()):
         print(f"  abort {reason}: {count}")
-    if run.divergence_count > 0:
+    if forks > 0:
         print("safety violation: honest chains diverged", file=sys.stderr)
         return EXIT_SAFETY
     return EXIT_OK
@@ -153,8 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--trace", action="store_true",
-                       help="write per-iteration search trace where applicable")
+        if name == "equilibrium":
+            p.add_argument("--trace", action="store_true",
+                           help="also write the per-iteration search trace")
         p.set_defaults(fn=fn)
     return ap
 

@@ -11,8 +11,9 @@ it without one.
 Each visited price point is solved once: a step hands on the export
 totals at the point it moved to, so an iteration costs four city
 evaluations.  The walk carries only the two totals
-follower.export_totals returns; the outcome solves the fixed point once
-more for the communities' KktSolution records.
+follower.export_totals returns.  The outcome takes both profits from
+the walk's last step and solves each community once at the fixed point
+for its KktSolution.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple, Union
 
-from .follower import KktSolution, export_totals
+from .follower import KktSolution, best_response, export_totals
 from .leader import profit
-from .market import CityMarket, MarketError, PricePair, des_utility
+from .market import CityMarket, MarketError, PricePair
 
 INIT_CHOICES = ("low", "high", "mid")
 
@@ -79,7 +80,10 @@ class NeTrace:
     """Per-iteration record of the search path."""
 
     steps: List[NeStep] = field(default_factory=list)
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
 
     @property
     def delta_final(self) -> float:
@@ -171,7 +175,6 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
         before = (p_e, p_h)
         p_e, totals = aggregator_step(city, "e", p_e, p_h, delta, totals)
         p_h, totals = aggregator_step(city, "h", p_e, p_h, delta, totals)
-        trace.iterations = it + 1
         trace.steps.append(NeStep(it, p_e, p_h, profit(city, "e", p_e, totals),
                                   profit(city, "h", p_h, totals), delta))
         if (p_e, p_h) == before:
@@ -186,11 +189,10 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
 
 @dataclass(frozen=True)
 class SeOutcome:
-    """Equilibrium prices with the induced dispatches and payoffs."""
+    """Equilibrium prices, the induced dispatches and both profits."""
 
     prices: PricePair
     responses: Tuple[KktSolution, ...]
-    utilities: Tuple[float, ...]
     v_e: float
     v_h: float
 
@@ -199,16 +201,11 @@ def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),
                         ) -> Tuple[SeOutcome, NeTrace]:
     """Run the price search and evaluate everyone at the fixed point."""
     prices, trace = find_ne(city, cfg)
-    records: list = []
-    totals = export_totals(city.chp, city.kkt_table, prices.p_e, prices.p_h, records)
-    responses = tuple(map(KktSolution._make, records))
-    utilities = tuple(
-        des_utility(city.chp, com, prices, sol.dispatch)
-        for com, sol in zip(city.communities, responses))
+    last = trace.steps[-1]  # the walk stopped here, at the fixed point
     return SeOutcome(
         prices=prices,
-        responses=responses,
-        utilities=utilities,
-        v_e=profit(city, "e", prices.p_e, totals),
-        v_h=profit(city, "h", prices.p_h, totals),
+        responses=tuple(best_response(city.chp, com, prices)
+                        for com in city.communities),
+        v_e=last.v_e,
+        v_h=last.v_h,
     ), trace

@@ -12,16 +12,16 @@ _case_walk walks the cases for one community on plain floats.
 export_totals returns a city's two export totals, the numbers the
 aggregators' profits read; it solves the three cases the price walk
 meets (free optimum, free optimum clipped at zero, both fractions on
-the floor) inline, sends every other row to _case_walk, and builds
-response tuples only when asked, all from _case_walk.  best_response,
-the per-community solve, is _case_walk's tuple as a KktSolution.
+the floor) inline and sends every other row to _case_walk.
+best_response, the per-community solve, is _case_walk's tuple as a
+KktSolution.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .market import ChpParams, CommunityParams, Dispatch, PricePair
 
@@ -59,7 +59,7 @@ class KktSolution(NamedTuple):
 
     lam1 prices the local-use floor, lam2 the alpha=1 bound, lam3 the
     beta=1 bound.  Inactive multipliers are zero.  The fields are those
-    of the plain tuples _case_walk returns, in their order, so a record
+    of the plain tuples _case_walk returns, in their order, so a solution
     equals such a tuple by value.
     """
 
@@ -88,8 +88,7 @@ _E = math.e
 
 
 def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
-                  p_e: float, p_h: float, records: Optional[list] = None,
-                  ) -> Tuple[float, float]:
+                  p_e: float, p_h: float) -> Tuple[float, float]:
     """Exports of the communities in rows at prices (p_e, p_h), per stream.
 
     rows are kkt_row tuples; CityMarket.kkt_table holds a city's.
@@ -104,20 +103,9 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
     the floor with a valid multiplier.  Those rows are solved inline;
     every other row goes through _case_walk, whose first cases are the
     same expressions, so the floats do not depend on the path taken.
-    When records is a list, every row goes through _case_walk and its
-    (alpha, beta, case, lam1, lam2, lam3), the fields of KktSolution,
-    is appended to it.
     """
     x, y = chp.elec_capacity, chp.heat_capacity
     tot_e = tot_h = 0.0
-    if records is not None:
-        for row in rows:
-            rec = _case_walk(x, y, row, p_e, p_h)
-            tot_e += x * (1.0 - rec[0])
-            tot_h += y * (1.0 - rec[1])
-            records.append(rec)
-        return tot_e, tot_h
-
     p_sum = p_e + p_h
     top = p_h if p_h < p_e else p_e
     sqrt, sat, tol = math.sqrt, _SAT, SATURATION_TOL

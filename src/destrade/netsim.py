@@ -10,6 +10,7 @@ and keeps the run record both subcommands read.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -63,8 +64,9 @@ def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
     """Fresh nodes sharing one genesis block and empty pools.
 
     The nodes keep the given id order, and a driver's credit table
-    follows it: that order is the float summation order of every
-    election and quorum check.
+    follows it: that order is the float summation order of each round's
+    credit total and of every quorum check.  An election walks the ids
+    sorted, whatever the table order.
     """
     genesis = make_genesis()
     return {k: ConsensusNode(Chain(genesis)) for k in node_ids}
@@ -92,12 +94,9 @@ class RoundDriver:
 
     Owns the seed streams (leader seeds from Random(seed), link drops
     from Random(f"net:{seed}")), the fabric and the credits.  Each step
-    replaces the credit table, appends a log row, and tallies commits,
-    abort reasons and divergence: rounds whose committed block lands at
-    a height where another committed block has already been seen.  Every
-    node that commits a round appends that round's block, so one hash
-    per committed round covers all of them.  Any divergence is a safety
-    violation.
+    replaces the credit table and appends a log row; the commit and
+    abort tallies are read off the rows, and the fork count off the
+    chains.
     """
 
     def __init__(self, nodes: Dict[str, ConsensusNode], profile: FaultProfile,
@@ -112,10 +111,27 @@ class RoundDriver:
                             rng=random.Random(f"net:{seed}"))
         self._seeds = random.Random(seed)
         self.rows: List[RoundLogRow] = []
-        self.commit_count = 0
-        self.abort_reasons: Dict[str, int] = {}
-        self.divergence_count = 0
-        self._seen_at_height: Dict[int, set] = {}
+
+    @property
+    def commit_count(self) -> int:
+        return sum(r.decision == "committed" for r in self.rows)
+
+    @property
+    def abort_reasons(self) -> Dict[str, int]:
+        """Aborted rounds per abort reason."""
+        return Counter(r.abort_reason for r in self.rows if r.decision == "aborted")
+
+    @property
+    def divergence_count(self) -> int:
+        """Distinct blocks beyond the first at each height, over the chains
+        of the group whose commits decide a round (the honest nodes, or
+        every node when none is honest).  Any fork is a safety violation.
+        """
+        seen: Dict[int, set] = {}
+        for k in self.honest or self.ids:
+            for b in self.nodes[k].chain.blocks:
+                seen.setdefault(b.height, set()).add(b.block_hash())
+        return sum(len(hashes) - 1 for hashes in seen.values())
 
     def step(self) -> RoundOutcome:
         """Run the next round, apply its credit adjustment and record it."""
@@ -124,19 +140,6 @@ class RoundDriver:
                             len(self.rows), self._seeds.getrandbits(63))
         credits = self.credits = update_credits(self.credits, outcome,
                                                 self.delta1, self.delta2)
-
-        if outcome.committed:
-            self.commit_count += 1
-        else:
-            key = outcome.abort_reason or "Unknown"
-            self.abort_reasons[key] = self.abort_reasons.get(key, 0) + 1
-
-        if outcome.block is not None:
-            hashes = self._seen_at_height.setdefault(outcome.block.height, set())
-            hashes.add(outcome.block.block_hash())
-            if len(hashes) > 1:
-                self.divergence_count += 1
-
         self.rows.append(RoundLogRow(
             round_no=len(self.rows),
             leader_id=outcome.leader_id,
@@ -174,7 +177,14 @@ class PipelineResult:
     unexecuted: List[str]
     drift: float
     chain_ok: bool
-    chains_equal: bool  # every honest aggregator holds the exported chain
+
+    @property
+    def chains_equal(self) -> bool:
+        """Every honest aggregator holds the exported chain."""
+        ref = [b.block_hash() for b in self.chain.blocks]
+        nodes = self.driver.nodes
+        return all([b.block_hash() for b in nodes[k].chain.blocks] == ref
+                   for k in self.driver.honest)
 
     @property
     def violations(self) -> List[str]:
@@ -186,7 +196,7 @@ class PipelineResult:
             failed.append("balance drift")
         if not self.chain_ok:
             failed.append("chain audit")
-        if not self.chains_equal or self.driver.divergence_count:
+        if not self.chains_equal:
             failed.append("divergent chains")
         if any(a.balance < 0.0 for a in self.ledger.accounts.values()):
             failed.append("negative balance")
@@ -270,7 +280,6 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
 
     # Stage 3: audits, on the first honest aggregator's chain.
     ref = nodes[min(driver.honest)].chain
-    ref_hashes = [b.block_hash() for b in ref.blocks]
     return PipelineResult(
         city_names=names,
         outcome=outcome,
@@ -281,6 +290,4 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
                     if state is not ContractState.EXECUTED],
         drift=ledger.conservation_drift(),
         chain_ok=verify_chain(ref),
-        chains_equal=all([b.block_hash() for b in nodes[k].chain.blocks] == ref_hashes
-                         for k in driver.honest),
     )

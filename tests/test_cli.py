@@ -72,6 +72,15 @@ def test_equilibrium_trace_flag(tmp_path):
     assert lines[2].startswith("0,")
 
 
+@pytest.mark.parametrize("command,scenario",
+                         [("consensus", "consensus20"), ("full", "full_2city")])
+def test_trace_flag_is_equilibriums_only(tmp_path, command, scenario):
+    # only the price search has a trace; the other subcommands refuse the flag
+    with pytest.raises(SystemExit):
+        main([command, "--scenario", scn(scenario), "--out", str(tmp_path),
+              "--trace"])
+
+
 def _city5_floor_with(tmp_path, key, value):
     """city5_floor.scn with one [run] value replaced."""
     text = read(scn("city5_floor"))

@@ -218,22 +218,25 @@ def test_each_visited_point_is_solved_once(monkeypatch):
     assert all(len(args) == 4 for args in calls)
 
 
-def test_outcome_solves_the_fixed_point_once_more_for_records(monkeypatch):
-    # one solve past the walk, at the fixed point, fills the N records;
-    # they are the ones per-community solves there give
+def test_outcome_reads_its_profits_off_the_walk(monkeypatch):
+    # no city solve past the walk: both profits are the last step's, and
+    # each community is solved once more at the fixed point for its
+    # KktSolution
     sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
     city = build_city(sc)
     calls = _count_city_solves(monkeypatch)
-    records = _count_records(monkeypatch)
+    built = _count_records(monkeypatch)
     outcome, trace = stackelberg_outcome(city, build_ne_config(sc))
-    n = len(city.communities)
-    assert len(calls) == 4 * trace.iterations + 2
-    assert calls[-1][2:4] == (outcome.prices.p_e, outcome.prices.p_h)
-    assert len(records) == n
+    assert len(calls) == 4 * trace.iterations + 1
+    assert len(built) == len(city.communities)
     assert all(isinstance(r, KktSolution) for r in outcome.responses)
     assert outcome.responses == tuple(city_responses(city, outcome.prices))
     last = trace.steps[-1]
+    assert (last.p_e, last.p_h) == (outcome.prices.p_e, outcome.prices.p_h)
     assert (outcome.v_e, outcome.v_h) == (last.v_e, last.v_h)
+    # a fresh solve at the fixed point gives the same profits
+    assert outcome.v_e == profit_at(city, "e", outcome.prices)
+    assert outcome.v_h == profit_at(city, "h", outcome.prices)
 
 
 @settings(max_examples=30, deadline=None)
@@ -352,10 +355,9 @@ def test_exhausted_budget_raises_with_trace(city1):
 def test_outcome_bundles_consistent_values(city1):
     outcome, trace = stackelberg_outcome(city1, NeConfig())
     assert len(outcome.responses) == len(city1.communities)
-    assert len(outcome.utilities) == len(city1.communities)
     assert outcome.v_e == profit_at(city1, "e", outcome.prices)
     assert outcome.v_h == profit_at(city1, "h", outcome.prices)
-    assert trace.iterations >= 1
+    assert trace.iterations == len(trace.steps) >= 1
 
 
 def test_zero_profit_at_retail_corner(city1):
@@ -371,7 +373,7 @@ def test_followers_cannot_improve_at_outcome(city1, city1_mid):
         chp = city.chp
         x, y = chp.elec_capacity, chp.heat_capacity
         com = city.communities[0]
-        best = outcome.utilities[0]
+        best = des_utility(chp, com, outcome.prices, outcome.responses[0].dispatch)
         tried = 0
         while tried < 1000:
             a, b = rng.uniform(0.0, 1.0, size=2)

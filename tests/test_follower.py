@@ -469,8 +469,9 @@ def test_price_walk_never_leaves_the_inline_cases(monkeypatch, name):
     calls = _count_case_walks(monkeypatch)
     prices, trace = find_ne(city, build_ne_config(sc))
     assert trace.iterations > 0 and calls == []
-    # the counter does see the walk: a records call goes through it
-    export_totals(city.chp, city.kkt_table, prices.p_e, prices.p_h, [])
+    # the counter does see the walk: a per-community solve goes through it
+    for com in city.communities:
+        best_response(city.chp, com, prices)
     assert len(calls) == len(city.communities)
 
 
@@ -512,28 +513,17 @@ def test_city_totals_match_per_community_solves_bit_for_bit(chp, data):
     except FollowerError as err:
         error = str(err)
 
-    records = []
     if error is not None:
-        with pytest.raises(FollowerError) as exc:
-            export_totals(chp, city.kkt_table, p_e, p_h, records)
-        assert str(exc.value) == error
-        # the communities before the failing one were recorded in order
-        assert [_hex(r) for r in records] == [_hex(r) for r in expected]
         with pytest.raises(FollowerError) as exc:
             export_totals(chp, city.kkt_table, p_e, p_h)
         assert str(exc.value) == error
         return
-    totals = export_totals(chp, city.kkt_table, p_e, p_h, records)
     # one add at a time, left to right: the order the walk's totals keep
     tot_e = tot_h = 0.0
     for r in expected:
         tot_e += x * (1.0 - r[0])
         tot_h += y * (1.0 - r[1])
-    assert _hex(totals) == _hex((tot_e, tot_h))
-    assert _hex(export_totals(chp, city.kkt_table, p_e, p_h)) == _hex(totals)
-    assert len(records) == len(expected)
-    for got, ref in zip(records, expected):
-        _assert_same_bits(got, ref)
+    assert _hex(export_totals(chp, city.kkt_table, p_e, p_h)) == _hex((tot_e, tot_h))
 
 
 def test_city_table_holds_each_communitys_row(city5_mid):

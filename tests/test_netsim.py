@@ -5,14 +5,20 @@ from __future__ import annotations
 import os
 import random
 
+import pytest
+
 from destrade import (
     Behavior,
     FaultProfile,
     PhaseNet,
+    PipelineResult,
+    RoundDriver,
     ledger,
+    make_block,
     make_nodes,
     run_pipeline,
     run_rounds,
+    verify_chain,
 )
 from destrade.scenario import load_scenario, parse_scenario
 
@@ -140,6 +146,44 @@ def test_lagging_nodes_abstain_under_loss():
     assert lagged > 0
 
 
+def _fork(nodes, ids):
+    """Each of ids appends its own block on top of its chain."""
+    for round_no, k in enumerate(ids):
+        chain = nodes[k].chain
+        chain.append(make_block(k, chain, round_no, []))
+
+
+def test_a_fork_is_counted_and_fails_the_audit():
+    # two honest nodes each append a different height-1 block
+    nodes = make_nodes(_ids(4))
+    driver = RoundDriver(nodes, FaultProfile(), seed=1, delta1=0.05, delta2=0.02)
+    _fork(nodes, ["n00", "n01"])
+    assert driver.divergence_count == 1
+    ref = nodes["n00"].chain
+    res = PipelineResult(city_names=[], outcome=None, ledger=ledger.Ledger(),
+                         chain=ref, driver=driver, unexecuted=[], drift=0.0,
+                         chain_ok=verify_chain(ref))
+    assert not res.chains_equal
+    assert res.violations == ["divergent chains"]
+
+
+@pytest.mark.parametrize("n,drop_prob,role,seed,forks", [
+    pytest.param(4, 0.1, None, 8, 3, id="n4-no-faults"),
+    # every node equivocates, so every chain counts: the honest ones
+    # alone would read 0 here
+    pytest.param(5, 0.2, Behavior.EQUIVOCATOR, 2, 1, id="n5-all-equivocators"),
+])
+def test_lossy_runs_count_their_forks(n, drop_prob, role, seed, forks):
+    # pinned counts of runs that fork under loss; each fork is a height
+    # holding one more distinct block over the deciding group's chains
+    ids = _ids(n)
+    behaviors = {k: role for k in ids} if role is not None else {}
+    result = run_rounds(300, make_nodes(ids),
+                        FaultProfile(behaviors=behaviors, drop_prob=drop_prob),
+                        seed=seed)
+    assert result.divergence_count == forks
+
+
 # ------------------------------------------------------------
 # full pipeline
 # ------------------------------------------------------------
@@ -151,12 +195,19 @@ def test_pipeline_reads_the_divergence_audit():
     assert res.violations == []
     assert res.driver.divergence_count == 0
     assert res.driver.commit_count == len(res.driver.rows) == res.chain.height
-    res.driver.divergence_count = 1
-    assert res.violations == ["divergent chains"]
-    res.driver.divergence_count = 0
     # a NaN drift compares false with any bound, and must still fail
     res.drift = float("nan")
     assert res.violations == ["balance drift"]
+    res.drift = 0.0
+    # an honest chain that differs from the exported one fails the audit,
+    # whether it runs ahead or forks
+    nodes = res.driver.nodes
+    _fork(nodes, ["c1.ea"])
+    assert res.driver.divergence_count == 0
+    assert res.violations == ["divergent chains"]
+    _fork(nodes, ["c1.ha"])
+    assert res.driver.divergence_count == 1
+    assert res.violations == ["divergent chains"]
 
 
 def test_pipeline_exports_the_first_honest_chain():
