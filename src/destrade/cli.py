@@ -4,8 +4,8 @@ Subcommands: equilibrium (price search on one city), consensus
 (synthetic fault-injected rounds), full (equilibrium, contracts,
 consensus and settlement end to end).  Every output file starts with a
 '# seed=N' line so a run can be reproduced.  Exit codes: 0 success,
-1 scenario or validation problem, 2 runtime failure, 3 safety violation
-detected in the run's own audits.
+1 usage, scenario or validation problem, 2 runtime failure, 3 safety
+violation detected in the run's own audits.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import csv
 import os
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from .consensus import ConsensusError
 from .equilibrium import NoFixedPoint, stackelberg_outcome
@@ -31,7 +31,9 @@ EXIT_RUNTIME = 2
 EXIT_SAFETY = 3
 
 
-def _write_rows(path: str, seed: int, header: List[str], rows: List[List]) -> None:
+def _write_rows(path: str, seed: int, header: List[str], rows: Iterable[List]) -> None:
+    """Write one CSV output; rows may be a generator, so no file's rows
+    need be held in memory at once."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={seed}\n")
         w = csv.writer(fh)
@@ -56,8 +58,8 @@ def cmd_equilibrium(args, sc: Scenario, seed: int) -> int:
         _write_rows(
             os.path.join(args.out, "trace.csv"), seed,
             ["iteration", "p_e", "p_h", "v_e", "v_h", "delta"],
-            [[s.iteration, f"{s.p_e:.12e}", f"{s.p_h:.12e}", f"{s.v_e:.6f}",
-              f"{s.v_h:.6f}", f"{s.delta:.6e}"] for s in trace.steps])
+            ([s.iteration, f"{s.p_e:.12e}", f"{s.p_h:.12e}", f"{s.v_e:.6f}",
+              f"{s.v_h:.6f}", f"{s.delta:.6e}"] for s in trace.steps))
     print(f"equilibrium: p_e={p.p_e:.6e} p_h={p.p_h:.6e} "
           f"iters={trace.iterations} delta_final={trace.delta_final:.3e} "
           f"v_e={outcome.v_e:.4f} v_h={outcome.v_h:.4f}")
@@ -78,9 +80,9 @@ def cmd_consensus(args, sc: Scenario, seed: int) -> int:
         os.path.join(args.out, "rounds.csv"), seed,
         ["round", "leader", "decision", "abort_reason", "committed_height",
          "credit_honest", "credit_byz", "prepare_msgs_needed"],
-        [[r.round_no, r.leader_id, r.decision, r.abort_reason, r.committed_height,
+        ([r.round_no, r.leader_id, r.decision, r.abort_reason, r.committed_height,
           f"{r.credit_honest:.6f}", f"{r.credit_byz:.6f}", r.prepare_needed]
-         for r in run.rows])
+         for r in run.rows))
     n_rounds, forks = len(run.rows), run.divergence_count
     print(f"consensus: rounds={n_rounds} commits={run.commit_count} "
           f"aborts={n_rounds - run.commit_count} "
@@ -107,19 +109,19 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
     _write_rows(
         os.path.join(args.out, "balances.csv"), seed,
         ["account", "role", "city", "balance", "credit"],
-        [[a.account_id, a.role.value, a.city, f"{a.balance:.6f}",
+        ([a.account_id, a.role.value, a.city, f"{a.balance:.6f}",
           f"{res.driver.credits[a.account_id]:.3f}"
           if a.role is Role.AGGREGATOR else ""]
-         for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)])
+         for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)))
     # Enum `_value_` reads skip the `value` property, twice per contract.
     states = ledger.states
     _write_rows(
         os.path.join(args.out, "contracts.csv"), seed,
         ["contract_id", "buyer", "seller", "kind", "price", "amount",
          "trans_time", "state"],
-        [[c.contract_id, c.buyer, c.seller, c.kind._value_, f"{c.price:.12e}",
+        ([c.contract_id, c.buyer, c.seller, c.kind._value_, f"{c.price:.12e}",
           f"{c.amount:.6f}", c.trans_time, states[c.contract_id]._value_]
-         for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id)])
+         for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id)))
     o = res.outcome
     for cname in res.city_names:
         print(f"{cname}: p_e={o.prices.p_e:.6e} p_h={o.prices.p_h:.6e} "
@@ -161,7 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 here
+        # means a runtime failure, so a usage error returns 1.
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         sc = load_scenario(args.scenario)
         seed = args.seed if args.seed is not None else read_seed(sc)

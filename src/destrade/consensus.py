@@ -232,13 +232,16 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
 
         # A node that missed an earlier commit is not on the block's
         # parent; it abstains rather than append off its tip.
+        tx_ids = [c.contract_id for c in proposal.txs]
         for k in ids:
+            node = nodes[k]
             if (check_quorum(commits[k], credits, total, n)
-                    and nodes[k].chain.extends(proposal)):
+                    and node.chain.extends(proposal)):
                 committed_nodes.add(k)
-                nodes[k].chain.append(proposal)
-                for c in proposal.txs:
-                    nodes[k].pool.pop(c.contract_id, None)
+                node.chain.append(proposal)
+                pop = node.pool.pop
+                for cid in tx_ids:
+                    pop(cid, None)
 
     honest = profile.honest_ids(ids) or ids
     committed = any(k in committed_nodes for k in honest)

@@ -2,6 +2,9 @@
 
 A contract is created from a DES's offer and executed once consensus
 commits it, moving its payment from the aggregator to the DES account.
+An offer's terms are checked and encoded once (check_offer); each
+contract signed from them (sign_offer) costs only the balance check,
+the next id and the body digest, and create_contract does both.
 A payer already below zero gets the contract suspended instead, for
 good; the contract that takes a payer below zero still settles.  Blocks
 carry full contract bodies; the chain links sha256 block digests and a
@@ -70,10 +73,9 @@ class ContractState(Enum):
     SUSPENDED = "suspended"
 
 
-# Members as plain names for the per-contract paths: reading an Enum
+# States as plain names for the per-contract paths: reading an Enum
 # attribute costs about a tenth of a microsecond.  For the same reason
 # those paths read a member's `_value_`, not its `value` property.
-_AGGREGATOR, _DES = Role.AGGREGATOR, Role.DES
 _CREATED, _EXECUTED, _SUSPENDED = ContractState
 
 
@@ -120,9 +122,12 @@ class Contract:
     _body_digest: str = field(init=False, repr=False, compare=False)
 
     def __init__(self, contract_id: str, buyer: str, seller: str, kind: EnergyKind,
-                 price: float, amount: float, trans_time: int, stime: int):
+                 price: float, amount: float, trans_time: int, stime: int,
+                 terms: Optional[str] = None):
         # Written out: the generated frozen init, plus a __post_init__
-        # call, costs about as much as hashing the body.
+        # call, costs about as much as hashing the body.  terms, when
+        # given, is _terms_json of these fields, which Ledger.check_offer
+        # encodes once per offer.
         set_ = object.__setattr__
         set_(self, "contract_id", contract_id)
         set_(self, "buyer", buyer)
@@ -132,9 +137,9 @@ class Contract:
         set_(self, "amount", amount)
         set_(self, "trans_time", trans_time)
         set_(self, "stime", stime)
-        set_(self, "_body_digest", _sha(_body_json(
-            contract_id, buyer, seller, kind._value_, repr(price), repr(amount),
-            trans_time, stime)))
+        if terms is None:
+            terms = _terms_json(buyer, seller, kind, price, amount)
+        set_(self, "_body_digest", _sha(_body_json(contract_id, terms, trans_time, stime)))
 
     @property
     def payment(self) -> float:
@@ -145,22 +150,23 @@ class Contract:
         return self._body_digest
 
 
-def _body_json(*body) -> str:
-    """json.dumps(list(body)), byte for byte, for the contract body fields.
+def _terms_json(buyer: str, seller: str, kind: EnergyKind, price: float,
+                amount: float) -> str:
+    """The body's buyer, seller, kind, price and amount, as json writes
+    them inside the body list."""
+    return json.dumps([buyer, seller, kind._value_, repr(price), repr(amount)])[1:-1]
 
-    Plain str and int fields are written directly, as json writes them;
-    any other type (a bool or float in an int slot, a non-string id)
-    goes through json itself.
+
+def _body_json(cid: str, terms: str, trans_time: int, stime: int) -> str:
+    """json.dumps(list(body)), byte for byte, around the terms' JSON.
+
+    A str id and plain int times are written directly, as json writes
+    them; any other type (a bool or float in an int slot, a non-string
+    id) goes through json itself.
     """
-    cid, buyer, seller, kind, price, amount, trans_time, stime = body
-    if type(trans_time) is int and type(stime) is int:
-        try:
-            return (f"[{_encode_str(cid)}, {_encode_str(buyer)}, {_encode_str(seller)}, "
-                    f"{_encode_str(kind)}, {_encode_str(price)}, {_encode_str(amount)}, "
-                    f"{trans_time}, {stime}]")
-        except TypeError:
-            pass
-    return json.dumps(list(body))
+    if type(cid) is str and type(trans_time) is int and type(stime) is int:
+        return f"[{_encode_str(cid)}, {terms}, {trans_time}, {stime}]"
+    return f"[{json.dumps(cid)}, {terms}, {json.dumps(trans_time)}, {json.dumps(stime)}]"
 
 
 # ============================================================
@@ -329,20 +335,17 @@ def verify_chain(chain: Chain) -> bool:
     blocks' shared roots.
     """
     blocks = chain.blocks
-    if not blocks or blocks[0].height != 0 or blocks[0].prev_hash != ZERO_HASH:
-        return False
     ids = [c.contract_id for b in blocks for c in b.txs]
-    if len(set(ids)) < len(ids):
+    if not blocks or len(set(ids)) < len(ids):
         return False
+    prev = ZERO_HASH
     for i, b in enumerate(blocks):
-        if b.height != i:
-            return False
-        if i > 0 and b.prev_hash != blocks[i - 1].block_hash():
-            return False
-        if b.merkle != merkle_root([c.body_digest() for c in b.txs]):
+        if (b.height != i or b.prev_hash != prev
+                or b.merkle != merkle_root([c.body_digest() for c in b.txs])):
             return False
         if i > 0 and not verify_signature(b.header_digest(), b.signature, b.leader_id):
             return False
+        prev = b.block_hash()
     return True
 
 
@@ -384,13 +387,17 @@ class Ledger:
         self._account(account_id).balance += amount
         self.total_deposited += amount
 
-    def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
-                        price: float, amount: float, trans_time: int,
-                        stime: int = 0) -> Contract:
-        """Create a new contract in the CREATED state."""
+    def check_offer(self, buyer: str, seller: str, kind: EnergyKind,
+                    price: float, amount: float) -> tuple:
+        """Check an offer's terms once, for sign_offer to make its contracts.
+
+        Raises create_contract's errors, except the balance check, which
+        sign_offer makes.  The offer is (payer account, payment, terms'
+        body JSON, buyer, seller, kind, price, amount).
+        """
         b = self._account(buyer)
         s = self._account(seller)
-        if b.role is not _AGGREGATOR or s.role is not _DES:
+        if b.role is not Role.AGGREGATOR or s.role is not Role.DES:
             raise LedgerError("contracts run aggregator -> DES")
         if b.city != s.city:
             raise CrossCityPair(f"{buyer} ({b.city}) cannot trade with "
@@ -399,17 +406,27 @@ class Ledger:
             raise LedgerError(f"price {price} and amount {amount} must be finite")
         if price <= 0 or amount <= 0:
             raise LedgerError("price and amount must be positive")
-        payment = price * amount
-        if b.balance < payment:
-            raise InsufficientBalance(f"{buyer} holds {b.balance}, needs {payment}")
+        return (b, price * amount, _terms_json(buyer, seller, kind, price, amount),
+                buyer, seller, kind, price, amount)
+
+    def sign_offer(self, offer: tuple, trans_time: int, stime: int) -> Contract:
+        """Create the next contract of a checked offer in the CREATED state."""
+        payer, payment, terms, buyer, seller, kind, price, amount = offer
+        if payer.balance < payment:
+            raise InsufficientBalance(f"{buyer} holds {payer.balance}, needs {payment}")
         cid = f"ct-{self._next_id:06d}"
         self._next_id += 1
-        contract = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
-                            price=price, amount=amount, trans_time=trans_time,
-                            stime=stime)
-        self.contracts[cid] = contract
+        contract = self.contracts[cid] = Contract(
+            cid, buyer, seller, kind, price, amount, trans_time, stime, terms)
         self.states[cid] = _CREATED
         return contract
+
+    def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
+                        price: float, amount: float, trans_time: int,
+                        stime: int = 0) -> Contract:
+        """Create a new contract in the CREATED state."""
+        return self.sign_offer(self.check_offer(buyer, seller, kind, price, amount),
+                               trans_time, stime)
 
     def execute_contract(self, contract_id: str) -> None:
         """Settle one committed contract, which must still be CREATED.

@@ -238,7 +238,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
             ledger.register(f"{cname}.des{j}", Role.DES, cname)
 
     # Stage 1: the price equilibrium and what each community offers daily,
-    # as (buyer, seller, kind, price, amount) rows in contract id order.
+    # in contract id order, each offer checked once for all the days.
     outcome, _trace = stackelberg_outcome(city, cfg)
     p = outcome.prices
     x, y = city.chp.elec_capacity, city.chp.heat_capacity
@@ -250,17 +250,18 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
                            (1.0 - sol.alpha) * x))
             offers.append((f"{cname}.ha", did, EnergyKind.HEAT, p.p_h,
                            (1.0 - sol.beta) * y))
-    offers = [row for row in offers if row[4] > MIN_CONTRACT_JOULES]
+    offers = [ledger.check_offer(*row) for row in offers
+              if row[4] > MIN_CONTRACT_JOULES]
 
     # Stage 2: consensus group of all aggregators settling daily contracts.
     nodes = make_nodes(agg_ids)
     driver = RoundDriver(nodes, profile, seed, delta1, delta2)
 
+    sign_offer = ledger.sign_offer
     for day in range(run.days):
         day_contracts: Dict[str, Contract] = {}
-        for buyer, seller, kind, price, amount in offers:
-            c = ledger.create_contract(buyer, seller, kind, price, amount,
-                                       trans_time=day, stime=day)
+        for offer in offers:
+            c = sign_offer(offer, day, day)
             day_contracts[c.contract_id] = c
         for node in nodes.values():
             node.pool.update(day_contracts)

@@ -74,11 +74,30 @@ def test_equilibrium_trace_flag(tmp_path):
 
 @pytest.mark.parametrize("command,scenario",
                          [("consensus", "consensus20"), ("full", "full_2city")])
-def test_trace_flag_is_equilibriums_only(tmp_path, command, scenario):
-    # only the price search has a trace; the other subcommands refuse the flag
-    with pytest.raises(SystemExit):
-        main([command, "--scenario", scn(scenario), "--out", str(tmp_path),
-              "--trace"])
+def test_trace_flag_is_equilibriums_only(tmp_path, capsys, command, scenario):
+    # only the price search has a trace; the other subcommands refuse the
+    # flag as a usage error, exit 1, not the runtime failure code 2
+    rc = main([command, "--scenario", scn(scenario), "--out", str(tmp_path),
+               "--trace"])
+    assert rc == 1
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["settle", "--scenario", "x.scn"], "invalid choice: 'settle'"),
+    ([], "the following arguments are required"),
+    (["full"], "the following arguments are required: --scenario"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["full", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: destrade" in capsys.readouterr().out
 
 
 def _city5_floor_with(tmp_path, key, value):
@@ -298,6 +317,15 @@ def test_full_flags_an_overdrawn_aggregator(tmp_path, capsys, funding, days, bal
               for line in read(tmp_path / "out" / "contracts.csv").splitlines()[2:]]
     assert set(states) == {"executed"}
     assert "safety violation: negative balance" in capsys.readouterr().err
+
+
+def test_full_stops_at_an_offer_its_payer_cannot_cover(tmp_path, capsys):
+    # day 9 starts with c0.ha overdrawn (see the case above), so signing
+    # its first offer of the day fails the balance check
+    assert _full_2city(tmp_path, "2000", 10) == 2
+    err = capsys.readouterr().err
+    assert "runtime failure: c0.ha holds -15.2" in err
+    assert ", needs 28.29" in err
 
 
 @pytest.mark.parametrize("funding,days", [("2000", 3), ("1e9", 10)])

@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from destrade import (
     BadContractState,
@@ -157,6 +157,44 @@ def test_contract_ids_and_signatures():
                              price=1.0, amount=1.0, trans_time=0)
     assert c0.contract_id == "ct-000000"
     assert c1.contract_id == "ct-000001"
+
+
+# Each static rule create_contract enforces, as (buyer, seller, price, amount):
+# unknown buyer and seller, a DES buying, an aggregator selling, a
+# cross-city pair, non-finite and non-positive terms.
+_BAD_TERMS = [("ghost", "des", 1.0, 1.0), ("ea", "ghost", 1.0, 1.0),
+              ("des", "des", 1.0, 1.0), ("ea", "ha", 1.0, 1.0),
+              ("ea2", "des", 1.0, 1.0), ("ea", "des", math.nan, 1.0),
+              ("ea", "des", 1.0, math.inf), ("ea", "des", 0.0, 1.0),
+              ("ea", "des", 1.0, -1.0)]
+
+
+@pytest.mark.parametrize("buyer,seller,price,amount", _BAD_TERMS)
+def test_check_offer_raises_create_contracts_errors(buyer, seller, price, amount):
+    led = funded_ledger()
+    led.deposit("ea2", 100.0)
+    with pytest.raises(LedgerError) as created:
+        led.create_contract(buyer, seller, EnergyKind.HEAT, price, amount, trans_time=0)
+    with pytest.raises(LedgerError) as checked:
+        led.check_offer(buyer, seller, EnergyKind.HEAT, price, amount)
+    assert type(checked.value) is type(created.value)
+    assert str(checked.value) == str(created.value)
+    assert led.contracts == {} and led.states == {}
+    # no contract id was used up either
+    c = led.create_contract("ea", "des", EnergyKind.HEAT, 1.0, 1.0, trans_time=0)
+    assert c.contract_id == "ct-000000"
+
+
+def test_a_checked_offer_meets_the_balance_check_when_signed():
+    led = funded_ledger(balance=3.0)
+    offer = led.check_offer("ea", "des", EnergyKind.HEAT, price=1.0, amount=2.0)
+    first = led.sign_offer(offer, 0, 0)
+    led.execute_contract(first.contract_id)
+    with pytest.raises(InsufficientBalance, match="^ea holds 1.0, needs 2.0$"):
+        led.sign_offer(offer, 1, 1)
+    assert list(led.contracts) == list(led.states) == ["ct-000000"]
+    led.deposit("ea", 1.0)
+    assert led.sign_offer(offer, 1, 1).contract_id == "ct-000001"
 
 
 def _contract(**changes) -> Contract:
@@ -452,6 +490,39 @@ def test_verify_chain_and_tamper_detection():
     assert not verify_chain(broken)
 
 
+def _three_blocks():
+    _pool, c = _pool_with_contract()
+    chain = Chain()
+    chain.append(make_block("ea", chain, 0, [c]))
+    chain.append(make_block("ha", chain, 1, []))
+    return chain.blocks
+
+
+# Each way a block list can break the audit; genesis cases keep it alone,
+# so no later link catches them first.
+_BROKEN = {
+    "empty": lambda b: [],
+    "genesis-height": lambda b: [replace(b[0], height=1)],
+    "genesis-prev-hash": lambda b: [replace(b[0], prev_hash="ab" * 32)],
+    "link": lambda b: [b[0], b[1], replace(b[2], prev_hash=b[0].block_hash())],
+    "height": lambda b: [b[0], b[1], replace(b[2], height=3)],
+    "missing-block": lambda b: [b[0], b[2]],
+    "signature": lambda b: [b[0], b[1], replace(
+        b[2], signature=sign(b[2].header_digest(), sim_secret("evil")))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BROKEN))
+def test_verify_chain_rejects_each_broken_block_list(name):
+    blocks = _three_blocks()
+    good = Chain()
+    good.blocks = blocks
+    assert verify_chain(good)
+    broken = Chain()
+    broken.blocks = _BROKEN[name](blocks)
+    assert not verify_chain(broken)
+
+
 def test_export_chain_format():
     pool, c = _pool_with_contract()
     chain = Chain()
@@ -501,6 +572,25 @@ def test_body_digest_is_the_digest_of_the_json_body(cid, buyer, seller, kind, pr
                  price=price, amount=amount, trans_time=trans_time, stime=stime)
     assert c.body_digest() == _sha(json.dumps([
         cid, buyer, seller, kind.value, repr(price), repr(amount), trans_time, stime]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(buyer=_IDS, seller=_IDS, kind=st.sampled_from(EnergyKind), price=_MONEY,
+       amount=_MONEY, trans_time=_INTS, stime=_INTS)
+def test_a_signed_offer_is_the_contract_built_directly(buyer, seller, kind, price,
+                                                       amount, trans_time, stime):
+    assume(buyer != seller and math.isfinite(price * amount))
+    led = Ledger()
+    led.register(buyer, Role.AGGREGATOR, "c0")
+    led.register(seller, Role.DES, "c0")
+    led.deposit(buyer, price * amount)
+    c = led.sign_offer(led.check_offer(buyer, seller, kind, price, amount),
+                       trans_time, stime)
+    direct = Contract("ct-000000", buyer, seller, kind, price, amount, trans_time, stime)
+    assert c == direct
+    assert c.body_digest() == direct.body_digest() == _sha(json.dumps([
+        "ct-000000", buyer, seller, kind.value, repr(price), repr(amount),
+        trans_time, stime]))
 
 
 @pytest.mark.parametrize("cid", [7, None, 1.5])

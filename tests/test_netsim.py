@@ -270,3 +270,28 @@ def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
     assert all(roots[b.merkle] == 2 for b in multi)
     # and no merkle node of any block is hashed more than twice
     assert max(roots.values()) == 2
+
+
+def test_pipeline_checks_each_offer_once(monkeypatch):
+    checked, signed = [], []
+    check, sign = ledger.Ledger.check_offer, ledger.Ledger.sign_offer
+
+    def counted_check(self, *terms):
+        checked.append(terms)
+        return check(self, *terms)
+
+    def counted_sign(self, offer, trans_time, stime):
+        signed.append((offer, trans_time))
+        return sign(self, offer, trans_time, stime)
+
+    monkeypatch.setattr(ledger.Ledger, "check_offer", counted_check)
+    monkeypatch.setattr(ledger.Ledger, "sign_offer", counted_sign)
+    res = run_pipeline(load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn")),
+                       seed=7)
+    days = 3
+    # two streams for each of 5 communities in each of 2 cities
+    assert len(checked) == len(set(checked)) == 20
+    assert len(signed) == len(res.ledger.contracts) == days * len(checked)
+    # each day signs the same offer objects, in the same order
+    assert all(offer is signed[i % 20][0] for i, (offer, _) in enumerate(signed))
+    assert [day for _, day in signed] == [d for d in range(days) for _ in range(20)]
