@@ -11,9 +11,8 @@ from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
                      valid_k_intervals)
 from .follower import (FollowerError, KktCase, KktSolution, best_response,
                        export_totals)
-from .leader import profit
 from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
-                          stackelberg_outcome)
+                          profit, stackelberg_outcome)
 from .ledger import (Account, BadContractState, Block, Chain, Contract,
                      ContractState, CrossCityPair, EnergyKind,
                      InsufficientBalance, Ledger, LedgerError, Role,

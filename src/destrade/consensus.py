@@ -60,6 +60,11 @@ class FaultProfile:
     def honest_ids(self, ids) -> List[str]:
         return [k for k in ids if self.behavior_of(k) is Behavior.HONEST]
 
+    def deciding_ids(self, ids) -> List[str]:
+        """The nodes whose commits decide a round: the honest ones, or
+        every node when none is honest."""
+        return self.honest_ids(ids) or list(ids)
+
 
 @dataclass
 class ConsensusNode:
@@ -160,8 +165,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     joins its receivers' sets as it lands; those sets are read only once
     the phase's votes are all out.  Commit appends to each convinced
     node's own chain when the block extends its tip; a node that lags
-    abstains.  The outcome's committed flag reports whether any honest
-    node committed.
+    abstains.  The outcome's committed flag reports whether any deciding
+    node (FaultProfile.deciding_ids) committed.
     """
     ids = sorted(nodes)
     n = len(ids)
@@ -243,19 +248,20 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                 for cid in tx_ids:
                     pop(cid, None)
 
-    honest = profile.honest_ids(ids) or ids
-    committed = any(k in committed_nodes for k in honest)
+    deciding = profile.deciding_ids(ids)
+    committed = any(k in committed_nodes for k in deciding)
 
     abort_reason: Optional[str] = None
     if not committed:
         if proposal is None:
             abort_reason = "LeaderSilent"
         else:
-            ref = honest[0]
+            ref = deciding[0]
             ok, _reason = validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
             if not ok:
                 abort_reason = "LeaderInvalidBlock"
-            elif not any(check_quorum(prepares[k], credits, total, n) for k in honest):
+            elif not any(check_quorum(prepares[k], credits, total, n)
+                         for k in deciding):
                 abort_reason = "PrepareQuorumFailed"
             else:
                 abort_reason = "CommitQuorumFailed"

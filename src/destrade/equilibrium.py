@@ -8,12 +8,14 @@ stops the first iteration neither price changes, which pins the fixed
 point to within the final step; a step too small to move a price ends
 it without one.
 
-Each visited price point is solved once: a step hands on the export
+Both aggregators buy exports at their posted wholesale price and resell
+at the city retail rate, so each one's profit is its margin times the
+export volume the communities choose in best response: one of the two
+totals follower.export_totals returns, and the only numbers the walk
+carries.  Each visited price point is solved once: a step hands on the
 totals at the point it moved to, so an iteration costs four city
-evaluations.  The walk carries only the two totals
-follower.export_totals returns.  The outcome takes both profits from
-the walk's last step and solves each community once at the fixed point
-for its KktSolution.
+evaluations.  The outcome takes both profits from the walk's last step
+and solves each community once at the fixed point for its KktSolution.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple, Union
 
 from .follower import KktSolution, best_response, export_totals
-from .leader import profit
 from .market import CityMarket, MarketError, PricePair
 
 INIT_CHOICES = ("low", "high", "mid")
@@ -107,6 +108,20 @@ def resolve_init(city: CityMarket, init: Union[str, PricePair]) -> PricePair:
     raise MarketError(f"unknown init {init!r}")
 
 
+def profit(city: CityMarket, side: str, price: float,
+           totals: Tuple[float, float]) -> float:
+    """Daily margin of one aggregator at its own price: side "e" or "h".
+
+    totals are the city's export totals (electricity, heat) in J at the
+    prices posted, as export_totals returns them.
+    """
+    if side == "e":
+        return (city.r_e - price) * totals[0]
+    if side == "h":
+        return (city.r_h - price) * totals[1]
+    raise ValueError("side must be 'e' or 'h'")
+
+
 def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
                     delta: float, totals: Tuple[float, float],
                     ) -> Tuple[float, Tuple[float, float]]:
@@ -119,15 +134,12 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
     chp, rows = city.chp, city.kkt_table
     if side == "e":
         (lo, hi), own = city.price_box()[0], p_e
+        solve = lambda price: export_totals(chp, rows, price, p_h)
     elif side == "h":
         (lo, hi), own = city.price_box()[1], p_h
+        solve = lambda price: export_totals(chp, rows, p_e, price)
     else:
         raise ValueError("side must be 'e' or 'h'")
-
-    def solve(price: float) -> Tuple[float, float]:
-        if side == "e":
-            return export_totals(chp, rows, price, p_h)
-        return export_totals(chp, rows, p_e, price)
 
     up, down = own + delta, own - delta
     t_up, t_down = solve(up), solve(down)

@@ -48,12 +48,6 @@ class KktCase(Enum):
     BETA_SATURATED_CONSTRAINED = "beta_saturated_constrained"
 
 
-# The cases as plain names: reading an Enum attribute costs about as much
-# as the arithmetic of an interior solve.
-(_INTERIOR, _INTERIOR_CONSTRAINED, _ALPHA_SATURATED, _ALPHA_SATURATED_CONSTRAINED,
- _BETA_SATURATED, _BETA_SATURATED_CONSTRAINED) = KktCase
-
-
 class KktSolution(NamedTuple):
     """Optimal dispatch (alpha, beta) with the active case and its multipliers.
 
@@ -82,9 +76,6 @@ class KktSolution(NamedTuple):
 # ============================================================
 # case walk
 # ============================================================
-
-# A local name: one global read per use instead of two.
-_E = math.e
 
 
 def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
@@ -174,17 +165,17 @@ def _case_walk(x: float, y: float, row: Tuple[float, ...], p_e: float,
         a = 0.0 if a0 < 0.0 else 1.0 if a0 > 1.0 else a0
         b = 0.0 if b0 < 0.0 else 1.0 if b0 > 1.0 else b0
         if sat_a:
-            lam2 = x * (k_e * b_e / _E - p_e)
-            return 1.0, b, _ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
+            lam2 = x * (k_e * b_e / math.e - p_e)
+            return 1.0, b, KktCase.ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
         if sat_b:
-            lam3 = y * (k_h * b_h / _E - p_h)
-            return a, 1.0, _BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
-        return a, b, _INTERIOR, 0.0, 0.0, 0.0
+            lam3 = y * (k_h * b_h / math.e - p_h)
+            return a, 1.0, KktCase.BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
+        return a, b, KktCase.INTERIOR, 0.0, 0.0, 0.0
 
     # Case 1: both streams unsaturated.
     if not sat_a and not sat_b:
         if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
-            return a0, b0, _INTERIOR, 0.0, 0.0, 0.0
+            return a0, b0, KktCase.INTERIOR, 0.0, 0.0, 0.0
         # Both fractions stationary on the floor.  Substituting them into
         # the binding floor gives a quadratic qa*lam^2 + qb*lam + qc = 0
         # in the floor multiplier lam (qb < 0 and qc > 0 when it binds);
@@ -210,31 +201,33 @@ def _case_walk(x: float, y: float, row: Tuple[float, ...], p_e: float,
                 a = (k_e / (p_e - lam) - inv_b_e) / x
                 b = (k_h / (p_h - lam) - inv_b_h) / y
                 if SATURATION_TOL < a < _SAT and SATURATION_TOL < b < _SAT:
-                    return a, b, _INTERIOR_CONSTRAINED, lam, 0.0, 0.0
+                    return a, b, KktCase.INTERIOR_CONSTRAINED, lam, 0.0, 0.0
 
     # Case 2: electricity saturated, heat free or on the floor.
     if not sat_b:
         if sat_a and b0 > 0.0 and x + y * b0 >= m:
-            lam2 = x * (k_e * b_e / _E - p_e)
-            return 1.0, b0, _ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
+            lam2 = x * (k_e * b_e / math.e - p_e)
+            return 1.0, b0, KktCase.ALPHA_SATURATED, 0.0, max(lam2, 0.0), 0.0
         b_sq = (m - x) / y
         if 0.0 < b_sq < _SAT:
             l1 = p_h - k_h * b_h / (b_h * (m - x) + 1.0)
-            l2 = x * (k_e * b_e / _E - p_e + l1)
+            l2 = x * (k_e * b_e / math.e - p_e + l1)
             if l1 > SIGN_TOL and l2 >= -SIGN_TOL * x:
-                return 1.0, b_sq, _ALPHA_SATURATED_CONSTRAINED, l1, max(l2, 0.0), 0.0
+                return (1.0, b_sq, KktCase.ALPHA_SATURATED_CONSTRAINED, l1,
+                        max(l2, 0.0), 0.0)
 
     # Case 3: heat saturated, electricity free or on the floor.
     if not sat_a:
         if sat_b and a0 > 0.0 and x * a0 + y >= m:
-            lam3 = y * (k_h * b_h / _E - p_h)
-            return a0, 1.0, _BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
+            lam3 = y * (k_h * b_h / math.e - p_h)
+            return a0, 1.0, KktCase.BETA_SATURATED, 0.0, 0.0, max(lam3, 0.0)
         a_sq = (m - y) / x
         if 0.0 < a_sq < _SAT:
             l1 = p_e - k_e * b_e / (b_e * (m - y) + 1.0)
-            l3 = y * (k_h * b_h / _E - p_h + l1)
+            l3 = y * (k_h * b_h / math.e - p_h + l1)
             if l1 > SIGN_TOL and l3 >= -SIGN_TOL * y:
-                return a_sq, 1.0, _BETA_SATURATED_CONSTRAINED, l1, 0.0, max(l3, 0.0)
+                return (a_sq, 1.0, KktCase.BETA_SATURATED_CONSTRAINED, l1, 0.0,
+                        max(l3, 0.0))
 
     raise FollowerError(
         f"no KKT case fits at p=({p_e}, {p_h}) for k=({k_e}, {k_h}), "

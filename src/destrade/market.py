@@ -62,7 +62,7 @@ class ChpParams:
         if not 0.0 < self.eta_r <= 1.0:
             raise MarketError("eta_r must lie in (0, 1]")
 
-    # Read in every best response; the fields are frozen, so compute once.
+    # Read once per city evaluation; the fields are frozen, so cache it.
     @cached_property
     def elec_capacity(self) -> float:
         """Daily electricity output at full burn, J."""

@@ -104,6 +104,7 @@ class RoundDriver:
         self.nodes = nodes
         self.ids = sorted(nodes)
         self.honest = set(profile.honest_ids(self.ids))
+        self.deciding = profile.deciding_ids(self.ids)
         self.profile = profile
         self.delta1, self.delta2 = delta1, delta2
         self.credits = init_credits(nodes)
@@ -124,11 +125,11 @@ class RoundDriver:
     @property
     def divergence_count(self) -> int:
         """Distinct blocks beyond the first at each height, over the chains
-        of the group whose commits decide a round (the honest nodes, or
-        every node when none is honest).  Any fork is a safety violation.
+        of the nodes whose commits decide a round.  Any fork is a safety
+        violation.
         """
         seen: Dict[int, set] = {}
-        for k in self.honest or self.ids:
+        for k in self.deciding:
             for b in self.nodes[k].chain.blocks:
                 seen.setdefault(b.height, set()).add(b.block_hash())
         return sum(len(hashes) - 1 for hashes in seen.values())
@@ -145,8 +146,7 @@ class RoundDriver:
             leader_id=outcome.leader_id,
             decision="committed" if outcome.committed else "aborted",
             abort_reason=outcome.abort_reason or "",
-            committed_height=max((nodes[k].chain.height for k in honest),
-                                 default=0),
+            committed_height=max(nodes[k].chain.height for k in self.deciding),
             credit_honest=sum(credits[k] for k in self.ids if k in honest),
             credit_byz=sum(credits[k] for k in self.ids if k not in honest),
             prepare_needed=outcome.prepare_needed,

@@ -10,6 +10,7 @@ number and section so a typo is findable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -265,4 +266,9 @@ def build_run(sc: Scenario) -> RunSetup:
     _check(run.cities >= 2, "run", "cities", run.cities,
            "at least 2 cities (4 aggregators)")
     _check(run.funding > 0.0, "run", "funding", run.funding, "a positive amount")
+    # The deposits must add up to a finite total, or the drift audit reads NaN.
+    aggs = 2 * run.cities
+    _check(aggs <= sys.float_info.max and math.isfinite(run.funding * aggs),
+           "run", "funding", run.funding,
+           f"a total over the {aggs} aggregators that is finite")
     return run

@@ -20,6 +20,7 @@ from oracles import concavity_probe, interior_stationary
 from destrade.market import (CommunityParams, PricePair, adaption_coefficients,
                              des_utility, valid_k_intervals)
 from destrade.netsim import make_nodes, run_rounds
+from destrade.scenario import build_consensus, load_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -195,3 +196,16 @@ def test_c11_end_to_end_conservation(tmp_path):
             contract_rows = fh.read().splitlines()[2:]
         assert contract_rows
         assert all(line.endswith(",executed") for line in contract_rows)
+
+
+def test_c12_credit_commits_more_than_equal_weights():
+    # The paper's efficiency claim for credit-weighted consensus:
+    # delta1 = delta2 = 0 keeps every credit at 0.5, a plain count quorum.
+    setup = build_consensus(load_scenario(
+        os.path.join(REPO, "scenarios", "consensus20.scn")))
+    with criterion(12, "credit commits more rounds than equal weights"):
+        for seed in range(1, 6):
+            credit, equal = (run_rounds(200, make_nodes(setup.node_ids),
+                                        setup.profile, seed, d1, d2).commit_count
+                             for d1, d2 in ((0.05, 0.02), (0.0, 0.0)))
+            assert credit > equal, (seed, credit, equal)

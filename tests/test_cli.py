@@ -224,6 +224,21 @@ def test_lossy_consensus_run_is_pinned(tmp_path, capsys):
         "09eeab320bcbde4d953d3c03c5be568af8fb409074631b22d0abeccddaab1fb7")
 
 
+def test_all_equivocator_run_reports_its_committed_heights(tmp_path):
+    # with no honest node every node's commits decide a round, so a
+    # committed row shows the height of the chains that committed
+    scfile = tmp_path / "equivocators.scn"
+    scfile.write_text(SMALL_CONSENSUS.replace("n_nodes = 7", "n_nodes = 5")
+                      .replace("rounds = 30", "rounds = 20")
+                      .replace("seed = 5", "seed = 3")
+                      + "[faults]\nequivocators = 5\ndrop_prob = 0\n")
+    out = tmp_path / "out"
+    assert main(["consensus", "--scenario", str(scfile), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in read(out / "rounds.csv").splitlines()[2:]]
+    committed = [(r[0], r[4]) for r in rows if r[2] == "committed"]
+    assert committed == [("6", "1"), ("7", "2"), ("12", "3")]
+
+
 # ============================================================
 # full pipeline
 # ============================================================
@@ -369,6 +384,12 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("run", "funding = -5", "funding = -5.0 is out of range"),
     ("run", "funding = 0", "funding = 0.0 is out of range"),
     ("run", "funding = inf", "is not finite"),
+    # each deposit is finite, but the four add up to inf
+    ("run", "funding = 1e308", "funding = 1e+308 is out of range, need a total "
+     "over the 4 aggregators that is finite"),
+    # more aggregators than a float can count: rejected before any is made
+    pytest.param("run", "cities = 1" + "0" * 400, "need a total over the 2" + "0" * 400,
+                 id="run-cities-beyond-float"),
     ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
     ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
     ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
