@@ -13,9 +13,8 @@ odds over time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from .ledger import Block, Chain, Contract, EnergyKind, make_block, validate_block
 
@@ -47,12 +46,15 @@ class Behavior(Enum):
     EQUIVOCATOR = "equivocator"
 
 
-@dataclass
 class FaultProfile:
     """Per-node behavior assignment plus the link drop probability."""
 
-    behaviors: Dict[str, Behavior] = field(default_factory=dict)
-    drop_prob: float = 0.0
+    __slots__ = ("behaviors", "drop_prob")
+
+    def __init__(self, behaviors: Optional[Dict[str, Behavior]] = None,
+                 drop_prob: float = 0.0):
+        self.behaviors = {} if behaviors is None else behaviors
+        self.drop_prob = drop_prob
 
     def behavior_of(self, node_id: str) -> Behavior:
         return self.behaviors.get(node_id, Behavior.HONEST)
@@ -66,12 +68,14 @@ class FaultProfile:
         return self.honest_ids(ids) or list(ids)
 
 
-@dataclass
 class ConsensusNode:
     """Protocol-visible state of one aggregator."""
 
-    chain: Chain
-    pool: Dict[str, Contract] = field(default_factory=dict)
+    __slots__ = ("chain", "pool")
+
+    def __init__(self, chain: Chain):
+        self.chain = chain
+        self.pool: Dict[str, Contract] = {}
 
 
 def init_credits(node_ids) -> CreditTable:
@@ -145,14 +149,9 @@ def min_quorum_cardinality(credits: CreditTable, total: float,
 # ============================================================
 
 
-@dataclass
-class RoundOutcome:
-    leader_id: str
-    committed: bool
-    abort_reason: Optional[str]
-    block: Optional[Block]
-    matched: Dict[str, bool]
-    prepare_needed: int
+RoundOutcome = NamedTuple("RoundOutcome", [
+    ("leader_id", str), ("committed", bool), ("abort_reason", Optional[str]),
+    ("block", Optional[Block]), ("matched", Dict[str, bool]), ("prepare_needed", int)])
 
 
 def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,

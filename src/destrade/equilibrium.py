@@ -20,8 +20,7 @@ and solves each community once at the fixed point for its KktSolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from .follower import KktSolution, best_response, export_totals
 from .market import CityMarket, MarketError, PricePair
@@ -42,45 +41,41 @@ class NoFixedPoint(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class NeConfig:
+class NeConfig(NamedTuple("NeConfig", [("delta0", float), ("decay", float),
+                                         ("init", Union[str, PricePair]),
+                                         ("max_iters", int)])):
     """Search knobs.
 
     init is one of "low" (cost corner), "high" (retail corner), "mid",
     or an explicit PricePair.
     """
 
-    delta0: float = 1e-10
-    decay: float = 0.999
-    init: Union[str, PricePair] = "low"
-    max_iters: int = 50000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.delta0 > 0:  # NaN is not positive either
-            raise MarketError(f"delta0 = {self.delta0} must be positive")
-        if not 0.0 < self.decay <= 1.0:
+    def __new__(cls, delta0: float = 1e-10, decay: float = 0.999,
+                init: Union[str, PricePair] = "low", max_iters: int = 50000) -> "NeConfig":
+        if not delta0 > 0:  # NaN is not positive either
+            raise MarketError(f"delta0 = {delta0} must be positive")
+        if not 0.0 < decay <= 1.0:
             raise MarketError("decay must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise MarketError(f"max_iters = {self.max_iters} must be at least 1")
-        if isinstance(self.init, str) and self.init not in INIT_CHOICES:
+        if max_iters < 1:
+            raise MarketError(f"max_iters = {max_iters} must be at least 1")
+        if isinstance(init, str) and init not in INIT_CHOICES:
             raise MarketError(f"init must be a PricePair or one of {INIT_CHOICES}")
+        return tuple.__new__(cls, (delta0, decay, init, max_iters))
 
 
-@dataclass(frozen=True)
-class NeStep:
-    iteration: int
-    p_e: float
-    p_h: float
-    v_e: float
-    v_h: float
-    delta: float
+NeStep = NamedTuple("NeStep", [("iteration", int), ("p_e", float), ("p_h", float),
+                               ("v_e", float), ("v_h", float), ("delta", float)])
 
 
-@dataclass
 class NeTrace:
-    """Per-iteration record of the search path."""
+    """Per-iteration record of the search path: one NeStep per iteration."""
 
-    steps: List[NeStep] = field(default_factory=list)
+    __slots__ = ("steps",)
+
+    def __init__(self):
+        self.steps: List[NeStep] = []
 
     @property
     def iterations(self) -> int:
@@ -199,14 +194,12 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
     raise NoFixedPoint(f"no fixed point after {cfg.max_iters} iterations", trace)
 
 
-@dataclass(frozen=True)
-class SeOutcome:
+class SeOutcome(NamedTuple("SeOutcome", [("prices", PricePair),
+                                           ("responses", Tuple[KktSolution, ...]),
+                                           ("v_e", float), ("v_h", float)])):
     """Equilibrium prices, the induced dispatches and both profits."""
 
-    prices: PricePair
-    responses: Tuple[KktSolution, ...]
-    v_e: float
-    v_h: float
+    __slots__ = ()
 
 
 def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),

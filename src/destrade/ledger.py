@@ -9,11 +9,12 @@ A payer already below zero gets the contract suspended instead, for
 good; the contract that takes a payer below zero still settles.  Blocks
 carry full contract bodies; the chain links sha256 block digests and a
 merkle root over the contract digests.  Contracts and blocks are
-frozen, so each computes its digests once and keeps them: a contract
-its body digest when it is built, a block its header digest when first
-asked.  The leader's block keeps the merkle root it was built with,
-which every validator of the block reads; a block built any other way
-computes the root over its own txs when first asked.  The chain audit
+read-only, so each computes its digests once and keeps them: a
+contract its body digest and a block its header digest when built, a
+block its hash when first asked.  The leader's block keeps the merkle
+root it was built with, which every validator of the block reads; a
+block built any other way computes the root over its own txs when
+first asked.  The chain audit
 rebuilds every root on its own.  Block leaders sign with simulated
 keys: deterministic digests of a per-account secret, good enough to
 exercise the protocol logic.  Contracts carry no signature; a validator
@@ -25,8 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,39 +107,55 @@ def verify_signature(payload: str, signature: str, account_id: str) -> bool:
 # ============================================================
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Contract:
-    """Immutable body of one energy sale; lifecycle state lives in the ledger."""
+def _read_only(record, name, value=None):
+    raise AttributeError(f"{type(record).__name__}.{name} is read-only")
 
-    contract_id: str
-    buyer: str
-    seller: str
-    kind: EnergyKind
-    price: float
-    amount: float
-    trans_time: int
-    stime: int
-    _body_digest: str = field(init=False, repr=False, compare=False)
+
+def _fill(record, values) -> None:
+    """Set a read-only record's slots to values, in __slots__ order."""
+    for name, value in zip(type(record).__slots__, values):
+        object.__setattr__(record, name, value)
+
+
+class Contract:
+    """Immutable body of one energy sale; lifecycle state lives in the ledger.
+
+    Equal bodies compare and hash equal.
+    """
+
+    __slots__ = ("contract_id", "buyer", "seller", "kind", "price", "amount",
+                 "trans_time", "stime", "_body_digest")
 
     def __init__(self, contract_id: str, buyer: str, seller: str, kind: EnergyKind,
                  price: float, amount: float, trans_time: int, stime: int,
                  terms: Optional[str] = None):
-        # Written out: the generated frozen init, plus a __post_init__
-        # call, costs about as much as hashing the body.  terms, when
-        # given, is _terms_json of these fields, which Ledger.check_offer
-        # encodes once per offer.
-        set_ = object.__setattr__
-        set_(self, "contract_id", contract_id)
-        set_(self, "buyer", buyer)
-        set_(self, "seller", seller)
-        set_(self, "kind", kind)
-        set_(self, "price", price)
-        set_(self, "amount", amount)
-        set_(self, "trans_time", trans_time)
-        set_(self, "stime", stime)
+        # terms, when given, is _terms_json of these fields, which
+        # Ledger.check_offer encodes once per offer.
         if terms is None:
             terms = _terms_json(buyer, seller, kind, price, amount)
-        set_(self, "_body_digest", _sha(_body_json(contract_id, terms, trans_time, stime)))
+        _set_contract_id(self, contract_id)
+        _set_buyer(self, buyer)
+        _set_seller(self, seller)
+        _set_kind(self, kind)
+        _set_price(self, price)
+        _set_amount(self, amount)
+        _set_trans_time(self, trans_time)
+        _set_stime(self, stime)
+        _set_body_digest(self, _sha(_body_json(contract_id, terms, trans_time, stime)))
+
+    __setattr__ = __delattr__ = _read_only
+
+    def _body(self) -> tuple:
+        return (self.contract_id, self.buyer, self.seller, self.kind, self.price,
+                self.amount, self.trans_time, self.stime)
+
+    def __eq__(self, other):
+        if type(other) is not Contract:
+            return NotImplemented
+        return self._body() == other._body()
+
+    def __hash__(self) -> int:
+        return hash(self._body())
 
     @property
     def payment(self) -> float:
@@ -148,6 +164,14 @@ class Contract:
     def body_digest(self) -> str:
         """Digest of the body, computed at construction."""
         return self._body_digest
+
+
+# The slots' own setters: they skip the refusal above, and every
+# contract's construction costs less through them than through
+# object.__setattr__ by name.
+(_set_contract_id, _set_buyer, _set_seller, _set_kind, _set_price, _set_amount,
+ _set_trans_time, _set_stime, _set_body_digest) = (
+    getattr(Contract, name).__set__ for name in Contract.__slots__)
 
 
 def _terms_json(buyer: str, seller: str, kind: EnergyKind, price: float,
@@ -186,41 +210,39 @@ def merkle_root(digests: Sequence[str]) -> str:
     return level[0]
 
 
-@dataclass(frozen=True)
 class Block:
-    height: int
-    prev_hash: str
-    merkle: str
-    leader_id: str
-    round_no: int
-    txs: Tuple[Contract, ...] = ()
-    note: str = ""
-    signature: str = ""
+    """One block: the header, the contracts it carries and the leader's
+    signature.  Read-only; it keeps each digest once computed."""
+
+    __slots__ = ("height", "prev_hash", "merkle", "leader_id", "round_no", "txs",
+                 "note", "signature", "_header_digest", "_block_hash", "_own_txs")
+
+    def __init__(self, height: int, prev_hash: str, merkle: str, leader_id: str,
+                 round_no: int, txs: Tuple[Contract, ...] = (), note: str = "",
+                 signature: str = ""):
+        header = _sha(json.dumps([height, prev_hash, merkle, leader_id, round_no, note]))
+        _fill(self, (height, prev_hash, merkle, leader_id, round_no, txs, note,
+                     signature, header, None, None))
+
+    __setattr__ = __delattr__ = _read_only
 
     def header_digest(self) -> str:
         """Digest of the header; the leader signature covers this."""
         return self._header_digest
 
     def block_hash(self) -> str:
+        if self._block_hash is None:
+            object.__setattr__(self, "_block_hash",
+                               _sha(self._header_digest + ":" + self.signature))
         return self._block_hash
 
-    @cached_property
-    def _header_digest(self) -> str:
-        return _sha(json.dumps([
-            self.height, self.prev_hash, self.merkle, self.leader_id,
-            self.round_no, self.note,
-        ]))
-
-    @cached_property
-    def _block_hash(self) -> str:
-        return _sha(self._header_digest + ":" + self.signature)
-
-    @cached_property
-    def _own_txs(self) -> Tuple[str, bool]:
+    def own_txs(self) -> Tuple[str, bool]:
         """Merkle root over the txs' digests, and whether a contract id
         repeats among them; make_block sets the leader's, and every
         validator of the block reads this one."""
-        return _txs_root(self.txs)
+        if self._own_txs is None:
+            object.__setattr__(self, "_own_txs", _txs_root(self.txs))
+        return self._own_txs
 
 
 def _txs_root(txs: Sequence[Contract]) -> Tuple[str, bool]:
@@ -301,7 +323,7 @@ def validate_block(block: Block, pool: Dict[str, Contract],
     """
     if not chain.extends(block):
         return False, "BadPrevHash"
-    root, duplicate = block._own_txs
+    root, duplicate = block.own_txs()
     if block.merkle != root:
         return False, "BadMerkle"
     if duplicate:
@@ -354,23 +376,27 @@ def verify_chain(chain: Chain) -> bool:
 # ============================================================
 
 
-@dataclass
 class Account:
-    account_id: str
-    role: Role
-    city: str
-    balance: float = 0.0
+    __slots__ = ("account_id", "role", "city", "balance")
+
+    def __init__(self, account_id: str, role: Role, city: str, balance: float = 0.0):
+        self.account_id = account_id
+        self.role = role
+        self.city = city
+        self.balance = balance
 
 
-@dataclass
 class Ledger:
     """Account book, contract store and settlement engine for one run."""
 
-    accounts: Dict[str, Account] = field(default_factory=dict)
-    contracts: Dict[str, Contract] = field(default_factory=dict)
-    states: Dict[str, ContractState] = field(default_factory=dict)
-    total_deposited: float = 0.0
-    _next_id: int = 0
+    __slots__ = ("accounts", "contracts", "states", "total_deposited", "_next_id")
+
+    def __init__(self):
+        self.accounts: Dict[str, Account] = {}
+        self.contracts: Dict[str, Contract] = {}
+        self.states: Dict[str, ContractState] = {}
+        self.total_deposited = 0.0
+        self._next_id = 0
 
     def register(self, account_id: str, role: Role, city: str) -> Account:
         if account_id in self.accounts:

@@ -15,9 +15,7 @@ profits are coin per day.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 # Shape constant of the log utility.  The adaption coefficients below are
 # chosen so that consuming the full daily output pushes the log argument
@@ -37,7 +35,16 @@ class MarketError(ValueError):
 # ============================================================
 
 
-@dataclass(frozen=True)
+def _read_only(record, name, value=None):
+    raise AttributeError(f"{type(record).__name__}.{name} is read-only")
+
+
+def _fill(record, values) -> None:
+    """Set a read-only record's slots to values, in __slots__ order."""
+    for name, value in zip(type(record).__slots__, values):
+        object.__setattr__(record, name, value)
+
+
 class ChpParams:
     """Co-generation unit parameters shared by every DES in a city.
 
@@ -46,32 +53,36 @@ class ChpParams:
     eta_r   waste-heat recovery efficiency, in (0, 1]
     f_m     daily fuel burn, units of fuel
     c_f     fuel price, coin per unit
+
+    Read-only, so both daily outputs at full burn, in J, are stored with
+    the fields: elec_capacity and heat_capacity, read once per city
+    evaluation.  Equality and hash see the five fields.
     """
 
-    q: float
-    eta_g: float
-    eta_r: float
-    f_m: float
-    c_f: float
+    __slots__ = ("q", "eta_g", "eta_r", "f_m", "c_f", "elec_capacity", "heat_capacity")
 
-    def __post_init__(self):
-        if self.q <= 0 or self.f_m <= 0 or self.c_f <= 0:
+    def __init__(self, q: float, eta_g: float, eta_r: float, f_m: float, c_f: float):
+        if q <= 0 or f_m <= 0 or c_f <= 0:
             raise MarketError("q, f_m and c_f must be positive")
-        if not 0.0 < self.eta_g < 1.0:
+        if not 0.0 < eta_g < 1.0:
             raise MarketError("eta_g must lie in (0, 1)")
-        if not 0.0 < self.eta_r <= 1.0:
+        if not 0.0 < eta_r <= 1.0:
             raise MarketError("eta_r must lie in (0, 1]")
+        _fill(self, (q, eta_g, eta_r, f_m, c_f, eta_g * q * f_m,
+                     (1.0 - eta_g) * eta_r * q * f_m))
 
-    # Read once per city evaluation; the fields are frozen, so cache it.
-    @cached_property
-    def elec_capacity(self) -> float:
-        """Daily electricity output at full burn, J."""
-        return self.eta_g * self.q * self.f_m
+    __setattr__ = __delattr__ = _read_only
 
-    @cached_property
-    def heat_capacity(self) -> float:
-        """Daily recovered-heat output at full burn, J."""
-        return (1.0 - self.eta_g) * self.eta_r * self.q * self.f_m
+    def _key(self) -> Tuple[float, ...]:
+        return self.q, self.eta_g, self.eta_r, self.f_m, self.c_f
+
+    def __eq__(self, other):
+        if type(other) is not ChpParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def c_e(self) -> float:
@@ -94,20 +105,22 @@ def adaption_coefficients(chp: ChpParams) -> Tuple[float, float]:
     return (E - 1.0) / chp.elec_capacity, (E - 1.0) / chp.heat_capacity
 
 
-@dataclass(frozen=True)
 class CommunityParams:
     """Demand-side description of one community.
 
     k_e, k_h  satisfaction coefficients (coin) weighting local use
     m_min     daily floor on combined local use, J; 0 disables the floor
     b_e, b_h  adaption coefficients, derived from the unit size
+
+    Read-only, so the best response's row is built once, when first read.
     """
 
-    k_e: float
-    k_h: float
-    m_min: float
-    b_e: float
-    b_h: float
+    __slots__ = ("k_e", "k_h", "m_min", "b_e", "b_h", "_kkt_row")
+
+    def __init__(self, k_e: float, k_h: float, m_min: float, b_e: float, b_h: float):
+        _fill(self, (k_e, k_h, m_min, b_e, b_h, None))
+
+    __setattr__ = __delattr__ = _read_only
 
     @classmethod
     def for_chp(cls, chp: ChpParams, k_e: float, k_h: float,
@@ -115,23 +128,26 @@ class CommunityParams:
         b_e, b_h = adaption_coefficients(chp)
         return cls(k_e=k_e, k_h=k_h, m_min=m_min, b_e=b_e, b_h=b_h)
 
-    # The best response's row, read on every solve; frozen, so build once.
-    @cached_property
+    @property
     def kkt_row(self) -> Tuple[float, ...]:
         """(m_min, k_e, k_h, b_e, b_h, 1/b_e, 1/b_h, qa, k_e + k_h, 4*qa).
 
         Plain floats.  qa = m_min + 1/b_e + 1/b_h is the leading
         coefficient of the floor multiplier's quadratic, added in that
-        order; it does not depend on the prices.
+        order; it does not depend on the prices.  Built on first read,
+        not with the record: a city's own checks reject a unit too large
+        for the 1/b terms before its rows are built.
         """
-        inv_b_e, inv_b_h = 1.0 / self.b_e, 1.0 / self.b_h
-        qa = self.m_min + inv_b_e + inv_b_h
-        return (self.m_min, self.k_e, self.k_h, self.b_e, self.b_h,
-                inv_b_e, inv_b_h, qa, self.k_e + self.k_h, 4.0 * qa)
+        if self._kkt_row is None:
+            inv_b_e, inv_b_h = 1.0 / self.b_e, 1.0 / self.b_h
+            qa = self.m_min + inv_b_e + inv_b_h
+            object.__setattr__(self, "_kkt_row", (
+                self.m_min, self.k_e, self.k_h, self.b_e, self.b_h,
+                inv_b_e, inv_b_h, qa, self.k_e + self.k_h, 4.0 * qa))
+        return self._kkt_row
 
 
-@dataclass(frozen=True)
-class PricePair:
+class PricePair(NamedTuple("PricePair", [("p_e", float), ("p_h", float)])):
     """Wholesale prices (p_e, p_h) offered by the aggregator pair.
 
     Carries no market context, so the retail/cost box is not checked
@@ -139,12 +155,12 @@ class PricePair:
     Use CityMarket.validate_prices for box enforcement.
     """
 
-    p_e: float
-    p_h: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.p_e > 0 and self.p_h > 0):  # NaN is not positive either
+    def __new__(cls, p_e: float, p_h: float) -> "PricePair":
+        if not (p_e > 0 and p_h > 0):  # NaN is not positive either
             raise MarketError("prices must be positive")
+        return tuple.__new__(cls, (p_e, p_h))
 
 
 class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
@@ -167,28 +183,28 @@ class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
 # ============================================================
 
 
-@dataclass(frozen=True)
 class CityMarket:
-    """One city: a shared unit design, retail rates and the community list."""
+    """One city: a shared unit design, retail rates and the community list.
 
-    chp: ChpParams
-    r_e: float
-    r_h: float
-    communities: Tuple[CommunityParams, ...]
+    Read-only; kkt_table holds every community's kkt_row, in community
+    order, built once the city's checks pass.
+    """
 
-    def __post_init__(self):
-        if isinstance(self.communities, list):
-            object.__setattr__(self, "communities", tuple(self.communities))
-        if not self.communities:
+    __slots__ = ("chp", "r_e", "r_h", "communities", "kkt_table")
+
+    def __init__(self, chp: ChpParams, r_e: float, r_h: float,
+                 communities: Sequence[CommunityParams]):
+        communities = tuple(communities)
+        if not communities:
             raise MarketError("a city needs at least one community")
-        c_e, c_h = self.chp.c_e, self.chp.c_h
-        if not c_e <= self.r_e < E * c_e:
+        c_e, c_h = chp.c_e, chp.c_h
+        if not c_e <= r_e < E * c_e:
             raise MarketError("r_e must satisfy c_e <= r_e < e*c_e")
-        if not c_h <= self.r_h < E * c_h:
+        if not c_h <= r_h < E * c_h:
             raise MarketError("r_h must satisfy c_h <= r_h < e*c_h")
-        (lo_e, hi_e), (lo_h, hi_h) = valid_k_intervals(self.chp, self.r_e, self.r_h)
-        x, y = self.chp.elec_capacity, self.chp.heat_capacity
-        for i, com in enumerate(self.communities):
+        (lo_e, hi_e), (lo_h, hi_h) = valid_k_intervals(chp, r_e, r_h)
+        x, y = chp.elec_capacity, chp.heat_capacity
+        for i, com in enumerate(communities):
             if not (lo_e * (1 + K_MARGIN) <= com.k_e <= hi_e * (1 - K_MARGIN)):
                 raise MarketError(f"community {i}: k_e={com.k_e} outside ({lo_e}, {hi_e})")
             if not (lo_h * (1 + K_MARGIN) <= com.k_h <= hi_h * (1 - K_MARGIN)):
@@ -196,11 +212,10 @@ class CityMarket:
             if com.m_min != 0.0 and not max(x, y) < com.m_min < x + y:
                 raise MarketError(
                     f"community {i}: m_min={com.m_min} must be 0 or in (max(X,Y), X+Y)")
+        _fill(self, (chp, r_e, r_h, communities,
+                     tuple(com.kkt_row for com in communities)))
 
-    @cached_property
-    def kkt_table(self) -> Tuple[Tuple[float, ...], ...]:
-        """Every community's kkt_row, in community order."""
-        return tuple(com.kkt_row for com in self.communities)
+    __setattr__ = __delattr__ = _read_only
 
     def price_box(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         """Admissible wholesale range per stream: cost floor, retail ceiling."""

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
                         ConsensusNode, FaultProfile, RoundOutcome,
@@ -77,16 +76,10 @@ def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
 # ============================================================
 
 
-@dataclass
-class RoundLogRow:
-    round_no: int
-    leader_id: str
-    decision: str
-    abort_reason: str
-    committed_height: int
-    credit_honest: float
-    credit_byz: float
-    prepare_needed: int
+RoundLogRow = NamedTuple("RoundLogRow", [
+    ("round_no", int), ("leader_id", str), ("decision", str), ("abort_reason", str),
+    ("committed_height", int), ("credit_honest", float), ("credit_byz", float),
+    ("prepare_needed", int)])
 
 
 class RoundDriver:
@@ -165,18 +158,18 @@ def run_rounds(n_rounds: int, nodes: Dict[str, ConsensusNode],
     return driver
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple("PipelineResult", [
+        ("city_names", List[str]),
+        ("outcome", SeOutcome),  # every city is a clone, so one equilibrium serves all
+        ("ledger", Ledger),
+        ("chain", Chain),  # the first honest aggregator's chain; exported and audited
+        ("driver", RoundDriver),  # the aggregator group's run record
+        ("unexecuted", List[str]),
+        ("drift", float),
+        ("chain_ok", bool)])):
     """Settled ledger, reference chain and audit verdicts of one full run."""
 
-    city_names: List[str]
-    outcome: SeOutcome  # every city is a clone, so one equilibrium serves all
-    ledger: Ledger
-    chain: Chain  # the first honest aggregator's chain; exported and audited
-    driver: RoundDriver  # the aggregator group's run record
-    unexecuted: List[str]
-    drift: float
-    chain_ok: bool
+    __slots__ = ()
 
     @property
     def chains_equal(self) -> bool:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .consensus import DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
 from .equilibrium import NeConfig
@@ -31,19 +30,27 @@ _KNOWN_KEYS = {
 }
 
 
+# Largest consensus group a scenario may ask for: [consensus] n_nodes
+# nodes, or the 2 x [run] cities aggregators of a full run.
+MAX_GROUP = 1000
+
+
 class ScenarioError(ValueError):
     pass
 
 
-@dataclass
 class Scenario:
-    """Raw key/value view of one scenario file."""
+    """Raw key/value view of one scenario file: one dict per section,
+    a list of them for [communities]."""
 
-    market: Dict[str, str] = field(default_factory=dict)
-    communities: List[Dict[str, str]] = field(default_factory=list)
-    consensus: Dict[str, str] = field(default_factory=dict)
-    faults: Dict[str, str] = field(default_factory=dict)
-    run: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("market", "communities", "consensus", "faults", "run")
+
+    def __init__(self):
+        self.market: Dict[str, str] = {}
+        self.communities: List[Dict[str, str]] = []
+        self.consensus: Dict[str, str] = {}
+        self.faults: Dict[str, str] = {}
+        self.run: Dict[str, str] = {}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -207,13 +214,9 @@ def build_faults(sc: Scenario, ids: List[str]) -> FaultProfile:
     return FaultProfile(behaviors=behaviors, drop_prob=drop_prob)
 
 
-@dataclass
-class ConsensusSetup:
-    node_ids: List[str]
-    profile: FaultProfile
-    rounds: int
-    delta1: float
-    delta2: float
+ConsensusSetup = NamedTuple("ConsensusSetup", [
+    ("node_ids", List[str]), ("profile", FaultProfile), ("rounds", int),
+    ("delta1", float), ("delta2", float)])
 
 
 def build_credit_steps(sc: Scenario) -> Tuple[float, float]:
@@ -229,6 +232,7 @@ def build_credit_steps(sc: Scenario) -> Tuple[float, float]:
 def build_consensus(sc: Scenario) -> ConsensusSetup:
     n = _as_int(sc.consensus, "consensus", "n_nodes", 20)
     _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
+    _check(n <= MAX_GROUP, "consensus", "n_nodes", n, f"at most {MAX_GROUP}")
     rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
     _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
     delta1, delta2 = build_credit_steps(sc)
@@ -247,13 +251,8 @@ def read_seed(sc: Scenario) -> int:
     return _as_int(sc.run, "run", "seed", 0)
 
 
-@dataclass
-class RunSetup:
-    """The [run] values that shape a full run."""
-
-    days: int
-    cities: int
-    funding: float
+# The [run] values that shape a full run.
+RunSetup = NamedTuple("RunSetup", [("days", int), ("cities", int), ("funding", float)])
 
 
 def build_run(sc: Scenario) -> RunSetup:
@@ -271,4 +270,6 @@ def build_run(sc: Scenario) -> RunSetup:
     _check(aggs <= sys.float_info.max and math.isfinite(run.funding * aggs),
            "run", "funding", run.funding,
            f"a total over the {aggs} aggregators that is finite")
+    _check(aggs <= MAX_GROUP, "run", "cities", run.cities,
+           f"at most {MAX_GROUP // 2} cities ({MAX_GROUP} aggregators)")
     return run

@@ -390,6 +390,8 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     # more aggregators than a float can count: rejected before any is made
     pytest.param("run", "cities = 1" + "0" * 400, "need a total over the 2" + "0" * 400,
                  id="run-cities-beyond-float"),
+    ("run", "cities = 501", "cities = 501 is out of range, need at most 500 cities "
+     "(1000 aggregators)"),
     ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
     ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
     ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
@@ -401,6 +403,7 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("consensus", "rounds = 0", "rounds = 0 is out of range"),
     ("consensus", "n_nodes = 3", "n_nodes = 3 is out of range"),
     ("consensus", "n_nodes = inf", "is not finite"),
+    ("consensus", "n_nodes = 1001", "n_nodes = 1001 is out of range, need at most 1000"),
     ("consensus", "delta1 = -0.5", "delta1 = -0.5 is out of range"),
     ("consensus", "delta2 = -3", "delta2 = -3.0 is out of range"),
     ("consensus", "delta1 = 1.5", "delta1 = 1.5 is out of range"),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -12,11 +11,15 @@ from destrade import (
     ChpParams,
     CityMarket,
     CommunityParams,
+    Contract,
     Dispatch,
+    EnergyKind,
     MarketError,
+    NeConfig,
     PricePair,
     adaption_coefficients,
     des_utility,
+    make_genesis,
     valid_k_intervals,
 )
 from conftest import RETAIL_E, RETAIL_H, make_city
@@ -32,14 +35,41 @@ def test_stored_capacities_follow_the_fields():
     for _ in range(2):  # the stored value on the second read
         assert chp.elec_capacity == 0.4 * 3.6e7 * 150.0
         assert chp.heat_capacity == (1.0 - 0.4) * 0.9 * 3.6e7 * 150.0
-    bigger = dataclasses.replace(chp, f_m=300.0)
+    bigger = ChpParams(q=3.6e7, eta_g=0.4, eta_r=0.9, f_m=300.0, c_f=1.2)
     assert bigger.elec_capacity == 0.4 * 3.6e7 * 300.0
     assert bigger.heat_capacity == (1.0 - 0.4) * 0.9 * 3.6e7 * 300.0
     # equality and hash see the fields only, read or unread
     fresh = ChpParams(q=3.6e7, eta_g=0.4, eta_r=0.9, f_m=150.0, c_f=1.2)
     assert fresh == chp and hash(fresh) == hash(chp)
     assert bigger != chp
-    assert dataclasses.replace(bigger, f_m=150.0) == chp
+    assert ChpParams(q=3.6e7, eta_g=0.4, eta_r=0.9, f_m=150.0, c_f=1.2) == chp
+
+
+# Records that keep a digest or a row derived from their fields, and the
+# two price records, built from city1: (build, a field, the kept value).
+_READ_ONLY = {
+    "Contract": (lambda city: Contract("ct-000000", "ea", "des", EnergyKind.HEAT,
+                                       1.5, 2.0, 3, 4), "price", "_body_digest"),
+    "Block": (lambda city: make_genesis(), "signature", "_header_digest"),
+    "ChpParams": (lambda city: city.chp, "f_m", "elec_capacity"),
+    "CommunityParams": (lambda city: city.communities[0], "k_e", "_kkt_row"),
+    "CityMarket": (lambda city: city, "r_e", "kkt_table"),
+    "PricePair": (lambda city: PricePair(4.0e-8, 5.0e-8), "p_e", None),
+    "NeConfig": (lambda city: NeConfig(), "delta0", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READ_ONLY))
+def test_records_refuse_assignment(name, city1):
+    build, field, kept = _READ_ONLY[name]
+    record = build(city1)
+    for attr in filter(None, (field, kept)):
+        before = getattr(record, attr)
+        with pytest.raises(AttributeError):
+            setattr(record, attr, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+        assert getattr(record, attr) is before
 
 
 def test_unit_costs(chp):
