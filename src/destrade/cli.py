@@ -14,12 +14,12 @@ import argparse
 import csv
 import os
 import sys
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from .consensus import ConsensusError
 from .equilibrium import NoFixedPoint, stackelberg_outcome
 from .follower import FollowerError
-from .ledger import LedgerError, Role, export_chain
+from .ledger import Ledger, LedgerError, Role, export_chain
 from .market import MarketError
 from .netsim import make_nodes, run_pipeline, run_rounds
 from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
@@ -31,14 +31,43 @@ EXIT_RUNTIME = 2
 EXIT_SAFETY = 3
 
 
-def _write_rows(path: str, seed: int, header: List[str], rows: Iterable[List]) -> None:
-    """Write one CSV output; rows may be a generator, so no file's rows
+def _write_rows(path: str, seed: int, header: List[str], rows: Iterable[List] = (),
+                lines: Iterable[str] = ()) -> None:
+    """Write one CSV output: csv formats each of rows, and lines are rows
+    already in csv's form.  Either may be a generator, so no file's rows
     need be held in memory at once."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={seed}\n")
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+        fh.writelines(lines)
+
+
+def _contract_lines(ledger: Ledger) -> Iterator[str]:
+    """contracts.csv's rows in contract-id order, as csv writes them.
+
+    Each offer's terms (buyer, seller, kind, price, amount) go through
+    csv once; its contracts' rows join that text with their id, time
+    and state, none of which csv would quote: ids are ct-NNNNNN, times
+    ints and states fixed words.  check_offer admits no zero or NaN
+    price or amount, the only floats that compare equal yet format
+    apart, so equal terms always make equal text.
+    """
+    # writerow returns what its file's write returns: here, the text.
+    # The line end stays csv's own and is cut off afterwards, since csv
+    # quotes a field holding \r or \n only if the line end holds it too.
+    quote = csv.writer(argparse.Namespace(write=str)).writerow
+    terms_text = {}
+    states = ledger.states
+    for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id):
+        key = (c.buyer, c.seller, c.kind, c.price, c.amount)
+        terms = terms_text.get(key)
+        if terms is None:
+            terms = terms_text[key] = quote([c.buyer, c.seller, c.kind._value_,
+                                             f"{c.price:.12e}", f"{c.amount:.6f}"])[:-2]
+        # Enum `_value_` reads skip the `value` property.
+        yield f"{c.contract_id},{terms},{c.trans_time},{states[c.contract_id]._value_}\r\n"
 
 
 # ============================================================
@@ -113,15 +142,11 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
           f"{res.driver.credits[a.account_id]:.3f}"
           if a.role is Role.AGGREGATOR else ""]
          for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)))
-    # Enum `_value_` reads skip the `value` property, twice per contract.
-    states = ledger.states
     _write_rows(
         os.path.join(args.out, "contracts.csv"), seed,
         ["contract_id", "buyer", "seller", "kind", "price", "amount",
          "trans_time", "state"],
-        ([c.contract_id, c.buyer, c.seller, c.kind._value_, f"{c.price:.12e}",
-          f"{c.amount:.6f}", c.trans_time, states[c.contract_id]._value_]
-         for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id)))
+        lines=_contract_lines(ledger))
     o = res.outcome
     for cname in res.city_names:
         print(f"{cname}: p_e={o.prices.p_e:.6e} p_h={o.prices.p_h:.6e} "

@@ -274,6 +274,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
 
     # Stage 3: audits, on the first honest aggregator's chain.
     ref = nodes[min(driver.honest)].chain
+    executed = ContractState.EXECUTED  # one Enum read, not one per contract
     return PipelineResult(
         city_names=names,
         outcome=outcome,
@@ -281,7 +282,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
         chain=ref,
         driver=driver,
         unexecuted=[cid for cid, state in ledger.states.items()
-                    if state is not ContractState.EXECUTED],
+                    if state is not executed],
         drift=ledger.conservation_drift(),
         chain_ok=verify_chain(ref),
     )

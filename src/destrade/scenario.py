@@ -91,8 +91,14 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                            f"{exc.reason})") from None
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc.strerror}") from None
     try:
         return parse_scenario(text)
     except ScenarioError as exc:

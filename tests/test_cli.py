@@ -1,12 +1,14 @@
 """Command line entry points, run in process via main(argv)."""
 
+import csv
 import hashlib
+import io
 import os
 
 import pytest
 
-from destrade.cli import main
-from destrade.ledger import Ledger
+from destrade.cli import _contract_lines, _write_rows, main
+from destrade.ledger import EnergyKind, Ledger, Role
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -157,6 +159,25 @@ def test_missing_scenario_file(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_scenario_that_is_not_utf8_text_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bom.scn"
+    bad.write_bytes(b"\xff\xfe[run]\nseed = 1\n")
+    rc = main(["equilibrium", "--scenario", str(bad), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", ["", "full_2city.scn/x"])
+def test_scenario_path_that_is_no_file_exits_1(tmp_path, capsys, path):
+    # A directory, and a path that runs through a regular file.
+    path = os.path.join(REPO, "scenarios", path)
+    rc = main(["full", "--scenario", path, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"error: {path}: cannot read" in capsys.readouterr().err
 
 
 def test_invalid_scenario_file(tmp_path, capsys):
@@ -358,6 +379,42 @@ def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, da
     assert _full_2city(tmp_path, funding, days) == 3
     assert leaked
     assert "safety violation: balance drift" in capsys.readouterr().err
+
+
+def test_contracts_csv_is_what_csv_writes_for_each_row(tmp_path):
+    # Ids that csv must quote, offers signed on three days, and every
+    # contract state: the per-offer terms text must still match csv's
+    # own rendering of each contract's eight fields.
+    led = Ledger()
+    payer = 'c0.e,"a"'
+    for acct, role in ((payer, Role.AGGREGATOR), ("c0.ha", Role.AGGREGATOR),
+                       ("c0\ndes0", Role.DES), ("c0.des1", Role.DES)):
+        led.register(acct, role, "c0")
+    led.deposit(payer, 15.0)
+    led.deposit("c0.ha", 100.0)
+    offers = [led.check_offer(payer, "c0\ndes0", EnergyKind.ELECTRICITY, 2.5e-8, 4.0e8),
+              led.check_offer("c0.ha", "c0.des1", EnergyKind.HEAT, 1 / 3, 7.25)]
+    for day in range(3):
+        for offer in offers[:2 - day // 2]:
+            led.sign_offer(offer, day, day)
+    for cid in ("ct-000000", "ct-000001", "ct-000002", "ct-000004"):
+        led.execute_contract(cid)  # the payer ends below 0: ct-000004 is suspended
+    assert sorted(s._value_ for s in led.states.values()) == [
+        "created", "executed", "executed", "executed", "suspended"]
+
+    header = ["contract_id", "buyer", "seller", "kind", "price", "amount",
+              "trans_time", "state"]
+    want = io.StringIO()
+    want.write("# seed=7\n")
+    w = csv.writer(want)
+    w.writerow(header)
+    for c in sorted(led.contracts.values(), key=lambda c: c.contract_id):
+        w.writerow([c.contract_id, c.buyer, c.seller, c.kind.value, f"{c.price:.12e}",
+                    f"{c.amount:.6f}", c.trans_time, led.states[c.contract_id].value])
+    path = tmp_path / "contracts.csv"
+    _write_rows(str(path), 7, header, lines=_contract_lines(led))
+    assert path.read_bytes() == want.getvalue().encode()
+    assert b'"c0.e,""a"""' in path.read_bytes()
 
 
 def test_full_needs_two_cities(tmp_path, capsys):
