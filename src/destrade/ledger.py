@@ -23,8 +23,6 @@ matches each tx to its own pooled copy by body digest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from functools import cache
 from enum import Enum
@@ -54,9 +52,6 @@ class BadContractState(LedgerError):
     pass
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 class Role(Enum):
     DES = "des"
     AGGREGATOR = "aggregator"
@@ -84,8 +79,23 @@ _CREATED, _EXECUTED, _SUSPENDED = ContractState
 # ============================================================
 
 
+# hashlib loads OpenSSL, and json its codecs, which a run that hashes
+# nothing never needs.  Each stub rebinds its own name to the standard
+# library's function on first call, so later calls go straight to it.
+def _sha256(data: bytes):
+    global _sha256
+    from hashlib import sha256 as _sha256
+    return _sha256(data)
+
+
+def _encode_str(text: str) -> str:
+    global _encode_str
+    from json.encoder import encode_basestring_ascii as _encode_str
+    return _encode_str(text)
+
+
 def _sha(data: str) -> str:
-    return hashlib.sha256(data.encode()).hexdigest()
+    return _sha256(data.encode()).hexdigest()
 
 
 @cache
@@ -178,7 +188,8 @@ def _terms_json(buyer: str, seller: str, kind: EnergyKind, price: float,
                 amount: float) -> str:
     """The body's buyer, seller, kind, price and amount, as json writes
     them inside the body list."""
-    return json.dumps([buyer, seller, kind._value_, repr(price), repr(amount)])[1:-1]
+    from json import dumps
+    return dumps([buyer, seller, kind._value_, repr(price), repr(amount)])[1:-1]
 
 
 def _body_json(cid: str, terms: str, trans_time: int, stime: int) -> str:
@@ -190,7 +201,8 @@ def _body_json(cid: str, terms: str, trans_time: int, stime: int) -> str:
     """
     if type(cid) is str and type(trans_time) is int and type(stime) is int:
         return f"[{_encode_str(cid)}, {terms}, {trans_time}, {stime}]"
-    return f"[{json.dumps(cid)}, {terms}, {json.dumps(trans_time)}, {json.dumps(stime)}]"
+    from json import dumps
+    return f"[{dumps(cid)}, {terms}, {dumps(trans_time)}, {dumps(stime)}]"
 
 
 # ============================================================
@@ -220,7 +232,8 @@ class Block:
     def __init__(self, height: int, prev_hash: str, merkle: str, leader_id: str,
                  round_no: int, txs: Tuple[Contract, ...] = (), note: str = "",
                  signature: str = ""):
-        header = _sha(json.dumps([height, prev_hash, merkle, leader_id, round_no, note]))
+        from json import dumps
+        header = _sha(dumps([height, prev_hash, merkle, leader_id, round_no, note]))
         _fill(self, (height, prev_hash, merkle, leader_id, round_no, txs, note,
                      signature, header, None, None))
 

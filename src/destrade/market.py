@@ -68,8 +68,17 @@ class ChpParams:
             raise MarketError("eta_g must lie in (0, 1)")
         if not 0.0 < eta_r <= 1.0:
             raise MarketError("eta_r must lie in (0, 1]")
-        _fill(self, (q, eta_g, eta_r, f_m, c_f, eta_g * q * f_m,
-                     (1.0 - eta_g) * eta_r * q * f_m))
+        # Positive inputs can still underflow or overflow what the market
+        # derives from them, and a zero or infinite term breaks its sums.
+        x, y = eta_g * q * f_m, (1.0 - eta_g) * eta_r * q * f_m
+        derived = {"elec_capacity": x, "heat_capacity": y,
+                   "b_e": (E - 1.0) / x if x else math.inf,
+                   "b_h": (E - 1.0) / y if y else math.inf,
+                   "c_e": c_f / q, "c_h": c_f / (q * eta_r) if q * eta_r else math.inf}
+        bad = [f"{key} = {v!r}" for key, v in derived.items() if not 0.0 < v < math.inf]
+        if bad:
+            raise MarketError(f"{', '.join(bad)}: each must be positive and finite")
+        _fill(self, (q, eta_g, eta_r, f_m, c_f, x, y))
 
     __setattr__ = __delattr__ = _read_only
 

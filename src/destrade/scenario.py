@@ -33,6 +33,12 @@ _KNOWN_KEYS = {
 # Largest consensus group a scenario may ask for: [consensus] n_nodes
 # nodes, or the 2 x [run] cities aggregators of a full run.
 MAX_GROUP = 1000
+# The most work a scenario may ask for otherwise: [consensus] rounds,
+# [run] days x cities (the city-days a full run settles) and [run]
+# max_iters (the price walk's steps).
+MAX_ROUNDS = 100000
+MAX_CITY_DAYS = 100000
+MAX_ITERS = 1000000
 
 
 class ScenarioError(ValueError):
@@ -182,11 +188,13 @@ def build_ne_config(sc: Scenario) -> NeConfig:
             init = PricePair(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ScenarioError(f"init = {init!r}: prices must be numbers") from None
+    max_iters = _as_int(sc.run, "run", "max_iters", 50000)
+    _check(max_iters <= MAX_ITERS, "run", "max_iters", max_iters, f"at most {MAX_ITERS}")
     return NeConfig(
         delta0=_as_float(sc.run, "run", "delta0", 1e-10),
         decay=_as_float(sc.run, "run", "decay", 0.999),
         init=init,
-        max_iters=_as_int(sc.run, "run", "max_iters", 50000),
+        max_iters=max_iters,
     )
 
 
@@ -240,7 +248,8 @@ def build_consensus(sc: Scenario) -> ConsensusSetup:
     _check(n >= 4, "consensus", "n_nodes", n, "at least 4 to tolerate a fault")
     _check(n <= MAX_GROUP, "consensus", "n_nodes", n, f"at most {MAX_GROUP}")
     rounds = _as_int(sc.consensus, "consensus", "rounds", 1000)
-    _check(rounds >= 1, "consensus", "rounds", rounds, "at least 1")
+    _check(1 <= rounds <= MAX_ROUNDS, "consensus", "rounds", rounds,
+           f"1 to {MAX_ROUNDS}")
     delta1, delta2 = build_credit_steps(sc)
     ids = [f"n{i:02d}" for i in range(n)]
     return ConsensusSetup(
@@ -278,4 +287,7 @@ def build_run(sc: Scenario) -> RunSetup:
            f"a total over the {aggs} aggregators that is finite")
     _check(aggs <= MAX_GROUP, "run", "cities", run.cities,
            f"at most {MAX_GROUP // 2} cities ({MAX_GROUP} aggregators)")
+    _check(run.days * run.cities <= MAX_CITY_DAYS, "run", "days", run.days,
+           f"at most {MAX_CITY_DAYS // run.cities} for {run.cities} cities "
+           f"(days x cities at most {MAX_CITY_DAYS})")
     return run

@@ -449,6 +449,15 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
                  id="run-cities-beyond-float"),
     ("run", "cities = 501", "cities = 501 is out of range, need at most 500 cities "
      "(1000 aggregators)"),
+    # one past each bound on the work a scenario may ask for
+    ("run", "days = 50001", "days = 50001 is out of range, need at most 50000 for 2 "
+     "cities (days x cities at most 100000)"),
+    ("run", "days = 201\ncities = 500", "days = 201 is out of range, need at most 200 "
+     "for 500 cities"),
+    ("run", "max_iters = 1000001", "max_iters = 1000001 is out of range, need at most "
+     "1000000"),
+    ("consensus", "rounds = 100001", "rounds = 100001 is out of range, need 1 to 100000"),
+    ("consensus", "rounds = 1e12", "rounds = 1000000000000 is out of range"),
     ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
     ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
     ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
@@ -476,6 +485,21 @@ def test_hostile_scenario_values_exit_1(tmp_path, capsys, section, entry, messag
     assert message in capsys.readouterr().err
     assert not (out / "contracts.csv").exists()
     assert not (out / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("key,message", [
+    ("q", "elec_capacity = 0.0, heat_capacity = 0.0, b_e = inf, b_h = inf, "
+          "c_e = inf, c_h = inf: each must be positive and finite"),
+    ("eta_r", "heat_capacity = 0.0, b_h = inf, c_h = inf: each must be positive "
+              "and finite"),
+])
+def test_unit_whose_capacity_underflows_exits_1(tmp_path, capsys, key, message):
+    scfile = tmp_path / "tiny.scn"
+    scfile.write_text(read(scn("city5_floor")).replace(
+        f"\n{key} = ", f"\n{key} = 5e-324\n# was ", 1))
+    rc = main(["equilibrium", "--scenario", str(scfile), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_undrained_pool_is_a_runtime_failure(tmp_path, capsys):

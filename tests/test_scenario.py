@@ -4,9 +4,10 @@ import pytest
 
 from destrade.consensus import Behavior
 from destrade.market import MarketError, PricePair
-from destrade.scenario import (ScenarioError, build_city, build_consensus,
-                               build_faults, build_ne_config, build_run,
-                               load_scenario, parse_scenario, read_seed)
+from destrade.scenario import (MAX_CITY_DAYS, MAX_ITERS, MAX_ROUNDS, ScenarioError,
+                               build_city, build_consensus, build_faults,
+                               build_ne_config, build_run, load_scenario,
+                               parse_scenario, read_seed)
 
 VALID = """\
 # comment up top
@@ -168,6 +169,19 @@ def test_run_defaults_and_overrides():
     run = build_run(sc)
     assert (read_seed(sc), run.days, run.cities) == (9007199254740993, 20, 20)
     assert isinstance(run.cities, int)
+
+
+@pytest.mark.parametrize("cities", [2, 500])
+def test_work_bounds_admit_the_bound_itself(cities):
+    # The builders run nothing, so the largest admitted work costs nothing here.
+    assert (MAX_ROUNDS, MAX_CITY_DAYS, MAX_ITERS) == (100000, 100000, 1000000)
+    days = MAX_CITY_DAYS // cities
+    sc = parse_scenario(f"[consensus]\nrounds = {MAX_ROUNDS}\n[run]\ndays = {days}\n"
+                        f"cities = {cities}\nmax_iters = {MAX_ITERS}\n")
+    assert build_consensus(sc).rounds == MAX_ROUNDS
+    run = build_run(sc)
+    assert run.days * run.cities == MAX_CITY_DAYS
+    assert build_ne_config(sc).max_iters == MAX_ITERS
 
 
 def test_ne_config_keyword_init():
