@@ -154,7 +154,8 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
     print(f"full: contracts={len(ledger.contracts)} "
           f"executed={len(ledger.contracts) - len(res.unexecuted)} "
           f"height={res.chain.height} drift={res.drift:.3e} "
-          f"chain_ok={res.chain_ok} chains_equal={res.chains_equal}")
+          f"chain_ok={res.chain_ok} chains_equal={res.chains_equal} "
+          f"refused={len(res.refusals)}")
     if res.violations:
         print("safety violation: " + ", ".join(res.violations), file=sys.stderr)
         return EXIT_SAFETY

@@ -1,24 +1,17 @@
 """Contract ledger: accounts, energy contracts, and a hash-linked chain.
 
 A contract is created from a DES's offer and executed once consensus
-commits it, moving its payment from the aggregator to the DES account.
-An offer's terms are checked and encoded once (check_offer); each
-contract signed from them (sign_offer) costs only the balance check,
-the next id and the body digest, and create_contract does both.
-A payer already below zero gets the contract suspended instead, for
-good; the contract that takes a payer below zero still settles.  Blocks
-carry full contract bodies; the chain links sha256 block digests and a
-merkle root over the contract digests.  Contracts and blocks are
-read-only, so each computes its digests once and keeps them: a
-contract its body digest and a block its header digest when built, a
-block its hash when first asked.  The leader's block keeps the merkle
-root it was built with, which every validator of the block reads; a
-block built any other way computes the root over its own txs when
-first asked.  The chain audit
-rebuilds every root on its own.  Block leaders sign with simulated
-keys: deterministic digests of a per-account secret, good enough to
-exercise the protocol logic.  Contracts carry no signature; a validator
-matches each tx to its own pooled copy by body digest.
+commits it.  One funds rule covers settlement: signing a contract takes
+its payment out of the aggregator's balance, and is refused when that
+balance is short; executing it credits the DES.  An offer's terms are
+checked and encoded once (check_offer); each contract signed from them
+(sign_offer) costs only the balance check and debit, the next id and the
+body digest, and create_contract does both.  Blocks carry full contract
+bodies; the chain links sha256 block digests and a merkle root over the
+contract digests.  Contracts and blocks are read-only and compute each
+digest once; the chain audit rebuilds every root on its own.  Block
+leaders sign with simulated keys: deterministic digests of a per-account
+secret, good enough to exercise the protocol logic.
 """
 
 from __future__ import annotations
@@ -65,13 +58,12 @@ class EnergyKind(Enum):
 class ContractState(Enum):
     CREATED = "created"
     EXECUTED = "executed"
-    SUSPENDED = "suspended"
 
 
 # States as plain names for the per-contract paths: reading an Enum
 # attribute costs about a tenth of a microsecond.  For the same reason
 # those paths read a member's `_value_`, not its `value` property.
-_CREATED, _EXECUTED, _SUSPENDED = ContractState
+_CREATED, _EXECUTED = ContractState
 
 
 # ============================================================
@@ -449,10 +441,12 @@ class Ledger:
                 buyer, seller, kind, price, amount)
 
     def sign_offer(self, offer: tuple, trans_time: int, stime: int) -> Contract:
-        """Create the next contract of a checked offer in the CREATED state."""
+        """Create the next contract of a checked offer in the CREATED state and
+        debit its payment, or raise InsufficientBalance if the payer is short."""
         payer, payment, terms, buyer, seller, kind, price, amount = offer
         if payer.balance < payment:
             raise InsufficientBalance(f"{buyer} holds {payer.balance}, needs {payment}")
+        payer.balance -= payment
         cid = f"ct-{self._next_id:06d}"
         self._next_id += 1
         contract = self.contracts[cid] = Contract(
@@ -468,31 +462,25 @@ class Ledger:
                                trans_time, stime)
 
     def execute_contract(self, contract_id: str) -> None:
-        """Settle one committed contract, which must still be CREATED.
+        """Settle one committed contract, which must still be CREATED, by
+        crediting its payee the payment its signing debited.
 
-        A payer balance below zero suspends instead of paying; the
-        triggering contract itself still settles even if it drives the
-        balance negative.  Settling a contract twice raises, so a
-        contract committed twice cannot pay twice.
+        Settling a contract twice raises, so a contract committed twice
+        cannot pay twice.
         """
         states = self.states
         state = states[contract_id]
         if state is not _CREATED:
             raise BadContractState(f"{contract_id} is {state._value_}, not created")
         contract = self.contracts[contract_id]
-        payer = self._account(contract.buyer)
-        if payer.balance < 0:
-            states[contract_id] = _SUSPENDED
-            return
-        payee = self._account(contract.seller)
-        payment = contract.payment
-        payer.balance -= payment
-        payee.balance += payment
+        self.accounts[contract.seller].balance += contract.payment
         states[contract_id] = _EXECUTED
 
     def conservation_drift(self) -> float:
-        """Absolute gap between held balances and external deposits."""
-        return abs(sum(a.balance for a in self.accounts.values())
+        """Absolute gap between deposits and money held, unsettled payments included."""
+        promised = sum(self.contracts[cid].payment
+                       for cid, state in self.states.items() if state is _CREATED)
+        return abs(sum(a.balance for a in self.accounts.values()) + promised
                    - self.total_deposited)
 
     def _account(self, account_id: str) -> Account:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Dict, Iterable, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
                         ConsensusNode, FaultProfile, RoundOutcome,
                         init_credits, max_faulty, run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
-from .ledger import (Chain, Contract, ContractState, EnergyKind, Ledger, Role,
-                     make_genesis, verify_chain)
+from .ledger import (Chain, Contract, ContractState, EnergyKind, InsufficientBalance,
+                     Ledger, Role, make_genesis, verify_chain)
 from .scenario import (Scenario, ScenarioError, build_city, build_credit_steps,
                        build_faults, build_ne_config, build_run)
 
@@ -165,6 +165,7 @@ class PipelineResult(NamedTuple("PipelineResult", [
         ("chain", Chain),  # the first honest aggregator's chain; exported and audited
         ("driver", RoundDriver),  # the aggregator group's run record
         ("unexecuted", List[str]),
+        ("refusals", List[Tuple[int, str, float]]),  # (day, buyer, payment)
         ("drift", float),
         ("chain_ok", bool)])):
     """Settled ledger, reference chain and audit verdicts of one full run."""
@@ -201,13 +202,16 @@ class PipelineResult(NamedTuple("PipelineResult", [
 def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     """Equilibrium, daily contracts, consensus commits and settlement.
 
-    The scenario's city is cloned [run] cities times.  All aggregators
-    form one consensus group and take the [faults] roles in id order;
-    more roles than the group tolerates, f = floor((n-1)/3) of n, raise
-    ScenarioError before any work.  Of [consensus] only the credit steps
-    apply, since the group is the aggregators.  Raises ConsensusError
-    when a day's contracts do not all commit within ROUNDS_PER_DAY_CAP
-    rounds.
+    The scenario's city is cloned [run] cities times.  Each day signs
+    every offer in contract-id order, debiting its aggregator, or
+    refuses it when the aggregator holds less than its payment and
+    records (day, buyer, payment) on refusals.  Each committed contract
+    credits its DES.  All aggregators form one consensus group and take
+    the [faults] roles in id order; more roles than the group tolerates,
+    f = floor((n-1)/3) of n, raise ScenarioError before any work.  Of
+    [consensus] only the credit steps apply, since the group is the
+    aggregators.  Raises ConsensusError when a day's contracts do not
+    all commit within ROUNDS_PER_DAY_CAP rounds.
     """
     city = build_city(sc)
     cfg = build_ne_config(sc)
@@ -251,11 +255,16 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     driver = RoundDriver(nodes, profile, seed, delta1, delta2)
 
     sign_offer = ledger.sign_offer
+    refusals: List[Tuple[int, str, float]] = []
     for day in range(run.days):
         day_contracts: Dict[str, Contract] = {}
         for offer in offers:
-            c = sign_offer(offer, day, day)
-            day_contracts[c.contract_id] = c
+            try:
+                c = sign_offer(offer, day, day)
+            except InsufficientBalance:
+                refusals.append((day, offer[3], offer[1]))
+            else:
+                day_contracts[c.contract_id] = c
         for node in nodes.values():
             node.pool.update(day_contracts)
 
@@ -283,6 +292,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
         driver=driver,
         unexecuted=[cid for cid, state in ledger.states.items()
                     if state is not executed],
+        refusals=refusals,
         drift=ledger.conservation_drift(),
         chain_ok=verify_chain(ref),
     )

@@ -1,14 +1,18 @@
 """Command line entry points, run in process via main(argv)."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from destrade.cli import _contract_lines, _write_rows, main
-from destrade.ledger import EnergyKind, Ledger, Role
+from destrade.ledger import EnergyKind, InsufficientBalance, Ledger, Role
+from destrade.netsim import DRIFT_SHARE, DRIFT_TOLERANCE
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -245,6 +249,22 @@ def test_lossy_consensus_run_is_pinned(tmp_path, capsys):
         "09eeab320bcbde4d953d3c03c5be568af8fb409074631b22d0abeccddaab1fb7")
 
 
+def test_consensus_exits_3_when_honest_chains_diverge(tmp_path, capsys):
+    # The lossy four-node run that test_netsim.py's
+    # test_lossy_runs_count_their_forks pins at 3 forks.  A quorum rule
+    # that intersects (ROADMAP item 1) removes these forks, so it changes
+    # both tests together.
+    scfile = tmp_path / "fork.scn"
+    scfile.write_text(SMALL_CONSENSUS.replace("n_nodes = 7", "n_nodes = 4")
+                      .replace("rounds = 30", "rounds = 300")
+                      .replace("seed = 5", "seed = 8")
+                      + "[faults]\ndrop_prob = 0.1\n")
+    assert main(["consensus", "--scenario", str(scfile), "--out", str(tmp_path / "o")]) == 3
+    printed = capsys.readouterr()
+    assert "divergent=3" in printed.out
+    assert "safety violation: honest chains diverged" in printed.err
+
+
 def test_all_equivocator_run_reports_its_committed_heights(tmp_path):
     # with no honest node every node's commits decide a round, so a
     # committed row shows the height of the chains that committed
@@ -327,41 +347,50 @@ def test_full_drift_bound_scales_with_the_money_held(tmp_path, capsys):
     assert "safety violation" not in capsys.readouterr().err
 
 
-def test_full_suspends_contracts_of_an_overdrawn_payer(tmp_path, capsys):
-    # a contract that takes its payer below zero still settles; that
-    # payer's later contracts on the day are suspended, and the run
-    # reports them as unexecuted
-    assert _full_2city(tmp_path, "2100", 10) == 3
-    states = [line.rsplit(",", 1)[1]
-              for line in read(tmp_path / "out" / "contracts.csv").splitlines()[2:]]
-    assert states.count("suspended") == 4
-    assert set(states) == {"executed", "suspended"}
-    assert "4 unexecuted contracts" in capsys.readouterr().err
+def _balances(out):
+    rows = read(os.path.join(out, "balances.csv")).splitlines()[2:]
+    return [float(line.split(",")[3]) for line in rows]
 
 
-@pytest.mark.parametrize("funding,days,balance", [("2000", 9, "-15.202579"),
-                                                  ("2180", 10, "-59.113977")])
-def test_full_flags_an_overdrawn_aggregator(tmp_path, capsys, funding, days, balance):
-    # the contract that overdraws its payer settles and nothing is left
-    # suspended, but the run still must not end with a negative balance
-    assert _full_2city(tmp_path, funding, days) == 3
-    rows = read(tmp_path / "out" / "balances.csv").splitlines()[2:]
-    negative = sorted(line.split(",")[0] for line in rows if ",-" in line)
-    assert negative == ["c0.ha", "c1.ha"]
-    assert any(line.startswith(f"c0.ha,aggregator,c0,{balance},") for line in rows)
+# full_2city signs one contract from each of its 20 offers a day: two
+# streams for each of 5 communities in each of 2 cities.
+FULL_2CITY_OFFERS = 20
+
+
+@pytest.mark.parametrize("funding,days,refused", [
+    ("2000", 9, 2), ("2000", 10, 10), ("2100", 10, 6), ("2180", 10, 2)])
+def test_full_refuses_offers_its_payer_cannot_cover(tmp_path, capsys, funding, days,
+                                                    refused):
+    # each payment leaves its payer when the contract is signed, so an
+    # offer the payer can no longer cover is refused and counted, and the
+    # run settles everything it signed, with no account below zero
+    assert _full_2city(tmp_path, funding, days) == 0
+    printed = capsys.readouterr()
+    assert f"chain_ok=True chains_equal=True refused={refused}\n" in printed.out
+    assert printed.err == ""
+    assert min(_balances(tmp_path / "out")) >= 0.0
     states = [line.rsplit(",", 1)[1]
               for line in read(tmp_path / "out" / "contracts.csv").splitlines()[2:]]
     assert set(states) == {"executed"}
-    assert "safety violation: negative balance" in capsys.readouterr().err
+    assert len(states) + refused == days * FULL_2CITY_OFFERS
 
 
-def test_full_stops_at_an_offer_its_payer_cannot_cover(tmp_path, capsys):
-    # day 9 starts with c0.ha overdrawn (see the case above), so signing
-    # its first offer of the day fails the balance check
-    assert _full_2city(tmp_path, "2000", 10) == 2
-    err = capsys.readouterr().err
-    assert "runtime failure: c0.ha holds -15.2" in err
-    assert ", needs 28.29" in err
+@settings(max_examples=60, deadline=None)
+@given(funding=st.floats(min_value=1.0, max_value=2200.0), days=st.integers(1, 10))
+def test_full_settles_every_contract_it_signs(funding, days):
+    with tempfile.TemporaryDirectory() as tmp:
+        scfile = os.path.join(tmp, "run.scn")
+        with open(scfile, "w") as fh:
+            fh.write(read(scn("full_2city")).replace("funding = 2000", f"funding = {funding!r}")
+                     .replace("days = 3", f"days = {days}"))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["full", "--scenario", scfile, "--out", tmp]) == 0
+        summary = dict(field.split("=") for field in out.getvalue().splitlines()[-1].split()[1:])
+        assert min(_balances(tmp)) >= 0.0
+    assert int(summary["contracts"]) + int(summary["refused"]) == days * FULL_2CITY_OFFERS
+    assert summary["executed"] == summary["contracts"]
+    assert float(summary["drift"]) <= max(DRIFT_TOLERANCE, DRIFT_SHARE * 4 * funding)
 
 
 @pytest.mark.parametrize("funding,days", [("2000", 3), ("1e9", 10)])
@@ -382,25 +411,28 @@ def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, da
 
 
 def test_contracts_csv_is_what_csv_writes_for_each_row(tmp_path):
-    # Ids that csv must quote, offers signed on three days, and every
-    # contract state: the per-offer terms text must still match csv's
+    # Ids that csv must quote, offers signed on three days, and both
+    # contract states: the per-offer terms text must still match csv's
     # own rendering of each contract's eight fields.
     led = Ledger()
     payer = 'c0.e,"a"'
     for acct, role in ((payer, Role.AGGREGATOR), ("c0.ha", Role.AGGREGATOR),
                        ("c0\ndes0", Role.DES), ("c0.des1", Role.DES)):
         led.register(acct, role, "c0")
-    led.deposit(payer, 15.0)
+    led.deposit(payer, 30.0)
     led.deposit("c0.ha", 100.0)
     offers = [led.check_offer(payer, "c0\ndes0", EnergyKind.ELECTRICITY, 2.5e-8, 4.0e8),
               led.check_offer("c0.ha", "c0.des1", EnergyKind.HEAT, 1 / 3, 7.25)]
     for day in range(3):
         for offer in offers[:2 - day // 2]:
             led.sign_offer(offer, day, day)
+    # three payments of 10 have used up the payer's 30: a fourth is refused
+    with pytest.raises(InsufficientBalance):
+        led.sign_offer(offers[0], 3, 3)
     for cid in ("ct-000000", "ct-000001", "ct-000002", "ct-000004"):
-        led.execute_contract(cid)  # the payer ends below 0: ct-000004 is suspended
+        led.execute_contract(cid)
     assert sorted(s._value_ for s in led.states.values()) == [
-        "created", "executed", "executed", "executed", "suspended"]
+        "created", "executed", "executed", "executed", "executed"]
 
     header = ["contract_id", "buyer", "seller", "kind", "price", "amount",
               "trans_time", "state"]

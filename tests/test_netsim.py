@@ -161,8 +161,8 @@ def test_a_fork_is_counted_and_fails_the_audit():
     assert driver.divergence_count == 1
     ref = nodes["n00"].chain
     res = PipelineResult(city_names=[], outcome=None, ledger=ledger.Ledger(),
-                         chain=ref, driver=driver, unexecuted=[], drift=0.0,
-                         chain_ok=verify_chain(ref))
+                         chain=ref, driver=driver, unexecuted=[], refusals=[],
+                         drift=0.0, chain_ok=verify_chain(ref))
     assert not res.chains_equal
     assert res.violations == ["divergent chains"]
 
