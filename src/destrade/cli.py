@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from functools import cache
 from typing import Iterable, Iterator, List, Optional
 
 from .consensus import ConsensusError
@@ -59,15 +60,17 @@ def _contract_lines(ledger: Ledger) -> Iterator[str]:
     # quotes a field holding \r or \n only if the line end holds it too.
     quote = csv.writer(argparse.Namespace(write=str)).writerow
     terms_text = {}
-    states = ledger.states
-    for c in sorted(ledger.contracts.values(), key=lambda c: c.contract_id):
-        key = (c.buyer, c.seller, c.kind, c.price, c.amount)
+    contracts, states = ledger.contracts, ledger.states
+    for cid in sorted(contracts):
+        c = contracts[cid]
+        key = c[1:6]  # buyer, seller, kind, price, amount
         terms = terms_text.get(key)
         if terms is None:
-            terms = terms_text[key] = quote([c.buyer, c.seller, c.kind._value_,
-                                             f"{c.price:.12e}", f"{c.amount:.6f}"])[:-2]
-        # Enum `_value_` reads skip the `value` property.
-        yield f"{c.contract_id},{terms},{c.trans_time},{states[c.contract_id]._value_}\r\n"
+            buyer, seller, kind, price, amount = key
+            terms = terms_text[key] = quote([buyer, seller, kind._value_,
+                                             f"{price:.12e}", f"{amount:.6f}"])[:-2]
+        # c[6] is trans_time; Enum `_value_` reads skip the `value` property.
+        yield f"{cid},{terms},{c[6]},{states[cid]._value_}\r\n"
 
 
 # ============================================================
@@ -167,6 +170,8 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
 # ============================================================
 
 
+# parse_args keeps no state on the parser, so one serves every main().
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="destrade",

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import Dict, List, NamedTuple, Optional, Set
 
 from .ledger import Block, Chain, Contract, EnergyKind, make_block, validate_block
@@ -91,7 +93,7 @@ def init_credits(node_ids) -> CreditTable:
 def elect_leader(credits: CreditTable, total: float, seed: int) -> str:
     """Draw a leader with probability proportional to credit.
 
-    total is sum(credits.values()), summed once per round by the caller.
+    total is the credits added left to right, once per round by the caller.
     """
     if total <= 0.0:
         raise AllCreditsZero("cannot elect a leader from zero total credit")
@@ -121,12 +123,14 @@ def check_quorum(senders: Set[str], credits: CreditTable, total: float,
                  n_nodes: int) -> bool:
     """True when the senders' credit share of total clears the quorum weight.
 
-    The senders' credit is summed in the table's order, so the share
-    does not depend on how the sender set happens to iterate.
+    The senders' credit is summed left to right in the table's order, so
+    the share depends neither on how the sender set happens to iterate
+    nor on the Python version: sum() compensates float rounding from
+    3.12 on.
     """
     if total <= 0.0:
         return False
-    weight = sum(c for k, c in credits.items() if k in senders)
+    weight = reduce(add, [c for k, c in credits.items() if k in senders], 0.0)
     return weight / total >= quorum_weight(n_nodes)
 
 
@@ -169,7 +173,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     """
     ids = sorted(nodes)
     n = len(ids)
-    total = sum(credits.values())
+    total = reduce(add, credits.values(), 0.0)  # left to right, as check_quorum
     leader_id = elect_leader(credits, total, seed)
     # Only an equivocating voter draws from the round's stream, so it is
     # seeded on the first such draw.
@@ -236,7 +240,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
 
         # A node that missed an earlier commit is not on the block's
         # parent; it abstains rather than append off its tip.
-        tx_ids = [c.contract_id for c in proposal.txs]
+        tx_ids = proposal.tx_ids
         for k in ids:
             node = nodes[k]
             if (check_quorum(commits[k], credits, total, n)

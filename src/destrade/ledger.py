@@ -4,11 +4,12 @@ A contract is created from a DES's offer and executed once consensus
 commits it.  One funds rule covers settlement: signing a contract takes
 its payment out of the aggregator's balance, and is refused when that
 balance is short; executing it credits the DES.  An offer's terms are
-checked and encoded once (check_offer); each contract signed from them
-(sign_offer) costs only the balance check and debit, the next id and the
-body digest, and create_contract does both.  Blocks carry full contract
-bodies; the chain links sha256 block digests and a merkle root over the
-contract digests.  Contracts and blocks are read-only and compute each
+checked and encoded once (check_offer); a trading day's contracts are
+signed from them in one call (sign_offers), each costing the balance
+check and debit, the next id, one tuple and the body digest, and settle
+in one call (execute_contracts).  Blocks carry full contract bodies; the
+chain links sha256 block digests and a merkle root over the contract
+digests.  Contracts (tuples) and blocks are read-only and compute each
 digest at construction; the chain audit rebuilds every root on its own.
 Block leaders sign with simulated keys: deterministic digests of a
 per-account secret, good enough to exercise the protocol logic.
@@ -17,9 +18,10 @@ per-account secret, good enough to exercise the protocol logic.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, reduce
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import add, itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 HASH_ALGO = "sha256"
 ZERO_HASH = "0" * 64
@@ -71,19 +73,14 @@ _CREATED, _EXECUTED = ContractState
 # ============================================================
 
 
-# hashlib loads OpenSSL, and json its codecs, which a run that hashes
-# nothing never needs.  Each stub rebinds its own name to the standard
-# library's function on first call, so later calls go straight to it.
+# hashlib loads OpenSSL, which a run that hashes nothing never needs.
+# The stub rebinds its own name to the standard library's function on
+# first call, so later calls go straight to it; json is imported where
+# it is used, for the same reason.
 def _sha256(data: bytes):
     global _sha256
     from hashlib import sha256 as _sha256
     return _sha256(data)
-
-
-def _encode_str(text: str) -> str:
-    global _encode_str
-    from json.encoder import encode_basestring_ascii as _encode_str
-    return _encode_str(text)
 
 
 def _sha(data: str) -> str:
@@ -119,61 +116,40 @@ def _fill(record, values) -> None:
         object.__setattr__(record, name, value)
 
 
-class Contract:
+class Contract(tuple):
     """Immutable body of one energy sale; lifecycle state lives in the ledger.
 
-    Equal bodies compare and hash equal.
+    The tuple (contract_id, buyer, seller, kind, price, amount,
+    trans_time, stime, body digest), built whole in one call: here, or
+    by Ledger.sign_offers.  Both compute the digest, and copies and
+    pickles come back through this constructor.  The per-contract paths
+    index the tuple, since an index costs less than a property read.
     """
 
-    __slots__ = ("contract_id", "buyer", "seller", "kind", "price", "amount",
-                 "trans_time", "stime", "_body_digest")
+    __slots__ = ()
 
-    def __init__(self, contract_id: str, buyer: str, seller: str, kind: EnergyKind,
-                 price: float, amount: float, trans_time: int, stime: int,
-                 terms: Optional[str] = None):
-        # terms, when given, is _terms_json of these fields, which
-        # Ledger.check_offer encodes once per offer.
-        if terms is None:
-            terms = _terms_json(buyer, seller, kind, price, amount)
-        _set_contract_id(self, contract_id)
-        _set_buyer(self, buyer)
-        _set_seller(self, seller)
-        _set_kind(self, kind)
-        _set_price(self, price)
-        _set_amount(self, amount)
-        _set_trans_time(self, trans_time)
-        _set_stime(self, stime)
-        _set_body_digest(self, _sha(_body_json(contract_id, terms, trans_time, stime)))
+    def __new__(cls, contract_id: str, buyer: str, seller: str, kind: EnergyKind,
+                price: float, amount: float, trans_time: int, stime: int):
+        from json import dumps
+        body = [contract_id, buyer, seller, kind._value_, repr(price), repr(amount),
+                trans_time, stime]
+        return tuple.__new__(cls, (contract_id, buyer, seller, kind, price, amount,
+                                   trans_time, stime, _sha(dumps(body))))
 
-    __setattr__ = __delattr__ = _read_only
+    def __getnewargs__(self) -> tuple:
+        return self[:8]
 
-    def _body(self) -> tuple:
-        return (self.contract_id, self.buyer, self.seller, self.kind, self.price,
-                self.amount, self.trans_time, self.stime)
-
-    def __eq__(self, other):
-        if type(other) is not Contract:
-            return NotImplemented
-        return self._body() == other._body()
-
-    def __hash__(self) -> int:
-        return hash(self._body())
+    (contract_id, buyer, seller, kind, price, amount, trans_time,
+     stime) = (property(itemgetter(i)) for i in range(8))
 
     @property
     def payment(self) -> float:
-        return self.price * self.amount
+        return self[4] * self[5]
 
     def body_digest(self) -> str:
-        """Digest of the body, computed at construction."""
-        return self._body_digest
-
-
-# The slots' own setters: they skip the refusal above, and every
-# contract's construction costs less through them than through
-# object.__setattr__ by name.
-(_set_contract_id, _set_buyer, _set_seller, _set_kind, _set_price, _set_amount,
- _set_trans_time, _set_stime, _set_body_digest) = (
-    getattr(Contract, name).__set__ for name in Contract.__slots__)
+        """sha256 of json.dumps of the body, with kind's value and the
+        reprs of price and amount; computed at construction."""
+        return self[8]
 
 
 def _terms_json(buyer: str, seller: str, kind: EnergyKind, price: float,
@@ -182,19 +158,6 @@ def _terms_json(buyer: str, seller: str, kind: EnergyKind, price: float,
     them inside the body list."""
     from json import dumps
     return dumps([buyer, seller, kind._value_, repr(price), repr(amount)])[1:-1]
-
-
-def _body_json(cid: str, terms: str, trans_time: int, stime: int) -> str:
-    """json.dumps(list(body)), byte for byte, around the terms' JSON.
-
-    A str id and plain int times are written directly, as json writes
-    them; any other type (a bool or float in an int slot, a non-string
-    id) goes through json itself.
-    """
-    if type(cid) is str and type(trans_time) is int and type(stime) is int:
-        return f"[{_encode_str(cid)}, {terms}, {trans_time}, {stime}]"
-    from json import dumps
-    return f"[{dumps(cid)}, {terms}, {dumps(trans_time)}, {dumps(stime)}]"
 
 
 # ============================================================
@@ -217,26 +180,27 @@ def merkle_root(digests: Sequence[str]) -> str:
 class Block:
     """One block: the header, the contracts it carries and the leader's
     signature.  Read-only and built whole: the constructor computes the
-    txs' merkle root and duplicate flag, the header digest, the leader's
-    signature and the block hash.  Passing merkle or signature builds a
-    tampered copy, whose digests follow the values given."""
+    txs' ids, merkle root and duplicate flag, the header digest, the
+    leader's signature and the block hash.  Passing merkle or signature
+    builds a tampered copy, whose digests follow the values given."""
 
     __slots__ = ("height", "prev_hash", "merkle", "leader_id", "round_no", "txs",
-                 "note", "signature", "_header_digest", "_block_hash", "_own_txs")
+                 "note", "signature", "tx_ids", "_header_digest", "_block_hash",
+                 "_own_txs")
 
     def __init__(self, height: int, prev_hash: str, leader_id: str, round_no: int,
                  txs: Tuple[Contract, ...] = (), note: str = "", *,
                  merkle: Optional[str] = None, signature: Optional[str] = None):
         from json import dumps
-        own = (merkle_root([c.body_digest() for c in txs]),
-               len({c.contract_id for c in txs}) < len(txs))
+        tx_ids = tuple([c[0] for c in txs])
+        own = (merkle_root([c.body_digest() for c in txs]), len(set(tx_ids)) < len(txs))
         if merkle is None:
             merkle = own[0]
         header = _sha(dumps([height, prev_hash, merkle, leader_id, round_no, note]))
         if signature is None:
             signature = sign(header, sim_secret(leader_id))
         _fill(self, (height, prev_hash, merkle, leader_id, round_no, txs, note,
-                     signature, header, _sha(header + ":" + signature), own))
+                     signature, tx_ids, header, _sha(header + ":" + signature), own))
 
     __setattr__ = __delattr__ = _read_only
 
@@ -307,9 +271,7 @@ def validate_block(block: Block, pool: Dict[str, Contract],
         return False, "BadMerkle"
     if duplicate:
         return False, "DuplicateTx"
-    get = pool.get
-    for c in block.txs:
-        pooled = get(c.contract_id)
+    for c, pooled in zip(block.txs, map(pool.get, block.tx_ids)):
         if pooled is not c and (pooled is None
                                 or pooled.body_digest() != c.body_digest()):
             return False, "UnknownTx"
@@ -394,10 +356,10 @@ class Ledger:
 
     def check_offer(self, buyer: str, seller: str, kind: EnergyKind,
                     price: float, amount: float) -> tuple:
-        """Check an offer's terms once, for sign_offer to make its contracts.
+        """Check an offer's terms once, for sign_offers to make its contracts.
 
         Raises create_contract's errors, except the balance check, which
-        sign_offer makes.  The offer is (payer account, payment, terms'
+        sign_offers makes.  The offer is (payer account, payment, terms'
         body JSON, buyer, seller, kind, price, amount).
         """
         b = self._account(buyer)
@@ -414,48 +376,78 @@ class Ledger:
         return (b, price * amount, _terms_json(buyer, seller, kind, price, amount),
                 buyer, seller, kind, price, amount)
 
-    def sign_offer(self, offer: tuple, trans_time: int, stime: int) -> Contract:
-        """Create the next contract of a checked offer in the CREATED state and
-        debit its payment, or raise InsufficientBalance if the payer is short."""
-        payer, payment, terms, buyer, seller, kind, price, amount = offer
-        if payer.balance < payment:
-            raise InsufficientBalance(f"{buyer} holds {payer.balance}, needs {payment}")
-        payer.balance -= payment
-        cid = f"ct-{self._next_id:06d}"
-        self._next_id += 1
-        contract = self.contracts[cid] = Contract(
-            cid, buyer, seller, kind, price, amount, trans_time, stime, terms)
-        self.states[cid] = _CREATED
-        return contract
+    def sign_offers(self, offers: Sequence[tuple], trans_time: int,
+                    stime: int) -> Tuple[Dict[str, Contract], List[tuple]]:
+        """Sign the next contract of each checked offer, in order, in the
+        CREATED state, debiting its payment; refuse the offers whose payer
+        holds less than the payment.
+
+        Returns (id -> contract signed, offers refused), both in offer
+        order.  Ids are ct-NNNNNN, so each body's JSON is written around
+        the offer's terms directly.
+        """
+        from json import dumps
+        contracts, states, sha, new = self.contracts, self.states, _sha, tuple.__new__
+        tail = ", " + dumps([trans_time, stime])[1:]
+        n = self._next_id
+        signed: Dict[str, Contract] = {}
+        refused = []
+        for offer in offers:
+            payer, payment, terms, buyer, seller, kind, price, amount = offer
+            if payer.balance < payment:
+                refused.append(offer)
+                continue
+            payer.balance -= payment
+            cid = f"ct-{n:06d}"
+            n += 1
+            signed[cid] = contracts[cid] = new(Contract, (
+                cid, buyer, seller, kind, price, amount, trans_time, stime,
+                sha(f'["{cid}", {terms}{tail}')))
+            states[cid] = _CREATED
+        self._next_id = n
+        return signed, refused
 
     def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
                         price: float, amount: float, trans_time: int,
                         stime: int = 0) -> Contract:
-        """Create a new contract in the CREATED state."""
-        return self.sign_offer(self.check_offer(buyer, seller, kind, price, amount),
-                               trans_time, stime)
+        """Sign one offer; raise InsufficientBalance if the payer is short."""
+        offer = self.check_offer(buyer, seller, kind, price, amount)
+        signed, refused = self.sign_offers((offer,), trans_time, stime)
+        if refused:
+            raise InsufficientBalance(f"{buyer} holds {offer[0].balance}, "
+                                      f"needs {offer[1]}")
+        return next(iter(signed.values()))
 
-    def execute_contract(self, contract_id: str) -> None:
-        """Settle one committed contract, which must still be CREATED, by
-        crediting its payee the payment its signing debited.
+    def execute_contracts(self, contract_ids: Iterable[str]) -> None:
+        """Settle committed contracts in the order given, each still CREATED,
+        by crediting its payee the payment its signing debited.
 
         Settling a contract twice raises, so a contract committed twice
         cannot pay twice.
         """
-        states = self.states
-        state = states[contract_id]
-        if state is not _CREATED:
-            raise BadContractState(f"{contract_id} is {state._value_}, not created")
-        contract = self.contracts[contract_id]
-        self.accounts[contract.seller].balance += contract.payment
-        states[contract_id] = _EXECUTED
+        contracts, states, accounts = self.contracts, self.states, self.accounts
+        for cid in contract_ids:
+            state = states[cid]
+            if state is not _CREATED:
+                raise BadContractState(f"{cid} is {state._value_}, not created")
+            c = contracts[cid]
+            accounts[c[2]].balance += c[4] * c[5]
+            states[cid] = _EXECUTED
+
+    def execute_contract(self, contract_id: str) -> None:
+        """Settle one committed contract, as execute_contracts does."""
+        self.execute_contracts((contract_id,))
 
     def conservation_drift(self) -> float:
-        """Absolute gap between deposits and money held, unsettled payments included."""
-        promised = sum(self.contracts[cid].payment
-                       for cid, state in self.states.items() if state is _CREATED)
-        return abs(sum(a.balance for a in self.accounts.values()) + promised
-                   - self.total_deposited)
+        """Absolute gap between deposits and money held, unsettled payments included.
+
+        Both sums run left to right: sum() compensates float rounding
+        from Python 3.12 on, and would make the gap depend on the version.
+        """
+        held = reduce(add, [a.balance for a in self.accounts.values()], 0.0)
+        promised = reduce(add, [self.contracts[cid].payment for cid, state
+                                in self.states.items() if state is _CREATED], 0.0)
+        return abs(held + promised - self.total_deposited)
 
     def _account(self, account_id: str) -> Account:
         try:

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
                         ConsensusNode, FaultProfile, RoundOutcome,
                         init_credits, max_faulty, run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
-from .ledger import (Chain, Contract, ContractState, EnergyKind, InsufficientBalance,
-                     Ledger, Role, make_genesis, verify_chain)
+from .ledger import (Chain, ContractState, EnergyKind, Ledger, Role, make_genesis,
+                     verify_chain)
 from .scenario import (Scenario, ScenarioError, build_city, build_credit_steps,
                        build_faults, build_ne_config, build_run)
 
@@ -129,7 +131,7 @@ class RoundDriver:
 
     def step(self) -> RoundOutcome:
         """Run the next round, apply its credit adjustment and record it."""
-        nodes, honest = self.nodes, self.honest
+        nodes, honest, ids = self.nodes, self.honest, self.ids
         outcome = run_round(nodes, self.credits, self.profile, self.net,
                             len(self.rows), self._seeds.getrandbits(63))
         credits = self.credits = update_credits(self.credits, outcome,
@@ -140,8 +142,9 @@ class RoundDriver:
             decision="committed" if outcome.committed else "aborted",
             abort_reason=outcome.abort_reason or "",
             committed_height=max(nodes[k].chain.height for k in self.deciding),
-            credit_honest=sum(credits[k] for k in self.ids if k in honest),
-            credit_byz=sum(credits[k] for k in self.ids if k not in honest),
+            # Left to right: sum() compensates float rounding from 3.12 on.
+            credit_honest=reduce(add, [credits[k] for k in ids if k in honest], 0.0),
+            credit_byz=reduce(add, [credits[k] for k in ids if k not in honest], 0.0),
             prepare_needed=outcome.prepare_needed,
         ))
         return outcome
@@ -254,19 +257,12 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     nodes = make_nodes(agg_ids)
     driver = RoundDriver(nodes, profile, seed, delta1, delta2)
 
-    sign_offer = ledger.sign_offer
     refusals: List[Tuple[int, str, float]] = []
     for day in range(run.days):
-        day_contracts: Dict[str, Contract] = {}
-        for offer in offers:
-            try:
-                c = sign_offer(offer, day, day)
-            except InsufficientBalance:
-                refusals.append((day, offer[3], offer[1]))
-            else:
-                day_contracts[c.contract_id] = c
+        signed, refused = ledger.sign_offers(offers, day, day)
+        refusals += [(day, offer[3], offer[1]) for offer in refused]
         for node in nodes.values():
-            node.pool.update(day_contracts)
+            node.pool.update(signed)
 
         committed_today: List[str] = []
         rounds = 0
@@ -277,9 +273,8 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
             rounds += 1
             block = driver.step().block
             if block is not None:
-                committed_today.extend(c.contract_id for c in block.txs)
-        for cid in sorted(committed_today):
-            ledger.execute_contract(cid)
+                committed_today += block.tx_ids
+        ledger.execute_contracts(sorted(committed_today))
 
     # Stage 3: audits, on the first honest aggregator's chain.
     ref = nodes[min(driver.honest)].chain

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from destrade.cli import _contract_lines, _write_rows, main
-from destrade.ledger import EnergyKind, InsufficientBalance, Ledger, Role
+from destrade.ledger import EnergyKind, Ledger, Role
 from destrade.netsim import DRIFT_SHARE, DRIFT_TOLERANCE
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,6 +104,20 @@ def test_usage_errors_exit_1(capsys, argv, message):
 def test_help_exits_0(capsys, argv):
     assert main(argv) == 0
     assert "usage: destrade" in capsys.readouterr().out
+
+
+def test_calls_in_one_process_share_no_flags(tmp_path):
+    # main() builds its parser once per process; a flag of one call must
+    # not carry over into the next.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["equilibrium", "--scenario", scn("city1_nofloor"), "--out", str(first),
+                 "--seed", "9", "--trace"]) == 0
+    assert main(["equilibrium", "--scenario", scn("city1_nofloor"),
+                 "--out", str(second)]) == 0
+    assert sorted(os.listdir(first)) == ["equilibrium.csv", "trace.csv"]
+    assert os.listdir(second) == ["equilibrium.csv"]
+    assert read(first / "equilibrium.csv").startswith("# seed=9\n")
+    assert read(second / "equilibrium.csv").startswith("# seed=1\n")
 
 
 def _city5_floor_with(tmp_path, key, value):
@@ -428,16 +442,17 @@ def test_full_settles_every_contract_it_signs(funding, days):
 
 @pytest.mark.parametrize("funding,days", [("2000", 3), ("1e9", 10)])
 def test_full_reports_a_one_coin_leak(tmp_path, capsys, monkeypatch, funding, days):
-    execute = Ledger.execute_contract
+    execute = Ledger.execute_contracts
     leaked = []
 
-    def leaky(self, contract_id, **kwargs):
-        execute(self, contract_id, **kwargs)
-        if not leaked:
-            leaked.append(contract_id)
-            self.accounts[self.contracts[contract_id].seller].balance += 1.0
+    def leaky(self, contract_ids):
+        contract_ids = list(contract_ids)
+        execute(self, contract_ids)
+        if contract_ids and not leaked:
+            leaked.append(contract_ids[0])
+            self.accounts[self.contracts[contract_ids[0]].seller].balance += 1.0
 
-    monkeypatch.setattr(Ledger, "execute_contract", leaky)
+    monkeypatch.setattr(Ledger, "execute_contracts", leaky)
     assert _full_2city(tmp_path, funding, days) == 3
     assert leaked
     assert "safety violation: balance drift" in capsys.readouterr().err
@@ -457,13 +472,11 @@ def test_contracts_csv_is_what_csv_writes_for_each_row(tmp_path):
     offers = [led.check_offer(payer, "c0\ndes0", EnergyKind.ELECTRICITY, 2.5e-8, 4.0e8),
               led.check_offer("c0.ha", "c0.des1", EnergyKind.HEAT, 1 / 3, 7.25)]
     for day in range(3):
-        for offer in offers[:2 - day // 2]:
-            led.sign_offer(offer, day, day)
+        led.sign_offers(offers[:2 - day // 2], day, day)
     # three payments of 10 have used up the payer's 30: a fourth is refused
-    with pytest.raises(InsufficientBalance):
-        led.sign_offer(offers[0], 3, 3)
-    for cid in ("ct-000000", "ct-000001", "ct-000002", "ct-000004"):
-        led.execute_contract(cid)
+    assert led.sign_offers(offers[:1], 3, 3) == ({}, offers[:1])
+    led.execute_contracts(["ct-000000", "ct-000001", "ct-000002"])
+    led.execute_contract("ct-000004")
     assert sorted(s._value_ for s in led.states.values()) == [
         "created", "executed", "executed", "executed", "executed"]
 

@@ -68,6 +68,19 @@ def test_check_quorum_zero_total():
     assert check_quorum({"a"}, {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}, 0.0, 4) is False
 
 
+def test_a_quorum_on_the_edge_sums_its_credits_left_to_right():
+    # 0.25 + 0.08 + 0.27 is 0.6000000000000001 added left to right, but
+    # 0.6 to sum() on Python 3.12+, which compensates the rounding:
+    # against the total 0.8 that is the 3/4 quorum met, or just missed.
+    credits = {"a": 0.25, "b": 0.08, "c": 0.27, "d": 0.2}
+    assert check_quorum({"a", "b", "c"}, credits, 0.8, 4)
+    # So a round the dissenter d sits out commits on every Python.
+    profile = FaultProfile({"d": Behavior.DISSENTER})
+    seed = next(s for s in range(100) if elect_leader(credits, 0.8, s) != "d")
+    out = run_round(make_nodes(credits), credits, profile, _net(sorted(credits)), 0, seed)
+    assert out.committed and out.abort_reason is None
+
+
 def test_min_quorum_cardinality():
     assert min_quorum_cardinality(init_credits(_ids(4)), 2.0, 4) == 3
     assert min_quorum_cardinality({"a": 0.9, "b": 0.9, "c": 0.1, "d": 0.1}, 2.0, 4) == 2

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from destrade import (
     Role,
     UnknownAccount,
     export_chain,
+    ledger,
     make_block,
     make_genesis,
     merkle_root,
@@ -40,9 +44,12 @@ def _sha(s: str) -> str:
 
 def rebuilt(record, **changes):
     """A Contract or Block built afresh through its constructor from
-    record's fields, with changes applied."""
-    names = [k for k in type(record).__slots__ if not k.startswith("_")]
-    return type(record)(**{k: changes.get(k, getattr(record, k)) for k in names})
+    record's fields, with changes applied; a block's merkle or
+    signature, given, builds a tampered copy."""
+    params = inspect.signature(type(record)).parameters.values()
+    fields = {p.name: getattr(record, p.name) for p in params
+              if p.kind is p.POSITIONAL_OR_KEYWORD}
+    return type(record)(**{**fields, **changes})
 
 
 def fresh_ledger() -> Ledger:
@@ -194,13 +201,64 @@ def test_check_offer_raises_create_contracts_errors(buyer, seller, price, amount
 def test_a_checked_offer_meets_the_balance_check_when_signed():
     led = funded_ledger(balance=3.0)
     offer = led.check_offer("ea", "des", EnergyKind.HEAT, price=1.0, amount=2.0)
-    first = led.sign_offer(offer, 0, 0)
-    led.execute_contract(first.contract_id)
-    with pytest.raises(InsufficientBalance, match="^ea holds 1.0, needs 2.0$"):
-        led.sign_offer(offer, 1, 1)
+    signed, refused = led.sign_offers([offer], 0, 0)
+    assert list(signed) == ["ct-000000"] and refused == []
+    led.execute_contracts(signed)
+    # the same checked offer, signed again, meets the balance check again
+    assert led.sign_offers([offer, offer], 1, 1) == ({}, [offer, offer])
     assert list(led.contracts) == list(led.states) == ["ct-000000"]
     led.deposit("ea", 1.0)
-    assert led.sign_offer(offer, 1, 1).contract_id == "ct-000001"
+    signed, refused = led.sign_offers([offer, offer], 1, 1)
+    assert list(signed) == ["ct-000001"] and refused == [offer]
+    assert signed["ct-000001"] is led.contracts["ct-000001"]
+    assert led.accounts["ea"].balance == 0.0
+
+
+# Offers on three payers, some of which run short: (payer, price, amount).
+_OFFERS = st.lists(st.tuples(st.sampled_from(["ea", "ha", "ea2"]),
+                             st.floats(min_value=1e-3, max_value=1e3),
+                             st.floats(min_value=1e-3, max_value=1e3)),
+                   max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_OFFERS, days=st.integers(1, 4),
+       funds=st.lists(st.floats(min_value=0.0, max_value=5e5), min_size=3, max_size=3))
+def test_signing_a_day_at_once_is_signing_each_offer_in_turn(rows, days, funds):
+    def ledger_of_offers():
+        led = Ledger()
+        for acct, city in (("ea", "c0"), ("ha", "c0"), ("ea2", "c1")):
+            led.register(acct, Role.AGGREGATOR, city)
+        for acct, amount in zip(("ea", "ha", "ea2"), funds):
+            led.deposit(acct, amount)
+        led.register("des", Role.DES, "c0")
+        led.register("des2", Role.DES, "c1")
+        offers = [led.check_offer(payer, "des2" if payer == "ea2" else "des",
+                                  EnergyKind.HEAT if payer == "ha" else EnergyKind.ELECTRICITY,
+                                  price, amount) for payer, price, amount in rows]
+        return led, offers
+
+    batch, offers = ledger_of_offers()
+    single, _ = ledger_of_offers()
+    for day in range(days):
+        signed, refused = batch.sign_offers(offers, day, day + 1)
+        one_by_one, refused_rows = {}, []
+        for offer, (payer, price, amount) in zip(offers, rows):
+            try:
+                c = single.create_contract(payer, offer[4], offer[5], price, amount,
+                                           day, day + 1)
+            except InsufficientBalance:
+                refused_rows.append(offer)
+            else:
+                one_by_one[c.contract_id] = c
+        assert refused == refused_rows
+        assert list(signed) == list(one_by_one)
+        assert [c.body_digest() for c in signed.values()] == [
+            c.body_digest() for c in one_by_one.values()]
+        assert list(signed.values()) == list(one_by_one.values())
+    assert batch.contracts == single.contracts and batch.states == single.states
+    assert [a.balance.hex() for a in batch.accounts.values()] == [
+        a.balance.hex() for a in single.accounts.values()]
 
 
 def _contract(**changes) -> Contract:
@@ -210,15 +268,48 @@ def _contract(**changes) -> Contract:
     return Contract(**body)
 
 
-@pytest.mark.parametrize("name", ["contract_id", "price", "kind", "_body_digest"])
+@pytest.mark.parametrize("name", ["contract_id", "price", "kind", "body_digest"])
 def test_contract_fields_cannot_be_assigned(name):
     c = _contract()
     with pytest.raises(AttributeError):
         setattr(c, name, getattr(c, name))
+    with pytest.raises(AttributeError):
+        delattr(c, name)
 
 
 def test_contract_is_slotted():
-    assert not hasattr(_contract(), "__dict__")
+    c = _contract()
+    assert not hasattr(c, "__dict__")
+    assert tuple(c) == ("ct-000000", "ea", "des", EnergyKind.HEAT, 1.5, 2.0, 3, 4,
+                        c.body_digest())
+    with pytest.raises(TypeError):
+        c[8] = "0" * 64
+
+
+def test_every_way_to_build_a_contract_computes_its_digest(monkeypatch):
+    body = ("ct-000000", "ea", "des", EnergyKind.HEAT, 1.5, 2.0, 3, 4)
+    digest = _sha(json.dumps(["ct-000000", "ea", "des", "heat", "1.5", "2.0", 3, 4]))
+    hashed = []
+    sha = ledger._sha
+    monkeypatch.setattr(ledger, "_sha", lambda data: hashed.append(data) or sha(data))
+    led = funded_ledger()
+    offer = led.check_offer("ea", "des", EnergyKind.HEAT, 1.5, 2.0)
+    c = Contract(*body)
+    ways = {
+        "positional": lambda: Contract(*body),
+        "keywords": lambda: Contract(**dict(zip(inspect.signature(Contract).parameters,
+                                                body))),
+        "sign_offers": lambda: led.sign_offers([offer], 3, 4)[0]["ct-000000"],
+        "copy": lambda: copy.copy(c),
+        "deepcopy": lambda: copy.deepcopy(c),
+        "pickle": lambda: pickle.loads(pickle.dumps(c)),
+    }
+    for way, build in ways.items():
+        hashed.clear()
+        built = build()
+        assert type(built) is Contract, way
+        assert tuple(built) == (*body, digest), way
+        assert len(hashed) == 1, way
 
 
 def test_contract_replace_recomputes_the_digest():
@@ -293,6 +384,24 @@ def test_a_second_sign_the_payer_cannot_cover_is_refused():
 
 def test_contract_states_are_created_and_executed():
     assert [s.value for s in ContractState] == ["created", "executed"]
+
+
+def test_conservation_drift_sums_left_to_right():
+    # Ten deposits of 0.1 add up to 0.9999999999999999 left to right, as
+    # total_deposited keeps them; sum() on Python 3.12+ compensates the
+    # rounding and would find 1.0 in the balances.
+    led = Ledger()
+    for i in range(10):
+        led.register(f"a{i}", Role.AGGREGATOR, "c0")
+        led.deposit(f"a{i}", 0.1)
+    assert led.total_deposited == 0.9999999999999999
+    assert led.conservation_drift() == 0.0
+    # the payments still promised add up the same way
+    led.register("des", Role.DES, "c0")
+    for i in range(10):
+        led.create_contract(f"a{i}", "des", EnergyKind.HEAT, 1.0, 0.1, trans_time=0)
+    assert [a.balance for a in led.accounts.values()] == [0.0] * 11
+    assert led.conservation_drift() == 0.0
 
 
 def test_conservation_over_random_activity():
@@ -591,8 +700,9 @@ def test_a_signed_offer_is_the_contract_built_directly(buyer, seller, kind, pric
     led.register(buyer, Role.AGGREGATOR, "c0")
     led.register(seller, Role.DES, "c0")
     led.deposit(buyer, price * amount)
-    c = led.sign_offer(led.check_offer(buyer, seller, kind, price, amount),
-                       trans_time, stime)
+    signed, _ = led.sign_offers([led.check_offer(buyer, seller, kind, price, amount)],
+                                trans_time, stime)
+    c = signed["ct-000000"]
     direct = Contract("ct-000000", buyer, seller, kind, price, amount, trans_time, stime)
     assert c == direct
     assert c.body_digest() == direct.body_digest() == _sha(json.dumps([

@@ -294,24 +294,27 @@ def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
 
 def test_pipeline_checks_each_offer_once(monkeypatch):
     checked, signed = [], []
-    check, sign = ledger.Ledger.check_offer, ledger.Ledger.sign_offer
+    check, sign = ledger.Ledger.check_offer, ledger.Ledger.sign_offers
 
     def counted_check(self, *terms):
         checked.append(terms)
         return check(self, *terms)
 
-    def counted_sign(self, offer, trans_time, stime):
-        signed.append((offer, trans_time))
-        return sign(self, offer, trans_time, stime)
+    def counted_sign(self, offers, trans_time, stime):
+        signed.append((list(offers), trans_time, stime))
+        return sign(self, offers, trans_time, stime)
 
     monkeypatch.setattr(ledger.Ledger, "check_offer", counted_check)
-    monkeypatch.setattr(ledger.Ledger, "sign_offer", counted_sign)
+    monkeypatch.setattr(ledger.Ledger, "sign_offers", counted_sign)
     res = run_pipeline(load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn")),
                        seed=7)
     days = 3
     # two streams for each of 5 communities in each of 2 cities
     assert len(checked) == len(set(checked)) == 20
-    assert len(signed) == len(res.ledger.contracts) == days * len(checked)
-    # each day signs the same offer objects, in the same order
-    assert all(offer is signed[i % 20][0] for i, (offer, _) in enumerate(signed))
-    assert [day for _, day in signed] == [d for d in range(days) for _ in range(20)]
+    # one signing call a day, over the same offer objects in the same order
+    assert [(t, s) for _, t, s in signed] == [(d, d) for d in range(days)]
+    first = signed[0][0]
+    assert len(first) == 20
+    assert all(len(offers) == 20 and all(o is f for o, f in zip(offers, first))
+               for offers, _, _ in signed)
+    assert len(res.ledger.contracts) == days * len(checked)

@@ -68,12 +68,24 @@ def test_importing_the_cli_loads_no_code_generating_module():
     assert first_use == ""
 
 
+# The summary line each golden run prints.  The drift and the credit
+# sums behind the vote counts add floats left to right on every Python;
+# sum() would compensate the rounding from 3.12 on, and full_2city would
+# print drift=9.095e-13 there.
+SUMMARIES = {
+    "consensus20": "consensus: rounds=1000 commits=864 aborts=136 divergent=0 dropped=0",
+    "full_2city": "full: contracts=60 executed=60 height=3 drift=0.000e+00 chain_ok=True "
+                  "chains_equal=True refused=0",
+}
+
+
 @pytest.mark.parametrize("command,scenario", [("consensus", "consensus20"),
                                               ("full", "full_2city")])
 def test_fresh_processes_keep_the_golden_outputs(tmp_path, command, scenario):
     # In process, test_golden.py has imported hashlib before the ledger
     # first hashes; only a fresh interpreter binds sha256 and json on
-    # the ledger's own first use.
+    # the ledger's own first use.  The summary on stdout is pinned too, so
+    # every Python the tests run on checks it.
     out = tmp_path / "out"
     argv = [sys.executable, "-m", "destrade.cli", command, "--scenario",
             os.path.join(REPO, "scenarios", scenario + ".scn"), "--out", str(out)]
@@ -83,3 +95,4 @@ def test_fresh_processes_keep_the_golden_outputs(tmp_path, command, scenario):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in sorted(os.listdir(out))}
     assert got == GOLDEN[command, scenario]
+    assert SUMMARIES[scenario] in proc.stdout.splitlines()
