@@ -71,13 +71,17 @@ class FaultProfile:
 
 
 class ConsensusNode:
-    """Protocol-visible state of one aggregator."""
+    """Protocol-visible state of one aggregator: its chain, its contract
+    pool, and the senders whose prepare and commit votes reached it in
+    the current round."""
 
-    __slots__ = ("chain", "pool")
+    __slots__ = ("chain", "pool", "prepares", "commits")
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.pool: Dict[str, Contract] = {}
+        self.prepares: Set[str] = set()
+        self.commits: Set[str] = set()
 
 
 def init_credits(node_ids) -> CreditTable:
@@ -158,14 +162,22 @@ RoundOutcome = NamedTuple("RoundOutcome", [
     ("block", Optional[Block]), ("matched", Dict[str, bool]), ("prepare_needed", int)])
 
 
+def deliver(net, src: str, targets: List[str]) -> List[str]:
+    """Send a copy from src to each target in order, except src's own,
+    which lands without a send; the targets the copies reached."""
+    return [dst for dst in targets if dst == src or net.send(src, dst)]
+
+
 def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
               profile: FaultProfile, net, round_no: int,
               seed: int) -> RoundOutcome:
     """Execute one proposal/prepare/commit exchange over the given fabric.
 
-    The fabric only needs send(src, dst) and broadcast(src), which say
-    whether a copy landed and which nodes a copy reached.  Each vote
-    joins its receivers' sets as it lands; those sets are read only once
+    The fabric only needs send(src, dst), which says whether a copy
+    landed.  The proposal and every vote go out through deliver, to
+    every node, except an equivocator's prepare vote: a random subset.
+    Each vote joins its receiver's prepares or commits as it lands; a
+    node's tallies are reset when the round starts and read only once
     the phase's votes are all out.  Commit appends to each convinced
     node's own chain when the block extends its tip; a node that lags
     abstains.  The outcome's committed flag reports whether any deciding
@@ -175,6 +187,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     n = len(ids)
     total = reduce(add, credits.values(), 0.0)  # left to right, as check_quorum
     leader_id = elect_leader(credits, total, seed)
+    for node in nodes.values():
+        node.prepares, node.commits = set(), set()
     # Only an equivocating voter draws from the round's stream, so it is
     # seeded on the first such draw.
     rng: Optional[random.Random] = None
@@ -198,52 +212,37 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     prepare_needed = min_quorum_cardinality(credits, total, n)
 
     if proposal is not None:
-        saw = set(net.broadcast(leader_id))
-        saw.add(leader_id)
-
-        # Prepare phase.  A node's own vote counts toward its quorum.
-        prepares: Dict[str, Set[str]] = {k: set() for k in ids}
-        for k in ids:
-            if k not in saw:
-                continue
+        # Prepare phase, among the nodes the proposal reached.  A node's
+        # own vote counts toward its quorum.
+        for k in deliver(net, leader_id, ids):
             beh = profile.behavior_of(k)
             if beh is Behavior.DISSENTER:
                 continue
             ok, _reason = validate_block(proposal, nodes[k].pool, nodes[k].chain)
             if not ok:
                 continue
+            targets = ids
             if beh is Behavior.EQUIVOCATOR:
                 if rng is None:
                     rng = random.Random(f"round:{seed}")
-                targets = set(rng.sample(ids, rng.randint(0, n)))
-                for dst in sorted(targets - {k}):
-                    if net.send(k, dst):
-                        prepares[dst].add(k)
-                if k in targets:
-                    prepares[k].add(k)
-                voted_full[k] = targets == set(ids)
-            else:
-                for dst in net.broadcast(k):
-                    prepares[dst].add(k)
-                prepares[k].add(k)
-                voted_full[k] = True
+                targets = sorted(rng.sample(ids, rng.randint(0, n)))
+            for dst in deliver(net, k, targets):
+                nodes[dst].prepares.add(k)
+            voted_full[k] = len(targets) == n
 
         # Commit phase.
-        commits: Dict[str, Set[str]] = {k: set() for k in ids}
         for k in ids:
-            if profile.behavior_of(k) is Behavior.DISSENTER:
-                continue
-            if check_quorum(prepares[k], credits, total, n):
-                for dst in net.broadcast(k):
-                    commits[dst].add(k)
-                commits[k].add(k)
+            if (profile.behavior_of(k) is not Behavior.DISSENTER
+                    and check_quorum(nodes[k].prepares, credits, total, n)):
+                for dst in deliver(net, k, ids):
+                    nodes[dst].commits.add(k)
 
         # A node that missed an earlier commit is not on the block's
         # parent; it abstains rather than append off its tip.
         tx_ids = proposal.tx_ids
         for k in ids:
             node = nodes[k]
-            if (check_quorum(commits[k], credits, total, n)
+            if (check_quorum(node.commits, credits, total, n)
                     and node.chain.extends(proposal)):
                 committed_nodes.add(k)
                 node.chain.append(proposal)
@@ -263,7 +262,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             ok, _reason = validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
             if not ok:
                 abort_reason = "LeaderInvalidBlock"
-            elif not any(check_quorum(prepares[k], credits, total, n)
+            elif not any(check_quorum(nodes[k].prepares, credits, total, n)
                          for k in deciding):
                 abort_reason = "PrepareQuorumFailed"
             else:

@@ -23,6 +23,8 @@ from enum import Enum
 from operator import add, itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .market import _fill, _read_only
+
 HASH_ALGO = "sha256"
 ZERO_HASH = "0" * 64
 
@@ -104,16 +106,6 @@ def verify_signature(payload: str, signature: str, account_id: str) -> bool:
 # ============================================================
 # contracts
 # ============================================================
-
-
-def _read_only(record, name, value=None):
-    raise AttributeError(f"{type(record).__name__}.{name} is read-only")
-
-
-def _fill(record, values) -> None:
-    """Set a read-only record's slots to values, in __slots__ order."""
-    for name, value in zip(type(record).__slots__, values):
-        object.__setattr__(record, name, value)
 
 
 class Contract(tuple):

@@ -35,6 +35,8 @@ class MarketError(ValueError):
 # ============================================================
 
 
+# The read-only record rule, which the ledger's blocks follow too: a
+# constructor fills every slot once with _fill, and assignment raises.
 def _read_only(record, name, value=None):
     raise AttributeError(f"{type(record).__name__}.{name} is read-only")
 

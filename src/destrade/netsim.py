@@ -1,10 +1,12 @@
 """Deterministic message fabric and run drivers.
 
-The fabric carries no payloads: it only says whether each copy landed,
-and links drop each copy independently.  Receivers only collect sets,
-so the order in which copies land carries no meaning.  One round driver
-owns the seed streams, so a seeded run is byte-for-byte reproducible,
-and keeps the run record both subcommands read.
+The fabric carries no payloads and knows no node set: its one call,
+send(src, dst), says whether one copy landed, and links drop each copy
+independently.  The round names every receiver (consensus.deliver), and
+receivers only collect sets, so the order in which copies land carries
+no meaning.  One round driver owns the seed streams, so a seeded run is
+byte-for-byte reproducible, and keeps the run record both subcommands
+read.
 """
 
 from __future__ import annotations
@@ -38,11 +40,9 @@ DRIFT_SHARE = 1e-12
 
 
 class PhaseNet:
-    """Lossy links among one node set, counting the copies sent and dropped."""
+    """Lossy links, counting the copies sent and dropped."""
 
-    def __init__(self, node_ids: Iterable[str], drop_prob: float = 0.0,
-                 rng: Optional[random.Random] = None):
-        self.ids = sorted(node_ids)
+    def __init__(self, drop_prob: float = 0.0, rng: Optional[random.Random] = None):
         self.drop_prob = drop_prob
         self.rng = rng if rng is not None else random.Random(0)
         self.sent = 0
@@ -55,10 +55,6 @@ class PhaseNet:
             self.dropped += 1
             return False
         return True
-
-    def broadcast(self, src: str) -> List[str]:
-        """Send one copy to every other node, in id order; the ids it reached."""
-        return [dst for dst in self.ids if dst != src and self.send(src, dst)]
 
 
 def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
@@ -103,8 +99,7 @@ class RoundDriver:
         self.profile = profile
         self.delta1, self.delta2 = delta1, delta2
         self.credits = init_credits(nodes)
-        self.net = PhaseNet(self.ids, drop_prob=profile.drop_prob,
-                            rng=random.Random(f"net:{seed}"))
+        self.net = PhaseNet(profile.drop_prob, random.Random(f"net:{seed}"))
         self._seeds = random.Random(seed)
         self.rows: List[RoundLogRow] = []
 

@@ -1,19 +1,29 @@
 """Independent reference computations the unit tests compare against.
 
 Everything here is deliberately naive: dense grids, textbook formulas,
-fresh solves.  Nothing imports the solver internals being tested.
+fresh solves.  Nothing imports the solver internals being tested.  The
+reference consensus round is the one exception: it keeps an earlier
+form of run_round, and shares with it only the election, the quorum
+arithmetic and the block checks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional, Tuple
+import random
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from destrade import (ChpParams, CommunityParams, Dispatch, FollowerError, KktCase,
                       KktSolution, PricePair, best_response)
+from destrade.consensus import (Behavior, ConsensusNode, CreditTable, FaultProfile,
+                                RoundOutcome, check_quorum, elect_leader,
+                                min_quorum_cardinality)
 from destrade.follower import SATURATION_TOL, SIGN_TOL
+from destrade.ledger import Block, Contract, EnergyKind, make_block, validate_block
 
 # Grid cells skipped on each side of a detected case switch when probing
 # curvature; the response is only piecewise smooth there.
@@ -377,3 +387,133 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
 def _clip01(v: float) -> float:
     return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
 
+
+# ============================================================
+# reference consensus round
+# ============================================================
+
+
+def _broadcast(net, ids: List[str], src: str) -> List[str]:
+    """One copy from src to every other node, in id order; the ids it reached."""
+    return [dst for dst in ids if dst != src and net.send(src, dst)]
+
+
+def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
+                    profile: FaultProfile, net, round_no: int,
+                    seed: int) -> RoundOutcome:
+    """run_round as it stood before its votes moved onto one delivery
+    path: honest votes go out by broadcast, an equivocator sends its own
+    copies, and the tallies are per-receiver dicts that die with the
+    round.  Kept verbatim but for net.broadcast, which _broadcast
+    reproduces from the fabric's send.
+    """
+    ids = sorted(nodes)
+    n = len(ids)
+    total = reduce(add, credits.values(), 0.0)  # left to right, as check_quorum
+    leader_id = elect_leader(credits, total, seed)
+    # Only an equivocating voter draws from the round's stream, so it is
+    # seeded on the first such draw.
+    rng: Optional[random.Random] = None
+
+    beh_leader = profile.behavior_of(leader_id)
+    proposal: Optional[Block] = None
+    if beh_leader in (Behavior.HONEST, Behavior.EQUIVOCATOR):
+        leader = nodes[leader_id]
+        txs = [leader.pool[k] for k in sorted(leader.pool)]
+        proposal = make_block(leader_id, leader.chain, round_no, txs)
+    elif beh_leader is Behavior.INVALID_BLOCK_LEADER:
+        # Properly signed block carrying a contract nobody pooled.
+        forged = Contract(contract_id=f"forged-{round_no}", buyer=leader_id,
+                          seller=leader_id, kind=EnergyKind.ELECTRICITY,
+                          price=1.0, amount=1.0, trans_time=0, stime=0)
+        proposal = make_block(leader_id, nodes[leader_id].chain, round_no, [forged])
+    # SILENT_LEADER and DISSENTER leaders propose nothing.
+
+    voted_full: Dict[str, bool] = {k: False for k in ids}
+    committed_nodes: Set[str] = set()
+    prepare_needed = min_quorum_cardinality(credits, total, n)
+
+    if proposal is not None:
+        saw = set(_broadcast(net, ids, leader_id))
+        saw.add(leader_id)
+
+        # Prepare phase.  A node's own vote counts toward its quorum.
+        prepares: Dict[str, Set[str]] = {k: set() for k in ids}
+        for k in ids:
+            if k not in saw:
+                continue
+            beh = profile.behavior_of(k)
+            if beh is Behavior.DISSENTER:
+                continue
+            ok, _reason = validate_block(proposal, nodes[k].pool, nodes[k].chain)
+            if not ok:
+                continue
+            if beh is Behavior.EQUIVOCATOR:
+                if rng is None:
+                    rng = random.Random(f"round:{seed}")
+                targets = set(rng.sample(ids, rng.randint(0, n)))
+                for dst in sorted(targets - {k}):
+                    if net.send(k, dst):
+                        prepares[dst].add(k)
+                if k in targets:
+                    prepares[k].add(k)
+                voted_full[k] = targets == set(ids)
+            else:
+                for dst in _broadcast(net, ids, k):
+                    prepares[dst].add(k)
+                prepares[k].add(k)
+                voted_full[k] = True
+
+        # Commit phase.
+        commits: Dict[str, Set[str]] = {k: set() for k in ids}
+        for k in ids:
+            if profile.behavior_of(k) is Behavior.DISSENTER:
+                continue
+            if check_quorum(prepares[k], credits, total, n):
+                for dst in _broadcast(net, ids, k):
+                    commits[dst].add(k)
+                commits[k].add(k)
+
+        # A node that missed an earlier commit is not on the block's
+        # parent; it abstains rather than append off its tip.
+        tx_ids = proposal.tx_ids
+        for k in ids:
+            node = nodes[k]
+            if (check_quorum(commits[k], credits, total, n)
+                    and node.chain.extends(proposal)):
+                committed_nodes.add(k)
+                node.chain.append(proposal)
+                pop = node.pool.pop
+                for cid in tx_ids:
+                    pop(cid, None)
+
+    deciding = profile.deciding_ids(ids)
+    committed = any(k in committed_nodes for k in deciding)
+
+    abort_reason: Optional[str] = None
+    if not committed:
+        if proposal is None:
+            abort_reason = "LeaderSilent"
+        else:
+            ref = deciding[0]
+            ok, _reason = validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
+            if not ok:
+                abort_reason = "LeaderInvalidBlock"
+            elif not any(check_quorum(prepares[k], credits, total, n)
+                         for k in deciding):
+                abort_reason = "PrepareQuorumFailed"
+            else:
+                abort_reason = "CommitQuorumFailed"
+
+    # A voter matched the outcome when its full, consistent endorsement
+    # agrees with the decision; abstention endorses an abort.
+    matched = {k: voted_full[k] == committed for k in ids if k != leader_id}
+
+    return RoundOutcome(
+        leader_id=leader_id,
+        committed=committed,
+        abort_reason=abort_reason,
+        block=proposal if committed else None,
+        matched=matched,
+        prepare_needed=prepare_needed,
+    )

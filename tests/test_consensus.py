@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from destrade import (
     AllCreditsZero,
     Behavior,
+    Contract,
+    EnergyKind,
     FaultProfile,
     RoundOutcome,
     TooFewNodes,
@@ -22,16 +27,18 @@ from destrade import (
     run_rounds,
     update_credits,
 )
-from destrade.consensus import DELTA_LEADER, DELTA_VOTER
+from destrade import consensus, netsim
+from destrade.consensus import DELTA_LEADER, DELTA_VOTER, ConsensusError
 from destrade.netsim import PhaseNet, RoundDriver
+from oracles import reference_round
 
 
 def _ids(n: int):
     return [f"n{c:02d}" for c in range(n)]
 
 
-def _net(ids):
-    return PhaseNet(ids, drop_prob=0.0, rng=random.Random(99))
+def _net():
+    return PhaseNet(drop_prob=0.0, rng=random.Random(99))
 
 
 # ------------------------------------------------------------
@@ -77,7 +84,7 @@ def test_a_quorum_on_the_edge_sums_its_credits_left_to_right():
     # So a round the dissenter d sits out commits on every Python.
     profile = FaultProfile({"d": Behavior.DISSENTER})
     seed = next(s for s in range(100) if elect_leader(credits, 0.8, s) != "d")
-    out = run_round(make_nodes(credits), credits, profile, _net(sorted(credits)), 0, seed)
+    out = run_round(make_nodes(credits), credits, profile, _net(), 0, seed)
     assert out.committed and out.abort_reason is None
 
 
@@ -170,13 +177,27 @@ def test_round_all_honest_commits():
     ids = _ids(4)
     nodes = make_nodes(ids)
     credits = init_credits(ids)
-    outcome = run_round(nodes, credits, FaultProfile(), _net(ids), 0, seed=1)
+    outcome = run_round(nodes, credits, FaultProfile(), _net(), 0, seed=1)
     assert outcome.committed
     assert outcome.abort_reason is None
     tips = {nodes[k].chain.tip.block_hash() for k in ids}
     assert len(tips) == 1
     assert all(nodes[k].chain.height == 1 for k in ids)
     assert all(outcome.matched[k] for k in ids if k != outcome.leader_id)
+
+
+def test_each_node_keeps_the_senders_whose_votes_reached_it():
+    ids = _ids(4)
+    nodes, credits = make_nodes(ids), init_credits(ids)
+    assert run_round(nodes, credits, FaultProfile(), _net(), 0, seed=1).committed
+    assert all(nodes[k].prepares == nodes[k].commits == set(ids) for k in ids)
+    # The next round starts the tallies afresh.  With every copy dropped
+    # only the leader holds the proposal, and its own prepare vote.
+    out = run_round(nodes, credits, FaultProfile(), PhaseNet(drop_prob=1.0), 1, seed=2)
+    assert not out.committed
+    assert {k: nodes[k].prepares for k in ids} == {
+        k: {k} if k == out.leader_id else set() for k in ids}
+    assert all(nodes[k].commits == set() for k in ids)
 
 
 def _count_randoms(monkeypatch):
@@ -194,7 +215,7 @@ def _count_randoms(monkeypatch):
 
 def test_fault_free_round_seeds_only_the_election(monkeypatch):
     ids = _ids(4)
-    nodes, credits, net = make_nodes(ids), init_credits(ids), _net(ids)
+    nodes, credits, net = make_nodes(ids), init_credits(ids), _net()
     made = _count_randoms(monkeypatch)
     assert run_round(nodes, credits, FaultProfile(), net, 0, seed=1).committed
     assert made == [1]
@@ -205,7 +226,7 @@ def test_equivocating_voter_seeds_the_round_stream_once(monkeypatch):
     credits = init_credits(ids)
     leader = elect_leader(credits, 3.5, 5)
     voters = [k for k in ids if k != leader][:2]
-    nodes, net = make_nodes(ids), _net(ids)
+    nodes, net = make_nodes(ids), _net()
     profile = FaultProfile(behaviors={k: Behavior.EQUIVOCATOR for k in voters})
     made = _count_randoms(monkeypatch)
     run_round(nodes, credits, profile, net, 0, seed=5)
@@ -219,7 +240,7 @@ def test_round_silent_leader_aborts():
     leader = elect_leader(credits, 2.0, 7)
     nodes = make_nodes(ids)
     profile = FaultProfile(behaviors={leader: Behavior.SILENT_LEADER})
-    outcome = run_round(nodes, credits, profile, _net(ids), 0, seed=7)
+    outcome = run_round(nodes, credits, profile, _net(), 0, seed=7)
     assert outcome.leader_id == leader
     assert not outcome.committed
     assert outcome.abort_reason == "LeaderSilent"
@@ -237,7 +258,7 @@ def test_round_invalid_block_leader_aborts():
     leader = elect_leader(credits, 2.0, 11)
     nodes = make_nodes(ids)
     profile = FaultProfile(behaviors={leader: Behavior.INVALID_BLOCK_LEADER})
-    outcome = run_round(nodes, credits, profile, _net(ids), 0, seed=11)
+    outcome = run_round(nodes, credits, profile, _net(), 0, seed=11)
     assert not outcome.committed
     assert outcome.abort_reason == "LeaderInvalidBlock"
     assert all(nodes[k].chain.height == 0 for k in ids)
@@ -252,7 +273,7 @@ def test_round_tolerates_f_dissenters():
     nodes = make_nodes(ids)
     profile = FaultProfile(
         behaviors={k: Behavior.DISSENTER for k in dissenters})
-    outcome = run_round(nodes, credits, profile, _net(ids), 0, seed=5)
+    outcome = run_round(nodes, credits, profile, _net(), 0, seed=5)
     assert outcome.committed
     # dissenters withheld votes but still see the commit certificate
     assert all(nodes[k].chain.height == 1 for k in ids)
@@ -269,7 +290,7 @@ def test_round_fails_beyond_f_dissenters():
     nodes = make_nodes(ids)
     profile = FaultProfile(
         behaviors={k: Behavior.DISSENTER for k in dissenters})
-    outcome = run_round(nodes, credits, profile, _net(ids), 0, seed=9)
+    outcome = run_round(nodes, credits, profile, _net(), 0, seed=9)
     assert not outcome.committed
     assert outcome.abort_reason == "PrepareQuorumFailed"
 
@@ -314,3 +335,92 @@ def test_run_rounds_deterministic():
     assert a.rows == b.rows
     assert a.credits == b.credits
     assert a.commit_count == b.commit_count
+
+
+# ------------------------------------------------------------
+# the reference round
+# ------------------------------------------------------------
+
+FAULTS = [b for b in Behavior if b is not Behavior.HONEST]
+DROPS = (0.0, 0.02, 0.1, 0.3)
+REFERENCE_ROUNDS = 30
+# Contracts the nodes pool, each node a subset of them: a leader proposes
+# its whole pool, so a voter that lacks one of them rejects the block.
+POOLED = [Contract(f"ct-{i:06d}", "b", "s", EnergyKind.ELECTRICITY, 1.0, 1.0, 0, 0)
+          for i in range(6)]
+FULL = 2 ** len(POOLED) - 1  # the pool mask holding every contract
+
+
+def _drive(round_fn, n, behaviors, drop_prob, pools, seed):
+    """REFERENCE_ROUNDS rounds through RoundDriver, playing round_fn as
+    netsim's round; the run's rows, credits, error, copies, chains and pools."""
+    ids = _ids(n)
+    nodes = make_nodes(ids)
+    for k, mask in zip(ids, pools):
+        nodes[k].pool.update((c.contract_id, c) for i, c in enumerate(POOLED)
+                             if mask >> i & 1)
+    driver = RoundDriver(nodes, FaultProfile(behaviors, drop_prob), seed,
+                         DELTA_LEADER, DELTA_VOTER)
+    error = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netsim, "run_round", round_fn)
+        try:
+            for _ in range(REFERENCE_ROUNDS):
+                driver.step()
+        except ConsensusError as exc:  # every credit drained to 0
+            error = repr(exc)
+    return (driver.rows, driver.credits, error, driver.net.sent, driver.net.dropped,
+            {k: [b.block_hash() for b in node.chain.blocks] for k, node in nodes.items()},
+            {k: node.pool for k, node in nodes.items()})
+
+
+@st.composite
+def _groups(draw):
+    """(n, behaviors, drop_prob, pools, seed): any count of fault roles up
+    to n on any ids, and each node's pool a subset of POOLED by bit mask."""
+    n = draw(st.integers(4, 30))
+    n_faulty = draw(st.integers(0, n))
+    faulty = draw(st.lists(st.sampled_from(FAULTS), min_size=n_faulty, max_size=n_faulty))
+    order = draw(st.permutations(_ids(n)))
+    pools = draw(st.lists(st.integers(0, FULL), min_size=n, max_size=n))
+    return (n, dict(zip(order, faulty)), draw(st.sampled_from(DROPS)), pools,
+            draw(st.integers(0, 2 ** 32)))
+
+
+# Groups the grid must reach, run on every pass: pools that differ, so a
+# voter rejects a block for a contract it lacks (UnknownTx); lossy runs
+# in which a node misses a commit and lags (BadPrevHash); and a group
+# without an honest node, whose abort cause is read off its first id.
+GRID_CASES = [
+    (4, {}, 0.0, [FULL, FULL - 1, FULL, FULL - 2], 3),
+    (7, {"n03": Behavior.DISSENTER}, 0.1, [FULL] * 7, 5),
+    (13, {}, 0.3, [FULL, 0] * 6 + [FULL], 8),
+    (6, {k: b for k, b in zip(_ids(6), FAULTS * 2)}, 0.02, [FULL] * 6, 2),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(group=_groups())
+@example(group=GRID_CASES[0])
+@example(group=GRID_CASES[1])
+@example(group=GRID_CASES[2])
+@example(group=GRID_CASES[3])
+def test_run_round_matches_the_reference_round(group):
+    assert _drive(run_round, *group) == _drive(reference_round, *group)
+
+
+def test_the_reference_grid_reaches_every_verdict(monkeypatch):
+    verdicts = Counter()
+    validate = consensus.validate_block
+
+    def recorded(block, pool, chain):
+        verdict = validate(block, pool, chain)
+        verdicts[verdict[1]] += 1
+        return verdict
+
+    monkeypatch.setattr(consensus, "validate_block", recorded)
+    runs = [_drive(run_round, *case) for case in GRID_CASES]
+    assert {"UnknownTx", "BadPrevHash"} <= set(verdicts)
+    n, behaviors = GRID_CASES[-1][:2]
+    assert len(behaviors) == n
+    assert {r.abort_reason for r in runs[-1][0]} - {"", "LeaderSilent"}

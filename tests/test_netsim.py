@@ -22,6 +22,7 @@ from destrade import (
     run_rounds,
     verify_chain,
 )
+from destrade.consensus import deliver
 from destrade.scenario import load_scenario, parse_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,22 +37,42 @@ def _ids(n: int):
 # ------------------------------------------------------------
 
 
-def test_phase_net_broadcast_excludes_sender():
-    net = PhaseNet(_ids(4), rng=random.Random(1))
-    assert net.broadcast("n00") == ["n01", "n02", "n03"]
-    assert net.broadcast("n02") == ["n00", "n01", "n03"]
+class _Recorder:
+    """A fabric that lands every copy and records each send."""
+
+    def __init__(self):
+        self.sends = []
+
+    def send(self, src, dst):
+        self.sends.append((src, dst))
+        return True
+
+
+def test_deliver_sends_once_to_each_other_target_in_order():
+    # the sender's own copy lands without a send
+    net = _Recorder()
+    assert deliver(net, "n02", _ids(4)) == _ids(4)
+    assert net.sends == [("n02", "n00"), ("n02", "n01"), ("n02", "n03")]
+    net = _Recorder()
+    assert deliver(net, "n00", ["n01", "n03"]) == ["n01", "n03"]
+    assert net.sends == [("n00", "n01"), ("n00", "n03")]
+    assert deliver(net, "n00", []) == [] and len(net.sends) == 2
+    # the fabric counts the copies, none for a sender's own
+    net = PhaseNet(rng=random.Random(1))
+    assert deliver(net, "n00", _ids(4)) == _ids(4)
+    assert deliver(net, "n02", _ids(4)) == _ids(4)
     assert (net.sent, net.dropped) == (6, 0)
 
 
 def test_phase_net_drop_all():
-    net = PhaseNet(_ids(4), drop_prob=1.0, rng=random.Random(1))
-    assert net.broadcast("n00") == []
+    net = PhaseNet(drop_prob=1.0, rng=random.Random(1))
+    assert deliver(net, "n00", _ids(4)) == ["n00"]
     assert net.send("n01", "n02") is False
     assert (net.sent, net.dropped) == (4, 4)
 
 
 def test_phase_net_send_reports_each_copy():
-    net = PhaseNet(_ids(3), drop_prob=0.5, rng=random.Random(2))
+    net = PhaseNet(drop_prob=0.5, rng=random.Random(2))
     landed = [net.send("n00", "n01") for _ in range(40)]
     assert True in landed and False in landed
     assert net.sent == 40
@@ -60,8 +81,8 @@ def test_phase_net_send_reports_each_copy():
 
 def test_phase_net_seed_reproducibility():
     def trace(seed):
-        net = PhaseNet(_ids(5), drop_prob=0.3, rng=random.Random(seed))
-        reached = [net.broadcast(f"n{r % 5:02d}") for r in range(20)]
+        net = PhaseNet(drop_prob=0.3, rng=random.Random(seed))
+        reached = [deliver(net, f"n{r % 5:02d}", _ids(5)) for r in range(20)]
         return reached, net.sent, net.dropped
 
     assert trace(9) == trace(9)
