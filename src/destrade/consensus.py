@@ -83,6 +83,18 @@ class ConsensusNode:
         self.prepares: Set[str] = set()
         self.commits: Set[str] = set()
 
+    def accepts(self, block: Block) -> bool:
+        """This node's verdict on a proposal: valid against its own pool and tip."""
+        return validate_block(block, self.pool, self.chain)[0]
+
+    def commit(self, block: Block) -> None:
+        """Append block, which extends this node's tip, and drop its
+        contracts from the pool."""
+        self.chain.append(block)
+        pop = self.pool.pop
+        for cid in block.tx_ids:
+            pop(cid, None)
+
 
 def init_credits(node_ids) -> CreditTable:
     """Everyone starts at the neutral midpoint."""
@@ -176,50 +188,42 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     The fabric only needs send(src, dst), which says whether a copy
     landed.  The proposal and every vote go out through deliver, to
     every node, except an equivocator's prepare vote: a random subset.
-    Each vote joins its receiver's prepares or commits as it lands; a
-    node's tallies are reset when the round starts and read only once
-    the phase's votes are all out.  Commit appends to each convinced
-    node's own chain when the block extends its tip; a node that lags
-    abstains.  The outcome's committed flag reports whether any deciding
-    node (FaultProfile.deciding_ids) committed.
+    Each vote joins its receiver's prepares or commits as it lands, and
+    a phase reads the tallies once the previous phase's votes are all
+    out.  Prepare: a node the proposal reached votes when it accepts
+    the block.  Commit: a node whose prepares clear the quorum votes.
+    Append: a node whose commits clear the quorum takes the block when
+    it extends its tip; a node that lags abstains.  The round commits
+    when a deciding node (FaultProfile.deciding_ids) took the block.
     """
     ids = sorted(nodes)
     n = len(ids)
     total = reduce(add, credits.values(), 0.0)  # left to right, as check_quorum
     leader_id = elect_leader(credits, total, seed)
+    prepare_needed = min_quorum_cardinality(credits, total, n)
     for node in nodes.values():
         node.prepares, node.commits = set(), set()
-    # Only an equivocating voter draws from the round's stream, so it is
-    # seeded on the first such draw.
+    # Only an equivocator draws from the round's stream: seeded on its first draw.
     rng: Optional[random.Random] = None
+    voted_full: Set[str] = set()  # voters whose prepare went to every node
 
+    # Silent and dissenter leaders propose nothing; an invalid-block one forges a tx.
     beh_leader = profile.behavior_of(leader_id)
     proposal: Optional[Block] = None
-    if beh_leader in (Behavior.HONEST, Behavior.EQUIVOCATOR):
+    if beh_leader not in (Behavior.SILENT_LEADER, Behavior.DISSENTER):
         leader = nodes[leader_id]
-        txs = [leader.pool[k] for k in sorted(leader.pool)]
+        txs = ([Contract(contract_id=f"forged-{round_no}", buyer=leader_id,
+                         seller=leader_id, kind=EnergyKind.ELECTRICITY,
+                         price=1.0, amount=1.0, trans_time=0, stime=0)]
+               if beh_leader is Behavior.INVALID_BLOCK_LEADER
+               else [leader.pool[k] for k in sorted(leader.pool)])
         proposal = make_block(leader_id, leader.chain, round_no, txs)
-    elif beh_leader is Behavior.INVALID_BLOCK_LEADER:
-        # Properly signed block carrying a contract nobody pooled.
-        forged = Contract(contract_id=f"forged-{round_no}", buyer=leader_id,
-                          seller=leader_id, kind=EnergyKind.ELECTRICITY,
-                          price=1.0, amount=1.0, trans_time=0, stime=0)
-        proposal = make_block(leader_id, nodes[leader_id].chain, round_no, [forged])
-    # SILENT_LEADER and DISSENTER leaders propose nothing.
-
-    voted_full: Dict[str, bool] = {k: False for k in ids}
-    committed_nodes: Set[str] = set()
-    prepare_needed = min_quorum_cardinality(credits, total, n)
 
     if proposal is not None:
-        # Prepare phase, among the nodes the proposal reached.  A node's
-        # own vote counts toward its quorum.
+        # A node's own vote counts toward its quorum.
         for k in deliver(net, leader_id, ids):
             beh = profile.behavior_of(k)
-            if beh is Behavior.DISSENTER:
-                continue
-            ok, _reason = validate_block(proposal, nodes[k].pool, nodes[k].chain)
-            if not ok:
+            if beh is Behavior.DISSENTER or not nodes[k].accepts(proposal):
                 continue
             targets = ids
             if beh is Behavior.EQUIVOCATOR:
@@ -228,58 +232,33 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                 targets = sorted(rng.sample(ids, rng.randint(0, n)))
             for dst in deliver(net, k, targets):
                 nodes[dst].prepares.add(k)
-            voted_full[k] = len(targets) == n
-
-        # Commit phase.
+            if len(targets) == n:
+                voted_full.add(k)
         for k in ids:
             if (profile.behavior_of(k) is not Behavior.DISSENTER
                     and check_quorum(nodes[k].prepares, credits, total, n)):
                 for dst in deliver(net, k, ids):
                     nodes[dst].commits.add(k)
-
-        # A node that missed an earlier commit is not on the block's
-        # parent; it abstains rather than append off its tip.
-        tx_ids = proposal.tx_ids
-        for k in ids:
-            node = nodes[k]
+        for node in nodes.values():
             if (check_quorum(node.commits, credits, total, n)
                     and node.chain.extends(proposal)):
-                committed_nodes.add(k)
-                node.chain.append(proposal)
-                pop = node.pool.pop
-                for cid in tx_ids:
-                    pop(cid, None)
+                node.commit(proposal)
 
     deciding = profile.deciding_ids(ids)
-    committed = any(k in committed_nodes for k in deciding)
-
-    abort_reason: Optional[str] = None
-    if not committed:
-        if proposal is None:
-            abort_reason = "LeaderSilent"
-        else:
-            ref = deciding[0]
-            ok, _reason = validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
-            if not ok:
-                abort_reason = "LeaderInvalidBlock"
-            elif not any(check_quorum(nodes[k].prepares, credits, total, n)
-                         for k in deciding):
-                abort_reason = "PrepareQuorumFailed"
-            else:
-                abort_reason = "CommitQuorumFailed"
-
+    committed = any(nodes[k].chain.tip is proposal for k in deciding)
+    abort_reason = (
+        None if committed
+        else "LeaderSilent" if proposal is None
+        else "LeaderInvalidBlock" if not nodes[deciding[0]].accepts(proposal)
+        else "PrepareQuorumFailed" if not any(
+            check_quorum(nodes[k].prepares, credits, total, n) for k in deciding)
+        else "CommitQuorumFailed")
     # A voter matched the outcome when its full, consistent endorsement
     # agrees with the decision; abstention endorses an abort.
-    matched = {k: voted_full[k] == committed for k in ids if k != leader_id}
-
-    return RoundOutcome(
-        leader_id=leader_id,
-        committed=committed,
-        abort_reason=abort_reason,
-        block=proposal if committed else None,
-        matched=matched,
-        prepare_needed=prepare_needed,
-    )
+    matched = {k: (k in voted_full) == committed for k in ids if k != leader_id}
+    return RoundOutcome(leader_id=leader_id, committed=committed, abort_reason=abort_reason,
+                        block=proposal if committed else None, matched=matched,
+                        prepare_needed=prepare_needed)
 
 
 def update_credits(credits: CreditTable, outcome: RoundOutcome,

@@ -426,10 +426,6 @@ class Ledger:
             accounts[c[2]].balance += c[4] * c[5]
             states[cid] = _EXECUTED
 
-    def execute_contract(self, contract_id: str) -> None:
-        """Settle one committed contract, as execute_contracts does."""
-        self.execute_contracts((contract_id,))
-
     def conservation_drift(self) -> float:
         """Absolute gap between deposits and money held, unsettled payments included.
 

@@ -476,7 +476,7 @@ def test_contracts_csv_is_what_csv_writes_for_each_row(tmp_path):
     # three payments of 10 have used up the payer's 30: a fourth is refused
     assert led.sign_offers(offers[:1], 3, 3) == ({}, offers[:1])
     led.execute_contracts(["ct-000000", "ct-000001", "ct-000002"])
-    led.execute_contract("ct-000004")
+    led.execute_contracts(["ct-000004"])
     assert sorted(s._value_ for s in led.states.values()) == [
         "created", "executed", "executed", "executed", "executed"]
 

@@ -389,12 +389,14 @@ def _groups(draw):
 
 # Groups the grid must reach, run on every pass: pools that differ, so a
 # voter rejects a block for a contract it lacks (UnknownTx); lossy runs
-# in which a node misses a commit and lags (BadPrevHash); and a group
-# without an honest node, whose abort cause is read off its first id.
+# in which a node misses a commit and lags (BadPrevHash); a group too
+# small for the quorum rule, which raises before a copy goes out; and a
+# group without an honest node, whose abort cause is read off its first id.
 GRID_CASES = [
     (4, {}, 0.0, [FULL, FULL - 1, FULL, FULL - 2], 3),
     (7, {"n03": Behavior.DISSENTER}, 0.1, [FULL] * 7, 5),
     (13, {}, 0.3, [FULL, 0] * 6 + [FULL], 8),
+    (3, {}, 0.0, [FULL] * 3, 1),
     (6, {k: b for k, b in zip(_ids(6), FAULTS * 2)}, 0.02, [FULL] * 6, 2),
 ]
 
@@ -405,6 +407,7 @@ GRID_CASES = [
 @example(group=GRID_CASES[1])
 @example(group=GRID_CASES[2])
 @example(group=GRID_CASES[3])
+@example(group=GRID_CASES[4])
 def test_run_round_matches_the_reference_round(group):
     assert _drive(run_round, *group) == _drive(reference_round, *group)
 
@@ -421,6 +424,12 @@ def test_the_reference_grid_reaches_every_verdict(monkeypatch):
     monkeypatch.setattr(consensus, "validate_block", recorded)
     runs = [_drive(run_round, *case) for case in GRID_CASES]
     assert {"UnknownTx", "BadPrevHash"} <= set(verdicts)
-    n, behaviors = GRID_CASES[-1][:2]
-    assert len(behaviors) == n
-    assert {r.abort_reason for r in runs[-1][0]} - {"", "LeaderSilent"}
+    outcomes = {r.abort_reason or r.decision for run in runs for r in run[0]}
+    assert outcomes == {"committed", "LeaderSilent", "LeaderInvalidBlock",
+                        "PrepareQuorumFailed", "CommitQuorumFailed"}
+    small = [(rows, error.partition("(")[0], sent)
+             for (n, *_), (rows, _, error, sent, *_) in zip(GRID_CASES, runs) if n < 4]
+    assert small == [([], "TooFewNodes", 0)]
+    no_honest = [run for case, run in zip(GRID_CASES, runs) if len(case[1]) == case[0]]
+    assert len(no_honest) == 1
+    assert {r.abort_reason for r in no_honest[0][0]} - {"", "LeaderSilent"}

@@ -341,13 +341,13 @@ def test_lifecycle_happy_path():
     c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
                             price=1.0, amount=80.0, trans_time=5)
     assert led.states[c.contract_id] is ContractState.CREATED
-    led.execute_contract(c.contract_id)
+    led.execute_contracts([c.contract_id])
     assert led.states[c.contract_id] is ContractState.EXECUTED
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
     # a contract committed twice cannot pay twice
     with pytest.raises(BadContractState, match="is executed, not created"):
-        led.execute_contract(c.contract_id)
+        led.execute_contracts([c.contract_id])
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
 
@@ -361,7 +361,7 @@ def test_signing_debits_the_payer_and_execution_credits_the_payee():
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 0.0
     assert led.conservation_drift() == 0.0
-    led.execute_contract(c.contract_id)
+    led.execute_contracts([c.contract_id])
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
     assert led.conservation_drift() == 0.0
@@ -377,7 +377,7 @@ def test_a_second_sign_the_payer_cannot_cover_is_refused():
                             price=1.0, amount=60.0, trans_time=0)
     assert list(led.states) == [first.contract_id]
     assert led.accounts["ea"].balance == 20.0
-    led.execute_contract(first.contract_id)
+    led.execute_contracts([first.contract_id])
     assert all(a.balance >= 0.0 for a in led.accounts.values())
     assert set(led.states.values()) == {ContractState.EXECUTED}
 
@@ -425,7 +425,7 @@ def test_conservation_over_random_activity():
                 pass
         elif open_ids:
             cid = open_ids.pop(rng.integers(0, len(open_ids)))
-            led.execute_contract(cid)
+            led.execute_contracts([cid])
         assert led.conservation_drift() <= 1e-9
     # the walk actually settled something
     assert ContractState.EXECUTED in led.states.values()
