@@ -13,8 +13,7 @@ from .follower import (FollowerError, KktCase, KktSolution, best_response,
 from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
                           profit, stackelberg_outcome)
 from .ledger import (Account, BadContractState, Block, Chain, Contract,
-                     ContractState, CrossCityPair, EnergyKind,
-                     InsufficientBalance, Ledger, LedgerError, Role,
+                     CrossCityPair, EnergyKind, Ledger, LedgerError, Role,
                      UnknownAccount, export_chain, make_block, make_genesis,
                      merkle_root, sign, sim_secret, validate_block,
                      verify_chain, verify_signature)

@@ -60,7 +60,7 @@ def _contract_lines(ledger: Ledger) -> Iterator[str]:
     # quotes a field holding \r or \n only if the line end holds it too.
     quote = csv.writer(argparse.Namespace(write=str)).writerow
     terms_text = {}
-    contracts, states = ledger.contracts, ledger.states
+    contracts, executed = ledger.contracts, ledger.executed
     for cid in sorted(contracts):
         c = contracts[cid]
         key = c[1:6]  # buyer, seller, kind, price, amount
@@ -69,8 +69,8 @@ def _contract_lines(ledger: Ledger) -> Iterator[str]:
             buyer, seller, kind, price, amount = key
             terms = terms_text[key] = quote([buyer, seller, kind._value_,
                                              f"{price:.12e}", f"{amount:.6f}"])[:-2]
-        # c[6] is trans_time; Enum `_value_` reads skip the `value` property.
-        yield f"{cid},{terms},{c[6]},{states[cid]._value_}\r\n"
+        # c[6] is trans_time
+        yield f"{cid},{terms},{c[6]},{'executed' if cid in executed else 'created'}\r\n"
 
 
 # ============================================================

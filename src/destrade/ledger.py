@@ -1,18 +1,20 @@
 """Contract ledger: accounts, energy contracts, and a hash-linked chain.
 
 A contract is created from a DES's offer and executed once consensus
-commits it.  One funds rule covers settlement: signing a contract takes
-its payment out of the aggregator's balance, and is refused when that
-balance is short; executing it credits the DES.  An offer's terms are
-checked and encoded once (check_offer); a trading day's contracts are
-signed from them in one call (sign_offers), each costing the balance
-check and debit, the next id, one tuple and the body digest, and settle
-in one call (execute_contracts).  Blocks carry full contract bodies; the
-chain links sha256 block digests and a merkle root over the contract
-digests.  Contracts (tuples) and blocks are read-only and compute each
-digest at construction; the chain audit rebuilds every root on its own.
-Block leaders sign with simulated keys: deterministic digests of a
-per-account secret, good enough to exercise the protocol logic.
+commits it, when its id joins the ledger's set of settled ids: that set
+is the whole lifecycle.  One funds rule covers settlement: signing a
+contract takes its payment out of the aggregator's balance, and is
+refused when that balance is short; executing it credits the DES.  An
+offer's terms are checked and encoded once (check_offer); a trading
+day's contracts are signed from them in one call (sign_offers), each
+costing the balance check and debit, the next id, one tuple and the
+body digest, and settle in one call (execute_contracts).  Blocks carry
+full contract bodies; the chain links sha256 block digests and a merkle
+root over the contract digests.  Contracts (tuples) and blocks are
+read-only and compute each digest at construction, a block's as fields;
+the chain audit rebuilds every root on its own.  Block leaders sign
+with simulated keys: deterministic digests of a per-account secret,
+good enough to exercise the protocol logic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from functools import cache, reduce
 from enum import Enum
 from operator import add, itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .market import _fill, _read_only
 
@@ -34,10 +36,6 @@ class LedgerError(Exception):
 
 
 class UnknownAccount(LedgerError):
-    pass
-
-
-class InsufficientBalance(LedgerError):
     pass
 
 
@@ -57,17 +55,6 @@ class Role(Enum):
 class EnergyKind(Enum):
     ELECTRICITY = "elec"
     HEAT = "heat"
-
-
-class ContractState(Enum):
-    CREATED = "created"
-    EXECUTED = "executed"
-
-
-# States as plain names for the per-contract paths: reading an Enum
-# attribute costs about a tenth of a microsecond.  For the same reason
-# those paths read a member's `_value_`, not its `value` property.
-_CREATED, _EXECUTED = ContractState
 
 
 # ============================================================
@@ -109,7 +96,7 @@ def verify_signature(payload: str, signature: str, account_id: str) -> bool:
 
 
 class Contract(tuple):
-    """Immutable body of one energy sale; lifecycle state lives in the ledger.
+    """Immutable body of one energy sale; whether it settled, the ledger keeps.
 
     The tuple (contract_id, buyer, seller, kind, price, amount,
     trans_time, stime, body digest), built whole in one call: here, or
@@ -171,42 +158,33 @@ def merkle_root(digests: Sequence[str]) -> str:
 
 class Block:
     """One block: the header, the contracts it carries and the leader's
-    signature.  Read-only and built whole: the constructor computes the
-    txs' ids, merkle root and duplicate flag, the header digest, the
-    leader's signature and the block hash.  Passing merkle or signature
-    builds a tampered copy, whose digests follow the values given."""
+    signature.  Read-only and built whole: the constructor also fills
+    tx_ids, own_root (the merkle root over the txs' digests) and
+    has_duplicate (an id repeats among the txs), which every validator
+    of the block reads, then header_digest (what the leader signs) and
+    block_hash.  Passing merkle or signature builds a tampered copy,
+    whose digests follow the values given."""
 
     __slots__ = ("height", "prev_hash", "merkle", "leader_id", "round_no", "txs",
-                 "note", "signature", "tx_ids", "_header_digest", "_block_hash",
-                 "_own_txs")
+                 "note", "signature", "tx_ids", "own_root", "has_duplicate",
+                 "header_digest", "block_hash")
 
     def __init__(self, height: int, prev_hash: str, leader_id: str, round_no: int,
                  txs: Tuple[Contract, ...] = (), note: str = "", *,
                  merkle: Optional[str] = None, signature: Optional[str] = None):
         from json import dumps
         tx_ids = tuple([c[0] for c in txs])
-        own = (merkle_root([c.body_digest() for c in txs]), len(set(tx_ids)) < len(txs))
+        own_root = merkle_root([c.body_digest() for c in txs])
         if merkle is None:
-            merkle = own[0]
+            merkle = own_root
         header = _sha(dumps([height, prev_hash, merkle, leader_id, round_no, note]))
         if signature is None:
             signature = sign(header, sim_secret(leader_id))
         _fill(self, (height, prev_hash, merkle, leader_id, round_no, txs, note,
-                     signature, tx_ids, header, _sha(header + ":" + signature), own))
+                     signature, tx_ids, own_root, len(set(tx_ids)) < len(txs),
+                     header, _sha(header + ":" + signature)))
 
     __setattr__ = __delattr__ = _read_only
-
-    def header_digest(self) -> str:
-        """Digest of the header; the leader signature covers this."""
-        return self._header_digest
-
-    def block_hash(self) -> str:
-        return self._block_hash
-
-    def own_txs(self) -> Tuple[str, bool]:
-        """Merkle root over the txs' digests, and whether a contract id
-        repeats among them; every validator of the block reads these."""
-        return self._own_txs
 
 
 def make_genesis() -> Block:
@@ -218,7 +196,7 @@ def make_genesis() -> Block:
 def make_block(leader_id: str, chain: "Chain", round_no: int,
                txs: Sequence[Contract]) -> Block:
     """The leader's signed block over txs, on top of chain's tip."""
-    return Block(height=chain.height + 1, prev_hash=chain.tip.block_hash(),
+    return Block(height=chain.height + 1, prev_hash=chain.tip.block_hash,
                  leader_id=leader_id, round_no=round_no, txs=tuple(txs))
 
 
@@ -238,7 +216,7 @@ class Chain:
 
     def extends(self, block: Block) -> bool:
         """True when block is the next block on this chain's tip."""
-        return block.prev_hash == self.tip.block_hash() and block.height == self.height + 1
+        return block.prev_hash == self.tip.block_hash and block.height == self.height + 1
 
     def append(self, block: Block) -> None:
         if not self.extends(block):
@@ -258,16 +236,15 @@ def validate_block(block: Block, pool: Dict[str, Contract],
     """
     if not chain.extends(block):
         return False, "BadPrevHash"
-    root, duplicate = block.own_txs()
-    if block.merkle != root:
+    if block.merkle != block.own_root:
         return False, "BadMerkle"
-    if duplicate:
+    if block.has_duplicate:
         return False, "DuplicateTx"
     for c, pooled in zip(block.txs, map(pool.get, block.tx_ids)):
         if pooled is not c and (pooled is None
                                 or pooled.body_digest() != c.body_digest()):
             return False, "UnknownTx"
-    if not verify_signature(block.header_digest(), block.signature, block.leader_id):
+    if not verify_signature(block.header_digest, block.signature, block.leader_id):
         return False, "BadLeaderSig"
     return True, None
 
@@ -298,9 +275,9 @@ def verify_chain(chain: Chain) -> bool:
         if (b.height != i or b.prev_hash != prev
                 or b.merkle != merkle_root([c.body_digest() for c in b.txs])):
             return False
-        if i > 0 and not verify_signature(b.header_digest(), b.signature, b.leader_id):
+        if i > 0 and not verify_signature(b.header_digest, b.signature, b.leader_id):
             return False
-        prev = b.block_hash()
+        prev = b.block_hash
     return True
 
 
@@ -312,22 +289,23 @@ def verify_chain(chain: Chain) -> bool:
 class Account:
     __slots__ = ("account_id", "role", "city", "balance")
 
-    def __init__(self, account_id: str, role: Role, city: str, balance: float = 0.0):
+    def __init__(self, account_id: str, role: Role, city: str):
         self.account_id = account_id
         self.role = role
         self.city = city
-        self.balance = balance
+        self.balance = 0.0
 
 
 class Ledger:
-    """Account book, contract store and settlement engine for one run."""
+    """Account book, contract store and settlement engine for one run;
+    a signed contract stays created until its id joins `executed`."""
 
-    __slots__ = ("accounts", "contracts", "states", "total_deposited", "_next_id")
+    __slots__ = ("accounts", "contracts", "executed", "total_deposited", "_next_id")
 
     def __init__(self):
         self.accounts: Dict[str, Account] = {}
         self.contracts: Dict[str, Contract] = {}
-        self.states: Dict[str, ContractState] = {}
+        self.executed: Set[str] = set()
         self.total_deposited = 0.0
         self._next_id = 0
 
@@ -350,9 +328,9 @@ class Ledger:
                     price: float, amount: float) -> tuple:
         """Check an offer's terms once, for sign_offers to make its contracts.
 
-        Raises create_contract's errors, except the balance check, which
-        sign_offers makes.  The offer is (payer account, payment, terms'
-        body JSON, buyer, seller, kind, price, amount).
+        Raises UnknownAccount, CrossCityPair or LedgerError on bad terms;
+        the balance check is sign_offers's.  The offer is (payer account,
+        payment, terms' body JSON, buyer, seller, kind, price, amount).
         """
         b = self._account(buyer)
         s = self._account(seller)
@@ -370,16 +348,16 @@ class Ledger:
 
     def sign_offers(self, offers: Sequence[tuple], trans_time: int,
                     stime: int) -> Tuple[Dict[str, Contract], List[tuple]]:
-        """Sign the next contract of each checked offer, in order, in the
-        CREATED state, debiting its payment; refuse the offers whose payer
-        holds less than the payment.
+        """Sign the next contract of each checked offer, in order,
+        debiting its payment; refuse the offers whose payer holds less
+        than the payment.
 
         Returns (id -> contract signed, offers refused), both in offer
         order.  Ids are ct-NNNNNN, so each body's JSON is written around
         the offer's terms directly.
         """
         from json import dumps
-        contracts, states, sha, new = self.contracts, self.states, _sha, tuple.__new__
+        contracts, sha, new = self.contracts, _sha, tuple.__new__
         tail = ", " + dumps([trans_time, stime])[1:]
         n = self._next_id
         signed: Dict[str, Contract] = {}
@@ -395,36 +373,23 @@ class Ledger:
             signed[cid] = contracts[cid] = new(Contract, (
                 cid, buyer, seller, kind, price, amount, trans_time, stime,
                 sha(f'["{cid}", {terms}{tail}')))
-            states[cid] = _CREATED
         self._next_id = n
         return signed, refused
 
-    def create_contract(self, buyer: str, seller: str, kind: EnergyKind,
-                        price: float, amount: float, trans_time: int,
-                        stime: int = 0) -> Contract:
-        """Sign one offer; raise InsufficientBalance if the payer is short."""
-        offer = self.check_offer(buyer, seller, kind, price, amount)
-        signed, refused = self.sign_offers((offer,), trans_time, stime)
-        if refused:
-            raise InsufficientBalance(f"{buyer} holds {offer[0].balance}, "
-                                      f"needs {offer[1]}")
-        return next(iter(signed.values()))
-
     def execute_contracts(self, contract_ids: Iterable[str]) -> None:
-        """Settle committed contracts in the order given, each still CREATED,
-        by crediting its payee the payment its signing debited.
+        """Settle committed contracts in the order given, each not yet
+        executed, by crediting its payee the payment its signing debited.
 
         Settling a contract twice raises, so a contract committed twice
         cannot pay twice.
         """
-        contracts, states, accounts = self.contracts, self.states, self.accounts
+        contracts, executed, accounts = self.contracts, self.executed, self.accounts
         for cid in contract_ids:
-            state = states[cid]
-            if state is not _CREATED:
-                raise BadContractState(f"{cid} is {state._value_}, not created")
             c = contracts[cid]
+            if cid in executed:
+                raise BadContractState(f"{cid} is executed, not created")
             accounts[c[2]].balance += c[4] * c[5]
-            states[cid] = _EXECUTED
+            executed.add(cid)
 
     def conservation_drift(self) -> float:
         """Absolute gap between deposits and money held, unsettled payments included.
@@ -433,8 +398,9 @@ class Ledger:
         from Python 3.12 on, and would make the gap depend on the version.
         """
         held = reduce(add, [a.balance for a in self.accounts.values()], 0.0)
-        promised = reduce(add, [self.contracts[cid].payment for cid, state
-                                in self.states.items() if state is _CREATED], 0.0)
+        executed = self.executed
+        promised = reduce(add, [c.payment for cid, c in self.contracts.items()
+                                if cid not in executed], 0.0)
         return abs(held + promised - self.total_deposited)
 
     def _account(self, account_id: str) -> Account:

@@ -21,8 +21,7 @@ from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
                         ConsensusNode, FaultProfile, RoundOutcome,
                         init_credits, max_faulty, run_round, update_credits)
 from .equilibrium import SeOutcome, stackelberg_outcome
-from .ledger import (Chain, ContractState, EnergyKind, Ledger, Role, make_genesis,
-                     verify_chain)
+from .ledger import Chain, EnergyKind, Ledger, Role, make_genesis, verify_chain
 from .scenario import (Scenario, ScenarioError, build_city, build_credit_steps,
                        build_faults, build_ne_config, build_run)
 
@@ -121,7 +120,7 @@ class RoundDriver:
         seen: Dict[int, set] = {}
         for k in self.deciding:
             for b in self.nodes[k].chain.blocks:
-                seen.setdefault(b.height, set()).add(b.block_hash())
+                seen.setdefault(b.height, set()).add(b.block_hash)
         return sum(len(hashes) - 1 for hashes in seen.values())
 
     def step(self) -> RoundOutcome:
@@ -173,9 +172,9 @@ class PipelineResult(NamedTuple("PipelineResult", [
     @property
     def chains_equal(self) -> bool:
         """Every honest aggregator holds the exported chain."""
-        ref = [b.block_hash() for b in self.chain.blocks]
+        ref = [b.block_hash for b in self.chain.blocks]
         nodes = self.driver.nodes
-        return all([b.block_hash() for b in nodes[k].chain.blocks] == ref
+        return all([b.block_hash for b in nodes[k].chain.blocks] == ref
                    for k in self.driver.honest)
 
     @property
@@ -273,15 +272,13 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
 
     # Stage 3: audits, on the first honest aggregator's chain.
     ref = nodes[min(driver.honest)].chain
-    executed = ContractState.EXECUTED  # one Enum read, not one per contract
     return PipelineResult(
         city_names=names,
         outcome=outcome,
         ledger=ledger,
         chain=ref,
         driver=driver,
-        unexecuted=[cid for cid, state in ledger.states.items()
-                    if state is not executed],
+        unexecuted=[cid for cid in ledger.contracts if cid not in ledger.executed],
         refusals=refusals,
         drift=ledger.conservation_drift(),
         chain_ok=verify_chain(ref),

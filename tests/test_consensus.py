@@ -180,7 +180,7 @@ def test_round_all_honest_commits():
     outcome = run_round(nodes, credits, FaultProfile(), _net(), 0, seed=1)
     assert outcome.committed
     assert outcome.abort_reason is None
-    tips = {nodes[k].chain.tip.block_hash() for k in ids}
+    tips = {nodes[k].chain.tip.block_hash for k in ids}
     assert len(tips) == 1
     assert all(nodes[k].chain.height == 1 for k in ids)
     assert all(outcome.matched[k] for k in ids if k != outcome.leader_id)
@@ -277,7 +277,7 @@ def test_round_tolerates_f_dissenters():
     assert outcome.committed
     # dissenters withheld votes but still see the commit certificate
     assert all(nodes[k].chain.height == 1 for k in ids)
-    tips = {nodes[k].chain.tip.block_hash() for k in ids}
+    tips = {nodes[k].chain.tip.block_hash for k in ids}
     assert len(tips) == 1
 
 
@@ -370,7 +370,7 @@ def _drive(round_fn, n, behaviors, drop_prob, pools, seed):
         except ConsensusError as exc:  # every credit drained to 0
             error = repr(exc)
     return (driver.rows, driver.credits, error, driver.net.sent, driver.net.dropped,
-            {k: [b.block_hash() for b in node.chain.blocks] for k, node in nodes.items()},
+            {k: [b.block_hash for b in node.chain.blocks] for k, node in nodes.items()},
             {k: node.pool for k, node in nodes.items()})
 
 

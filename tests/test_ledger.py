@@ -17,10 +17,8 @@ from destrade import (
     BadContractState,
     Chain,
     Contract,
-    ContractState,
     CrossCityPair,
     EnergyKind,
-    InsufficientBalance,
     Ledger,
     LedgerError,
     Role,
@@ -65,6 +63,16 @@ def funded_ledger(balance=1000.0) -> Ledger:
     led = fresh_ledger()
     led.deposit("ea", balance)
     return led
+
+
+def sign_one(led: Ledger, buyer, seller, kind, price, amount, trans_time,
+             stime=0) -> Contract:
+    """The contract signed from one checked offer, which its payer covers."""
+    offer = led.check_offer(buyer, seller, kind, price, amount)
+    signed, refused = led.sign_offers([offer], trans_time, stime)
+    assert refused == []
+    (c,) = signed.values()
+    return c
 
 
 # ------------------------------------------------------------
@@ -117,38 +125,36 @@ def test_deposit_rejects_non_finite(amount):
 
 def test_create_contract_boundary_balance_passes():
     led = funded_ledger(balance=100.0)
-    c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=100.0, trans_time=0)
-    assert led.states[c.contract_id] is ContractState.CREATED
+    c = sign_one(led, "ea", "des", EnergyKind.ELECTRICITY,
+                 price=1.0, amount=100.0, trans_time=0)
+    assert c.contract_id in led.contracts and c.contract_id not in led.executed
     assert c.payment == 100.0
+    assert led.accounts["ea"].balance == 0.0
 
 
 def test_create_contract_insufficient_balance():
     led = funded_ledger(balance=99.0)
-    with pytest.raises(InsufficientBalance):
-        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=100.0, trans_time=0)
+    offer = led.check_offer("ea", "des", EnergyKind.ELECTRICITY, price=1.0, amount=100.0)
+    assert led.sign_offers([offer], 0, 0) == ({}, [offer])
+    assert led.accounts["ea"].balance == 99.0
+    assert led.contracts == {}
 
 
 def test_create_contract_cross_city():
     led = funded_ledger()
     led.deposit("ea2", 100.0)
     with pytest.raises(CrossCityPair):
-        led.create_contract("ea2", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=1.0, trans_time=0)
+        led.check_offer("ea2", "des", EnergyKind.ELECTRICITY, price=1.0, amount=1.0)
 
 
 def test_create_contract_role_and_positivity():
     led = funded_ledger()
     with pytest.raises(LedgerError):
-        led.create_contract("des", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=1.0, trans_time=0)
+        led.check_offer("des", "des", EnergyKind.ELECTRICITY, price=1.0, amount=1.0)
     with pytest.raises(LedgerError):
-        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=0.0, amount=1.0, trans_time=0)
+        led.check_offer("ea", "des", EnergyKind.ELECTRICITY, price=0.0, amount=1.0)
     with pytest.raises(LedgerError):
-        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=-1.0, trans_time=0)
+        led.check_offer("ea", "des", EnergyKind.ELECTRICITY, price=1.0, amount=-1.0)
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -157,22 +163,21 @@ def test_create_contract_rejects_non_finite(field, bad):
     led = funded_ledger()
     terms = {"price": 1.0, "amount": 2.0, field: bad}
     with pytest.raises(LedgerError, match="must be finite"):
-        led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            trans_time=0, **terms)
-    assert led.contracts == {} and led.states == {}
+        led.check_offer("ea", "des", EnergyKind.ELECTRICITY, **terms)
+    assert led.contracts == {} and led.executed == set()
 
 
 def test_contract_ids_and_signatures():
     led = funded_ledger()
-    c0 = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                             price=1.0, amount=1.0, trans_time=0)
-    c1 = led.create_contract("ea", "des", EnergyKind.HEAT,
-                             price=1.0, amount=1.0, trans_time=0)
+    c0 = sign_one(led, "ea", "des", EnergyKind.ELECTRICITY,
+                  price=1.0, amount=1.0, trans_time=0)
+    c1 = sign_one(led, "ea", "des", EnergyKind.HEAT,
+                  price=1.0, amount=1.0, trans_time=0)
     assert c0.contract_id == "ct-000000"
     assert c1.contract_id == "ct-000001"
 
 
-# Each static rule create_contract enforces, as (buyer, seller, price, amount):
+# Each static rule check_offer enforces, as (buyer, seller, price, amount):
 # unknown buyer and seller, a DES buying, an aggregator selling, a
 # cross-city pair, non-finite and non-positive terms.
 _BAD_TERMS = [("ghost", "des", 1.0, 1.0), ("ea", "ghost", 1.0, 1.0),
@@ -186,15 +191,14 @@ _BAD_TERMS = [("ghost", "des", 1.0, 1.0), ("ea", "ghost", 1.0, 1.0),
 def test_check_offer_raises_create_contracts_errors(buyer, seller, price, amount):
     led = funded_ledger()
     led.deposit("ea2", 100.0)
-    with pytest.raises(LedgerError) as created:
-        led.create_contract(buyer, seller, EnergyKind.HEAT, price, amount, trans_time=0)
     with pytest.raises(LedgerError) as checked:
         led.check_offer(buyer, seller, EnergyKind.HEAT, price, amount)
-    assert type(checked.value) is type(created.value)
-    assert str(checked.value) == str(created.value)
-    assert led.contracts == {} and led.states == {}
+    expected = (UnknownAccount if "ghost" in (buyer, seller)
+                else CrossCityPair if buyer == "ea2" else LedgerError)
+    assert type(checked.value) is expected
+    assert led.contracts == {} and led.executed == set()
     # no contract id was used up either
-    c = led.create_contract("ea", "des", EnergyKind.HEAT, 1.0, 1.0, trans_time=0)
+    c = sign_one(led, "ea", "des", EnergyKind.HEAT, 1.0, 1.0, trans_time=0)
     assert c.contract_id == "ct-000000"
 
 
@@ -206,7 +210,7 @@ def test_a_checked_offer_meets_the_balance_check_when_signed():
     led.execute_contracts(signed)
     # the same checked offer, signed again, meets the balance check again
     assert led.sign_offers([offer, offer], 1, 1) == ({}, [offer, offer])
-    assert list(led.contracts) == list(led.states) == ["ct-000000"]
+    assert list(led.contracts) == ["ct-000000"] and led.executed == {"ct-000000"}
     led.deposit("ea", 1.0)
     signed, refused = led.sign_offers([offer, offer], 1, 1)
     assert list(signed) == ["ct-000001"] and refused == [offer]
@@ -244,19 +248,18 @@ def test_signing_a_day_at_once_is_signing_each_offer_in_turn(rows, days, funds):
         signed, refused = batch.sign_offers(offers, day, day + 1)
         one_by_one, refused_rows = {}, []
         for offer, (payer, price, amount) in zip(offers, rows):
-            try:
-                c = single.create_contract(payer, offer[4], offer[5], price, amount,
-                                           day, day + 1)
-            except InsufficientBalance:
+            one, short = single.sign_offers(
+                [single.check_offer(payer, offer[4], offer[5], price, amount)],
+                day, day + 1)
+            one_by_one.update(one)
+            if short:
                 refused_rows.append(offer)
-            else:
-                one_by_one[c.contract_id] = c
         assert refused == refused_rows
         assert list(signed) == list(one_by_one)
         assert [c.body_digest() for c in signed.values()] == [
             c.body_digest() for c in one_by_one.values()]
         assert list(signed.values()) == list(one_by_one.values())
-    assert batch.contracts == single.contracts and batch.states == single.states
+    assert batch.contracts == single.contracts and batch.executed == single.executed
     assert [a.balance.hex() for a in batch.accounts.values()] == [
         a.balance.hex() for a in single.accounts.values()]
 
@@ -338,11 +341,11 @@ def test_equal_bodies_compare_and_hash_equal():
 
 def test_lifecycle_happy_path():
     led = funded_ledger(balance=100.0)
-    c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=80.0, trans_time=5)
-    assert led.states[c.contract_id] is ContractState.CREATED
+    c = sign_one(led, "ea", "des", EnergyKind.ELECTRICITY,
+                 price=1.0, amount=80.0, trans_time=5)
+    assert led.executed == set()
     led.execute_contracts([c.contract_id])
-    assert led.states[c.contract_id] is ContractState.EXECUTED
+    assert led.executed == {c.contract_id}
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
     # a contract committed twice cannot pay twice
@@ -350,12 +353,17 @@ def test_lifecycle_happy_path():
         led.execute_contracts([c.contract_id])
     assert led.accounts["ea"].balance == 20.0
     assert led.accounts["des"].balance == 80.0
+    assert led.executed == {c.contract_id}
+    # an id that was never signed is not in the store
+    with pytest.raises(KeyError):
+        led.execute_contracts(["ct-999999"])
+    assert led.executed == {c.contract_id}
 
 
 def test_signing_debits_the_payer_and_execution_credits_the_payee():
     led = funded_ledger(balance=100.0)
-    c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=80.0, trans_time=0)
+    c = sign_one(led, "ea", "des", EnergyKind.ELECTRICITY,
+                 price=1.0, amount=80.0, trans_time=0)
     # the payment leaves the payer when signed; until executed it is
     # held by the contract, and the drift audit counts it
     assert led.accounts["ea"].balance == 20.0
@@ -369,21 +377,16 @@ def test_signing_debits_the_payer_and_execution_credits_the_payee():
 
 def test_a_second_sign_the_payer_cannot_cover_is_refused():
     led = funded_ledger(balance=100.0)
-    first = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                                price=1.0, amount=80.0, trans_time=0)
+    first = sign_one(led, "ea", "des", EnergyKind.ELECTRICITY,
+                     price=1.0, amount=80.0, trans_time=0)
     # 20 is left after the first payment, whether or not it has settled
-    with pytest.raises(InsufficientBalance, match="^ea holds 20.0, needs 60.0$"):
-        led.create_contract("ea", "des", EnergyKind.HEAT,
-                            price=1.0, amount=60.0, trans_time=0)
-    assert list(led.states) == [first.contract_id]
+    second = led.check_offer("ea", "des", EnergyKind.HEAT, price=1.0, amount=60.0)
+    assert led.sign_offers([second], 0, 0) == ({}, [second])
+    assert list(led.contracts) == [first.contract_id]
     assert led.accounts["ea"].balance == 20.0
     led.execute_contracts([first.contract_id])
     assert all(a.balance >= 0.0 for a in led.accounts.values())
-    assert set(led.states.values()) == {ContractState.EXECUTED}
-
-
-def test_contract_states_are_created_and_executed():
-    assert [s.value for s in ContractState] == ["created", "executed"]
+    assert led.executed == set(led.contracts)
 
 
 def test_conservation_drift_sums_left_to_right():
@@ -399,7 +402,7 @@ def test_conservation_drift_sums_left_to_right():
     # the payments still promised add up the same way
     led.register("des", Role.DES, "c0")
     for i in range(10):
-        led.create_contract(f"a{i}", "des", EnergyKind.HEAT, 1.0, 0.1, trans_time=0)
+        sign_one(led, f"a{i}", "des", EnergyKind.HEAT, 1.0, 0.1, trans_time=0)
     assert [a.balance for a in led.accounts.values()] == [0.0] * 11
     assert led.conservation_drift() == 0.0
 
@@ -417,18 +420,15 @@ def test_conservation_over_random_activity():
             buyer = ("ea", "ha")[rng.integers(0, 2)]
             price = float(rng.uniform(0.1, 2.0))
             amount = float(rng.uniform(1.0, 50.0))
-            try:
-                c = led.create_contract(buyer, "des", EnergyKind.ELECTRICITY,
-                                        price=price, amount=amount, trans_time=0)
-                open_ids.append(c.contract_id)
-            except LedgerError:
-                pass
+            offer = led.check_offer(buyer, "des", EnergyKind.ELECTRICITY,
+                                    price=price, amount=amount)
+            open_ids += led.sign_offers([offer], 0, 0)[0]  # empty when refused
         elif open_ids:
             cid = open_ids.pop(rng.integers(0, len(open_ids)))
             led.execute_contracts([cid])
         assert led.conservation_drift() <= 1e-9
     # the walk actually settled something
-    assert ContractState.EXECUTED in led.states.values()
+    assert led.executed
 
 
 # ------------------------------------------------------------
@@ -465,8 +465,8 @@ def test_merkle_order_sensitivity():
 
 def _pool_with_contract():
     led = funded_ledger()
-    c = led.create_contract("ea", "des", EnergyKind.ELECTRICITY,
-                            price=1.0, amount=2.0, trans_time=0)
+    c = sign_one(led, "ea", "des", EnergyKind.ELECTRICITY,
+                 price=1.0, amount=2.0, trans_time=0)
     return {c.contract_id: c}, c
 
 
@@ -513,7 +513,7 @@ def test_validate_reason_order():
     assert validate_block(tampered, pool, chain) == (False, "UnknownTx")
 
     # proper content, wrong signer
-    forged = rebuilt(good, signature=sign(good.header_digest(), sim_secret("evil")))
+    forged = rebuilt(good, signature=sign(good.header_digest, sim_secret("evil")))
     assert validate_block(forged, pool, chain) == (False, "BadLeaderSig")
 
 
@@ -524,14 +524,14 @@ def test_stored_digests_match_their_fields():
     for b, signer in ((chain.tip, "genesis"), (blk, "ea")):
         header = _sha(json.dumps([b.height, b.prev_hash, b.merkle, b.leader_id,
                                   b.round_no, b.note]))
-        assert b.header_digest() == header
-        assert b.block_hash() == _sha(header + ":" + b.signature)
+        assert b.header_digest == header
+        assert b.block_hash == _sha(header + ":" + b.signature)
         assert verify_signature(header, b.signature, signer)
     assert c.body_digest() == _sha(json.dumps([
         c.contract_id, c.buyer, c.seller, c.kind.value, repr(c.price),
         repr(c.amount), c.trans_time, c.stime]))
     assert blk.merkle == merkle_root([c.body_digest()])
-    assert blk.prev_hash == chain.tip.block_hash()
+    assert blk.prev_hash == chain.tip.block_hash
 
 
 def test_tampered_copies_get_fresh_digests():
@@ -539,7 +539,7 @@ def test_tampered_copies_get_fresh_digests():
     chain = Chain()
     good = make_block("ea", chain, 0, [c])
     # read every digest first, so a copy that kept them would show
-    digest, header, block_hash = c.body_digest(), good.header_digest(), good.block_hash()
+    digest, header, block_hash = c.body_digest(), good.header_digest, good.block_hash
     altered = rebuilt(c, amount=c.amount + 1.0)
     assert altered.body_digest() != digest
     tampers = [
@@ -549,10 +549,10 @@ def test_tampered_copies_get_fresh_digests():
         (rebuilt(good, signature=sign(header, sim_secret("evil"))), "BadLeaderSig"),
     ]
     for blk, reason in tampers:
-        assert blk.block_hash() != block_hash
+        assert blk.block_hash != block_hash
         assert validate_block(blk, pool, chain) == (False, reason)
     for blk, _reason in tampers[1:3]:
-        assert blk.header_digest() != header
+        assert blk.header_digest != header
     assert validate_block(good, pool, chain) == (True, None)
     for blk, _reason in tampers[1:]:
         broken = Chain()
@@ -620,11 +620,11 @@ _BROKEN = {
     "empty": lambda b: [],
     "genesis-height": lambda b: [rebuilt(b[0], height=1)],
     "genesis-prev-hash": lambda b: [rebuilt(b[0], prev_hash="ab" * 32)],
-    "link": lambda b: [b[0], b[1], rebuilt(b[2], prev_hash=b[0].block_hash())],
+    "link": lambda b: [b[0], b[1], rebuilt(b[2], prev_hash=b[0].block_hash)],
     "height": lambda b: [b[0], b[1], rebuilt(b[2], height=3)],
     "missing-block": lambda b: [b[0], b[2]],
     "signature": lambda b: [b[0], b[1], rebuilt(
-        b[2], signature=sign(b[2].header_digest(), sim_secret("evil")))],
+        b[2], signature=sign(b[2].header_digest, sim_secret("evil")))],
 }
 
 
@@ -672,7 +672,7 @@ _IDS = st.one_of(
     st.text(alphabet=st.sampled_from('"\\/\x00\x1f\x7f\b\t\n\r\u2028\xe9\U0001f600\ud800a'),
             max_size=12),
 )
-# The prices and amounts create_contract accepts: finite and positive.
+# The prices and amounts check_offer accepts: finite and positive.
 _MONEY = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # Large and negative ints, plus the bools and floats json writes its own way.
 _INTS = st.one_of(st.integers(), st.integers(min_value=-2**70, max_value=2**70),

@@ -53,7 +53,7 @@ _READ_ONLY = {
     "Contract": (lambda city: Contract("ct-000000", "ea", "des", EnergyKind.HEAT,
                                        1.5, 2.0, 3, 4), "price", ()),
     "Block": (lambda city: make_block("ea", Chain(), 0, []), "signature",
-              ("tx_ids", "_header_digest", "_block_hash", "_own_txs")),
+              ("tx_ids", "own_root", "has_duplicate", "header_digest", "block_hash")),
     "ChpParams": (lambda city: city.chp, "f_m", ("elec_capacity", "b_e", "c_e")),
     "CommunityParams": (lambda city: city.communities[0], "k_e", ("kkt_row",)),
     "CityMarket": (lambda city: city, "r_e", ("kkt_table",)),

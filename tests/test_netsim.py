@@ -100,7 +100,7 @@ def test_fault_free_run_commits_every_round():
     assert result.commit_count == 100
     assert result.divergence_count == 0
     assert result.abort_reasons == {}
-    tips = {nodes[k].chain.tip.block_hash() for k in nodes}
+    tips = {nodes[k].chain.tip.block_hash for k in nodes}
     assert len(tips) == 1
     assert all(nodes[k].chain.height == 100 for k in nodes)
     assert result.net.dropped == 0 and result.net.sent > 0
@@ -115,7 +115,7 @@ def test_overwhelmed_quorum_is_safe_but_not_live():
     assert result.commit_count == 0
     assert result.divergence_count == 0
     assert all(nodes[k].chain.height == 0 for k in ids)
-    tips = {nodes[k].chain.tip.block_hash() for k in ids}
+    tips = {nodes[k].chain.tip.block_hash for k in ids}
     assert len(tips) == 1
 
 
@@ -140,7 +140,7 @@ def test_lossy_network_stays_safe():
     chains = [nodes[k].chain.blocks for k in sorted(nodes)]
     shortest = min(len(c) for c in chains)
     for h in range(shortest):
-        assert len({c[h].block_hash() for c in chains}) == 1
+        assert len({c[h].block_hash for c in chains}) == 1
     result2, _ = go()
     assert result2.rows == result.rows
 
@@ -160,7 +160,7 @@ def test_lagging_nodes_abstain_under_loss():
         profile = FaultProfile(behaviors=dict(zip(ids, roles)), drop_prob=0.05)
         result = run_rounds(60, nodes, profile, seed=seed)
         assert result.divergence_count == 0
-        chains = [[b.block_hash() for b in nodes[k].chain.blocks]
+        chains = [[b.block_hash for b in nodes[k].chain.blocks]
                   for k in sorted(result.honest)]
         longest = max(chains, key=len)
         assert all(c == longest[:len(c)] for c in chains)
@@ -270,11 +270,25 @@ def test_lagging_dissenter_is_no_divergence():
     res = run_pipeline(parse_scenario(text), seed=7)
     nodes = res.driver.nodes
     assert nodes["c0.ea"].chain.height == 2
-    tips = {nodes[k].chain.tip.block_hash() for k in res.driver.honest}
+    tips = {nodes[k].chain.tip.block_hash for k in res.driver.honest}
     assert res.driver.honest == {"c0.ha", "c1.ea", "c1.ha"}
     assert len(tips) == 1 and res.chain.height == 3
     assert res.chains_equal
     assert res.violations == []
+
+
+@pytest.mark.parametrize("faults", ["drop_prob = 0.0", "dissenters = 1\ndrop_prob = 0.05"])
+def test_settlement_follows_the_commits(faults):
+    # the contracts settled are those on the exported chain, on a clean
+    # run and on the lossy one with a lagging dissenter
+    with open(os.path.join(REPO, "scenarios", "full_2city.scn")) as fh:
+        text = fh.read()
+    assert "[faults]\ndrop_prob = 0.0" in text
+    text = text.replace("[faults]\ndrop_prob = 0.0", "[faults]\n" + faults)
+    res = run_pipeline(parse_scenario(text), seed=7)
+    on_chain = [cid for b in res.chain.blocks for cid in b.tx_ids]
+    assert on_chain and res.ledger.executed == set(on_chain)
+    assert res.unexecuted == [cid for cid in res.ledger.contracts if cid not in on_chain]
 
 
 def _is_hex_digest(s: str) -> bool:
