@@ -23,7 +23,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Sequence, Tuple
 
-from .market import ChpParams, CommunityParams, Dispatch, PricePair
+from .market import ChpParams, CommunityParams, Dispatch, PricePair, kkt_row
 
 # Dispatch fractions within this distance of 1 count as saturated.
 SATURATION_TOL = 1e-9
@@ -82,7 +82,7 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
                   p_e: float, p_h: float) -> Tuple[float, float]:
     """Exports of the communities in rows at prices (p_e, p_h), per stream.
 
-    rows are kkt_row tuples; CityMarket.kkt_table holds a city's.
+    rows are kkt_row tuples on chp's unit, such as a city's kkt_table.
     Solves each community's globally optimal dispatch and returns (sum
     of X*(1 - alpha), sum of Y*(1 - beta)), added left to right in row
     order.  Total for any positive prices near the admissible box,
@@ -95,13 +95,13 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
     every other row goes through _case_walk, whose first cases are the
     same expressions, so the floats do not depend on the path taken.
     """
-    x, y = chp.elec_capacity, chp.heat_capacity
+    x, y, inv_b_e, inv_b_h = chp.elec_capacity, chp.heat_capacity, chp.inv_b_e, chp.inv_b_h
     tot_e = tot_h = 0.0
     p_sum = p_e + p_h
     top = p_h if p_h < p_e else p_e
     sqrt, sat, tol = math.sqrt, _SAT, SATURATION_TOL
     for row in rows:
-        m, k_e, k_h, _, _, inv_b_e, inv_b_h, qa, k_sum, qa4 = row
+        m, k_e, k_h, qa, k_sum, qa4 = row
         a0 = (k_e / p_e - inv_b_e) / x
         b0 = (k_h / p_h - inv_b_h) / y
         if a0 < sat and b0 < sat:
@@ -133,22 +133,25 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
                         tot_h += y * (1.0 - b)
                         continue
         # A saturated stream, a rejected floor case, NaN or an error.
-        rec = _case_walk(x, y, row, p_e, p_h)
+        rec = _case_walk(chp, row, p_e, p_h)
         tot_e += x * (1.0 - rec[0])
         tot_h += y * (1.0 - rec[1])
     return tot_e, tot_h
 
 
-def _case_walk(x: float, y: float, row: Tuple[float, ...], p_e: float,
+def _case_walk(chp: ChpParams, row: Tuple[float, ...], p_e: float,
                p_h: float) -> Tuple[float, float, KktCase, float, float, float]:
     """One community's (alpha, beta, case, lam1, lam2, lam3) at (p_e, p_h).
 
-    x and y are the unit's capacities, row its kkt_row.  Cases are
-    tried in order: free optimum, floor-bound optimum, then each stream
-    saturated (with and without the floor).  Strict concavity makes the
+    row is a community's kkt_row on chp's unit, which holds the capacities
+    and adaption coefficients.  Cases are tried in order: free optimum,
+    floor-bound optimum, then each stream saturated (with and without the
+    floor).  Strict concavity makes the
     first case with valid multipliers the unique optimum.
     """
-    m, k_e, k_h, b_e, b_h, inv_b_e, inv_b_h, qa, k_sum, qa4 = row
+    x, y, b_e, b_h = chp.elec_capacity, chp.heat_capacity, chp.b_e, chp.b_h
+    inv_b_e, inv_b_h = chp.inv_b_e, chp.inv_b_h
+    m, k_e, k_h, qa, k_sum, qa4 = row
     # Stationary fractions with no constraint active.
     a0 = (k_e / p_e - inv_b_e) / x
     b0 = (k_h / p_h - inv_b_h) / y
@@ -237,5 +240,4 @@ def _case_walk(x: float, y: float, row: Tuple[float, ...], p_e: float,
 def best_response(chp: ChpParams, com: CommunityParams,
                   p: PricePair) -> KktSolution:
     """Globally optimal dispatch for one community at prices p."""
-    return KktSolution._make(_case_walk(chp.elec_capacity, chp.heat_capacity,
-                                        com.kkt_row, p.p_e, p.p_h))
+    return KktSolution._make(_case_walk(chp, kkt_row(chp, com), p.p_e, p.p_h))

@@ -58,13 +58,13 @@ class ChpParams:
 
     Read-only and built whole: the constructor also checks and stores
     elec_capacity and heat_capacity (daily outputs at full burn, J), b_e
-    and b_h (adaption coefficients) and c_e and c_h (generation costs,
-    coin per J; c_h includes recovery losses).  Equality and hash see the
-    five fields.
+    and b_h (adaption coefficients), their inverses inv_b_e and inv_b_h,
+    and c_e and c_h (generation costs, coin per J; c_h includes recovery
+    losses).  Equality and hash see the five fields.
     """
 
     __slots__ = ("q", "eta_g", "eta_r", "f_m", "c_f", "elec_capacity", "heat_capacity",
-                 "b_e", "b_h", "c_e", "c_h")
+                 "b_e", "b_h", "c_e", "c_h", "inv_b_e", "inv_b_h")
 
     def __init__(self, q: float, eta_g: float, eta_r: float, f_m: float, c_f: float):
         if q <= 0 or f_m <= 0 or c_f <= 0:
@@ -84,7 +84,8 @@ class ChpParams:
         bad = [f"{key} = {v!r}" for key, v in derived.items() if not 0.0 < v < math.inf]
         if bad:
             raise MarketError(f"{', '.join(bad)}: each must be positive and finite")
-        _fill(self, (q, eta_g, eta_r, f_m, c_f, *derived.values()))
+        _fill(self, (q, eta_g, eta_r, f_m, c_f, *derived.values(),
+                     1.0 / derived["b_e"], 1.0 / derived["b_h"]))
 
     __setattr__ = __delattr__ = _read_only
 
@@ -105,35 +106,26 @@ class ChpParams:
         return self.c_f * self.f_m
 
 
-class CommunityParams:
-    """Demand-side description of one community.
+class CommunityParams(NamedTuple):
+    """One community's demand side, apart from any unit; kkt_row joins the two.
 
     k_e, k_h  satisfaction coefficients (coin) weighting local use
     m_min     daily floor on combined local use, J; 0 disables the floor
-    b_e, b_h  adaption coefficients, derived from the unit size
-
-    Read-only and built whole: kkt_row, the best response's row of plain
-    floats, is built with the fields,
-    (m_min, k_e, k_h, b_e, b_h, 1/b_e, 1/b_h, qa, k_e + k_h, 4*qa).
-    qa = m_min + 1/b_e + 1/b_h is the leading coefficient of the floor
-    multiplier's quadratic, added in that order; it does not depend on
-    the prices.
     """
 
-    __slots__ = ("k_e", "k_h", "m_min", "b_e", "b_h", "kkt_row")
+    k_e: float
+    k_h: float
+    m_min: float = 0.0
 
-    def __init__(self, k_e: float, k_h: float, m_min: float, b_e: float, b_h: float):
-        inv_b_e, inv_b_h = 1.0 / b_e, 1.0 / b_h
-        qa = m_min + inv_b_e + inv_b_h
-        _fill(self, (k_e, k_h, m_min, b_e, b_h, (
-            m_min, k_e, k_h, b_e, b_h, inv_b_e, inv_b_h, qa, k_e + k_h, 4.0 * qa)))
 
-    __setattr__ = __delattr__ = _read_only
+def kkt_row(chp: ChpParams, com: CommunityParams) -> Tuple[float, ...]:
+    """com's best-response row on chp's unit: (m_min, k_e, k_h, qa, k_e + k_h, 4*qa).
 
-    @classmethod
-    def for_chp(cls, chp: ChpParams, k_e: float, k_h: float,
-                m_min: float = 0.0) -> "CommunityParams":
-        return cls(k_e=k_e, k_h=k_h, m_min=m_min, b_e=chp.b_e, b_h=chp.b_h)
+    qa = m_min + 1/b_e + 1/b_h, added in that order, leads the floor
+    multiplier's quadratic and does not depend on the prices.
+    """
+    qa = com.m_min + chp.inv_b_e + chp.inv_b_h
+    return com.m_min, com.k_e, com.k_h, qa, com.k_e + com.k_h, 4.0 * qa
 
 
 class PricePair(NamedTuple("PricePair", [("p_e", float), ("p_h", float)])):
@@ -175,8 +167,8 @@ class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
 class CityMarket:
     """One city: a shared unit design, retail rates and the community list.
 
-    Read-only; kkt_table holds every community's kkt_row, in community
-    order, built once the city's checks pass.
+    Read-only; kkt_table holds every community's kkt_row on the city's
+    unit, in community order, built once the city's checks pass.
     """
 
     __slots__ = ("chp", "r_e", "r_h", "communities", "kkt_table")
@@ -202,7 +194,7 @@ class CityMarket:
                 raise MarketError(
                     f"community {i}: m_min={com.m_min} must be 0 or in (max(X,Y), X+Y)")
         _fill(self, (chp, r_e, r_h, communities,
-                     tuple(com.kkt_row for com in communities)))
+                     tuple(kkt_row(chp, com) for com in communities)))
 
     __setattr__ = __delattr__ = _read_only
 
@@ -245,7 +237,7 @@ def des_utility(chp: ChpParams, com: CommunityParams, p: PricePair,
                 d: Dispatch) -> float:
     """Daily community welfare: log satisfaction plus export revenue minus fuel."""
     x, y = chp.elec_capacity, chp.heat_capacity
-    return (com.k_e * math.log1p(com.b_e * (d.alpha * x))
-            + com.k_h * math.log1p(com.b_h * (d.beta * y))
+    return (com.k_e * math.log1p(chp.b_e * (d.alpha * x))
+            + com.k_h * math.log1p(chp.b_h * (d.beta * y))
             + p.p_e * ((1.0 - d.alpha) * x) + p.p_h * ((1.0 - d.beta) * y)
             - chp.fuel_cost)

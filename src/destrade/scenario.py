@@ -164,8 +164,7 @@ def build_city(sc: Scenario) -> CityMarket:
         raise ScenarioError("at least one [communities] section is required")
     communities = []
     for i, com in enumerate(sc.communities):
-        communities.append(CommunityParams.for_chp(
-            chp,
+        communities.append(CommunityParams(
             k_e=_as_float(com, f"communities #{i}", "k_e"),
             k_h=_as_float(com, f"communities #{i}", "k_h"),
             m_min=_as_float(com, f"communities #{i}", "m_min", 0.0),
@@ -179,20 +178,21 @@ def build_city(sc: Scenario) -> CityMarket:
 
 
 def build_ne_config(sc: Scenario) -> NeConfig:
-    init: Union[str, PricePair] = sc.run.get("init", "low").strip()
-    if isinstance(init, str) and " " in init:
-        parts = init.split()
+    defaults = NeConfig()
+    init: Union[str, PricePair] = sc.run.get("init", defaults.init).strip()
+    parts = init.split()
+    if len(parts) > 1:
         if len(parts) != 2:
             raise ScenarioError(f"init = {init!r}: expected 'p_e p_h' or a keyword")
         try:
             init = PricePair(float(parts[0]), float(parts[1]))
         except ValueError:
             raise ScenarioError(f"init = {init!r}: prices must be numbers") from None
-    max_iters = _as_int(sc.run, "run", "max_iters", 50000)
+    max_iters = _as_int(sc.run, "run", "max_iters", defaults.max_iters)
     _check(max_iters <= MAX_ITERS, "run", "max_iters", max_iters, f"at most {MAX_ITERS}")
     return NeConfig(
-        delta0=_as_float(sc.run, "run", "delta0", 1e-10),
-        decay=_as_float(sc.run, "run", "decay", 0.999),
+        delta0=_as_float(sc.run, "run", "delta0", defaults.delta0),
+        decay=_as_float(sc.run, "run", "decay", defaults.decay),
         init=init,
         max_iters=max_iters,
     )

@@ -41,7 +41,7 @@ def floor_tight(chp) -> float:
 
 
 def make_city(chp: ChpParams, ks, m_min: float = 0.0) -> CityMarket:
-    coms = [CommunityParams.for_chp(chp, ke, kh, m_min) for ke, kh in ks]
+    coms = [CommunityParams(ke, kh, m_min) for ke, kh in ks]
     return CityMarket(chp=chp, communities=coms, r_e=RETAIL_E, r_h=RETAIL_H)
 
 

@@ -67,9 +67,9 @@ def decoupled_price_optimum(city, side: str) -> float:
     """
     com = city.communities[0]
     if side == "e":
-        r, k, cap, b = city.r_e, com.k_e, city.chp.elec_capacity, com.b_e
+        r, k, cap, b = city.r_e, com.k_e, city.chp.elec_capacity, city.chp.b_e
     else:
-        r, k, cap, b = city.r_h, com.k_h, city.chp.heat_capacity, com.b_h
+        r, k, cap, b = city.r_h, com.k_h, city.chp.heat_capacity, city.chp.b_h
     return math.sqrt(r * k / (cap + 1.0 / b))
 
 
@@ -114,8 +114,8 @@ def grid_best_utility(chp, com, p, n: int) -> float:
     x, y = chp.elec_capacity, chp.heat_capacity
     alphas = np.linspace(0.0, 1.0, n + 1)
     betas = np.linspace(0.0, 1.0, n + 1)
-    f = com.k_e * np.log1p(com.b_e * x * alphas) - p.p_e * x * alphas
-    g = com.k_h * np.log1p(com.b_h * y * betas) - p.p_h * y * betas
+    f = com.k_e * np.log1p(chp.b_e * x * alphas) - p.p_e * x * alphas
+    g = com.k_h * np.log1p(chp.b_h * y * betas) - p.p_h * y * betas
     const = p.p_e * x + p.p_h * y - chp.fuel_cost
     suffix = np.maximum.accumulate(g[::-1])[::-1]
     if com.m_min == 0.0:
@@ -136,8 +136,8 @@ def grid_best_utility_literal(chp, com, p, n: int) -> float:
     alphas = np.linspace(0.0, 1.0, n + 1)
     betas = np.linspace(0.0, 1.0, n + 1)
     aa, bb = np.meshgrid(alphas, betas, indexing="ij")
-    u = (com.k_e * np.log1p(com.b_e * x * aa)
-         + com.k_h * np.log1p(com.b_h * y * bb)
+    u = (com.k_e * np.log1p(chp.b_e * x * aa)
+         + com.k_h * np.log1p(chp.b_h * y * bb)
          + p.p_e * x * (1.0 - aa) + p.p_h * y * (1.0 - bb)
          - chp.fuel_cost)
     mask = x * aa + y * bb >= com.m_min - 1e-9 * max(com.m_min, 1.0)
@@ -231,12 +231,12 @@ class ReferenceSolution(NamedTuple):
 def _alpha_stat(chp: ChpParams, com: CommunityParams, p_e: float,
                 lam: float = 0.0) -> float:
     """Unclipped stationary use fraction for electricity at shadow price lam."""
-    return (com.k_e / (p_e - lam) - 1.0 / com.b_e) / chp.elec_capacity
+    return (com.k_e / (p_e - lam) - 1.0 / chp.b_e) / chp.elec_capacity
 
 
 def _beta_stat(chp: ChpParams, com: CommunityParams, p_h: float,
                lam: float = 0.0) -> float:
-    return (com.k_h / (p_h - lam) - 1.0 / com.b_h) / chp.heat_capacity
+    return (com.k_h / (p_h - lam) - 1.0 / chp.b_h) / chp.heat_capacity
 
 
 def interior_stationary(chp: ChpParams, com: CommunityParams,
@@ -261,7 +261,7 @@ def lambda1_quadratic(chp: ChpParams, com: CommunityParams,
     Derived by substituting both border-stationary fractions into the
     binding floor.  For a binding floor B < 0 and C > 0.
     """
-    a_coef = com.m_min + 1.0 / com.b_e + 1.0 / com.b_h
+    a_coef = com.m_min + 1.0 / chp.b_e + 1.0 / chp.b_h
     b_coef = com.k_e + com.k_h - a_coef * (p.p_e + p.p_h)
     c_coef = a_coef * p.p_e * p.p_h - com.k_e * p.p_h - com.k_h * p.p_e
     return a_coef, b_coef, c_coef
@@ -314,8 +314,8 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
     x, y = chp.elec_capacity, chp.heat_capacity
     m = com.m_min
     # _alpha_stat/_beta_stat at lam = 0, inline: p - 0.0 == p, same float.
-    a0 = (com.k_e / p.p_e - 1.0 / com.b_e) / x
-    b0 = (com.k_h / p.p_h - 1.0 / com.b_h) / y
+    a0 = (com.k_e / p.p_e - 1.0 / chp.b_e) / x
+    b0 = (com.k_h / p.p_h - 1.0 / chp.b_h) / y
     sat_a = a0 >= 1.0 - SATURATION_TOL
     sat_b = b0 >= 1.0 - SATURATION_TOL
     if sat_a and sat_b:
@@ -327,11 +327,11 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
         # No floor.  Clip each stream independently; a price far above
         # retail can push a stationary fraction to 0, clip there too.
         if sat_a:
-            lam2 = x * (com.k_e * com.b_e / math.e - p.p_e)
+            lam2 = x * (com.k_e * chp.b_e / math.e - p.p_e)
             return ReferenceSolution(_unchecked(Dispatch, (1.0, _clip01(b0))),
                                      KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
         if sat_b:
-            lam3 = y * (com.k_h * com.b_h / math.e - p.p_h)
+            lam3 = y * (com.k_h * chp.b_h / math.e - p.p_h)
             return ReferenceSolution(_unchecked(Dispatch, (_clip01(a0), 1.0)),
                                      KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
         return ReferenceSolution(_unchecked(Dispatch, (_clip01(a0), _clip01(b0))),
@@ -352,13 +352,13 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
     # Case 2: electricity saturated, heat free or on the floor.
     if not sat_b:
         if sat_a and b0 > 0.0 and x + y * b0 >= m:
-            lam2 = x * (com.k_e * com.b_e / math.e - p.p_e)
+            lam2 = x * (com.k_e * chp.b_e / math.e - p.p_e)
             return ReferenceSolution(_unchecked(Dispatch, (1.0, b0)),
                                      KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
         b_sq = (m - x) / y
         if 0.0 < b_sq < 1.0 - SATURATION_TOL:
-            lam1 = p.p_h - com.k_h * com.b_h / (com.b_h * (m - x) + 1.0)
-            lam2 = x * (com.k_e * com.b_e / math.e - p.p_e + lam1)
+            lam1 = p.p_h - com.k_h * chp.b_h / (chp.b_h * (m - x) + 1.0)
+            lam2 = x * (com.k_e * chp.b_e / math.e - p.p_e + lam1)
             if lam1 > SIGN_TOL and lam2 >= -SIGN_TOL * x:
                 return ReferenceSolution(_unchecked(Dispatch, (1.0, b_sq)),
                                          KktCase.ALPHA_SATURATED_CONSTRAINED,
@@ -367,13 +367,13 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
     # Case 3: heat saturated, electricity free or on the floor.
     if not sat_a:
         if sat_b and a0 > 0.0 and x * a0 + y >= m:
-            lam3 = y * (com.k_h * com.b_h / math.e - p.p_h)
+            lam3 = y * (com.k_h * chp.b_h / math.e - p.p_h)
             return ReferenceSolution(_unchecked(Dispatch, (a0, 1.0)),
                                      KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
         a_sq = (m - y) / x
         if 0.0 < a_sq < 1.0 - SATURATION_TOL:
-            lam1 = p.p_e - com.k_e * com.b_e / (com.b_e * (m - y) + 1.0)
-            lam3 = y * (com.k_h * com.b_h / math.e - p.p_h + lam1)
+            lam1 = p.p_e - com.k_e * chp.b_e / (chp.b_e * (m - y) + 1.0)
+            lam3 = y * (com.k_h * chp.b_h / math.e - p.p_h + lam1)
             if lam1 > SIGN_TOL and lam3 >= -SIGN_TOL * y:
                 return ReferenceSolution(_unchecked(Dispatch, (a_sq, 1.0)),
                                          KktCase.BETA_SATURATED_CONSTRAINED,

@@ -53,11 +53,11 @@ def test_c02_stationary_dispatch(chp):
     with criterion(2, "stationary dispatch at 4.5e-8 both sides"):
         p = PricePair(4.5e-8, 4.5e-8)
         d1 = interior_stationary(
-            chp, CommunityParams.for_chp(chp, 143.05, 137.81, 0.0), p)
+            chp, CommunityParams(143.05, 137.81, 0.0), p)
         assert d1.alpha == pytest.approx(0.301, abs=1e-3)
         assert d1.beta == pytest.approx(0.481, abs=1e-3)
         d2 = interior_stationary(
-            chp, CommunityParams.for_chp(chp, 159.73, 117.98, 0.0), p)
+            chp, CommunityParams(159.73, 117.98, 0.0), p)
         assert d2.alpha == pytest.approx(0.404, abs=1e-3)
         assert d2.beta == pytest.approx(0.328, abs=1e-3)
 
@@ -72,7 +72,7 @@ def test_c03_response_beats_dense_grid(chp, floor_mid, floor_tight):
             p = PricePair(rng.uniform(chp.c_e, RETAIL_E),
                           rng.uniform(chp.c_h, RETAIL_H))
             for m_min in (floor_mid, floor_tight):
-                com = CommunityParams.for_chp(chp, k_e, k_h, m_min)
+                com = CommunityParams(k_e, k_h, m_min)
                 sol = best_response(chp, com, p)
                 mine = des_utility(chp, com, p, sol.dispatch)
                 assert mine >= oracles.grid_best_utility(chp, com, p, 1000) - 1e-9
@@ -88,7 +88,7 @@ def test_c04_full_retention_never_optimal(chp):
             k_h = rng.uniform(klo_h + 1e-6, khi_h - 1e-6)
             m_min = 0.0 if rng.random() < 0.5 \
                 else rng.uniform(max(x, y) + 1e6, x + y - 1e6)
-            com = CommunityParams.for_chp(chp, k_e, k_h, m_min)
+            com = CommunityParams(k_e, k_h, m_min)
             p = PricePair(rng.uniform(chp.c_e, RETAIL_E),
                           rng.uniform(chp.c_h, RETAIL_H))
             d = best_response(chp, com, p).dispatch

@@ -249,7 +249,7 @@ def test_walk_matches_the_reference_walk(chp, data):
     floor = st.one_of(st.just(0.0), st.floats(0.05, 0.95).map(
         lambda w: w * max(x, y) + (1.0 - w) * (x + y)))
     community = st.builds(
-        lambda k_e, k_h, m_min: CommunityParams.for_chp(chp, k_e, k_h, m_min),
+        lambda k_e, k_h, m_min: CommunityParams(k_e, k_h, m_min),
         st.floats(k_e_lo * 1.001, k_e_hi * 0.999),
         st.floats(k_h_lo * 1.001, k_h_hi * 0.999), floor)
     communities = data.draw(st.lists(community, min_size=1, max_size=8))

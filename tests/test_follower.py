@@ -23,6 +23,7 @@ from destrade import (
     valid_k_intervals,
 )
 import destrade.follower
+from destrade.market import kkt_row
 from destrade.equilibrium import find_ne
 from destrade.scenario import build_city, build_ne_config, load_scenario
 import oracles
@@ -41,7 +42,7 @@ def _chp():
 
 
 def _com(k_e=143.05, k_h=137.81, m=0.0):
-    return CommunityParams.for_chp(_chp(), k_e, k_h, m)
+    return CommunityParams(k_e, k_h, m)
 
 
 # ------------------------------------------------------------
@@ -62,7 +63,7 @@ def test_interior_stationary_reference_points(chp):
 def test_stationary_fraction_zero_at_matching_price(chp):
     # price exactly k_e*b_e makes the raw stationary fraction vanish
     com = _com()
-    a = _alpha_stat(chp, com, com.k_e * com.b_e)
+    a = _alpha_stat(chp, com, com.k_e * chp.b_e)
     assert a == pytest.approx(0.0, abs=1e-12)
 
 
@@ -95,7 +96,7 @@ def test_lambda1_quadratic_signs(chp, floor_mid, floor_tight):
         # the discriminant never goes negative for admissible parameters
         assert b * b - 4.0 * a * c > 0.0
         free = (x * _alpha_stat(chp, com, p.p_e)
-                + (com.k_h / p.p_h - 1.0 / com.b_h))
+                + (com.k_h / p.p_h - 1.0 / chp.b_h))
         if free < m:
             assert c > 0.0
             binding += 1
@@ -126,7 +127,7 @@ def _double_root_community(chp):
     exact float zero.
     """
     target_a = 2.0 ** 33
-    ib = 1.0 / _com().b_e + 1.0 / _com().b_h
+    ib = 1.0 / chp.b_e + 1.0 / chp.b_h
     m = target_a - ib
     for _ in range(400):
         com = _com(0.0, 0.0, m)
@@ -277,7 +278,7 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
     chp = _chp()
     x, y = chp.elec_capacity, chp.heat_capacity
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
-    com = CommunityParams.for_chp(chp, k_e, k_h, m)
+    com = CommunityParams(k_e, k_h, m)
     p = PricePair(p_e, p_h)
     s = best_response(chp, com, p)
     a, b = s.dispatch.alpha, s.dispatch.beta
@@ -297,10 +298,10 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
 
     # stationarity on unsaturated coordinates, in welfare-per-fraction units
     if a < 1.0:
-        grad_a = k_e * com.b_e * x / (1.0 + com.b_e * x * a) - p_e * x + lam1 * x
+        grad_a = k_e * chp.b_e * x / (1.0 + chp.b_e * x * a) - p_e * x + lam1 * x
         assert abs(grad_a + lam2) <= 1e-8
     if b < 1.0:
-        grad_b = k_h * com.b_h * y / (1.0 + com.b_h * y * b) - p_h * y + lam1 * y
+        grad_b = k_h * chp.b_h * y / (1.0 + chp.b_h * y * b) - p_h * y + lam1 * y
         assert abs(grad_b + lam3) <= 1e-8
 
     # multipliers only on their own case family
@@ -327,7 +328,7 @@ def test_response_records_pass_the_public_check(k_e, k_h, p_e, p_h, floored, fra
     chp = _chp()
     x, y = chp.elec_capacity, chp.heat_capacity
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
-    com = CommunityParams.for_chp(chp, k_e, k_h, m)
+    com = CommunityParams(k_e, k_h, m)
     s = best_response(chp, com, PricePair(p_e, p_h))
     assert 0.0 <= s.dispatch.alpha <= 1.0
     assert 0.0 <= s.dispatch.beta <= 1.0
@@ -387,7 +388,7 @@ def test_respond_matches_the_reference_bit_for_bit(k_e, k_h, p_e, p_h, floored, 
     chp = _chp()
     x, y = chp.elec_capacity, chp.heat_capacity
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
-    com = CommunityParams.for_chp(chp, k_e, k_h, m)
+    com = CommunityParams(k_e, k_h, m)
     p = PricePair(p_e, p_h)
     _assert_same_bits(*_solve_both(chp, com, p))
 
@@ -432,7 +433,7 @@ def _totals_both(chp, com, p):
     each a pair of floats or the error."""
     x, y = chp.elec_capacity, chp.heat_capacity
     try:
-        got = export_totals(chp, (com.kkt_row,), p.p_e, p.p_h)
+        got = export_totals(chp, (kkt_row(chp, com),), p.p_e, p.p_h)
     except FollowerError as err:
         got = (type(err), str(err))
     try:
@@ -495,7 +496,7 @@ def test_city_totals_match_per_community_solves_bit_for_bit(chp, data):
     floor = st.one_of(st.just(0.0), st.floats(0.05, 0.95).map(
         lambda w: w * max(x, y) + (1.0 - w) * (x + y)))
     community = st.builds(
-        lambda k_e, k_h, m_min: CommunityParams.for_chp(chp, k_e, k_h, m_min),
+        lambda k_e, k_h, m_min: CommunityParams(k_e, k_h, m_min),
         st.floats(k_e_lo * 1.001, k_e_hi * 0.999),
         st.floats(k_h_lo * 1.001, k_h_hi * 0.999), floor)
     communities = data.draw(st.lists(community, min_size=1, max_size=12))
@@ -528,11 +529,40 @@ def test_city_totals_match_per_community_solves_bit_for_bit(chp, data):
 
 def test_city_table_holds_each_communitys_row(city5_mid):
     rows = city5_mid.kkt_table
+    chp = city5_mid.chp
     assert rows is city5_mid.kkt_table  # built once per city
+    assert CommunityParams._fields == ("k_e", "k_h", "m_min")
     for row, com in zip(rows, city5_mid.communities):
         # the derived fields are the walk's own expressions, bit for bit
-        qa = com.m_min + 1.0 / com.b_e + 1.0 / com.b_h
-        assert _hex(row) == _hex((com.m_min, com.k_e, com.k_h, com.b_e, com.b_h,
-                                  1.0 / com.b_e, 1.0 / com.b_h,
+        qa = com.m_min + 1.0 / chp.b_e + 1.0 / chp.b_h
+        assert _hex(row) == _hex((com.m_min, com.k_e, com.k_h,
                                   qa, com.k_e + com.k_h, 4.0 * qa))
+        assert _hex(row) == _hex(kkt_row(chp, com))
     assert len(rows) == len(city5_mid.communities)
+
+
+def test_one_community_solves_on_each_citys_unit(chp, floor_mid, floor_tight):
+    # The same community records in cities on two unit sizes: each city's
+    # rows and export totals follow its own unit's coefficients.
+    coms = (CommunityParams(129.14, 137.81), CommunityParams(143.05, 137.81, floor_mid),
+            CommunityParams(156.94, 120.0, floor_tight), CommunityParams(165.0, 150.0))
+    bigger = ChpParams(q=chp.q, eta_g=chp.eta_g, eta_r=chp.eta_r, f_m=220.0, c_f=chp.c_f)
+    totals = []
+    for unit in (chp, bigger):
+        city = CityMarket(chp=unit, r_e=RETAIL_E, r_h=RETAIL_H, communities=coms)
+        assert all(a is b for a, b in zip(city.communities, coms))
+        assert [_hex(row) for row in city.kkt_table] == [_hex(kkt_row(unit, com))
+                                                         for com in coms]
+        x, y = unit.elec_capacity, unit.heat_capacity
+        for p_e in np.linspace(*BOX_E, 6):
+            for p_h in np.linspace(*BOX_H, 6):
+                p = PricePair(float(p_e), float(p_h))
+                tot_e = tot_h = 0.0
+                for com in coms:
+                    d = oracles.reference_best_response(unit, com, p).dispatch
+                    tot_e += x * (1.0 - d.alpha)
+                    tot_h += y * (1.0 - d.beta)
+                got = export_totals(unit, city.kkt_table, p.p_e, p.p_h)
+                assert _hex(got) == _hex((tot_e, tot_h)), (unit.f_m, p)
+        totals.append(export_totals(unit, city.kkt_table, 4.0e-8, 5.0e-8))
+    assert totals[0] != totals[1]

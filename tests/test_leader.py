@@ -63,7 +63,7 @@ def test_decoupled_optimum_closed_form(city1):
     com = city1.communities[0]
     x = city1.chp.elec_capacity
     assert p_star == pytest.approx(
-        (RETAIL_E * com.k_e / (x + 1.0 / com.b_e)) ** 0.5, rel=1e-12)
+        (RETAIL_E * com.k_e / (x + 1.0 / city1.chp.b_e)) ** 0.5, rel=1e-12)
     assert p_star == pytest.approx(3.7168e-8, rel=1e-3)
     assert decoupled_price_optimum(city1, "h") == pytest.approx(4.3479e-8, rel=1e-3)
 

@@ -54,8 +54,8 @@ _READ_ONLY = {
                                        1.5, 2.0, 3, 4), "price", ()),
     "Block": (lambda city: make_block("ea", Chain(), 0, []), "signature",
               ("tx_ids", "own_root", "has_duplicate", "header_digest", "block_hash")),
-    "ChpParams": (lambda city: city.chp, "f_m", ("elec_capacity", "b_e", "c_e")),
-    "CommunityParams": (lambda city: city.communities[0], "k_e", ("kkt_row",)),
+    "ChpParams": (lambda city: city.chp, "f_m", ("elec_capacity", "b_e", "inv_b_e", "c_e")),
+    "CommunityParams": (lambda city: city.communities[0], "k_e", ()),
     "CityMarket": (lambda city: city, "r_e", ("kkt_table",)),
     "PricePair": (lambda city: PricePair(4.0e-8, 5.0e-8), "p_e", ()),
     "NeConfig": (lambda city: NeConfig(), "delta0", ()),
@@ -120,7 +120,7 @@ def test_valid_k_intervals_infeasible_retail(chp):
 
 
 def test_des_utility_full_retention(chp):
-    com = CommunityParams.for_chp(chp, 143.05, 137.81)
+    com = CommunityParams(143.05, 137.81)
     p = PricePair(4.5e-8, 4.5e-8)
     u = des_utility(chp, com, p, Dispatch(1.0, 1.0))
     assert u == pytest.approx(143.05 + 137.81 - 216.0, abs=1e-9)
@@ -128,7 +128,7 @@ def test_des_utility_full_retention(chp):
 
 
 def test_des_utility_full_export(chp):
-    com = CommunityParams.for_chp(chp, 143.05, 137.81)
+    com = CommunityParams(143.05, 137.81)
     p = PricePair(4.5e-8, 4.5e-8)
     u = des_utility(chp, com, p, Dispatch(0.0, 0.0))
     expected = p.p_e * chp.elec_capacity + p.p_h * chp.heat_capacity - 216.0
@@ -139,10 +139,10 @@ def test_des_utility_full_export(chp):
        p_e=st.floats(3.0e-8, 5.5e-8), p_h=st.floats(3.75e-8, 6.25e-8))
 def test_des_utility_matches_manual_formula(alpha, beta, p_e, p_h):
     chp = ChpParams(q=3.6e7, eta_g=0.5, eta_r=0.8, f_m=200.0, c_f=1.08)
-    com = CommunityParams.for_chp(chp, 143.05, 137.81)
+    com = CommunityParams(143.05, 137.81)
     x, y = chp.elec_capacity, chp.heat_capacity
-    manual = (com.k_e * math.log(1.0 + com.b_e * alpha * x)
-              + com.k_h * math.log(1.0 + com.b_h * beta * y)
+    manual = (com.k_e * math.log(1.0 + chp.b_e * alpha * x)
+              + com.k_h * math.log(1.0 + chp.b_h * beta * y)
               + p_e * (1.0 - alpha) * x + p_h * (1.0 - beta) * y
               - chp.fuel_cost)
     got = des_utility(chp, com, PricePair(p_e, p_h), Dispatch(alpha, beta))
@@ -177,7 +177,7 @@ def test_chp_params_validation():
 
 
 def test_city_rejects_retail_out_of_band(chp):
-    com = CommunityParams.for_chp(chp, 143.05, 137.81)
+    com = CommunityParams(143.05, 137.81)
     with pytest.raises(MarketError):
         CityMarket(chp=chp, communities=[com], r_e=math.e * chp.c_e, r_h=RETAIL_H)
     with pytest.raises(MarketError):

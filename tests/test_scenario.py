@@ -3,6 +3,7 @@
 import pytest
 
 from destrade.consensus import Behavior
+from destrade.equilibrium import NeConfig
 from destrade.market import MarketError, PricePair
 from destrade.scenario import (MAX_CITY_DAYS, MAX_ITERS, MAX_ROUNDS, ScenarioError,
                                build_city, build_consensus, build_faults,
@@ -154,6 +155,7 @@ def test_ne_config_defaults():
     assert cfg.decay == 0.999
     assert cfg.init == "low"
     assert cfg.max_iters == 50000
+    assert cfg == NeConfig()
 
 
 def test_run_defaults_and_overrides():
@@ -191,6 +193,8 @@ def test_ne_config_keyword_init():
 
 def test_ne_config_explicit_pair_init():
     cfg = build_ne_config(parse_scenario("[run]\ninit = 4.0e-8 5.0e-8\n"))
+    assert cfg.init == PricePair(4.0e-8, 5.0e-8)
+    cfg = build_ne_config(parse_scenario("[run]\ninit = 4.0e-8\t5.0e-8\n"))
     assert cfg.init == PricePair(4.0e-8, 5.0e-8)
 
 
