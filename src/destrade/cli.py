@@ -17,7 +17,7 @@ import sys
 from functools import cache
 from typing import Iterable, Iterator, List, Optional
 
-from .consensus import ConsensusError
+from .consensus import CREDIT_UNIT, ConsensusError
 from .equilibrium import NoFixedPoint, stackelberg_outcome
 from .follower import FollowerError
 from .ledger import Ledger, LedgerError, Role, export_chain
@@ -113,8 +113,8 @@ def cmd_consensus(args, sc: Scenario, seed: int) -> int:
         ["round", "leader", "decision", "abort_reason", "committed_height",
          "credit_honest", "credit_byz", "prepare_msgs_needed"],
         ([r.round_no, r.leader_id, r.decision, r.abort_reason, r.committed_height,
-          f"{r.credit_honest:.6f}", f"{r.credit_byz:.6f}", r.prepare_needed]
-         for r in run.rows))
+          f"{r.credit_honest / CREDIT_UNIT:.6f}", f"{r.credit_byz / CREDIT_UNIT:.6f}",
+          r.prepare_needed] for r in run.rows))
     n_rounds, forks = len(run.rows), run.divergence_count
     print(f"consensus: rounds={n_rounds} commits={run.commit_count} "
           f"aborts={n_rounds - run.commit_count} "
@@ -142,7 +142,7 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
         os.path.join(args.out, "balances.csv"), seed,
         ["account", "role", "city", "balance", "credit"],
         ([a.account_id, a.role.value, a.city, f"{a.balance:.6f}",
-          f"{res.driver.credits[a.account_id]:.3f}"
+          f"{res.driver.credits[a.account_id] / CREDIT_UNIT:.3f}"
           if a.role is Role.AGGREGATOR else ""]
          for a in sorted(ledger.accounts.values(), key=lambda a: a.account_id)))
     _write_rows(

@@ -7,25 +7,26 @@ commit votes; a vote set clears when its senders hold at least
 delta1 by whether the round commits, voters gain or lose delta2 by
 whether their vote matched the outcome, and credits stay clamped to
 [0, 1].  Misbehaving nodes therefore lose both influence and election
-odds over time.
+odds over time.  Credits are whole micro-credits (CREDIT_UNIT is one
+credit), so every credit sum and quorum verdict is exact in any order.
 """
 
 from __future__ import annotations
 
 import random
 from enum import Enum
-from functools import reduce
-from operator import add
 from typing import Dict, List, NamedTuple, Optional, Set
 
 from .ledger import Block, Chain, Contract, EnergyKind, make_block, validate_block
 
-# Default credit adjustments per round.
-DELTA_LEADER = 0.05
-DELTA_VOTER = 0.02
+# One full credit, in the micro-credits a credit table holds, and the
+# default credit adjustments per round: 0.05 and 0.02 credit.
+CREDIT_UNIT = 1_000_000
+DELTA_LEADER = 50_000
+DELTA_VOTER = 20_000
 
-# Credits are a plain id -> credit mapping.
-CreditTable = Dict[str, float]
+# Credits are a plain id -> micro-credit mapping.
+CreditTable = Dict[str, int]
 
 
 class ConsensusError(Exception):
@@ -98,7 +99,7 @@ class ConsensusNode:
 
 def init_credits(node_ids) -> CreditTable:
     """Everyone starts at the neutral midpoint."""
-    return {k: 0.5 for k in node_ids}
+    return {k: CREDIT_UNIT // 2 for k in node_ids}
 
 
 # ============================================================
@@ -106,21 +107,21 @@ def init_credits(node_ids) -> CreditTable:
 # ============================================================
 
 
-def elect_leader(credits: CreditTable, total: float, seed: int) -> str:
+def elect_leader(credits: CreditTable, total: int, seed: int) -> str:
     """Draw a leader with probability proportional to credit.
 
-    total is the credits added left to right, once per round by the caller.
+    total is the table's credit sum, taken once per round by the caller.
+    For an integer total below 2**53, random() * total < total, so the
+    walk over the ids always returns.
     """
-    if total <= 0.0:
+    if total <= 0:
         raise AllCreditsZero("cannot elect a leader from zero total credit")
     pick = random.Random(seed).random() * total
-    acc = 0.0
-    ids = sorted(credits)
-    for k in ids:
+    acc = 0
+    for k in sorted(credits):
         acc += credits[k]
         if pick < acc:
             return k
-    return ids[-1]  # guard against accumulated rounding
 
 
 def max_faulty(n_nodes: int) -> int:
@@ -128,38 +129,32 @@ def max_faulty(n_nodes: int) -> int:
     return (n_nodes - 1) // 3
 
 
-def quorum_weight(n_nodes: int) -> float:
-    """Credit fraction a vote set must reach, from the f < n/3 bound."""
+def quorum_weight(n_nodes: int) -> int:
+    """2f+1: the n_nodes-ths of the total credit a vote set must hold."""
     if n_nodes < 4:
         raise TooFewNodes(f"{n_nodes} nodes cannot tolerate any fault")
-    return (2 * max_faulty(n_nodes) + 1) / n_nodes
+    return 2 * max_faulty(n_nodes) + 1
 
 
-def check_quorum(senders: Set[str], credits: CreditTable, total: float,
+def check_quorum(senders: Set[str], credits: CreditTable, total: int,
                  n_nodes: int) -> bool:
-    """True when the senders' credit share of total clears the quorum weight.
-
-    The senders' credit is summed left to right in the table's order, so
-    the share depends neither on how the sender set happens to iterate
-    nor on the Python version: sum() compensates float rounding from
-    3.12 on.
-    """
-    if total <= 0.0:
+    """True when the senders hold quorum_weight(n_nodes)/n_nodes of total."""
+    if total <= 0:
         return False
-    weight = reduce(add, [c for k, c in credits.items() if k in senders], 0.0)
-    return weight / total >= quorum_weight(n_nodes)
+    weight = sum(credits[k] for k in senders)
+    return weight * n_nodes >= quorum_weight(n_nodes) * total
 
 
-def min_quorum_cardinality(credits: CreditTable, total: float,
+def min_quorum_cardinality(credits: CreditTable, total: int,
                            n_nodes: int) -> int:
     """Fewest senders that could clear the quorum, best case by credit."""
-    if total <= 0.0:
+    if total <= 0:
         return 0
-    need = quorum_weight(n_nodes)
-    acc = 0.0
+    need = quorum_weight(n_nodes) * total
+    acc = 0
     for count, c in enumerate(sorted(credits.values(), reverse=True), start=1):
         acc += c
-        if acc / total >= need:
+        if acc * n_nodes >= need:
             return count
     return len(credits)
 
@@ -198,7 +193,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     """
     ids = sorted(nodes)
     n = len(ids)
-    total = reduce(add, credits.values(), 0.0)  # left to right, as check_quorum
+    total = sum(credits.values())
     leader_id = elect_leader(credits, total, seed)
     prepare_needed = min_quorum_cardinality(credits, total, n)
     for node in nodes.values():
@@ -262,16 +257,16 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
 
 
 def update_credits(credits: CreditTable, outcome: RoundOutcome,
-                   delta1: float = DELTA_LEADER,
-                   delta2: float = DELTA_VOTER) -> CreditTable:
-    """Post-round credit adjustment, clamped to [0, 1]."""
+                   delta1: int = DELTA_LEADER,
+                   delta2: int = DELTA_VOTER) -> CreditTable:
+    """Post-round credit adjustment, clamped to [0, CREDIT_UNIT]."""
     out = dict(credits)
     lead = outcome.leader_id
-    out[lead] = _clamp01(out[lead] + (delta1 if outcome.committed else -delta1))
+    out[lead] = _clamp(out[lead] + (delta1 if outcome.committed else -delta1))
     for k, ok in outcome.matched.items():
-        out[k] = _clamp01(out[k] + (delta2 if ok else -delta2))
+        out[k] = _clamp(out[k] + (delta2 if ok else -delta2))
     return out
 
 
-def _clamp01(v: float) -> float:
-    return 0.0 if v < 0.0 else 1.0 if v > 1.0 else v
+def _clamp(v: int) -> int:
+    return 0 if v < 0 else CREDIT_UNIT if v > CREDIT_UNIT else v

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import reduce
-from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
@@ -57,13 +55,7 @@ class PhaseNet:
 
 
 def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
-    """Fresh nodes sharing one genesis block and empty pools.
-
-    The nodes keep the given id order, and a driver's credit table
-    follows it: that order is the float summation order of each round's
-    credit total and of every quorum check.  An election walks the ids
-    sorted, whatever the table order.
-    """
+    """Fresh nodes sharing one genesis block and empty pools."""
     genesis = make_genesis()
     return {k: ConsensusNode(Chain(genesis)) for k in node_ids}
 
@@ -75,7 +67,7 @@ def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:
 
 RoundLogRow = NamedTuple("RoundLogRow", [
     ("round_no", int), ("leader_id", str), ("decision", str), ("abort_reason", str),
-    ("committed_height", int), ("credit_honest", float), ("credit_byz", float),
+    ("committed_height", int), ("credit_honest", int), ("credit_byz", int),
     ("prepare_needed", int)])
 
 
@@ -90,7 +82,7 @@ class RoundDriver:
     """
 
     def __init__(self, nodes: Dict[str, ConsensusNode], profile: FaultProfile,
-                 seed: int, delta1: float, delta2: float):
+                 seed: int, delta1: int, delta2: int):
         self.nodes = nodes
         self.ids = sorted(nodes)
         self.honest = set(profile.honest_ids(self.ids))
@@ -125,7 +117,7 @@ class RoundDriver:
 
     def step(self) -> RoundOutcome:
         """Run the next round, apply its credit adjustment and record it."""
-        nodes, honest, ids = self.nodes, self.honest, self.ids
+        nodes, honest = self.nodes, self.honest
         outcome = run_round(nodes, self.credits, self.profile, self.net,
                             len(self.rows), self._seeds.getrandbits(63))
         credits = self.credits = update_credits(self.credits, outcome,
@@ -136,9 +128,8 @@ class RoundDriver:
             decision="committed" if outcome.committed else "aborted",
             abort_reason=outcome.abort_reason or "",
             committed_height=max(nodes[k].chain.height for k in self.deciding),
-            # Left to right: sum() compensates float rounding from 3.12 on.
-            credit_honest=reduce(add, [credits[k] for k in ids if k in honest], 0.0),
-            credit_byz=reduce(add, [credits[k] for k in ids if k not in honest], 0.0),
+            credit_honest=sum(c for k, c in credits.items() if k in honest),
+            credit_byz=sum(c for k, c in credits.items() if k not in honest),
             prepare_needed=outcome.prepare_needed,
         ))
         return outcome
@@ -146,8 +137,8 @@ class RoundDriver:
 
 def run_rounds(n_rounds: int, nodes: Dict[str, ConsensusNode],
                profile: FaultProfile, seed: int,
-               delta1: float = DELTA_LEADER,
-               delta2: float = DELTA_VOTER) -> RoundDriver:
+               delta1: int = DELTA_LEADER,
+               delta2: int = DELTA_VOTER) -> RoundDriver:
     """Drive n_rounds rounds; the returned driver holds the run record."""
     driver = RoundDriver(nodes, profile, seed, delta1, delta2)
     for _ in range(n_rounds):

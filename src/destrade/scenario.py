@@ -13,7 +13,7 @@ import math
 import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .consensus import DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
+from .consensus import CREDIT_UNIT, DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
 from .equilibrium import NeConfig
 from .market import ChpParams, CityMarket, CommunityParams, PricePair
 
@@ -230,17 +230,20 @@ def build_faults(sc: Scenario, ids: List[str]) -> FaultProfile:
 
 ConsensusSetup = NamedTuple("ConsensusSetup", [
     ("node_ids", List[str]), ("profile", FaultProfile), ("rounds", int),
-    ("delta1", float), ("delta2", float)])
+    ("delta1", int), ("delta2", int)])
 
 
-def build_credit_steps(sc: Scenario) -> Tuple[float, float]:
-    """The [consensus] credit steps (delta1, delta2), the only keys `full` reads."""
-    # Credits live in [0, 1], so a step outside it is no credit step.
-    delta1 = _as_float(sc.consensus, "consensus", "delta1", DELTA_LEADER)
-    _check(0.0 <= delta1 <= 1.0, "consensus", "delta1", delta1, "0 to 1")
-    delta2 = _as_float(sc.consensus, "consensus", "delta2", DELTA_VOTER)
-    _check(0.0 <= delta2 <= 1.0, "consensus", "delta2", delta2, "0 to 1")
-    return delta1, delta2
+def build_credit_steps(sc: Scenario) -> Tuple[int, int]:
+    """The [consensus] credit steps (delta1, delta2) in micro-credits, the
+    only keys `full` reads.  Each is read in credits: 0 to 1, on the 1e-6 grid."""
+    steps = []
+    for key, default in (("delta1", DELTA_LEADER), ("delta2", DELTA_VOTER)):
+        v = _as_float(sc.consensus, "consensus", key, default / CREDIT_UNIT)
+        _check(0.0 <= v <= 1.0, "consensus", key, v, "0 to 1")
+        steps.append(round(v * CREDIT_UNIT))
+        # Exact on the grid: both sides are the same decimal, rounded once.
+        _check(steps[-1] / CREDIT_UNIT == v, "consensus", key, v, "a multiple of 1e-6")
+    return steps[0], steps[1]
 
 
 def build_consensus(sc: Scenario) -> ConsensusSetup:

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from conftest import FIVE_K, RETAIL_E, RETAIL_H, make_city
 from destrade.cli import main as cli_main
-from destrade.consensus import Behavior, FaultProfile
+from destrade.consensus import CREDIT_UNIT, Behavior, FaultProfile
 from destrade.equilibrium import NeConfig, find_ne
 from destrade.follower import best_response
 from oracles import concavity_probe, interior_stationary
@@ -174,9 +174,9 @@ def test_c10_credit_dynamics(byzantine_run):
     with criterion(10, "credits split honest 1.0 / dissenter 0.0"):
         final = byzantine_run.credits
         for i in range(6, 20):
-            assert final[f"n{i:02d}"] == 1.0
+            assert final[f"n{i:02d}"] == CREDIT_UNIT
         for i in range(3):
-            assert final[f"n{i:02d}"] == 0.0
+            assert final[f"n{i:02d}"] == 0
         needed = [row.prepare_needed for row in byzantine_run.rows]
         assert all(b <= a for a, b in zip(needed, needed[1:]))
 
@@ -207,5 +207,5 @@ def test_c12_credit_commits_more_than_equal_weights():
         for seed in range(1, 6):
             credit, equal = (run_rounds(200, make_nodes(setup.node_ids),
                                         setup.profile, seed, d1, d2).commit_count
-                             for d1, d2 in ((0.05, 0.02), (0.0, 0.0)))
+                             for d1, d2 in ((50_000, 20_000), (0, 0)))
             assert credit > equal, (seed, credit, equal)

@@ -552,6 +552,10 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("consensus", "delta1 = -0.5", "delta1 = -0.5 is out of range"),
     ("consensus", "delta2 = -3", "delta2 = -3.0 is out of range"),
     ("consensus", "delta1 = 1.5", "delta1 = 1.5 is out of range"),
+    # credits are whole micro-credits, so a step must be too
+    ("consensus", "delta1 = 1e-7", "delta1 = 1e-07 is out of range, need a multiple of 1e-6"),
+    ("consensus", "delta2 = 0.0000015", "delta2 = 1.5e-06 is out of range, need a multiple "
+     "of 1e-6"),
 ])
 def test_hostile_scenario_values_exit_1(tmp_path, capsys, section, entry, message):
     scfile = tmp_path / "hostile.scn"

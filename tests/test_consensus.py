@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +30,9 @@ from destrade import (
     update_credits,
 )
 from destrade import consensus, netsim
-from destrade.consensus import DELTA_LEADER, DELTA_VOTER, ConsensusError
+from destrade.consensus import CREDIT_UNIT, DELTA_LEADER, DELTA_VOTER, ConsensusError
 from destrade.netsim import PhaseNet, RoundDriver
+from destrade.scenario import MAX_GROUP
 from oracles import reference_round
 
 
@@ -47,9 +50,9 @@ def _net():
 
 
 def test_quorum_weight_values():
-    assert quorum_weight(4) == pytest.approx(3 / 4)
-    assert quorum_weight(7) == pytest.approx(5 / 7)
-    assert quorum_weight(20) == pytest.approx(13 / 20)
+    assert quorum_weight(4) == 3
+    assert quorum_weight(7) == 5
+    assert quorum_weight(20) == 13
 
 
 def test_quorum_weight_too_few():
@@ -60,8 +63,8 @@ def test_quorum_weight_too_few():
 def test_check_quorum_equal_credits():
     ids = _ids(4)
     credits = init_credits(ids)
-    assert check_quorum(set(ids[:3]), credits, 2.0, 4) is True  # 0.75 meets 0.75
-    assert check_quorum(set(ids[:2]), credits, 2.0, 4) is False
+    assert check_quorum(set(ids[:3]), credits, 2_000_000, 4) is True  # 0.75 meets 0.75
+    assert check_quorum(set(ids[:2]), credits, 2_000_000, 4) is False
 
 
 def test_check_quorum_skewed_credits():
@@ -75,23 +78,66 @@ def test_check_quorum_zero_total():
     assert check_quorum({"a"}, {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}, 0.0, 4) is False
 
 
-def test_a_quorum_on_the_edge_sums_its_credits_left_to_right():
-    # 0.25 + 0.08 + 0.27 is 0.6000000000000001 added left to right, but
-    # 0.6 to sum() on Python 3.12+, which compensates the rounding:
-    # against the total 0.8 that is the 3/4 quorum met, or just missed.
-    credits = {"a": 0.25, "b": 0.08, "c": 0.27, "d": 0.2}
-    assert check_quorum({"a", "b", "c"}, credits, 0.8, 4)
-    # So a round the dissenter d sits out commits on every Python.
+def test_a_quorum_on_the_edge_is_met_in_every_table_order():
+    # a + b + c is 600_000, exactly 3/4 of the total 800_000.  As float
+    # credits, 0.25 + 0.08 + 0.27 added left to right was 0.6000000000000001.
+    credits = {"a": 250_000, "b": 80_000, "c": 270_000, "d": 200_000}
+    for order in itertools.permutations(credits):
+        table = {k: credits[k] for k in order}
+        # A dict's keys are a set that iterates in the order given.
+        assert check_quorum(dict.fromkeys(k for k in order if k != "d").keys(),
+                            table, 800_000, 4)
+        assert not check_quorum(dict.fromkeys(k for k in order if k != "c").keys(),
+                                table, 800_000, 4)
+    # So a round the dissenter d sits out commits.
     profile = FaultProfile({"d": Behavior.DISSENTER})
-    seed = next(s for s in range(100) if elect_leader(credits, 0.8, s) != "d")
+    seed = next(s for s in range(100) if elect_leader(credits, 800_000, s) != "d")
     out = run_round(make_nodes(credits), credits, profile, _net(), 0, seed)
     assert out.committed and out.abort_reason is None
 
 
+# Credits that land on quorum edges often: ties, and round numbers whose
+# float sums in credits are inexact, like the edge table above.
+_CREDITS = st.one_of(st.integers(0, CREDIT_UNIT), st.sampled_from(
+    [0, 80_000, 200_000, 250_000, 270_000, CREDIT_UNIT // 2, CREDIT_UNIT]))
+
+
+@st.composite
+def _quorum_cases(draw):
+    """(n, credits by id index, sender index sets, table orders)."""
+    n = draw(st.integers(4, 30))
+    # A small palette makes ties, and ties put sums on exact edges.
+    palette = draw(st.lists(_CREDITS, min_size=1, max_size=n))
+    values = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    picks = [draw(st.sets(st.integers(0, n - 1))) for _ in range(3)]
+    return n, values, picks, [draw(st.permutations(range(n))) for _ in range(4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_quorum_cases())
+def test_quorums_are_exact_in_any_table_order(case):
+    n, values, picks, orders = case
+    ids = _ids(n)
+    credits = dict(zip(ids, values))
+    total = sum(values)
+    need = Fraction(2 * ((n - 1) // 3) + 1, n)
+    top = sorted(values, reverse=True)
+    fewest = 0 if total == 0 else next(
+        k for k in range(n + 1) if Fraction(sum(top[:k]), total) >= need)
+    for order in orders:
+        table = {ids[i]: values[i] for i in order}
+        for picked in picks:
+            senders = dict.fromkeys(ids[i] for i in order if i in picked).keys()
+            want = total > 0 and Fraction(sum(credits[k] for k in senders), total) >= need
+            assert check_quorum(senders, table, total, n) is want
+        assert min_quorum_cardinality(table, total, n) == fewest
+
+
 def test_min_quorum_cardinality():
-    assert min_quorum_cardinality(init_credits(_ids(4)), 2.0, 4) == 3
-    assert min_quorum_cardinality({"a": 0.9, "b": 0.9, "c": 0.1, "d": 0.1}, 2.0, 4) == 2
-    assert min_quorum_cardinality({"a": 1.0, "b": 0.0, "c": 0.0, "d": 0.0}, 1.0, 4) == 1
+    assert min_quorum_cardinality(init_credits(_ids(4)), 2_000_000, 4) == 3
+    assert min_quorum_cardinality(
+        {"a": 900_000, "b": 900_000, "c": 100_000, "d": 100_000}, 2_000_000, 4) == 2
+    assert min_quorum_cardinality({"a": 1_000_000, "b": 0, "c": 0, "d": 0}, 1_000_000, 4) == 1
 
 
 # ------------------------------------------------------------
@@ -101,7 +147,7 @@ def test_min_quorum_cardinality():
 
 def test_elect_leader_deterministic():
     credits = init_credits(_ids(5))
-    assert elect_leader(credits, 2.5, 123) == elect_leader(credits, 2.5, 123)
+    assert elect_leader(credits, 2_500_000, 123) == elect_leader(credits, 2_500_000, 123)
 
 
 def test_elect_leader_zero_total():
@@ -121,7 +167,7 @@ def test_elect_leader_uniform_chi_square():
     counts = {k: 0 for k in credits}
     draws = 10_000
     for s in range(draws):
-        counts[elect_leader(credits, 2.0, s)] += 1
+        counts[elect_leader(credits, 2_000_000, s)] += 1
     expected = draws / 4
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     # chi-square, 3 degrees of freedom, 1% point
@@ -133,6 +179,32 @@ def test_elect_leader_skewed_frequencies():
     draws = 10_000
     hits = sum(elect_leader(credits, 1.0, s) == "a" for s in range(draws))
     assert abs(hits / draws - 0.8) <= 0.02
+
+
+# Totals 2**k, each with the last id holding the single credit the walk
+# reaches only when the pick lands in the total's last micro-credit.
+_POWER_TABLES = [{"a": 2 ** k - 1, "b": 1} for k in range(31)]
+_FULL_GROUP = dict.fromkeys(_ids(MAX_GROUP), CREDIT_UNIT)
+
+
+def test_elect_leader_needs_no_guard():
+    for table in _POWER_TABLES + [_FULL_GROUP]:
+        total = sum(table.values())
+        # random() is at most 1 - 2**-53, and that times an integer
+        # total below 2**53 still rounds below the total, so the walk's
+        # last positive credit always takes the pick.
+        assert (1.0 - 2.0 ** -53) * total < total
+        for s in range(300):
+            assert random.Random(s).random() * total < total
+            assert table[elect_leader(table, total, s)] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_CREDITS, min_size=1, max_size=40).filter(any),
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_elect_leader_picks_a_positive_credit(values, seed):
+    table = dict(zip(_ids(len(values)), values))
+    assert table[elect_leader(table, sum(values), seed)] > 0
 
 
 # ------------------------------------------------------------
@@ -224,7 +296,7 @@ def test_fault_free_round_seeds_only_the_election(monkeypatch):
 def test_equivocating_voter_seeds_the_round_stream_once(monkeypatch):
     ids = _ids(7)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 3.5, 5)
+    leader = elect_leader(credits, 3_500_000, 5)
     voters = [k for k in ids if k != leader][:2]
     nodes, net = make_nodes(ids), _net()
     profile = FaultProfile(behaviors={k: Behavior.EQUIVOCATOR for k in voters})
@@ -237,7 +309,7 @@ def test_equivocating_voter_seeds_the_round_stream_once(monkeypatch):
 def test_round_silent_leader_aborts():
     ids = _ids(4)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 2.0, 7)
+    leader = elect_leader(credits, 2_000_000, 7)
     nodes = make_nodes(ids)
     profile = FaultProfile(behaviors={leader: Behavior.SILENT_LEADER})
     outcome = run_round(nodes, credits, profile, _net(), 0, seed=7)
@@ -245,17 +317,17 @@ def test_round_silent_leader_aborts():
     assert not outcome.committed
     assert outcome.abort_reason == "LeaderSilent"
     assert all(nodes[k].chain.height == 0 for k in ids)
-    after = update_credits(credits, outcome, 0.05, 0.02)
-    assert after[leader] == pytest.approx(0.45)
+    after = update_credits(credits, outcome, 50_000, 20_000)
+    assert after[leader] == 450_000
     # quiet non-leaders endorsed the abort and gain
     others = [k for k in ids if k != leader]
-    assert all(after[k] == pytest.approx(0.52) for k in others)
+    assert all(after[k] == 520_000 for k in others)
 
 
 def test_round_invalid_block_leader_aborts():
     ids = _ids(4)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 2.0, 11)
+    leader = elect_leader(credits, 2_000_000, 11)
     nodes = make_nodes(ids)
     profile = FaultProfile(behaviors={leader: Behavior.INVALID_BLOCK_LEADER})
     outcome = run_round(nodes, credits, profile, _net(), 0, seed=11)
@@ -268,7 +340,7 @@ def test_round_tolerates_f_dissenters():
     # f = floor((7-1)/3) = 2 dissenting voters cannot block the quorum
     ids = _ids(7)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 3.5, 5)
+    leader = elect_leader(credits, 3_500_000, 5)
     dissenters = [k for k in ids if k != leader][:2]
     nodes = make_nodes(ids)
     profile = FaultProfile(
@@ -285,7 +357,7 @@ def test_round_fails_beyond_f_dissenters():
     # 3 of 7 dissenting leaves 4/7 < 5/7 of the credit mass
     ids = _ids(7)
     credits = init_credits(ids)
-    leader = elect_leader(credits, 3.5, 9)
+    leader = elect_leader(credits, 3_500_000, 9)
     dissenters = [k for k in ids if k != leader][:3]
     nodes = make_nodes(ids)
     profile = FaultProfile(
@@ -313,14 +385,14 @@ def test_single_dissenter_hits_zero_within_bound():
         driver.step()
         history.append(driver.credits)
     trail = [h["n00"] for h in history]
-    assert trail[24] == 0.0
+    assert trail[24] == 0
     for prev, cur in zip(trail, trail[1:]):
-        assert cur <= prev + 1e-12
+        assert cur <= prev
     honest_trails = [[h[k] for h in history] for k in ids[1:]]
     for trail_h in honest_trails:
         for prev, cur in zip(trail_h, trail_h[1:]):
-            assert cur >= prev - 1e-12
-        assert trail_h[-1] == 1.0
+            assert cur >= prev
+        assert trail_h[-1] == CREDIT_UNIT
 
 
 def test_run_rounds_deterministic():

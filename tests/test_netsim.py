@@ -23,7 +23,7 @@ from destrade import (
     verify_chain,
 )
 from destrade.consensus import deliver
-from destrade.scenario import load_scenario, parse_scenario
+from destrade.scenario import build_credit_steps, build_faults, load_scenario, parse_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -144,6 +144,20 @@ def test_lossy_network_stays_safe():
     result2, _ = go()
     assert result2.rows == result.rows
 
+
+
+def test_credits_stay_whole_micro_credits():
+    # The scenario's steps are read in credits; every table and log sum
+    # holds integers, on a lossy run with byzantine roles.
+    sc = parse_scenario("[consensus]\ndelta1 = 0.1\ndelta2 = 0.000003\n"
+                        "[faults]\ndissenters = 1\nequivocators = 1\ndrop_prob = 0.1\n")
+    delta1, delta2 = build_credit_steps(sc)
+    assert (delta1, delta2) == (100_000, 3)
+    driver = run_rounds(60, make_nodes(_ids(7)), build_faults(sc, _ids(7)), 5,
+                        delta1, delta2)
+    assert all(type(c) is int for c in driver.credits.values())
+    assert all(type(r.credit_honest) is type(r.credit_byz) is int for r in driver.rows)
+    assert len(set(driver.credits.values())) > 1
 
 
 def test_lagging_nodes_abstain_under_loss():

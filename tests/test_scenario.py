@@ -219,8 +219,8 @@ def test_consensus_defaults():
     setup = build_consensus(parse_scenario("[run]\nseed = 1\n"))
     assert setup.node_ids == [f"n{i:02d}" for i in range(20)]
     assert setup.rounds == 1000
-    assert setup.delta1 == 0.05
-    assert setup.delta2 == 0.02
+    assert setup.delta1 == 50_000  # the shipped 0.05 and 0.02 credit
+    assert setup.delta2 == 20_000
     assert setup.profile.behaviors == {}
     assert setup.profile.drop_prob == 0.0
 
@@ -265,6 +265,6 @@ def test_consensus_reads_overrides():
     setup = build_consensus(sc)
     assert len(setup.node_ids) == 7
     assert setup.rounds == 12
-    assert setup.delta1 == 0.1
-    assert setup.delta2 == 0.01
+    assert setup.delta1 == 100_000
+    assert setup.delta2 == 10_000
     assert setup.profile.drop_prob == 0.25
