@@ -9,7 +9,7 @@ fabric.  The cli module ties them into runnable scenarios.
 from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
                      MarketError, PricePair, des_utility, valid_k_intervals)
 from .follower import (FollowerError, KktCase, KktSolution, best_response,
-                       export_totals)
+                       export_totals, probe_totals)
 from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
                           profit, stackelberg_outcome)
 from .ledger import (Account, BadContractState, Block, Chain, Contract,
@@ -17,10 +17,10 @@ from .ledger import (Account, BadContractState, Block, Chain, Contract,
                      UnknownAccount, export_chain, make_block, make_genesis,
                      merkle_root, sign, sim_secret, validate_block,
                      verify_chain, verify_signature)
-from .consensus import (AllCreditsZero, Behavior, ConsensusNode, FaultProfile,
-                        RoundOutcome, TooFewNodes, check_quorum, elect_leader,
-                        init_credits, min_quorum_cardinality, quorum_weight,
-                        run_round, update_credits)
+from .consensus import (Behavior, ConsensusNode, FaultProfile, RoundOutcome,
+                        TooFewNodes, check_quorum, elect_leader, init_credits,
+                        min_quorum_cardinality, quorum_weight, run_round,
+                        update_credits)
 from .netsim import (PhaseNet, PipelineResult, RoundDriver, make_nodes,
                      run_pipeline, run_rounds)
 

@@ -33,10 +33,6 @@ class ConsensusError(Exception):
     pass
 
 
-class AllCreditsZero(ConsensusError):
-    """Election impossible: nobody holds credit."""
-
-
 class TooFewNodes(ConsensusError):
     """The quorum rule needs at least 4 nodes to tolerate one fault."""
 
@@ -112,10 +108,11 @@ def elect_leader(credits: CreditTable, total: int, seed: int) -> str:
 
     total is the table's credit sum, taken once per round by the caller.
     For an integer total below 2**53, random() * total < total, so the
-    walk over the ids always returns.
+    walk over the ids always returns.  When nobody holds credit, every
+    id is drawn with equal odds, so an election never fails.
     """
     if total <= 0:
-        raise AllCreditsZero("cannot elect a leader from zero total credit")
+        return random.Random(seed).choice(sorted(credits))
     pick = random.Random(seed).random() * total
     acc = 0
     for k in sorted(credits):

@@ -11,18 +11,21 @@ it without one.
 Both aggregators buy exports at their posted wholesale price and resell
 at the city retail rate, so each one's profit is its margin times the
 export volume the communities choose in best response: one of the two
-totals follower.export_totals returns, and the only numbers the walk
-carries.  Each visited price point is solved once: a step hands on the
-totals at the point it moved to, so an iteration costs four city
-evaluations.  The outcome takes both profits from the walk's last step
-and solves each community once at the fixed point for its KktSolution.
+export totals of the city, and the only numbers the walk carries.  A
+step solves its up and down probes together, in one
+follower.probe_totals pass over the city; follower.export_totals solves
+the start point, and a move the clamp pulls off its probe.  Each
+visited price point is solved once: a step hands on the totals at the
+point it moved to, so an iteration costs four probe points in two
+passes.  The outcome takes both profits from the walk's last step and
+solves each community once at the fixed point for its KktSolution.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple, Union
 
-from .follower import KktSolution, best_response, export_totals
+from .follower import KktSolution, best_response, export_totals, probe_totals
 from .market import CityMarket, MarketError, PricePair
 
 INIT_CHOICES = ("low", "high", "mid")
@@ -124,20 +127,18 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
 
     Takes the city's export totals at (p_e, p_h) and returns the new
     price with the totals there, solved afresh only when the clamp moves
-    the price off the probe.  Probes are unclamped, the move is not.
+    the price off the probe.  Probes are unclamped, the move is not;
+    both are solved in one probe_totals pass.
     """
-    chp, rows = city.chp, city.kkt_table
     if side == "e":
         (lo, hi), own = city.price_box()[0], p_e
-        solve = lambda price: export_totals(chp, rows, price, p_h)
     elif side == "h":
         (lo, hi), own = city.price_box()[1], p_h
-        solve = lambda price: export_totals(chp, rows, p_e, price)
     else:
         raise ValueError("side must be 'e' or 'h'")
 
     up, down = own + delta, own - delta
-    t_up, t_down = solve(up), solve(down)
+    t_up, t_down = probe_totals(city.chp, city.kkt_table, side, p_e, p_h, delta)
     v0 = profit(city, side, own, totals)
     vp = profit(city, side, up, t_up)
     vm = profit(city, side, down, t_down)
@@ -147,7 +148,10 @@ def aggregator_step(city: CityMarket, side: str, p_e: float, p_h: float,
         probe, new, held = down, max(lo, down), t_down
     else:
         return own, totals
-    return new, held if new == probe else solve(new)
+    if new == probe:
+        return new, held
+    moved = (new, p_h) if side == "e" else (p_e, new)
+    return new, export_totals(city.chp, city.kkt_table, *moved)
 
 
 def _stalls(price: float, delta: float) -> bool:

@@ -10,11 +10,14 @@ valid one.
 
 _case_walk walks the cases for one community on plain floats.
 export_totals returns a city's two export totals, the numbers the
-aggregators' profits read; it solves the three cases the price walk
-meets (free optimum, free optimum clipped at zero, both fractions on
-the floor) inline and sends every other row to _case_walk.
-best_response, the per-community solve, is _case_walk's tuple as a
-KktSolution.
+aggregators' profits read, as a plain loop of _case_walk calls.
+probe_totals returns them at both probes of an aggregator's step, one
+step up and one step down in its own price, from one pass over the
+city: it solves the three cases the price walk meets (free optimum,
+free optimum clipped at zero, both fractions on the floor) inline,
+shares the held price's work between the two probes, and sends every
+other row to _case_walk.  best_response, the per-community solve, is
+_case_walk's tuple as a KktSolution.
 """
 
 from __future__ import annotations
@@ -83,60 +86,198 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
     """Exports of the communities in rows at prices (p_e, p_h), per stream.
 
     rows are kkt_row tuples on chp's unit, such as a city's kkt_table.
-    Solves each community's globally optimal dispatch and returns (sum
-    of X*(1 - alpha), sum of Y*(1 - beta)), added left to right in row
-    order.  Total for any positive prices near the admissible box,
-    including the one-step-outside probes used by equilibrium search.
-
-    The price walk solves thousands of cities and reads only the two
-    totals, and almost every row it meets has both streams unsaturated
-    and lands in the free optimum (clipped at 0 when unfloored) or on
-    the floor with a valid multiplier.  Those rows are solved inline;
-    every other row goes through _case_walk, whose first cases are the
-    same expressions, so the floats do not depend on the path taken.
+    Solves each community's globally optimal dispatch with _case_walk and
+    returns (sum of X*(1 - alpha), sum of Y*(1 - beta)), added left to
+    right in row order.  Total for any positive prices near the
+    admissible box, including the one-step-outside probes used by
+    equilibrium search.
     """
-    x, y, inv_b_e, inv_b_h = chp.elec_capacity, chp.heat_capacity, chp.inv_b_e, chp.inv_b_h
+    x, y = chp.elec_capacity, chp.heat_capacity
     tot_e = tot_h = 0.0
-    p_sum = p_e + p_h
-    top = p_h if p_h < p_e else p_e
-    sqrt, sat, tol = math.sqrt, _SAT, SATURATION_TOL
     for row in rows:
-        m, k_e, k_h, qa, k_sum, qa4 = row
-        a0 = (k_e / p_e - inv_b_e) / x
-        b0 = (k_h / p_h - inv_b_h) / y
-        if a0 < sat and b0 < sat:
-            if m == 0.0:
-                # No floor: clip at 0; both fractions lie below 1 here.
-                tot_e += x * (1.0 - (0.0 if a0 < 0.0 else a0))
-                tot_h += y * (1.0 - (0.0 if b0 < 0.0 else b0))
-                continue
-            if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
-                tot_e += x * (1.0 - a0)
-                tot_h += y * (1.0 - b0)
-                continue
-            # On the floor, as in _case_walk; a double root is left to it.
-            qb = k_sum - qa * p_sum
-            qc = qa * p_e * p_h - k_e * p_h - k_h * p_e
-            disc = qb * qb - qa4 * qc
-            if disc > 0.0:
-                sq = sqrt(disc)
-                q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
-                r1, r2 = q / qa, qc / q
-                if not r1 <= r2:
-                    r1, r2 = r2, r1
-                lam = r1 if 0.0 < r1 < top else r2
-                if 0.0 < lam < top:
-                    a = (k_e / (p_e - lam) - inv_b_e) / x
-                    b = (k_h / (p_h - lam) - inv_b_h) / y
-                    if tol < a < sat and tol < b < sat:
-                        tot_e += x * (1.0 - a)
-                        tot_h += y * (1.0 - b)
-                        continue
-        # A saturated stream, a rejected floor case, NaN or an error.
         rec = _case_walk(chp, row, p_e, p_h)
         tot_e += x * (1.0 - rec[0])
         tot_h += y * (1.0 - rec[1])
     return tot_e, tot_h
+
+
+def probe_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]], side: str,
+                 p_e: float, p_h: float, delta: float,
+                 ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """export_totals at own price + delta and at own price - delta.
+
+    side "e" probes p_e with p_h held, side "h" probes p_h with p_e held;
+    returns the totals at the up probe, then at the down probe.  Both
+    probes share one pass over rows: each row's stationary fraction at
+    the held price, its export of the held stream when unfloored, and
+    the factors of its floor quadratic that hold no probe price are
+    computed once.  Every other float operation, and the left-to-right
+    order of all four sums, is _case_walk's and export_totals', so each
+    total is theirs bit for bit.
+
+    The walk meets almost only rows in the free optimum (clipped at 0
+    when unfloored) or on the floor with a valid multiplier, and those
+    are solved inline; every other row goes through _case_walk, whose
+    first cases are the same expressions.  When a row raises
+    FollowerError, both probes are solved again in turn by
+    export_totals, so the error is the up probe's first one.
+
+    The two probes' floored branches are written out in full: a loop
+    over the pair there ran price_search 8.5% slower (10 paired 55 s
+    runs on a shared 2-vCPU host, 10 of 10 lost).
+    """
+    x, y, inv_b_e, inv_b_h = chp.elec_capacity, chp.heat_capacity, chp.inv_b_e, chp.inv_b_h
+    e_up = h_up = e_dn = h_dn = 0.0
+    sqrt, sat, tol, walk = math.sqrt, _SAT, SATURATION_TOL, _case_walk
+    if side == "e":
+        up, dn = p_e + delta, p_e - delta
+        s_up, s_dn = up + p_h, dn + p_h
+        top_up = p_h if p_h < up else up
+        top_dn = p_h if p_h < dn else dn
+        try:
+            for row in rows:
+                m, k_e, k_h, qa, k_sum, qa4 = row
+                b0 = (k_h / p_h - inv_b_h) / y
+                a_up = (k_e / up - inv_b_e) / x
+                a_dn = (k_e / dn - inv_b_e) / x
+                if m == 0.0 and a_up < sat and a_dn < sat and b0 < sat:
+                    # No floor: clip at 0; every fraction lies below 1 here,
+                    # and the held stream's export serves both probes.
+                    held = y * (1.0 - (0.0 if b0 < 0.0 else b0))
+                    e_up += x * (1.0 - (0.0 if a_up < 0.0 else a_up))
+                    h_up += held
+                    e_dn += x * (1.0 - (0.0 if a_dn < 0.0 else a_dn))
+                    h_dn += held
+                    continue
+                y_b0, ke_ph = y * b0, k_e * p_h
+                # Up probe: free optimum above the floor, else on the floor.
+                if x * a_up + y_b0 >= m and 0.0 < a_up < sat and 0.0 < b0 < sat:
+                    e_up += x * (1.0 - a_up)
+                    h_up += y * (1.0 - b0)
+                else:
+                    a = -1.0
+                    if m != 0.0 and a_up < sat and b0 < sat:
+                        # On the floor, as in _case_walk; a double root is left to it.
+                        qb = k_sum - qa * s_up
+                        qc = qa * up * p_h - ke_ph - k_h * up
+                        disc = qb * qb - qa4 * qc
+                        if disc > 0.0:
+                            sq = sqrt(disc)
+                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                            r1, r2 = q / qa, qc / q
+                            if not r1 <= r2:
+                                r1, r2 = r2, r1
+                            lam = r1 if 0.0 < r1 < top_up else r2
+                            if 0.0 < lam < top_up:
+                                a = (k_e / (up - lam) - inv_b_e) / x
+                                b = (k_h / (p_h - lam) - inv_b_h) / y
+                    if not (tol < a < sat and tol < b < sat):
+                        # A saturated stream, a rejected floor case, NaN or an error.
+                        rec = walk(chp, row, up, p_h)
+                        a, b = rec[0], rec[1]
+                    e_up += x * (1.0 - a)
+                    h_up += y * (1.0 - b)
+                # Down probe, the same with dn.
+                if x * a_dn + y_b0 >= m and 0.0 < a_dn < sat and 0.0 < b0 < sat:
+                    e_dn += x * (1.0 - a_dn)
+                    h_dn += y * (1.0 - b0)
+                else:
+                    a = -1.0
+                    if m != 0.0 and a_dn < sat and b0 < sat:
+                        qb = k_sum - qa * s_dn
+                        qc = qa * dn * p_h - ke_ph - k_h * dn
+                        disc = qb * qb - qa4 * qc
+                        if disc > 0.0:
+                            sq = sqrt(disc)
+                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                            r1, r2 = q / qa, qc / q
+                            if not r1 <= r2:
+                                r1, r2 = r2, r1
+                            lam = r1 if 0.0 < r1 < top_dn else r2
+                            if 0.0 < lam < top_dn:
+                                a = (k_e / (dn - lam) - inv_b_e) / x
+                                b = (k_h / (p_h - lam) - inv_b_h) / y
+                    if not (tol < a < sat and tol < b < sat):
+                        rec = walk(chp, row, dn, p_h)
+                        a, b = rec[0], rec[1]
+                    e_dn += x * (1.0 - a)
+                    h_dn += y * (1.0 - b)
+        except FollowerError:
+            return (export_totals(chp, rows, up, p_h), export_totals(chp, rows, dn, p_h))
+    elif side == "h":
+        # Side "e" with the streams' roles swapped, each expression in
+        # _case_walk's operand order.
+        up, dn = p_h + delta, p_h - delta
+        s_up, s_dn = p_e + up, p_e + dn
+        top_up = up if up < p_e else p_e
+        top_dn = dn if dn < p_e else p_e
+        try:
+            for row in rows:
+                m, k_e, k_h, qa, k_sum, qa4 = row
+                a0 = (k_e / p_e - inv_b_e) / x
+                b_up = (k_h / up - inv_b_h) / y
+                b_dn = (k_h / dn - inv_b_h) / y
+                if m == 0.0 and a0 < sat and b_up < sat and b_dn < sat:
+                    held = x * (1.0 - (0.0 if a0 < 0.0 else a0))
+                    e_up += held
+                    h_up += y * (1.0 - (0.0 if b_up < 0.0 else b_up))
+                    e_dn += held
+                    h_dn += y * (1.0 - (0.0 if b_dn < 0.0 else b_dn))
+                    continue
+                x_a0, qa_pe, kh_pe = x * a0, qa * p_e, k_h * p_e
+                if x_a0 + y * b_up >= m and 0.0 < a0 < sat and 0.0 < b_up < sat:
+                    e_up += x * (1.0 - a0)
+                    h_up += y * (1.0 - b_up)
+                else:
+                    a = -1.0
+                    if m != 0.0 and a0 < sat and b_up < sat:
+                        qb = k_sum - qa * s_up
+                        qc = qa_pe * up - k_e * up - kh_pe
+                        disc = qb * qb - qa4 * qc
+                        if disc > 0.0:
+                            sq = sqrt(disc)
+                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                            r1, r2 = q / qa, qc / q
+                            if not r1 <= r2:
+                                r1, r2 = r2, r1
+                            lam = r1 if 0.0 < r1 < top_up else r2
+                            if 0.0 < lam < top_up:
+                                a = (k_e / (p_e - lam) - inv_b_e) / x
+                                b = (k_h / (up - lam) - inv_b_h) / y
+                    if not (tol < a < sat and tol < b < sat):
+                        rec = walk(chp, row, p_e, up)
+                        a, b = rec[0], rec[1]
+                    e_up += x * (1.0 - a)
+                    h_up += y * (1.0 - b)
+                if x_a0 + y * b_dn >= m and 0.0 < a0 < sat and 0.0 < b_dn < sat:
+                    e_dn += x * (1.0 - a0)
+                    h_dn += y * (1.0 - b_dn)
+                else:
+                    a = -1.0
+                    if m != 0.0 and a0 < sat and b_dn < sat:
+                        qb = k_sum - qa * s_dn
+                        qc = qa_pe * dn - k_e * dn - kh_pe
+                        disc = qb * qb - qa4 * qc
+                        if disc > 0.0:
+                            sq = sqrt(disc)
+                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                            r1, r2 = q / qa, qc / q
+                            if not r1 <= r2:
+                                r1, r2 = r2, r1
+                            lam = r1 if 0.0 < r1 < top_dn else r2
+                            if 0.0 < lam < top_dn:
+                                a = (k_e / (p_e - lam) - inv_b_e) / x
+                                b = (k_h / (dn - lam) - inv_b_h) / y
+                    if not (tol < a < sat and tol < b < sat):
+                        rec = walk(chp, row, p_e, dn)
+                        a, b = rec[0], rec[1]
+                    e_dn += x * (1.0 - a)
+                    h_dn += y * (1.0 - b)
+        except FollowerError:
+            return (export_totals(chp, rows, p_e, up), export_totals(chp, rows, p_e, dn))
+    else:
+        raise ValueError("side must be 'e' or 'h'")
+    return (e_up, h_up), (e_dn, h_dn)
 
 
 def _case_walk(chp: ChpParams, row: Tuple[float, ...], p_e: float,

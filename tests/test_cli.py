@@ -296,6 +296,38 @@ def test_lossy_consensus_run_is_pinned(tmp_path, capsys):
         "09eeab320bcbde4d953d3c03c5be568af8fb409074631b22d0abeccddaab1fb7")
 
 
+@pytest.mark.parametrize("edits, seed", [
+    # one equivocator in four, no loss: its partial prepares drain every
+    # credit by round 973
+    ({"n_nodes = 20": "n_nodes = 4", "dissenters = 3": "dissenters = 0",
+      "silent_leaders = 2": "silent_leaders = 0"}, "4"),
+    # no fault roles, whole-credit steps and 30% loss: drained at round 1
+    ({"n_nodes = 20": "n_nodes = 4", "dissenters = 3": "dissenters = 0",
+      "silent_leaders = 2": "silent_leaders = 0", "equivocators = 1": "equivocators = 0",
+      "delta1 = 0.05": "delta1 = 1.0", "delta2 = 0.02": "delta2 = 1.0",
+      "drop_prob = 0.0": "drop_prob = 0.3"}, "1"),
+], ids=["one-equivocator", "lossy-whole-steps"])
+def test_a_group_with_no_credit_still_elects(tmp_path, capsys, edits, seed):
+    # Runs in which every credit drains to 0 and the group must still
+    # elect a leader: each runs all its rounds instead of exiting 2.
+    text = read(scn("consensus20"))
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    scfile = tmp_path / "drained.scn"
+    scfile.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["consensus", "--scenario", str(scfile), "--seed", seed, "--out", str(out)])
+    printed = capsys.readouterr()
+    assert rc != 2, printed.err
+    assert "consensus: rounds=1000 " in printed.out
+    rows = list(csv.reader(read(out / "rounds.csv").splitlines()[2:]))
+    assert len(rows) == 1000
+    # some round ended with no credit anywhere, so the next one elected
+    # its leader from a zero total
+    assert any(r[5:7] == ["0.000000", "0.000000"] for r in rows[:-1])
+
+
 def test_consensus_exits_3_when_honest_chains_diverge(tmp_path, capsys):
     # The lossy four-node run that test_netsim.py's
     # test_lossy_runs_count_their_forks pins at 3 forks.  A quorum rule

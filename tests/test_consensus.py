@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from destrade import (
-    AllCreditsZero,
     Behavior,
     Contract,
     EnergyKind,
@@ -151,8 +150,17 @@ def test_elect_leader_deterministic():
 
 
 def test_elect_leader_zero_total():
-    with pytest.raises(AllCreditsZero):
-        elect_leader({"a": 0.0, "b": 0.0}, 0.0, 1)
+    # with every credit drained, the seed alone picks the leader, from the
+    # sorted ids with equal odds, whatever order the table holds them in
+    credits = dict.fromkeys(reversed(_ids(4)), 0)
+    assert elect_leader(credits, 0, 123) == elect_leader(dict(sorted(credits.items())), 0, 123)
+    assert elect_leader(credits, 0, 123) == random.Random(123).choice(_ids(4))
+    counts = Counter(elect_leader(credits, 0, s) for s in range(10_000))
+    assert set(counts) == set(credits)
+    expected = 10_000 / 4
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    # chi-square, 3 degrees of freedom, 1% point
+    assert stat < 11.345
 
 
 def test_elect_leader_excludes_zero_credit():

@@ -77,16 +77,26 @@ def test_step_reaching_the_cost_floor_is_rejected(city1):
 
 
 def _count_city_solves(monkeypatch):
-    """Record every city solve the walk and the outcome make."""
-    calls = []
-    solve = destrade.equilibrium.export_totals
+    """Record every price point the walk and the outcome solve the city at:
+    two per probe_totals call (the up probe, then the down probe) and one
+    per export_totals call."""
+    points = []
+    solve, probe = destrade.equilibrium.export_totals, destrade.equilibrium.probe_totals
 
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
+    def counted_solve(chp, rows, p_e, p_h):
+        points.append((p_e, p_h))
+        return solve(chp, rows, p_e, p_h)
 
-    monkeypatch.setattr(destrade.equilibrium, "export_totals", counted)
-    return calls
+    def counted_probe(chp, rows, side, p_e, p_h, delta):
+        if side == "e":
+            points.extend([(p_e + delta, p_h), (p_e - delta, p_h)])
+        else:
+            points.extend([(p_e, p_h + delta), (p_e, p_h - delta)])
+        return probe(chp, rows, side, p_e, p_h, delta)
+
+    monkeypatch.setattr(destrade.equilibrium, "export_totals", counted_solve)
+    monkeypatch.setattr(destrade.equilibrium, "probe_totals", counted_probe)
+    return points
 
 
 def _totals_at(city, p_e, p_h):
@@ -162,8 +172,7 @@ def test_step_solves_the_clamped_point_afresh(chp, floor_tight, monkeypatch):
     new, totals = aggregator_step(city, "e", own, hi_h, delta, held)
     assert new == hi_e
     assert len(calls) == 3  # up, down and the clamped point
-    assert [args[2:] for args in calls] == [(own + delta, hi_h), (own - delta, hi_h),
-                                            (hi_e, hi_h)]
+    assert calls == [(own + delta, hi_h), (own - delta, hi_h), (hi_e, hi_h)]
     assert totals == _totals_at(city, hi_e, hi_h)
 
 
@@ -211,11 +220,13 @@ def test_each_visited_point_is_solved_once(monkeypatch):
     # trace and the next step reuse the totals at the point moved to
     sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
     city = build_city(sc)
+    cfg = build_ne_config(sc)
     calls = _count_city_solves(monkeypatch)
-    _, trace = find_ne(city, build_ne_config(sc))
+    _, trace = find_ne(city, cfg)
     assert len(calls) == 4 * trace.iterations + 1
-    # the walk asks for totals only, never for response tuples
-    assert all(len(args) == 4 for args in calls)
+    # the first point solved is the start; the probes follow in pairs
+    start = resolve_init(city, cfg.init)
+    assert calls[0] == (start.p_e, start.p_h)
 
 
 def test_outcome_reads_its_profits_off_the_walk(monkeypatch):

@@ -20,8 +20,10 @@ from destrade import (
     best_response,
     des_utility,
     export_totals,
+    probe_totals,
     valid_k_intervals,
 )
+import destrade.equilibrium
 import destrade.follower
 from destrade.market import kkt_row
 from destrade.equilibrium import find_ne
@@ -428,17 +430,25 @@ def _count_case_walks(monkeypatch):
     return calls
 
 
-def _totals_both(chp, com, p):
-    """(export_totals on com's one-row table, the reference's exports),
-    each a pair of floats or the error."""
-    x, y = chp.elec_capacity, chp.heat_capacity
+def _reference_exports(chp, com, p_e, p_h):
+    """The reference dispatch's exports (X*(1 - alpha), Y*(1 - beta))."""
+    d = oracles.reference_best_response(chp, com, PricePair(p_e, p_h)).dispatch
+    return chp.elec_capacity * (1.0 - d.alpha), chp.heat_capacity * (1.0 - d.beta)
+
+
+def _probes_both(chp, com, side, p, delta):
+    """(probe_totals on com's one-row table, the reference's exports at the
+    up probe and then the down probe), each four floats or the first error."""
     try:
-        got = export_totals(chp, (kkt_row(chp, com),), p.p_e, p.p_h)
+        up, down = probe_totals(chp, (kkt_row(chp, com),), side, p.p_e, p.p_h, delta)
+        got = up + down
     except FollowerError as err:
         got = (type(err), str(err))
+    own = p.p_e if side == "e" else p.p_h
     try:
-        ref = oracles.reference_best_response(chp, com, p).dispatch
-        ref = (x * (1.0 - ref.alpha), y * (1.0 - ref.beta))
+        ref = ()
+        for q in (own + delta, own - delta):
+            ref += _reference_exports(chp, com, *((q, p.p_h) if side == "e" else (p.p_e, q)))
     except FollowerError as err:
         ref = (type(err), str(err))
     return got, ref
@@ -446,31 +456,47 @@ def _totals_both(chp, com, p):
 
 def test_totals_match_the_reference_in_every_case(monkeypatch, chp, floor_mid,
                                                   floor_tight):
-    # export_totals without records takes its inline cases where it can;
-    # whichever path solved a row, its totals and error text must be the
-    # reference's
+    # probe_totals takes its inline cases where it can; whichever path
+    # solved a row, its totals and error text must be the reference's.
+    # A zero step probes the grid point itself, both times.
     walks = _count_case_walks(monkeypatch)
     errors, solves = set(), 0
     for com, p in _every_case_grid(chp, floor_mid, floor_tight):
-        got, ref = _totals_both(chp, com, p)
-        _assert_same_bits(got, ref)
-        if isinstance(got[0], type):
-            errors.add(got[1][:8])
-        solves += 1
+        for side in ("e", "h"):
+            for delta in (0.0, PROBE_STEP):
+                got, ref = _probes_both(chp, com, side, p, delta)
+                _assert_same_bits(got, ref)
+                if isinstance(got[0], type):
+                    errors.add(got[1][:8])
+                solves += 2
     assert errors == {"both str", "no KKT c"}
     assert 0 < len(walks) < solves  # both paths were taken
 
 
 @pytest.mark.parametrize("name", ["city5_floor.scn", "city40_mixed.scn"])
 def test_price_walk_never_leaves_the_inline_cases(monkeypatch, name):
-    # every row the shipped walks solve is one of export_totals' inline
+    # every row the shipped walks probe is one of probe_totals' inline
     # cases; a row sent to _case_walk there would slow the walk down
     sc = load_scenario(os.path.join(REPO, "scenarios", name))
     city = build_city(sc)
     calls = _count_case_walks(monkeypatch)
+    in_probes = []
+    probe = destrade.equilibrium.probe_totals
+
+    def counted(*args):
+        before = len(calls)
+        result = probe(*args)
+        in_probes.extend(calls[before:])
+        return result
+
+    monkeypatch.setattr(destrade.equilibrium, "probe_totals", counted)
     prices, trace = find_ne(city, build_ne_config(sc))
-    assert trace.iterations > 0 and calls == []
-    # the counter does see the walk: a per-community solve goes through it
+    assert trace.iterations > 0 and in_probes == []
+    # the counter does see the walk: export_totals solves the start
+    # point through it (these walks never clamp a move), and so does a
+    # per-community solve
+    assert len(calls) == len(city.communities)
+    del calls[:]
     for com in city.communities:
         best_response(city.chp, com, prices)
     assert len(calls) == len(city.communities)
@@ -525,6 +551,97 @@ def test_city_totals_match_per_community_solves_bit_for_bit(chp, data):
         tot_e += x * (1.0 - r[0])
         tot_h += y * (1.0 - r[1])
     assert _hex(export_totals(chp, city.kkt_table, p_e, p_h)) == _hex((tot_e, tot_h))
+
+
+def _sequential_probes(chp, communities, side, p_e, p_h, delta):
+    """The up probe's totals, then the down probe's, each summed one add
+    at a time from per-community best responses; or the first error of
+    that sequence as (type, text)."""
+    x, y = chp.elec_capacity, chp.heat_capacity
+    own = p_e if side == "e" else p_h
+    pairs = []
+    try:
+        for q in (own + delta, own - delta):
+            p = PricePair(q, p_h) if side == "e" else PricePair(p_e, q)
+            tot_e = tot_h = 0.0
+            for com in communities:
+                r = best_response(chp, com, p)
+                tot_e += x * (1.0 - r[0])
+                tot_h += y * (1.0 - r[1])
+            pairs.append((tot_e, tot_h))
+    except FollowerError as err:
+        return type(err), str(err)
+    return _hex(pairs[0] + pairs[1])
+
+
+def _probe_pair(chp, rows, side, p_e, p_h, delta):
+    """probe_totals' four totals as hex, or its error as (type, text)."""
+    try:
+        up, down = probe_totals(chp, rows, side, p_e, p_h, delta)
+    except FollowerError as err:
+        return type(err), str(err)
+    return _hex(up + down)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_probe_pair_matches_per_community_solves_bit_for_bit(chp, data):
+    # drawn tables mix floored and unfloored communities, and some hold a
+    # floor past X + Y, which fits no KKT case; either side probes from a
+    # point in the box by up to one walk step, so a probe lands up to a
+    # step outside it, or from anywhere in a wide square by steps long
+    # enough to saturate streams and reach both errors
+    (k_e_lo, k_e_hi), (k_h_lo, k_h_hi) = valid_k_intervals(chp, RETAIL_E, RETAIL_H)
+    x, y = chp.elec_capacity, chp.heat_capacity
+    floor = st.one_of(st.just(0.0), st.floats(0.05, 0.95).map(
+        lambda w: w * max(x, y) + (1.0 - w) * (x + y)))
+    community = st.builds(
+        lambda k_e, k_h, m_min: CommunityParams(k_e, k_h, m_min),
+        st.floats(k_e_lo * 1.001, k_e_hi * 0.999),
+        st.floats(k_h_lo * 1.001, k_h_hi * 0.999), floor)
+    communities = data.draw(st.lists(community, min_size=1, max_size=12))
+    if data.draw(st.integers(0, 7)) == 0:
+        at = data.draw(st.integers(0, len(communities)))
+        broken = data.draw(community)._replace(m_min=x + y + 1e8)
+        communities[at:at] = [broken]
+    rows = tuple(kkt_row(chp, com) for com in communities)
+    near = st.tuples(st.floats(chp.c_e, RETAIL_E), st.floats(chp.c_h, RETAIL_H),
+                     st.floats(0.0, PROBE_STEP))
+    wide = st.tuples(st.floats(1.5e-8, 7e-8), st.floats(1.5e-8, 7e-8),
+                     st.floats(PROBE_STEP, 1e-8))
+    p_e, p_h, delta = data.draw(st.one_of(near, wide))
+    side = data.draw(st.sampled_from("eh"))
+
+    assert _probe_pair(chp, rows, side, p_e, p_h, delta) \
+        == _sequential_probes(chp, communities, side, p_e, p_h, delta)
+
+
+@pytest.mark.parametrize("side", ["e", "h"])
+def test_probe_pair_raises_the_up_probes_first_error(chp, side):
+    # An unfloored community whose streams both saturate at the down
+    # probe only, ahead of one whose floor lies past X + Y and so fits no
+    # case at the up probe.  One pass meets the down probe's error first;
+    # the up probe's must still be the one raised, as when the two probes
+    # are solved one after the other.
+    x, y = chp.elec_capacity, chp.heat_capacity
+    k_e, k_h = 143.05, 137.81
+    # Each price at which that stream's stationary fraction reaches 1.
+    edge_e = k_e / (x * (1.0 - 1e-9) + chp.inv_b_e)
+    edge_h = k_h / (y * (1.0 - 1e-9) + chp.inv_b_h)
+    coms = (CommunityParams(k_e, k_h, 0.0), CommunityParams(k_e, k_h, x + y + 1e8))
+    rows = tuple(kkt_row(chp, com) for com in coms)
+    p_e, p_h = (edge_e, 0.9 * edge_h) if side == "e" else (0.9 * edge_e, edge_h)
+    delta = 1e-9
+    got = _probe_pair(chp, rows, side, p_e, p_h, delta)
+    assert got == _sequential_probes(chp, coms, side, p_e, p_h, delta)
+    assert got[0] is FollowerError and got[1].startswith("no KKT case fits")
+    # the down probe alone raises the other error, at the first community
+    down = (p_e - delta, p_h) if side == "e" else (p_e, p_h - delta)
+    with pytest.raises(FollowerError, match="both streams saturated"):
+        export_totals(chp, rows[:1], *down)
+    # with the floored community gone, the pair raises the down probe's error
+    assert _probe_pair(chp, rows[:1], side, p_e, p_h, delta) \
+        == (FollowerError, "both streams saturated; outside modeled envelope")
 
 
 def test_city_table_holds_each_communitys_row(city5_mid):
