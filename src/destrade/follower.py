@@ -11,13 +11,12 @@ valid one.
 _case_walk walks the cases for one community on plain floats.
 export_totals returns a city's two export totals, the numbers the
 aggregators' profits read, as a plain loop of _case_walk calls.
-probe_totals returns them at both probes of an aggregator's step, one
-step up and one step down in its own price, from one pass over the
-city: it solves the three cases the price walk meets (free optimum,
-free optimum clipped at zero, both fractions on the floor) inline,
-shares the held price's work between the two probes, and sends every
-other row to _case_walk.  best_response, the per-community solve, is
-_case_walk's tuple as a KktSolution.
+probe_totals returns them at both probes of an aggregator's step (its
+own price one step up and one step down) from one loop over the rows
+for either side, in (p_e, p_h) terms: the held stream's fraction is
+shared by the probes, the walk's three common cases are solved inline
+and every other row goes to _case_walk.  best_response, the
+per-community solve, is _case_walk's tuple as a KktSolution.
 """
 
 from __future__ import annotations
@@ -88,9 +87,7 @@ def export_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]],
     rows are kkt_row tuples on chp's unit, such as a city's kkt_table.
     Solves each community's globally optimal dispatch with _case_walk and
     returns (sum of X*(1 - alpha), sum of Y*(1 - beta)), added left to
-    right in row order.  Total for any positive prices near the
-    admissible box, including the one-step-outside probes used by
-    equilibrium search.
+    right in row order; total at any positive prices near the box.
     """
     x, y = chp.elec_capacity, chp.heat_capacity
     tot_e = tot_h = 0.0
@@ -106,177 +103,115 @@ def probe_totals(chp: ChpParams, rows: Sequence[Tuple[float, ...]], side: str,
                  ) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     """export_totals at own price + delta and at own price - delta.
 
-    side "e" probes p_e with p_h held, side "h" probes p_h with p_e held;
-    returns the totals at the up probe, then at the down probe.  Both
-    probes share one pass over rows: each row's stationary fraction at
-    the held price, its export of the held stream when unfloored, and
-    the factors of its floor quadratic that hold no probe price are
-    computed once.  Every other float operation, and the left-to-right
-    order of all four sums, is _case_walk's and export_totals', so each
-    total is theirs bit for bit.
+    side "e" probes p_e with p_h held, side "h" p_h with p_e held; returns
+    the up probe's totals, then the down probe's, from one loop over rows
+    for both sides.  Per row the side decides only which stream is held:
+    its stationary fraction, free-optimum term and unfloored export are
+    shared by the probes.  All else is worked at each probe's own
+    (p_e, p_h) in _case_walk's operand order and summed left to right, so
+    each total is export_totals' bit for bit.  The walk's three common
+    cases (free optimum, clipped at 0, on the floor) are solved inline,
+    other rows by _case_walk.  On FollowerError export_totals solves both
+    probes again in turn, so the error is the up probe's first one.
 
-    The walk meets almost only rows in the free optimum (clipped at 0
-    when unfloored) or on the floor with a valid multiplier, and those
-    are solved inline; every other row goes through _case_walk, whose
-    first cases are the same expressions.  When a row raises
-    FollowerError, both probes are solved again in turn by
-    export_totals, so the error is the up probe's first one.
-
-    The two probes' floored branches are written out in full: a loop
-    over the pair there ran price_search 8.5% slower (10 paired 55 s
-    runs on a shared 2-vCPU host, 10 of 10 lost).
+    On price_search (paired 55 s runs, shared 2-vCPU host) a loop over the
+    two probes ran 8.5% slower (10/10 lost); this loop, against the
+    per-side loops it replaced, 1.036x and 1.006x (1/10 and 6/10 won).
     """
+    if side not in ("e", "h"):
+        raise ValueError("side must be 'e' or 'h'")
+    held_h = side == "e"
+    pe_up, ph_up, pe_dn, ph_dn = ((p_e + delta, p_h, p_e - delta, p_h) if held_h
+                                  else (p_e, p_h + delta, p_e, p_h - delta))
+    s_up, s_dn = pe_up + ph_up, pe_dn + ph_dn
+    top_up = ph_up if ph_up < pe_up else pe_up
+    top_dn = ph_dn if ph_dn < pe_dn else pe_dn
     x, y, inv_b_e, inv_b_h = chp.elec_capacity, chp.heat_capacity, chp.inv_b_e, chp.inv_b_h
     e_up = h_up = e_dn = h_dn = 0.0
     sqrt, sat, tol, walk = math.sqrt, _SAT, SATURATION_TOL, _case_walk
-    if side == "e":
-        up, dn = p_e + delta, p_e - delta
-        s_up, s_dn = up + p_h, dn + p_h
-        top_up = p_h if p_h < up else up
-        top_dn = p_h if p_h < dn else dn
-        try:
-            for row in rows:
-                m, k_e, k_h, qa, k_sum, qa4 = row
-                b0 = (k_h / p_h - inv_b_h) / y
-                a_up = (k_e / up - inv_b_e) / x
-                a_dn = (k_e / dn - inv_b_e) / x
-                if m == 0.0 and a_up < sat and a_dn < sat and b0 < sat:
-                    # No floor: clip at 0; every fraction lies below 1 here,
-                    # and the held stream's export serves both probes.
-                    held = y * (1.0 - (0.0 if b0 < 0.0 else b0))
+    try:
+        for row in rows:
+            m, k_e, k_h, qa, k_sum, qa4 = row
+            # Unfloored rows clip at 0 only: every fraction lies below 1 there.
+            if held_h:
+                a_up = (k_e / pe_up - inv_b_e) / x
+                a_dn = (k_e / pe_dn - inv_b_e) / x
+                b_up = b_dn = (k_h / p_h - inv_b_h) / y
+                if m == 0.0 and a_up < sat and a_dn < sat and b_up < sat:
+                    held = y * (1.0 - (0.0 if b_up < 0.0 else b_up))
                     e_up += x * (1.0 - (0.0 if a_up < 0.0 else a_up))
                     h_up += held
                     e_dn += x * (1.0 - (0.0 if a_dn < 0.0 else a_dn))
                     h_dn += held
                     continue
-                y_b0, ke_ph = y * b0, k_e * p_h
-                # Up probe: free optimum above the floor, else on the floor.
-                if x * a_up + y_b0 >= m and 0.0 < a_up < sat and 0.0 < b0 < sat:
-                    e_up += x * (1.0 - a_up)
-                    h_up += y * (1.0 - b0)
-                else:
-                    a = -1.0
-                    if m != 0.0 and a_up < sat and b0 < sat:
-                        # On the floor, as in _case_walk; a double root is left to it.
-                        qb = k_sum - qa * s_up
-                        qc = qa * up * p_h - ke_ph - k_h * up
-                        disc = qb * qb - qa4 * qc
-                        if disc > 0.0:
-                            sq = sqrt(disc)
-                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
-                            r1, r2 = q / qa, qc / q
-                            if not r1 <= r2:
-                                r1, r2 = r2, r1
-                            lam = r1 if 0.0 < r1 < top_up else r2
-                            if 0.0 < lam < top_up:
-                                a = (k_e / (up - lam) - inv_b_e) / x
-                                b = (k_h / (p_h - lam) - inv_b_h) / y
-                    if not (tol < a < sat and tol < b < sat):
-                        # A saturated stream, a rejected floor case, NaN or an error.
-                        rec = walk(chp, row, up, p_h)
-                        a, b = rec[0], rec[1]
-                    e_up += x * (1.0 - a)
-                    h_up += y * (1.0 - b)
-                # Down probe, the same with dn.
-                if x * a_dn + y_b0 >= m and 0.0 < a_dn < sat and 0.0 < b0 < sat:
-                    e_dn += x * (1.0 - a_dn)
-                    h_dn += y * (1.0 - b0)
-                else:
-                    a = -1.0
-                    if m != 0.0 and a_dn < sat and b0 < sat:
-                        qb = k_sum - qa * s_dn
-                        qc = qa * dn * p_h - ke_ph - k_h * dn
-                        disc = qb * qb - qa4 * qc
-                        if disc > 0.0:
-                            sq = sqrt(disc)
-                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
-                            r1, r2 = q / qa, qc / q
-                            if not r1 <= r2:
-                                r1, r2 = r2, r1
-                            lam = r1 if 0.0 < r1 < top_dn else r2
-                            if 0.0 < lam < top_dn:
-                                a = (k_e / (dn - lam) - inv_b_e) / x
-                                b = (k_h / (p_h - lam) - inv_b_h) / y
-                    if not (tol < a < sat and tol < b < sat):
-                        rec = walk(chp, row, dn, p_h)
-                        a, b = rec[0], rec[1]
-                    e_dn += x * (1.0 - a)
-                    h_dn += y * (1.0 - b)
-        except FollowerError:
-            return (export_totals(chp, rows, up, p_h), export_totals(chp, rows, dn, p_h))
-    elif side == "h":
-        # Side "e" with the streams' roles swapped, each expression in
-        # _case_walk's operand order.
-        up, dn = p_h + delta, p_h - delta
-        s_up, s_dn = p_e + up, p_e + dn
-        top_up = up if up < p_e else p_e
-        top_dn = dn if dn < p_e else p_e
-        try:
-            for row in rows:
-                m, k_e, k_h, qa, k_sum, qa4 = row
-                a0 = (k_e / p_e - inv_b_e) / x
-                b_up = (k_h / up - inv_b_h) / y
-                b_dn = (k_h / dn - inv_b_h) / y
-                if m == 0.0 and a0 < sat and b_up < sat and b_dn < sat:
-                    held = x * (1.0 - (0.0 if a0 < 0.0 else a0))
+                xa_up, xa_dn = x * a_up, x * a_dn
+                yb_up = yb_dn = y * b_up
+            else:
+                a_up = a_dn = (k_e / p_e - inv_b_e) / x
+                b_up = (k_h / ph_up - inv_b_h) / y
+                b_dn = (k_h / ph_dn - inv_b_h) / y
+                if m == 0.0 and a_up < sat and b_up < sat and b_dn < sat:
+                    held = x * (1.0 - (0.0 if a_up < 0.0 else a_up))
                     e_up += held
                     h_up += y * (1.0 - (0.0 if b_up < 0.0 else b_up))
                     e_dn += held
                     h_dn += y * (1.0 - (0.0 if b_dn < 0.0 else b_dn))
                     continue
-                x_a0, qa_pe, kh_pe = x * a0, qa * p_e, k_h * p_e
-                if x_a0 + y * b_up >= m and 0.0 < a0 < sat and 0.0 < b_up < sat:
-                    e_up += x * (1.0 - a0)
-                    h_up += y * (1.0 - b_up)
-                else:
-                    a = -1.0
-                    if m != 0.0 and a0 < sat and b_up < sat:
-                        qb = k_sum - qa * s_up
-                        qc = qa_pe * up - k_e * up - kh_pe
-                        disc = qb * qb - qa4 * qc
-                        if disc > 0.0:
-                            sq = sqrt(disc)
-                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
-                            r1, r2 = q / qa, qc / q
-                            if not r1 <= r2:
-                                r1, r2 = r2, r1
-                            lam = r1 if 0.0 < r1 < top_up else r2
-                            if 0.0 < lam < top_up:
-                                a = (k_e / (p_e - lam) - inv_b_e) / x
-                                b = (k_h / (up - lam) - inv_b_h) / y
-                    if not (tol < a < sat and tol < b < sat):
-                        rec = walk(chp, row, p_e, up)
-                        a, b = rec[0], rec[1]
-                    e_up += x * (1.0 - a)
-                    h_up += y * (1.0 - b)
-                if x_a0 + y * b_dn >= m and 0.0 < a0 < sat and 0.0 < b_dn < sat:
-                    e_dn += x * (1.0 - a0)
-                    h_dn += y * (1.0 - b_dn)
-                else:
-                    a = -1.0
-                    if m != 0.0 and a0 < sat and b_dn < sat:
-                        qb = k_sum - qa * s_dn
-                        qc = qa_pe * dn - k_e * dn - kh_pe
-                        disc = qb * qb - qa4 * qc
-                        if disc > 0.0:
-                            sq = sqrt(disc)
-                            q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
-                            r1, r2 = q / qa, qc / q
-                            if not r1 <= r2:
-                                r1, r2 = r2, r1
-                            lam = r1 if 0.0 < r1 < top_dn else r2
-                            if 0.0 < lam < top_dn:
-                                a = (k_e / (p_e - lam) - inv_b_e) / x
-                                b = (k_h / (dn - lam) - inv_b_h) / y
-                    if not (tol < a < sat and tol < b < sat):
-                        rec = walk(chp, row, p_e, dn)
-                        a, b = rec[0], rec[1]
-                    e_dn += x * (1.0 - a)
-                    h_dn += y * (1.0 - b)
-        except FollowerError:
-            return (export_totals(chp, rows, p_e, up), export_totals(chp, rows, p_e, dn))
-    else:
-        raise ValueError("side must be 'e' or 'h'")
+                xa_up = xa_dn = x * a_up
+                yb_up, yb_dn = y * b_up, y * b_dn
+            # Up probe: free optimum above the floor, else on the floor.
+            if xa_up + yb_up >= m and 0.0 < a_up < sat and 0.0 < b_up < sat:
+                e_up += x * (1.0 - a_up)
+                h_up += y * (1.0 - b_up)
+            else:
+                a = -1.0
+                if m != 0.0 and a_up < sat and b_up < sat:
+                    # On the floor, as in _case_walk; a double root is left to it.
+                    qb = k_sum - qa * s_up
+                    qc = qa * pe_up * ph_up - k_e * ph_up - k_h * pe_up
+                    disc = qb * qb - qa4 * qc
+                    if disc > 0.0:
+                        sq = sqrt(disc)
+                        q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                        r1, r2 = q / qa, qc / q
+                        if not r1 <= r2:
+                            r1, r2 = r2, r1
+                        lam = r1 if 0.0 < r1 < top_up else r2
+                        if 0.0 < lam < top_up:
+                            a = (k_e / (pe_up - lam) - inv_b_e) / x
+                            b = (k_h / (ph_up - lam) - inv_b_h) / y
+                if not (tol < a < sat and tol < b < sat):
+                    # A saturated stream, a rejected floor case, NaN or an error.
+                    a, b = walk(chp, row, pe_up, ph_up)[:2]
+                e_up += x * (1.0 - a)
+                h_up += y * (1.0 - b)
+            # Down probe, the same with the down prices.
+            if xa_dn + yb_dn >= m and 0.0 < a_dn < sat and 0.0 < b_dn < sat:
+                e_dn += x * (1.0 - a_dn)
+                h_dn += y * (1.0 - b_dn)
+            else:
+                a = -1.0
+                if m != 0.0 and a_dn < sat and b_dn < sat:
+                    qb = k_sum - qa * s_dn
+                    qc = qa * pe_dn * ph_dn - k_e * ph_dn - k_h * pe_dn
+                    disc = qb * qb - qa4 * qc
+                    if disc > 0.0:
+                        sq = sqrt(disc)
+                        q = -0.5 * (qb - sq) if qb < 0.0 else -0.5 * (qb + sq)
+                        r1, r2 = q / qa, qc / q
+                        if not r1 <= r2:
+                            r1, r2 = r2, r1
+                        lam = r1 if 0.0 < r1 < top_dn else r2
+                        if 0.0 < lam < top_dn:
+                            a = (k_e / (pe_dn - lam) - inv_b_e) / x
+                            b = (k_h / (ph_dn - lam) - inv_b_h) / y
+                if not (tol < a < sat and tol < b < sat):
+                    a, b = walk(chp, row, pe_dn, ph_dn)[:2]
+                e_dn += x * (1.0 - a)
+                h_dn += y * (1.0 - b)
+    except FollowerError:
+        return (export_totals(chp, rows, pe_up, ph_up),
+                export_totals(chp, rows, pe_dn, ph_dn))
     return (e_up, h_up), (e_dn, h_dn)
 
 
@@ -287,8 +222,8 @@ def _case_walk(chp: ChpParams, row: Tuple[float, ...], p_e: float,
     row is a community's kkt_row on chp's unit, which holds the capacities
     and adaption coefficients.  Cases are tried in order: free optimum,
     floor-bound optimum, then each stream saturated (with and without the
-    floor).  Strict concavity makes the
-    first case with valid multipliers the unique optimum.
+    floor).  Strict concavity makes the first case with valid multipliers
+    the unique optimum.
     """
     x, y, b_e, b_h = chp.elec_capacity, chp.heat_capacity, chp.b_e, chp.b_h
     inv_b_e, inv_b_h = chp.inv_b_e, chp.inv_b_h

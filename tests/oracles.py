@@ -206,7 +206,7 @@ def reference_walk(city, start: PricePair, delta0: float, decay: float,
 #
 # The KKT case walk as a chain of small helpers building a nested record,
 # kept to check that follower's case walk, which inlines all of it on
-# plain floats, and the inline cases of export_totals give the same
+# plain floats, and the inline cases of probe_totals give the same
 # floats, case and error at every price.
 
 # The reference builds its dispatches unchecked, like the walk.

@@ -447,7 +447,7 @@ def _drive(round_fn, n, behaviors, drop_prob, pools, seed):
         try:
             for _ in range(REFERENCE_ROUNDS):
                 driver.step()
-        except ConsensusError as exc:  # every credit drained to 0
+        except ConsensusError as exc:  # TooFewNodes: the grid's n = 3 group
             error = repr(exc)
     return (driver.rows, driver.credits, error, driver.net.sent, driver.net.dropped,
             {k: [b.block_hash for b in node.chain.blocks] for k, node in nodes.items()},

@@ -644,6 +644,22 @@ def test_probe_pair_raises_the_up_probes_first_error(chp, side):
         == (FollowerError, "both streams saturated; outside modeled envelope")
 
 
+@pytest.mark.parametrize("side", ["x", "E", ""])
+def test_a_side_other_than_e_or_h_is_refused(city5_mid, side):
+    # probe_totals refuses the side before its loop: an empty city, whose
+    # totals would be zero on either side, refuses it too.
+    city, p_e, p_h = city5_mid, 4.5e-8, 5e-8
+    totals = export_totals(city.chp, city.kkt_table, p_e, p_h)
+    calls = [lambda: probe_totals(city.chp, city.kkt_table, side, p_e, p_h, PROBE_STEP),
+             lambda: probe_totals(city.chp, (), side, p_e, p_h, PROBE_STEP),
+             lambda: destrade.equilibrium.aggregator_step(city, side, p_e, p_h,
+                                                          PROBE_STEP, totals),
+             lambda: destrade.equilibrium.profit(city, side, p_e, totals)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^side must be 'e' or 'h'$"):
+            call()
+
+
 def test_city_table_holds_each_communitys_row(city5_mid):
     rows = city5_mid.kkt_table
     chp = city5_mid.chp
