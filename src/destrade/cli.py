@@ -63,12 +63,14 @@ def _contract_lines(ledger: Ledger) -> Iterator[str]:
     contracts, executed = ledger.contracts, ledger.executed
     for cid in sorted(contracts):
         c = contracts[cid]
-        key = c[1:6]  # buyer, seller, kind, price, amount
+        # buyer, seller, kind, price, amount; the kind's value hashes in
+        # C, where the Enum member's __hash__ runs in Python
+        key = c[1], c[2], c[3]._value_, c[4], c[5]
         terms = terms_text.get(key)
         if terms is None:
             buyer, seller, kind, price, amount = key
-            terms = terms_text[key] = quote([buyer, seller, kind._value_,
-                                             f"{price:.12e}", f"{amount:.6f}"])[:-2]
+            terms = terms_text[key] = quote([buyer, seller, kind, f"{price:.12e}",
+                                             f"{amount:.6f}"])[:-2]
         # c[6] is trans_time
         yield f"{cid},{terms},{c[6]},{'executed' if cid in executed else 'created'}\r\n"
 

@@ -86,11 +86,16 @@ class ConsensusNode:
 
     def commit(self, block: Block) -> None:
         """Append block, which extends this node's tip, and drop its
-        contracts from the pool."""
+        contracts from the pool: all at once when the pool holds exactly
+        the block's ids."""
         self.chain.append(block)
-        pop = self.pool.pop
-        for cid in block.tx_ids:
-            pop(cid, None)
+        pool = self.pool
+        if pool.keys() == block.id_set:
+            pool.clear()
+        else:
+            pop = pool.pop
+            for cid in block.tx_ids:
+                pop(cid, None)
 
 
 def init_credits(node_ids) -> CreditTable:
@@ -138,7 +143,7 @@ def check_quorum(senders: Set[str], credits: CreditTable, total: int,
     """True when the senders hold quorum_weight(n_nodes)/n_nodes of total."""
     if total <= 0:
         return False
-    weight = sum(credits[k] for k in senders)
+    weight = sum(map(credits.__getitem__, senders))
     return weight * n_nodes >= quorum_weight(n_nodes) * total
 
 

@@ -12,9 +12,11 @@ body digest, and settle in one call (execute_contracts).  Blocks carry
 full contract bodies; the chain links sha256 block digests and a merkle
 root over the contract digests.  Contracts (tuples) and blocks are
 read-only and compute each digest at construction, a block's as fields;
-the chain audit rebuilds every root on its own.  Block leaders sign
-with simulated keys: deterministic digests of a per-account secret,
-good enough to exercise the protocol logic.
+the chain audit rebuilds every root on its own.  Every digest is a
+call of _sha256, hashlib's sha256 bound once; sign_offers and
+merkle_root call it inline.  Block leaders sign with simulated keys:
+deterministic digests of a per-account secret, good enough to exercise
+the protocol logic.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ class EnergyKind(Enum):
 # ============================================================
 
 
-# hashlib loads OpenSSL, which a run that hashes nothing never needs.
-# The stub rebinds its own name to the standard library's function on
-# first call, so later calls go straight to it; json is imported where
-# it is used, for the same reason.
+# hashlib loads OpenSSL, which a run that hashes nothing never needs, so
+# this stub binds the name to hashlib's sha256 on first call (json too
+# is imported where used).
 def _sha256(data: bytes):
     global _sha256
     from hashlib import sha256 as _sha256
@@ -150,23 +151,22 @@ def merkle_root(digests: Sequence[str]) -> str:
         return _sha("empty")
     level = list(digests)
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
-        level = [_sha(a + b) for a, b in zip(level[::2], level[1::2])]
+        pairs = iter(level + level[-1:] if len(level) % 2 else level)
+        level = [_sha256((a + b).encode()).hexdigest() for a, b in zip(pairs, pairs)]
     return level[0]
 
 
 class Block:
     """One block: the header, the contracts it carries and the leader's
     signature.  Read-only and built whole: the constructor also fills
-    tx_ids, own_root (the merkle root over the txs' digests) and
-    has_duplicate (an id repeats among the txs), which every validator
-    of the block reads, then header_digest (what the leader signs) and
-    block_hash.  Passing merkle or signature builds a tampered copy,
+    what its validators read, tx_ids, id_set (their frozenset), own_root
+    (the merkle root over the txs' digests) and has_duplicate (an id
+    repeats among the txs), then header_digest (what the leader signs)
+    and block_hash.  Passing merkle or signature builds a tampered copy,
     whose digests follow the values given."""
 
     __slots__ = ("height", "prev_hash", "merkle", "leader_id", "round_no", "txs",
-                 "note", "signature", "tx_ids", "own_root", "has_duplicate",
+                 "note", "signature", "tx_ids", "id_set", "own_root", "has_duplicate",
                  "header_digest", "block_hash")
 
     def __init__(self, height: int, prev_hash: str, leader_id: str, round_no: int,
@@ -174,14 +174,15 @@ class Block:
                  merkle: Optional[str] = None, signature: Optional[str] = None):
         from json import dumps
         tx_ids = tuple([c[0] for c in txs])
-        own_root = merkle_root([c.body_digest() for c in txs])
+        id_set = frozenset(tx_ids)
+        own_root = merkle_root([c[8] for c in txs])
         if merkle is None:
             merkle = own_root
         header = _sha(dumps([height, prev_hash, merkle, leader_id, round_no, note]))
         if signature is None:
             signature = sign(header, sim_secret(leader_id))
         _fill(self, (height, prev_hash, merkle, leader_id, round_no, txs, note,
-                     signature, tx_ids, own_root, len(set(tx_ids)) < len(txs),
+                     signature, tx_ids, id_set, own_root, len(id_set) < len(txs),
                      header, _sha(header + ":" + signature)))
 
     __setattr__ = __delattr__ = _read_only
@@ -240,10 +241,10 @@ def validate_block(block: Block, pool: Dict[str, Contract],
         return False, "BadMerkle"
     if block.has_duplicate:
         return False, "DuplicateTx"
-    for c, pooled in zip(block.txs, map(pool.get, block.tx_ids)):
-        if pooled is not c and (pooled is None
-                                or pooled.body_digest() != c.body_digest()):
-            return False, "UnknownTx"
+    pooled = tuple(map(pool.get, block.tx_ids))  # equal tuples hold equal digests
+    if pooled != block.txs and any(p is None or p[8] != c[8]
+                                   for c, p in zip(block.txs, pooled)):
+        return False, "UnknownTx"
     if not verify_signature(block.header_digest, block.signature, block.leader_id):
         return False, "BadLeaderSig"
     return True, None
@@ -253,9 +254,8 @@ def export_chain(chain: Chain) -> str:
     """Newline-delimited dump: height, prev, merkle, leader, round, count, ids."""
     lines = []
     for b in chain.blocks:
-        ids = ";".join(c.contract_id for c in b.txs)
         lines.append(f"{b.height},{b.prev_hash},{b.merkle},{b.leader_id},"
-                     f"{b.round_no},{len(b.txs)},{ids}")
+                     f"{b.round_no},{len(b.txs)},{';'.join(b.tx_ids)}")
     return "\n".join(lines) + "\n"
 
 
@@ -273,7 +273,7 @@ def verify_chain(chain: Chain) -> bool:
     prev = ZERO_HASH
     for i, b in enumerate(blocks):
         if (b.height != i or b.prev_hash != prev
-                or b.merkle != merkle_root([c.body_digest() for c in b.txs])):
+                or b.merkle != merkle_root([c[8] for c in b.txs])):
             return False
         if i > 0 and not verify_signature(b.header_digest, b.signature, b.leader_id):
             return False
@@ -312,7 +312,7 @@ class Ledger:
     def register(self, account_id: str, role: Role, city: str) -> Account:
         if account_id in self.accounts:
             raise LedgerError(f"duplicate account {account_id}")
-        acct = Account(account_id=account_id, role=role, city=city)
+        acct = Account(account_id, role, city)
         self.accounts[account_id] = acct
         return acct
 
@@ -357,7 +357,7 @@ class Ledger:
         the offer's terms directly.
         """
         from json import dumps
-        contracts, sha, new = self.contracts, _sha, tuple.__new__
+        contracts, new = self.contracts, tuple.__new__
         tail = ", " + dumps([trans_time, stime])[1:]
         n = self._next_id
         signed: Dict[str, Contract] = {}
@@ -368,11 +368,11 @@ class Ledger:
                 refused.append(offer)
                 continue
             payer.balance -= payment
-            cid = f"ct-{n:06d}"
+            cid = "ct-%06d" % n
             n += 1
             signed[cid] = contracts[cid] = new(Contract, (
                 cid, buyer, seller, kind, price, amount, trans_time, stime,
-                sha(f'["{cid}", {terms}{tail}')))
+                _sha256(f'["{cid}", {terms}{tail}'.encode()).hexdigest()))
         self._next_id = n
         return signed, refused
 

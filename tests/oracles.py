@@ -4,7 +4,8 @@ Everything here is deliberately naive: dense grids, textbook formulas,
 fresh solves.  Nothing imports the solver internals being tested.  The
 reference consensus round is the one exception: it keeps an earlier
 form of run_round, and shares with it only the election, the quorum
-arithmetic and the block checks.
+arithmetic and the block checks.  The plain loops behind settlement's
+fast paths (loop_validate_block, loop_commit) keep earlier forms too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from destrade.consensus import (Behavior, ConsensusNode, CreditTable, FaultProfi
                                 RoundOutcome, check_quorum, elect_leader,
                                 min_quorum_cardinality)
 from destrade.follower import SATURATION_TOL, SIGN_TOL
-from destrade.ledger import Block, Contract, EnergyKind, make_block, validate_block
+from destrade.ledger import (Block, Contract, EnergyKind, make_block, validate_block,
+                             verify_signature)
 
 # Grid cells skipped on each side of a detected case switch when probing
 # curvature; the response is only piecewise smooth there.
@@ -517,3 +519,31 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         matched=matched,
         prepare_needed=prepare_needed,
     )
+
+
+def loop_validate_block(block: Block, pool: Dict[str, Contract],
+                        chain) -> Tuple[bool, Optional[str]]:
+    """validate_block with its pool check as a walk over every tx, each
+    looked up and its digest compared on its own: the form before the
+    one-step comparison of the pool lookups with the block's txs."""
+    if not chain.extends(block):
+        return False, "BadPrevHash"
+    if block.merkle != block.own_root:
+        return False, "BadMerkle"
+    if block.has_duplicate:
+        return False, "DuplicateTx"
+    for c, pooled in zip(block.txs, map(pool.get, block.tx_ids)):
+        if pooled is not c and (pooled is None
+                                or pooled.body_digest() != c.body_digest()):
+            return False, "UnknownTx"
+    if not verify_signature(block.header_digest, block.signature, block.leader_id):
+        return False, "BadLeaderSig"
+    return True, None
+
+
+def loop_commit(node: ConsensusNode, block: Block) -> None:
+    """ConsensusNode.commit with its drain as one pop per block id: the
+    form before a pool holding exactly the block's ids was cleared at once."""
+    node.chain.append(block)
+    for cid in block.tx_ids:
+        node.pool.pop(cid, None)

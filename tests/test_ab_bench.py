@@ -20,14 +20,16 @@ def _result(run_s, rss, correct=True, failed=0):
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
-def _fake_runs(monkeypatch, results):
+def _fake_runs(monkeypatch, results, seeds=None):
     """Serve results[(root, n)] to the n-th run in root; record the order
-    and the run lengths."""
+    and the run lengths, and the seeds in seeds when given."""
     calls, lengths = [], []
 
-    def run_once(root, workload, seconds):
+    def run_once(root, workload, seed, seconds):
         calls.append(os.path.basename(root))
         lengths.append(seconds)
+        if seeds is not None:
+            seeds.append(seed)
         result = results[(calls[-1], calls.count(calls[-1]))]
         if result is None:
             return None, "exit 2: no result"
@@ -102,3 +104,16 @@ def test_a_checkout_without_the_benchmark_is_refused(tmp_path):
     with pytest.raises(SystemExit) as exc:
         ab_bench.main(args)
     assert exc.value.code == 2
+
+
+def test_every_run_gets_the_seed_asked_for(tmp_path, monkeypatch, capsys):
+    results = {(side, i): _result(0.10, 20.0) for side in ("old", "new") for i in (1, 2)}
+    seeds = []
+    _fake_runs(monkeypatch, results, seeds)
+    args = _roots(tmp_path) + ["--pairs", "1"]
+    assert ab_bench.main(args) == 0
+    assert "price_search seed 1, 1 pairs of 7 s" in capsys.readouterr().out
+    # a gain can be checked again at a seed the change was not written against
+    assert ab_bench.main(args + ["--seed", "4242"]) == 0
+    assert "price_search seed 4242, 1 pairs of 7 s" in capsys.readouterr().out
+    assert seeds == [1, 1, 4242, 4242]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from destrade import (
     Behavior,
+    ConsensusNode,
     Contract,
     EnergyKind,
     FaultProfile,
@@ -21,6 +22,7 @@ from destrade import (
     check_quorum,
     elect_leader,
     init_credits,
+    make_block,
     make_nodes,
     min_quorum_cardinality,
     quorum_weight,
@@ -32,7 +34,7 @@ from destrade import consensus, netsim
 from destrade.consensus import CREDIT_UNIT, DELTA_LEADER, DELTA_VOTER, ConsensusError
 from destrade.netsim import PhaseNet, RoundDriver
 from destrade.scenario import MAX_GROUP
-from oracles import reference_round
+from oracles import loop_commit, reference_round
 
 
 def _ids(n: int):
@@ -312,6 +314,22 @@ def test_equivocating_voter_seeds_the_round_stream_once(monkeypatch):
     run_round(nodes, credits, profile, net, 0, seed=5)
     # both equivocators draw from one stream
     assert made == [5, "round:5"]
+
+
+def test_commit_drains_only_the_block_ids_from_the_pool():
+    txs = [Contract(f"ct-{i:06d}", "b", "s", EnergyKind.HEAT, 1.0, 1.0, 0, 0)
+           for i in range(4)]
+    # an exact pool, one with an id the block lacks, one lacking block ids
+    for held, left in ((txs[:3], {}), (txs, {txs[3].contract_id: txs[3]}),
+                       (txs[1:2], {})):
+        for commit in (ConsensusNode.commit, loop_commit):
+            (node,) = make_nodes(["n00"]).values()
+            pool = node.pool
+            pool.update((c.contract_id, c) for c in held)
+            block = make_block("n00", node.chain, 0, txs[:3])
+            commit(node, block)
+            assert node.chain.tip is block
+            assert node.pool is pool and pool == left
 
 
 def test_round_silent_leader_aborts():

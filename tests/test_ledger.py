@@ -34,6 +34,7 @@ from destrade import (
     verify_chain,
     verify_signature,
 )
+from oracles import loop_validate_block
 
 
 def _sha(s: str) -> str:
@@ -293,8 +294,8 @@ def test_every_way_to_build_a_contract_computes_its_digest(monkeypatch):
     body = ("ct-000000", "ea", "des", EnergyKind.HEAT, 1.5, 2.0, 3, 4)
     digest = _sha(json.dumps(["ct-000000", "ea", "des", "heat", "1.5", "2.0", 3, 4]))
     hashed = []
-    sha = ledger._sha
-    monkeypatch.setattr(ledger, "_sha", lambda data: hashed.append(data) or sha(data))
+    monkeypatch.setattr(ledger, "_sha256",
+                        lambda data: hashed.append(data) or hashlib.sha256(data))
     led = funded_ledger()
     offer = led.check_offer("ea", "des", EnergyKind.HEAT, 1.5, 2.0)
     c = Contract(*body)
@@ -592,6 +593,32 @@ def test_validate_rejects_recommitted_contract():
     again = make_block("ea", chain, 1, [c])
     assert validate_block(again, pool, chain) == (False, "UnknownTx")
     assert [t.contract_id for b in chain.blocks for t in b.txs] == [c.contract_id]
+
+
+def test_validate_checks_each_tx_against_the_pooled_copy():
+    led = funded_ledger()
+    c, other = (sign_one(led, "ea", "des", kind, price=1.0, amount=2.0, trans_time=0)
+                for kind in EnergyKind)
+    pool = {c.contract_id: c, other.contract_id: other}
+    chain = Chain()
+    blk = make_block("ea", chain, 0, [c, other])
+    cid = c.contract_id
+    same_digest = tuple.__new__(Contract, (*c[:5], c.amount + 1.0, *c[6:]))
+    cases = {
+        # copies come back equal, so the pool check passes in one step
+        "copy": ({**pool, cid: copy.copy(c)}, (True, None)),
+        "pickle": ({**pool, cid: pickle.loads(pickle.dumps(c))}, (True, None)),
+        "missing": ({other.contract_id: other}, (False, "UnknownTx")),
+        "other digest": ({**pool, cid: tuple.__new__(Contract, (*c[:8], "0" * 64))},
+                         (False, "UnknownTx")),
+        # the per-tx walk compares digests only, as it always has
+        "same digest": ({**pool, cid: same_digest}, (True, None)),
+    }
+    for case, (held, verdict) in cases.items():
+        if case in ("copy", "pickle"):
+            assert held[cid] is not c and held[cid] == c, case
+        assert validate_block(blk, held, chain) == verdict, case
+        assert loop_validate_block(blk, held, chain) == verdict, case
 
 
 def test_verify_chain_and_tamper_detection():

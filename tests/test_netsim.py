@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import random
+from collections import Counter
+from hashlib import sha256
 
 import pytest
 
@@ -11,10 +15,14 @@ from destrade import (
     Behavior,
     Block,
     Chain,
+    ConsensusNode,
+    Contract,
+    EnergyKind,
     FaultProfile,
     PhaseNet,
     PipelineResult,
     RoundDriver,
+    consensus,
     ledger,
     make_block,
     make_nodes,
@@ -22,8 +30,11 @@ from destrade import (
     run_rounds,
     verify_chain,
 )
-from destrade.consensus import deliver
+from destrade.cli import main
+from destrade.consensus import DELTA_LEADER, DELTA_VOTER, deliver
 from destrade.scenario import build_credit_steps, build_faults, load_scenario, parse_scenario
+
+from oracles import loop_commit, loop_validate_block
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -312,16 +323,17 @@ def _is_hex_digest(s: str) -> bool:
 def test_pipeline_hashes_each_contract_and_block_once(monkeypatch):
     inputs = []
     roots = {}  # output -> times a merkle node hash produced it
-    sha = ledger._sha
 
-    def counted(data: str) -> str:
+    def counted(raw: bytes):
+        data = raw.decode()
         inputs.append(data)
-        out = sha(data)
+        digest = sha256(raw)
+        out = digest.hexdigest()
         if len(data) == 128 and _is_hex_digest(data[:64]) and _is_hex_digest(data[64:]):
             roots[out] = roots.get(out, 0) + 1
-        return out
+        return digest
 
-    monkeypatch.setattr(ledger, "_sha", counted)
+    monkeypatch.setattr(ledger, "_sha256", counted)
     res = run_pipeline(load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn")),
                        seed=7)
     # every round commits, so every block made is on the chain
@@ -367,3 +379,97 @@ def test_pipeline_checks_each_offer_once(monkeypatch):
     assert all(len(offers) == 20 and all(o is f for o, f in zip(offers, first))
                for offers, _, _ in signed)
     assert len(res.ledger.contracts) == days * len(checked)
+
+
+# ------------------------------------------------------------
+# settlement's fast paths against their plain loops
+# ------------------------------------------------------------
+
+
+def _variant(path, name, faults):
+    """Write to path a copy of a shipped scenario whose loss-free
+    drop_prob line is replaced by faults; path as a string."""
+    with open(os.path.join(REPO, "scenarios", name)) as fh:
+        text = fh.read()
+    assert "drop_prob = 0.0\n" in text
+    path.write_text(text.replace("drop_prob = 0.0\n", faults))
+    return str(path)
+
+
+def _cli_run(argv, out):
+    """Exit code, printed text and output files of one CLI run into out."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(argv + ["--out", str(out)])
+    return rc, stdout.getvalue(), stderr.getvalue(), {
+        p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def _group_run():
+    """Twelve rounds of four aggregators, one of which pooled a contract
+    the others lack: its blocks are refused for that contract, and it
+    commits the others' blocks with the contract left in its pool."""
+    nodes = make_nodes(_ids(4))
+    txs = [Contract(f"ct-{i:06d}", "b", "s", EnergyKind.HEAT, 1.0, 1.0, 0, 0)
+           for i in range(3)]
+    for k, node in nodes.items():
+        node.pool.update((c.contract_id, c) for c in (txs if k == "n01" else txs[:2]))
+    driver = RoundDriver(nodes, FaultProfile(), 3, DELTA_LEADER, DELTA_VOTER)
+    for _ in range(12):
+        driver.step()
+    return driver.rows, {k: ([b.block_hash for b in node.chain.blocks], node.pool)
+                         for k, node in nodes.items()}
+
+
+def _count_paths(mp):
+    """Which way each pool check and drain goes: "fast" when the pool
+    lookups equal the block's txs (validate_block, once its tip, root
+    and duplicate checks pass) or the pool's ids equal the block's
+    (ConsensusNode.commit), "loop" otherwise."""
+    ran = Counter()
+    validate, commit = consensus.validate_block, ConsensusNode.commit
+
+    def counted_validate(block, pool, chain):
+        if (chain.extends(block) and block.merkle == block.own_root
+                and not block.has_duplicate):
+            same = tuple(map(pool.get, block.tx_ids)) == block.txs
+            ran["validate fast" if same else "validate loop"] += 1
+        return validate(block, pool, chain)
+
+    def counted_commit(node, block):
+        ran["commit fast" if node.pool.keys() == block.id_set else "commit loop"] += 1
+        commit(node, block)
+
+    mp.setattr(consensus, "validate_block", counted_validate)
+    mp.setattr(ConsensusNode, "commit", counted_commit)
+    return ran
+
+
+def test_settlement_fast_paths_match_the_plain_loops(tmp_path):
+    # Lossy full runs, some of which stall with a lagging aggregator,
+    # runs with a leader that forges a contract nobody pooled, and a
+    # lossy consensus run.  A lagging node never commits, so no pool
+    # that takes a commit holds ids the block lacks in these runs;
+    # the group run gives one such a pool.
+    lossy = _variant(tmp_path / "lossy.scn", "full_2city.scn", "drop_prob = 0.05\n")
+    forging = _variant(tmp_path / "forging.scn", "full_2city.scn",
+                       "invalid_leaders = 1\ndrop_prob = 0.05\n")
+    runs = [["full", "--scenario", lossy, "--seed", str(s)] for s in range(1, 11)]
+    runs += [["full", "--scenario", forging, "--seed", str(s)] for s in range(1, 4)]
+    runs.append(["consensus", "--scenario",
+                 _variant(tmp_path / "group.scn", "consensus20.scn",
+                          "drop_prob = 0.05\n")])
+
+    def outputs(side):
+        return ([_cli_run(argv, tmp_path / f"{side}{i}") for i, argv in enumerate(runs)],
+                _group_run())
+
+    with pytest.MonkeyPatch.context() as mp:
+        ran = _count_paths(mp)
+        fast = outputs("fast")
+    assert set(ran) == {"validate fast", "validate loop", "commit fast", "commit loop"}
+    assert {rc for rc, *_ in fast[0]} == {0, 2}  # some lossy runs stall
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(consensus, "validate_block", loop_validate_block)
+        mp.setattr(ConsensusNode, "commit", loop_commit)
+        assert outputs("loop") == fast

@@ -1,16 +1,17 @@
 """Paired A/B runs of the benchmark on two source checkouts.
 
     python3 tools/ab_bench.py --parent DIR --change DIR \
-        [--workload price_search] [--seconds S] [--pairs 10]
+        [--workload price_search] [--seconds S] [--pairs 10] [--seed 1]
 
-Runs each checkout's own perfbench/run.py (untraced, seed 1) from that
-checkout's root, one side after the other, for --pairs pairs of --seconds
-each; --seconds defaults to the "run_seconds" of the change's
-BENCHMARK.json, the benchmark's own run length.  The
-parent runs first in odd-numbered pairs and the change first in even
-ones, so a slow phase of the host falls on both sides alike.  Every run
-gets PYTHONDONTWRITEBYTECODE=1: each start compiles the sources, and
-neither checkout gains cache files.
+Runs each checkout's own perfbench/run.py (untraced, at --seed, default
+1) from that checkout's root, one side after the other, for --pairs
+pairs of --seconds each; --seconds defaults to the "run_seconds" of the
+change's BENCHMARK.json, the benchmark's own run length.  A gain found
+at one seed can be checked again at a seed the change was not written
+against.  The parent runs first in odd-numbered pairs and the change
+first in even ones, so a slow phase of the host falls on both sides
+alike.  Every run gets PYTHONDONTWRITEBYTECODE=1: each start compiles
+the sources, and neither checkout gains cache files.
 
 For each end-to-end metric it prints the median of each side, the
 change's median relative to the parent's, the parent's interquartile
@@ -37,16 +38,16 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 SIDES = ("parent", "change")
-SEED = 1
 
 
-def run_once(root: str, workload: str, seconds: float) -> Tuple[Optional[Dict], str]:
+def run_once(root: str, workload: str, seed: int,
+             seconds: float) -> Tuple[Optional[Dict], str]:
     """One untraced benchmark run in root: (its JSON result or None, a problem)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)  # the runner points the program at root/src
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -83,6 +84,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float,
                     help="run length (default: the change's BENCHMARK.json run_seconds)")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1, help="benchmark seed (default: 1)")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for side, root in roots.items():
@@ -100,7 +102,7 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 == 1 else SIDES[::-1]
         for side in order:
-            result, problem = run_once(roots[side], args.workload, seconds)
+            result, problem = run_once(roots[side], args.workload, args.seed, seconds)
             if problem:
                 problems.append(f"pair {pair} {side}: {problem}")
             if result is None:
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
                 f"{name} {m['value']:.6g}" for name, m in result.get("metrics", {}).items()),
                 flush=True)
 
-    print(f"\n{args.workload} seed {SEED}, {args.pairs} pairs of {seconds:g} s")
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of {seconds:g} s")
     print(f"{'metric':<14} {'parent':>12} {'change':>12} {'ratio':>7} "
           f"{'parent IQR':>11} {'wins':>6}  {'bound':<5}  claim")
     for name in values["parent"]:
