@@ -10,8 +10,7 @@ from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
                      MarketError, PricePair, des_utility, valid_k_intervals)
 from .follower import (FollowerError, KktCase, KktSolution, best_response,
                        export_totals, probe_totals)
-from .equilibrium import (NeConfig, NeTrace, NoFixedPoint, SeOutcome, find_ne,
-                          profit, stackelberg_outcome)
+from .equilibrium import NeConfig, NeTrace, NoFixedPoint, find_ne, profit
 from .ledger import (Account, BadContractState, Block, Chain, Contract,
                      CrossCityPair, EnergyKind, Ledger, LedgerError, Role,
                      UnknownAccount, export_chain, make_block, make_genesis,

@@ -18,7 +18,7 @@ from functools import cache
 from typing import Iterable, Iterator, List, Optional
 
 from .consensus import CREDIT_UNIT, ConsensusError
-from .equilibrium import NoFixedPoint, stackelberg_outcome
+from .equilibrium import NoFixedPoint, find_ne
 from .follower import FollowerError
 from .ledger import Ledger, LedgerError, Role, export_chain
 from .market import MarketError
@@ -81,22 +81,22 @@ def _contract_lines(ledger: Ledger) -> Iterator[str]:
 
 
 def cmd_equilibrium(args, sc: Scenario, seed: int) -> int:
-    outcome, trace = stackelberg_outcome(build_city(sc), build_ne_config(sc))
-    p = outcome.prices
+    _, trace = find_ne(build_city(sc), build_ne_config(sc))
+    last = trace.steps[-1]  # the walk stopped here, at the fixed point
     _write_rows(
         os.path.join(args.out, "equilibrium.csv"), seed,
         ["p_e", "p_h", "iterations", "delta_final", "v_e", "v_h"],
-        [[f"{p.p_e:.12e}", f"{p.p_h:.12e}", trace.iterations,
-          f"{trace.delta_final:.6e}", f"{outcome.v_e:.6f}", f"{outcome.v_h:.6f}"]])
+        [[f"{last.p_e:.12e}", f"{last.p_h:.12e}", trace.iterations,
+          f"{trace.delta_final:.6e}", f"{last.v_e:.6f}", f"{last.v_h:.6f}"]])
     if args.trace:
         _write_rows(
             os.path.join(args.out, "trace.csv"), seed,
             ["iteration", "p_e", "p_h", "v_e", "v_h", "delta"],
             ([s.iteration, f"{s.p_e:.12e}", f"{s.p_h:.12e}", f"{s.v_e:.6f}",
               f"{s.v_h:.6f}", f"{s.delta:.6e}"] for s in trace.steps))
-    print(f"equilibrium: p_e={p.p_e:.6e} p_h={p.p_h:.6e} "
+    print(f"equilibrium: p_e={last.p_e:.6e} p_h={last.p_h:.6e} "
           f"iters={trace.iterations} delta_final={trace.delta_final:.3e} "
-          f"v_e={outcome.v_e:.4f} v_h={outcome.v_h:.4f}")
+          f"v_e={last.v_e:.4f} v_h={last.v_h:.4f}")
     return EXIT_OK
 
 
@@ -152,10 +152,10 @@ def cmd_full(args, sc: Scenario, seed: int) -> int:
         ["contract_id", "buyer", "seller", "kind", "price", "amount",
          "trans_time", "state"],
         lines=_contract_lines(ledger))
-    o = res.outcome
+    last = res.trace.steps[-1]
     for cname in res.city_names:
-        print(f"{cname}: p_e={o.prices.p_e:.6e} p_h={o.prices.p_h:.6e} "
-              f"v_e={o.v_e:.4f} v_h={o.v_h:.4f}")
+        print(f"{cname}: p_e={last.p_e:.6e} p_h={last.p_h:.6e} "
+              f"v_e={last.v_e:.4f} v_h={last.v_h:.4f}")
     print(f"full: contracts={len(ledger.contracts)} "
           f"executed={len(ledger.contracts) - len(res.unexecuted)} "
           f"height={res.chain.height} drift={res.drift:.3e} "

@@ -17,15 +17,15 @@ follower.probe_totals pass over the city; follower.export_totals solves
 the start point, and a move the clamp pulls off its probe.  Each
 visited price point is solved once: a step hands on the totals at the
 point it moved to, so an iteration costs four probe points in two
-passes.  The outcome takes both profits from the walk's last step and
-solves each community once at the fixed point for its KktSolution.
+passes.  The walk's last step is the equilibrium outcome: its prices
+are the fixed point, and its profits are both margins there.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple, Union
 
-from .follower import KktSolution, best_response, export_totals, probe_totals
+from .follower import export_totals, probe_totals
 from .market import CityMarket, MarketError, PricePair
 
 INIT_CHOICES = ("low", "high", "mid")
@@ -197,24 +197,3 @@ def find_ne(city: CityMarket, cfg: NeConfig = NeConfig(),
         delta *= cfg.decay
     raise NoFixedPoint(f"no fixed point after {cfg.max_iters} iterations", trace)
 
-
-class SeOutcome(NamedTuple("SeOutcome", [("prices", PricePair),
-                                           ("responses", Tuple[KktSolution, ...]),
-                                           ("v_e", float), ("v_h", float)])):
-    """Equilibrium prices, the induced dispatches and both profits."""
-
-    __slots__ = ()
-
-
-def stackelberg_outcome(city: CityMarket, cfg: NeConfig = NeConfig(),
-                        ) -> Tuple[SeOutcome, NeTrace]:
-    """Run the price search and evaluate everyone at the fixed point."""
-    prices, trace = find_ne(city, cfg)
-    last = trace.steps[-1]  # the walk stopped here, at the fixed point
-    return SeOutcome(
-        prices=prices,
-        responses=tuple(best_response(city.chp, com, prices)
-                        for com in city.communities),
-        v_e=last.v_e,
-        v_h=last.v_h,
-    ), trace

@@ -18,7 +18,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
                         ConsensusNode, FaultProfile, RoundOutcome,
                         init_credits, max_faulty, run_round, update_credits)
-from .equilibrium import SeOutcome, stackelberg_outcome
+from .equilibrium import NeTrace, find_ne
+from .follower import best_response
 from .ledger import Chain, EnergyKind, Ledger, Role, make_genesis, verify_chain
 from .scenario import (Scenario, ScenarioError, build_city, build_credit_steps,
                        build_faults, build_ne_config, build_run)
@@ -148,7 +149,7 @@ def run_rounds(n_rounds: int, nodes: Dict[str, ConsensusNode],
 
 class PipelineResult(NamedTuple("PipelineResult", [
         ("city_names", List[str]),
-        ("outcome", SeOutcome),  # every city is a clone, so one equilibrium serves all
+        ("trace", NeTrace),  # every city is a clone, so one price walk serves all
         ("ledger", Ledger),
         ("chain", Chain),  # the first honest aggregator's chain; exported and audited
         ("driver", RoundDriver),  # the aggregator group's run record
@@ -156,7 +157,8 @@ class PipelineResult(NamedTuple("PipelineResult", [
         ("refusals", List[Tuple[int, str, float]]),  # (day, buyer, payment)
         ("drift", float),
         ("chain_ok", bool)])):
-    """Settled ledger, reference chain and audit verdicts of one full run."""
+    """Price walk, settled ledger, reference chain and audit verdicts of
+    one full run; the ledger settled what the reference chain took."""
 
     __slots__ = ()
 
@@ -190,16 +192,19 @@ class PipelineResult(NamedTuple("PipelineResult", [
 def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     """Equilibrium, daily contracts, consensus commits and settlement.
 
-    The scenario's city is cloned [run] cities times.  Each day signs
+    The scenario's city is cloned [run] cities times, so one price walk
+    serves them all and each community is solved once.  Each day signs
     every offer in contract-id order, debiting its aggregator, or
     refuses it when the aggregator holds less than its payment and
-    records (day, buyer, payment) on refusals.  Each committed contract
-    credits its DES.  All aggregators form one consensus group and take
-    the [faults] roles in id order; more roles than the group tolerates,
-    f = floor((n-1)/3) of n, raise ScenarioError before any work.  Of
-    [consensus] only the credit steps apply, since the group is the
-    aggregators.  Raises ConsensusError when a day's contracts do not
-    all commit within ROUNDS_PER_DAY_CAP rounds.
+    records (day, buyer, payment) on refusals.  Rounds run until the
+    honest pools drain; then the contracts in the blocks the reference
+    chain (the first honest aggregator's) took that day settle, each
+    crediting its DES.  All aggregators form one consensus group and
+    take the [faults] roles in id order; more roles than the group
+    tolerates, f = floor((n-1)/3) of n, raise ScenarioError before any
+    work.  Of [consensus] only the credit steps apply, since the group
+    is the aggregators.  Raises ConsensusError when a day's contracts do
+    not all commit within ROUNDS_PER_DAY_CAP rounds.
     """
     city = build_city(sc)
     cfg = build_ne_config(sc)
@@ -213,34 +218,30 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
         raise ScenarioError(f"{len(profile.behaviors)} byzantine aggregators, "
                             f"more than f = {f} of {len(agg_ids)}")
 
-    ledger = Ledger()
-    for cname in names:
-        for side in ("ea", "ha"):
-            aid = f"{cname}.{side}"
-            ledger.register(aid, Role.AGGREGATOR, cname)
-            ledger.deposit(aid, run.funding)
-        for j in range(len(city.communities)):
-            ledger.register(f"{cname}.des{j}", Role.DES, cname)
-
-    # Stage 1: the price equilibrium and what each community offers daily,
-    # in contract id order, each offer checked once for all the days.
-    outcome, _trace = stackelberg_outcome(city, cfg)
-    p = outcome.prices
+    # Stage 1: the price equilibrium, and the accounts and daily offers of
+    # each city, in contract id order, each offer checked once for all days.
+    p, trace = find_ne(city, cfg)
+    responses = [best_response(city.chp, com, p) for com in city.communities]
     x, y = city.chp.elec_capacity, city.chp.heat_capacity
+    ledger = Ledger()
     offers = []
     for cname in names:
-        for j, sol in enumerate(outcome.responses):
+        ea, ha = f"{cname}.ea", f"{cname}.ha"
+        for aid in (ea, ha):
+            ledger.register(aid, Role.AGGREGATOR, cname)
+            ledger.deposit(aid, run.funding)
+        for j, sol in enumerate(responses):
             did = f"{cname}.des{j}"
-            offers.append((f"{cname}.ea", did, EnergyKind.ELECTRICITY, p.p_e,
-                           (1.0 - sol.alpha) * x))
-            offers.append((f"{cname}.ha", did, EnergyKind.HEAT, p.p_h,
-                           (1.0 - sol.beta) * y))
+            ledger.register(did, Role.DES, cname)
+            offers += [(ea, did, EnergyKind.ELECTRICITY, p.p_e, (1.0 - sol.alpha) * x),
+                       (ha, did, EnergyKind.HEAT, p.p_h, (1.0 - sol.beta) * y)]
     offers = [ledger.check_offer(*row) for row in offers
               if row[4] > MIN_CONTRACT_JOULES]
 
     # Stage 2: consensus group of all aggregators settling daily contracts.
     nodes = make_nodes(agg_ids)
     driver = RoundDriver(nodes, profile, seed, delta1, delta2)
+    ref = nodes[min(driver.honest)].chain
 
     refusals: List[Tuple[int, str, float]] = []
     for day in range(run.days):
@@ -249,23 +250,21 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
         for node in nodes.values():
             node.pool.update(signed)
 
-        committed_today: List[str] = []
+        taken = len(ref.blocks)
         rounds = 0
         while any(nodes[k].pool for k in driver.honest):
             if rounds == ROUNDS_PER_DAY_CAP:
                 raise ConsensusError(f"day {day}: contract pool not drained "
                                      f"within {ROUNDS_PER_DAY_CAP} rounds")
             rounds += 1
-            block = driver.step().block
-            if block is not None:
-                committed_today += block.tx_ids
-        ledger.execute_contracts(sorted(committed_today))
+            driver.step()
+        ledger.execute_contracts(sorted([cid for b in ref.blocks[taken:]
+                                         for cid in b.tx_ids]))
 
-    # Stage 3: audits, on the first honest aggregator's chain.
-    ref = nodes[min(driver.honest)].chain
+    # Stage 3: audits, on the reference chain.
     return PipelineResult(
         city_names=names,
-        outcome=outcome,
+        trace=trace,
         ledger=ledger,
         chain=ref,
         driver=driver,

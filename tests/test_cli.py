@@ -384,8 +384,8 @@ def test_full_fault_roles_beyond_the_group_exit_1(tmp_path, capsys):
     # 5 roles, 4 aggregators: the roles go onto the ids that run
     scfile = tmp_path / "crowded.scn"
     scfile.write_text(read(scn("full_2city"))
-                      .replace("[faults]\n", "[faults]\ndissenters = 3\n"
-                               "silent_leaders = 2\n")
+                      .replace("dissenters = 0", "dissenters = 3")
+                      .replace("silent_leaders = 0", "silent_leaders = 2")
                       .replace("days = 3", "days = 1"))
     out = tmp_path / "out"
     rc = main(["full", "--scenario", str(scfile), "--out", str(out)])
@@ -402,7 +402,7 @@ def test_full_ignores_the_synthetic_group_shape(tmp_path, n_nodes):
         scfile = tmp_path / f"eight_{n}.scn"
         scfile.write_text(read(scn("full_2city"))
                           .replace("cities = 2", "cities = 8")
-                          .replace("[faults]\n", "[faults]\ndissenters = 5\n")
+                          .replace("dissenters = 0", "dissenters = 5")
                           .replace("[consensus]\n", f"[consensus]\nn_nodes = {n}\n"))
         return main(["full", "--scenario", str(scfile), "--out", str(out)])
 

@@ -1,4 +1,4 @@
-"""Unit tests for the alternating price search and the full outcome bundle."""
+"""Unit tests for the alternating price search and the outcome at its last step."""
 
 from __future__ import annotations
 
@@ -18,14 +18,16 @@ from destrade import (
     NeConfig,
     NoFixedPoint,
     PricePair,
+    best_response,
     des_utility,
     export_totals,
     find_ne,
-    stackelberg_outcome,
+    run_pipeline,
     valid_k_intervals,
 )
+from destrade.cli import main
 from destrade.equilibrium import aggregator_step, resolve_init
-from destrade.scenario import build_city, build_ne_config, load_scenario
+from destrade.scenario import build_city, build_ne_config, build_run, load_scenario
 from conftest import RETAIL_E, RETAIL_H, make_city
 import oracles
 from oracles import city_responses, decoupled_price_optimum, profit_at
@@ -77,7 +79,7 @@ def test_step_reaching_the_cost_floor_is_rejected(city1):
 
 
 def _count_city_solves(monkeypatch):
-    """Record every price point the walk and the outcome solve the city at:
+    """Record every price point the walk solves the city at:
     two per probe_totals call (the up probe, then the down probe) and one
     per export_totals call."""
     points = []
@@ -229,25 +231,31 @@ def test_each_visited_point_is_solved_once(monkeypatch):
     assert calls[0] == (start.p_e, start.p_h)
 
 
-def test_outcome_reads_its_profits_off_the_walk(monkeypatch):
-    # no city solve past the walk: both profits are the last step's, and
-    # each community is solved once more at the fixed point for its
-    # KktSolution
-    sc = load_scenario(os.path.join(REPO, "scenarios", "city5_floor.scn"))
-    city = build_city(sc)
+def test_outcome_reads_its_profits_off_the_walk(monkeypatch, tmp_path):
+    # `equilibrium` writes the walk's last step: no city solve past the
+    # walk, and no community solved for a KktSolution it never writes
+    path = os.path.join(REPO, "scenarios", "city5_floor.scn")
+    sc = load_scenario(path)
+    _, trace = find_ne(build_city(sc), build_ne_config(sc))
     calls = _count_city_solves(monkeypatch)
     built = _count_records(monkeypatch)
-    outcome, trace = stackelberg_outcome(city, build_ne_config(sc))
+    assert main(["equilibrium", "--scenario", path, "--out", str(tmp_path)]) == 0
     assert len(calls) == 4 * trace.iterations + 1
-    assert len(built) == len(city.communities)
-    assert all(isinstance(r, KktSolution) for r in outcome.responses)
-    assert outcome.responses == tuple(city_responses(city, outcome.prices))
+    assert built == []
     last = trace.steps[-1]
-    assert (last.p_e, last.p_h) == (outcome.prices.p_e, outcome.prices.p_h)
-    assert (outcome.v_e, outcome.v_h) == (last.v_e, last.v_h)
-    # a fresh solve at the fixed point gives the same profits
-    assert outcome.v_e == profit_at(city, "e", outcome.prices)
-    assert outcome.v_h == profit_at(city, "h", outcome.prices)
+    row = (tmp_path / "equilibrium.csv").read_text().splitlines()[2].split(",")
+    assert row == [f"{last.p_e:.12e}", f"{last.p_h:.12e}", str(trace.iterations),
+                   f"{trace.delta_final:.6e}", f"{last.v_e:.6f}", f"{last.v_h:.6f}"]
+
+
+def test_full_solves_each_community_once(monkeypatch):
+    # one KktSolution per community at the fixed point, not one per clone
+    sc = load_scenario(os.path.join(REPO, "scenarios", "full_2city.scn"))
+    n_communities = len(build_city(sc).communities)
+    assert build_run(sc).cities > 1
+    built = _count_records(monkeypatch)
+    run_pipeline(sc, 7)
+    assert len(built) == n_communities
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,15 +367,27 @@ def test_exhausted_budget_raises_with_trace(city1):
 
 
 # ------------------------------------------------------------
-# assembled outcome
+# the outcome: the walk's last step
 # ------------------------------------------------------------
 
 
+def _outcome(city):
+    """The walk's last step, where it stopped, each community's response
+    at its prices, and the trace."""
+    prices, trace = find_ne(city, NeConfig())
+    last = trace.steps[-1]
+    assert (last.p_e, last.p_h) == prices
+    return last, [best_response(city.chp, com, prices) for com in city.communities], trace
+
+
 def test_outcome_bundles_consistent_values(city1):
-    outcome, trace = stackelberg_outcome(city1, NeConfig())
-    assert len(outcome.responses) == len(city1.communities)
-    assert outcome.v_e == profit_at(city1, "e", outcome.prices)
-    assert outcome.v_h == profit_at(city1, "h", outcome.prices)
+    last, responses, trace = _outcome(city1)
+    prices = PricePair(last.p_e, last.p_h)
+    assert len(responses) == len(city1.communities)
+    assert responses == city_responses(city1, prices)
+    # a fresh solve at the fixed point gives the last step's profits
+    assert last.v_e == profit_at(city1, "e", prices)
+    assert last.v_h == profit_at(city1, "h", prices)
     assert trace.iterations == len(trace.steps) >= 1
 
 
@@ -380,31 +400,32 @@ def test_zero_profit_at_retail_corner(city1):
 def test_followers_cannot_improve_at_outcome(city1, city1_mid):
     rng = np.random.default_rng(23)
     for city in (city1, city1_mid):
-        outcome, _ = stackelberg_outcome(city, NeConfig())
+        last, responses, _ = _outcome(city)
+        prices = PricePair(last.p_e, last.p_h)
         chp = city.chp
         x, y = chp.elec_capacity, chp.heat_capacity
         com = city.communities[0]
-        best = des_utility(chp, com, outcome.prices, outcome.responses[0].dispatch)
+        best = des_utility(chp, com, prices, responses[0].dispatch)
         tried = 0
         while tried < 1000:
             a, b = rng.uniform(0.0, 1.0, size=2)
             if x * a + y * b < com.m_min:
                 continue
-            u = des_utility(chp, com, outcome.prices, Dispatch(float(a), float(b)))
+            u = des_utility(chp, com, prices, Dispatch(float(a), float(b)))
             assert u <= best + 1e-9
             tried += 1
 
 
 def test_decoupled_outcome_matches_independent_scans(city1):
-    outcome, trace = stackelberg_outcome(city1, NeConfig())
+    last, _, trace = _outcome(city1)
     (lo_e, hi_e), (lo_h, hi_h) = city1.price_box()
     n = 4001
     best_e, _ = oracles.scan_argmax(
-        lambda pe: profit_at(city1, "e", PricePair(pe, outcome.prices.p_h)),
+        lambda pe: profit_at(city1, "e", PricePair(pe, last.p_h)),
         lo_e, hi_e, n)
     best_h, _ = oracles.scan_argmax(
-        lambda ph: profit_at(city1, "h", PricePair(outcome.prices.p_e, ph)),
+        lambda ph: profit_at(city1, "h", PricePair(last.p_e, ph)),
         lo_h, hi_h, n)
     slack = 2.0 * trace.delta_final
-    assert abs(outcome.prices.p_e - best_e) <= (hi_e - lo_e) / (n - 1) + slack
-    assert abs(outcome.prices.p_h - best_h) <= (hi_h - lo_h) / (n - 1) + slack
+    assert abs(last.p_e - best_e) <= (hi_e - lo_e) / (n - 1) + slack
+    assert abs(last.p_h - best_h) <= (hi_h - lo_h) / (n - 1) + slack

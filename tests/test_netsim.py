@@ -6,6 +6,7 @@ import contextlib
 import io
 import os
 import random
+import re
 from collections import Counter
 from hashlib import sha256
 
@@ -208,7 +209,7 @@ def test_a_fork_is_counted_and_fails_the_audit():
     _fork(nodes, ["n00", "n01"])
     assert driver.divergence_count == 1
     ref = nodes["n00"].chain
-    res = PipelineResult(city_names=[], outcome=None, ledger=ledger.Ledger(),
+    res = PipelineResult(city_names=[], trace=None, ledger=ledger.Ledger(),
                          chain=ref, driver=driver, unexecuted=[], refusals=[],
                          drift=0.0, chain_ok=verify_chain(ref))
     assert not res.chains_equal
@@ -235,6 +236,16 @@ def test_lossy_runs_count_their_forks(n, drop_prob, role, seed, forks):
 # ------------------------------------------------------------
 # full pipeline
 # ------------------------------------------------------------
+
+
+def _scenario_with(name, **values):
+    """Text of a shipped scenario with each named key's line set to its value."""
+    with open(os.path.join(REPO, "scenarios", name)) as fh:
+        text = fh.read()
+    for key, value in values.items():
+        text, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+        assert n == 1, key
+    return text
 
 
 def test_pipeline_reads_the_divergence_audit():
@@ -277,8 +288,7 @@ def test_pipeline_reads_the_divergence_audit():
 
 
 def test_pipeline_exports_the_first_honest_chain():
-    with open(os.path.join(REPO, "scenarios", "full_2city.scn")) as fh:
-        text = fh.read().replace("[faults]", "[faults]\ndissenters = 1")
+    text = _scenario_with("full_2city.scn", dissenters=1)
     res = run_pipeline(parse_scenario(text), seed=7)
     # fault roles go onto ids in order, so the first id dissents
     assert res.driver.profile.behaviors == {"c0.ea": Behavior.DISSENTER}
@@ -289,9 +299,7 @@ def test_pipeline_exports_the_first_honest_chain():
 def test_lagging_dissenter_is_no_divergence():
     # a lossy run in which the dissenter misses a commit: the audit
     # compares the honest chains, which agree
-    with open(os.path.join(REPO, "scenarios", "full_2city.scn")) as fh:
-        text = fh.read().replace("[faults]\ndrop_prob = 0.0",
-                                 "[faults]\ndissenters = 1\ndrop_prob = 0.05")
+    text = _scenario_with("full_2city.scn", dissenters=1, drop_prob=0.05)
     res = run_pipeline(parse_scenario(text), seed=7)
     nodes = res.driver.nodes
     assert nodes["c0.ea"].chain.height == 2
@@ -306,10 +314,8 @@ def test_lagging_dissenter_is_no_divergence():
 def test_settlement_follows_the_commits(faults):
     # the contracts settled are those on the exported chain, on a clean
     # run and on the lossy one with a lagging dissenter
-    with open(os.path.join(REPO, "scenarios", "full_2city.scn")) as fh:
-        text = fh.read()
-    assert "[faults]\ndrop_prob = 0.0" in text
-    text = text.replace("[faults]\ndrop_prob = 0.0", "[faults]\n" + faults)
+    text = _scenario_with("full_2city.scn",
+                          **dict(line.split(" = ") for line in faults.split("\n")))
     res = run_pipeline(parse_scenario(text), seed=7)
     on_chain = [cid for b in res.chain.blocks for cid in b.tx_ids]
     assert on_chain and res.ledger.executed == set(on_chain)
@@ -386,13 +392,10 @@ def test_pipeline_checks_each_offer_once(monkeypatch):
 # ------------------------------------------------------------
 
 
-def _variant(path, name, faults):
-    """Write to path a copy of a shipped scenario whose loss-free
-    drop_prob line is replaced by faults; path as a string."""
-    with open(os.path.join(REPO, "scenarios", name)) as fh:
-        text = fh.read()
-    assert "drop_prob = 0.0\n" in text
-    path.write_text(text.replace("drop_prob = 0.0\n", faults))
+def _variant(path, name, **values):
+    """Write to path a copy of a shipped scenario with each named key's
+    line set to its value; path as a string."""
+    path.write_text(_scenario_with(name, **values))
     return str(path)
 
 
@@ -451,14 +454,13 @@ def test_settlement_fast_paths_match_the_plain_loops(tmp_path):
     # lossy consensus run.  A lagging node never commits, so no pool
     # that takes a commit holds ids the block lacks in these runs;
     # the group run gives one such a pool.
-    lossy = _variant(tmp_path / "lossy.scn", "full_2city.scn", "drop_prob = 0.05\n")
+    lossy = _variant(tmp_path / "lossy.scn", "full_2city.scn", drop_prob=0.05)
     forging = _variant(tmp_path / "forging.scn", "full_2city.scn",
-                       "invalid_leaders = 1\ndrop_prob = 0.05\n")
+                       invalid_leaders=1, drop_prob=0.05)
     runs = [["full", "--scenario", lossy, "--seed", str(s)] for s in range(1, 11)]
     runs += [["full", "--scenario", forging, "--seed", str(s)] for s in range(1, 4)]
     runs.append(["consensus", "--scenario",
-                 _variant(tmp_path / "group.scn", "consensus20.scn",
-                          "drop_prob = 0.05\n")])
+                 _variant(tmp_path / "group.scn", "consensus20.scn", drop_prob=0.05)])
 
     def outputs(side):
         return ([_cli_run(argv, tmp_path / f"{side}{i}") for i, argv in enumerate(runs)],
@@ -473,3 +475,25 @@ def test_settlement_fast_paths_match_the_plain_loops(tmp_path):
         mp.setattr(consensus, "validate_block", loop_validate_block)
         mp.setattr(ConsensusNode, "commit", loop_commit)
         assert outputs("loop") == fast
+
+
+def test_a_contract_committed_twice_is_a_safety_violation(tmp_path):
+    # An equivocator under loss: at seed 6 the honest chains fork at
+    # height 3, where two rounds commit blocks that carry the same day's
+    # contracts.  Settlement reads only the exported chain, so the fork
+    # reaches the audits and exits 3 instead of settling a contract twice.
+    path = _variant(tmp_path / "equivocator.scn", "full_2city.scn",
+                    equivocators=1, drop_prob=0.05)
+    sc = load_scenario(path)
+    for seed in range(1, 21):
+        rc, _, err, _ = _cli_run(["full", "--scenario", path, "--seed", str(seed)],
+                                 tmp_path / f"out{seed}")
+        assert "is executed, not created" not in err
+        if seed == 6:
+            assert rc == 3 and "safety violation: divergent chains" in err
+        if rc == 2:
+            assert "contract pool not drained" in err
+            continue
+        res = run_pipeline(sc, seed)
+        on_chain = {cid for b in res.chain.blocks for cid in b.tx_ids}
+        assert res.ledger.executed == on_chain
