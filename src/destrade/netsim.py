@@ -21,8 +21,8 @@ from .consensus import (DELTA_LEADER, DELTA_VOTER, ConsensusError,
 from .equilibrium import NeTrace, find_ne
 from .follower import best_response
 from .ledger import Chain, EnergyKind, Ledger, Role, make_genesis, verify_chain
-from .scenario import (Scenario, ScenarioError, build_city, build_credit_steps,
-                       build_faults, build_ne_config, build_run)
+from .scenario import (Scenario, build_city, build_credit_steps, build_faults,
+                       build_ne_config, build_run)
 
 # Contracts below this many joules are noise, not trades.
 MIN_CONTRACT_JOULES = 1e-9
@@ -200,11 +200,11 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     honest pools drain; then the contracts in the blocks the reference
     chain (the first honest aggregator's) took that day settle, each
     crediting its DES.  All aggregators form one consensus group and
-    take the [faults] roles in id order; more roles than the group
-    tolerates, f = floor((n-1)/3) of n, raise ScenarioError before any
-    work.  Of [consensus] only the credit steps apply, since the group
-    is the aggregators.  Raises ConsensusError when a day's contracts do
-    not all commit within ROUNDS_PER_DAY_CAP rounds.
+    take the [faults] roles in id order, at most the f = floor((n-1)/3)
+    of n that the group tolerates.  Of [consensus] only the credit steps
+    apply, since the group is the aggregators.  Raises ConsensusError
+    when a day's contracts do not all commit within ROUNDS_PER_DAY_CAP
+    rounds.
     """
     city = build_city(sc)
     cfg = build_ne_config(sc)
@@ -212,11 +212,7 @@ def run_pipeline(sc: Scenario, seed: int) -> PipelineResult:
     run = build_run(sc)
     names = [f"c{i}" for i in range(run.cities)]
     agg_ids = [f"{cname}.{side}" for cname in names for side in ("ea", "ha")]
-    profile = build_faults(sc, agg_ids)
-    f = max_faulty(len(agg_ids))
-    if len(profile.behaviors) > f:
-        raise ScenarioError(f"{len(profile.behaviors)} byzantine aggregators, "
-                            f"more than f = {f} of {len(agg_ids)}")
+    profile = build_faults(sc, agg_ids, max_faulty(len(agg_ids)))
 
     # Stage 1: the price equilibrium, and the accounts and daily offers of
     # each city, in contract id order, each offer checked once for all days.

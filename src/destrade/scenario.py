@@ -10,7 +10,6 @@ number and section so a typo is findable.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .consensus import CREDIT_UNIT, DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
@@ -207,25 +206,23 @@ _FAULT_ROLES = (
 )
 
 
-def build_faults(sc: Scenario, ids: List[str]) -> FaultProfile:
-    """The [faults] section on the ids that run.
+def build_faults(sc: Scenario, ids: List[str], most: int) -> FaultProfile:
+    """The [faults] section on the ids that run, with at most `most` roles.
 
     Roles go onto ids in order, dissenters first; the remaining ids are
-    honest.
+    honest.  A count below 0, or above what `most` leaves after the
+    roles before it, raises ScenarioError naming its key.
     """
     drop_prob = _as_float(sc.faults, "faults", "drop_prob", 0.0)
     _check(0.0 <= drop_prob <= 1.0, "faults", "drop_prob", drop_prob, "0 to 1")
-    free = iter(ids)
-    behaviors: Dict[str, Behavior] = {}
+    roles: List[Behavior] = []
     for key, beh in _FAULT_ROLES:
         count = _as_int(sc.faults, "faults", key, 0)
-        _check(count >= 0, "faults", key, count, "at least 0")
-        for _ in range(count):
-            k = next(free, None)
-            if k is None:
-                raise ScenarioError("more faulty nodes than nodes")
-            behaviors[k] = beh
-    return FaultProfile(behaviors=behaviors, drop_prob=drop_prob)
+        left = most - len(roles)
+        _check(0 <= count <= left, "faults", key, count,
+               f"0 to {left} (at most {most} faulty of {len(ids)} nodes)")
+        roles += [beh] * count
+    return FaultProfile(behaviors=dict(zip(ids, roles)), drop_prob=drop_prob)
 
 
 ConsensusSetup = NamedTuple("ConsensusSetup", [
@@ -257,7 +254,7 @@ def build_consensus(sc: Scenario) -> ConsensusSetup:
     ids = [f"n{i:02d}" for i in range(n)]
     return ConsensusSetup(
         node_ids=ids,
-        profile=build_faults(sc, ids),
+        profile=build_faults(sc, ids, n),
         rounds=rounds,
         delta1=delta1,
         delta2=delta2,
@@ -283,13 +280,12 @@ def build_run(sc: Scenario) -> RunSetup:
     _check(run.cities >= 2, "run", "cities", run.cities,
            "at least 2 cities (4 aggregators)")
     _check(run.funding > 0.0, "run", "funding", run.funding, "a positive amount")
-    # The deposits must add up to a finite total, or the drift audit reads NaN.
     aggs = 2 * run.cities
-    _check(aggs <= sys.float_info.max and math.isfinite(run.funding * aggs),
-           "run", "funding", run.funding,
-           f"a total over the {aggs} aggregators that is finite")
     _check(aggs <= MAX_GROUP, "run", "cities", run.cities,
            f"at most {MAX_GROUP // 2} cities ({MAX_GROUP} aggregators)")
+    # The deposits must add up to a finite total, or the drift audit reads NaN.
+    _check(math.isfinite(run.funding * aggs), "run", "funding", run.funding,
+           f"a total over the {aggs} aggregators that is finite")
     _check(run.days * run.cities <= MAX_CITY_DAYS, "run", "days", run.days,
            f"at most {MAX_CITY_DAYS // run.cities} for {run.cities} cities "
            f"(days x cities at most {MAX_CITY_DAYS})")

@@ -381,7 +381,8 @@ def test_full_run(tmp_path, capsys):
 
 
 def test_full_fault_roles_beyond_the_group_exit_1(tmp_path, capsys):
-    # 5 roles, 4 aggregators: the roles go onto the ids that run
+    # 3 dissenters, but 4 aggregators tolerate f = 1 role: refused at the
+    # first count past the bound, before any work
     scfile = tmp_path / "crowded.scn"
     scfile.write_text(read(scn("full_2city"))
                       .replace("dissenters = 0", "dissenters = 3")
@@ -390,7 +391,8 @@ def test_full_fault_roles_beyond_the_group_exit_1(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["full", "--scenario", str(scfile), "--out", str(out)])
     assert rc == 1
-    assert "more faulty nodes than nodes" in capsys.readouterr().err
+    assert ("section [faults]: dissenters = 3 is out of range, need 0 to 1 "
+            "(at most 1 faulty of 4 nodes)") in capsys.readouterr().err
     assert not (out / "contracts.csv").exists()
 
 
@@ -556,8 +558,8 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("run", "funding = 1e308", "funding = 1e+308 is out of range, need a total "
      "over the 4 aggregators that is finite"),
     # more aggregators than a float can count: rejected before any is made
-    pytest.param("run", "cities = 1" + "0" * 400, "need a total over the 2" + "0" * 400,
-                 id="run-cities-beyond-float"),
+    pytest.param("run", "cities = 1" + "0" * 400, "cities = 1" + "0" * 400 + " is out of "
+                 "range, need at most 500 cities", id="run-cities-beyond-float"),
     ("run", "cities = 501", "cities = 501 is out of range, need at most 500 cities "
      "(1000 aggregators)"),
     # one past each bound on the work a scenario may ask for
@@ -576,7 +578,15 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
     ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),
     ("faults", "dissenters = -3", "dissenters = -3 is out of range"),
-    ("faults", "dissenters = 2", "2 byzantine aggregators, more than f = 1 of 4"),
+    # 4 aggregators tolerate f = 1 role; a count past what is left names its key
+    pytest.param("faults", "dissenters = 2", "section [faults]: dissenters = 2 is out of "
+                 "range, need 0 to 1 (at most 1 faulty of 4 nodes)",
+                 id="faults-dissenters-past-f"),
+    pytest.param("faults", "equivocators = 5", "equivocators = 5 is out of range, need 0 "
+                 "to 1", id="faults-equivocators-past-f"),
+    pytest.param("faults", "dissenters = 1\nequivocators = 1", "equivocators = 1 is out "
+                 "of range, need 0 to 0 (at most 1 faulty of 4 nodes)",
+                 id="faults-second-role-past-f"),
     ("consensus", "rounds = 0", "rounds = 0 is out of range"),
     ("consensus", "n_nodes = 3", "n_nodes = 3 is out of range"),
     ("consensus", "n_nodes = inf", "is not finite"),

@@ -2,8 +2,9 @@
 turn to each value of a fixed hostile set, run through the CLI in process.
 
 A run may refuse the value (exit 1), fail at run time (exit 2) or flag a
-safety violation (exit 3), but no exception may escape `main`, a run that
-succeeds must write only finite numbers, and no case may run long.
+safety violation (exit 3), but no exception may escape `main`, a refusal
+must name the key that was set, a run that succeeds must write only
+finite numbers, and no case may run long.
 """
 
 import math
@@ -32,6 +33,13 @@ HOSTILE = ["0", "-1", "1", "2", "3", "4", "5", "7", "10", "100", "0.5",
 CASE_BUDGET_S = 5.0
 
 _ENTRY = re.compile(r"^(\w+)\s*=.*$", re.MULTILINE)
+
+# Keys whose refusal names another: a [market] unit value is refused by
+# the derived terms at fault, and a group too small for the [faults]
+# roles by the role count that overflows it.
+_FAULT_ROLES = ("dissenters", "silent_leaders", "invalid_leaders", "equivocators")
+_NAMED_BY = {key: () for key in ("q", "eta_g", "eta_r", "f_m", "c_f")}
+_NAMED_BY["n_nodes"] = ("n_nodes",) + _FAULT_ROLES
 
 
 class _OverBudget(Exception):
@@ -83,11 +91,15 @@ def test_hostile_values_never_escape_main(tmp_path, capsys, command, name):
                     signal.setitimer(signal.ITIMER_REAL, 0)
                 assert time.perf_counter() - start < CASE_BUDGET_S, case
                 assert rc in (0, 1, 2, 3), case
+                err = capsys.readouterr().err
+                named = _NAMED_BY.get(key, (key,))
+                if rc == 1 and named:
+                    assert any(re.search(rf"\b{k}\b", err) for k in named), (
+                        f"{case}: {err!r}")
                 if rc == 0:
                     for fname in os.listdir(out):
                         if fname.endswith(".csv"):
                             assert all(map(math.isfinite, _numbers(out / fname))), (
                                 f"{case}: {fname}")
-                capsys.readouterr()
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -165,7 +165,7 @@ def test_credits_stay_whole_micro_credits():
                         "[faults]\ndissenters = 1\nequivocators = 1\ndrop_prob = 0.1\n")
     delta1, delta2 = build_credit_steps(sc)
     assert (delta1, delta2) == (100_000, 3)
-    driver = run_rounds(60, make_nodes(_ids(7)), build_faults(sc, _ids(7)), 5,
+    driver = run_rounds(60, make_nodes(_ids(7)), build_faults(sc, _ids(7), 7), 5,
                         delta1, delta2)
     assert all(type(c) is int for c in driver.credits.values())
     assert all(type(r.credit_honest) is type(r.credit_byz) is int for r in driver.rows)

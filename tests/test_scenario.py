@@ -241,15 +241,22 @@ def test_consensus_fault_assignment_is_front_loaded():
 
 
 def test_consensus_too_many_faults():
+    # `consensus` runs beyond f, up to every node of the group faulty
     sc = parse_scenario("[consensus]\nn_nodes = 4\n[faults]\ndissenters = 5\n")
-    with pytest.raises(ScenarioError, match="more faulty nodes than nodes"):
+    with pytest.raises(ScenarioError, match=r"section \[faults\]: dissenters = 5 is "
+                       r"out of range, need 0 to 4 \(at most 4 faulty of 4 nodes\)"):
+        build_consensus(sc)
+    sc = load_scenario("scenarios/consensus20.scn")
+    sc.faults["dissenters"] = "21"
+    with pytest.raises(ScenarioError, match=r"dissenters = 21 is out of range, need 0 "
+                       r"to 20 \(at most 20 faulty of 20 nodes\)"):
         build_consensus(sc)
 
 
 def test_fault_roles_land_on_the_given_ids():
     sc = parse_scenario("[faults]\ndissenters = 1\nequivocators = 2\n"
                         "drop_prob = 0.1\n")
-    profile = build_faults(sc, ["c0.ea", "c0.ha", "c1.ea", "c1.ha"])
+    profile = build_faults(sc, ["c0.ea", "c0.ha", "c1.ea", "c1.ha"], 3)
     assert profile.behaviors == {
         "c0.ea": Behavior.DISSENTER,
         "c0.ha": Behavior.EQUIVOCATOR,
