@@ -21,7 +21,7 @@ from .consensus import CREDIT_UNIT, ConsensusError
 from .equilibrium import NoFixedPoint, find_ne
 from .follower import FollowerError
 from .ledger import Ledger, LedgerError, Role, export_chain
-from .market import MarketError
+from .market import MarketError, shown
 from .netsim import make_nodes, run_pipeline, run_rounds
 from .scenario import (Scenario, ScenarioError, build_city, build_consensus,
                        build_ne_config, load_scenario, read_seed)
@@ -206,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sc = load_scenario(args.scenario)
         seed = args.seed if args.seed is not None else read_seed(sc)
         if seed < 0:  # random.Random(-n) would repeat the run of seed n
-            raise ScenarioError(f"seed {seed} is negative, need 0 or more")
+            raise ScenarioError(f"seed {shown(seed)} is negative, need 0 or more")
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

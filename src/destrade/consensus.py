@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Set
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .ledger import Block, Chain, Contract, EnergyKind, make_block, validate_block
 
@@ -70,15 +70,15 @@ class FaultProfile:
 class ConsensusNode:
     """Protocol-visible state of one aggregator: its chain, its contract
     pool, and the senders whose prepare and commit votes reached it in
-    the current round."""
+    the current round (nodes that got the same votes share one set)."""
 
     __slots__ = ("chain", "pool", "prepares", "commits")
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.pool: Dict[str, Contract] = {}
-        self.prepares: Set[str] = set()
-        self.commits: Set[str] = set()
+        self.prepares: FrozenSet[str] = frozenset()
+        self.commits: FrozenSet[str] = frozenset()
 
     def accepts(self, block: Block) -> bool:
         """This node's verdict on a proposal: valid against its own pool and tip."""
@@ -171,10 +171,35 @@ RoundOutcome = NamedTuple("RoundOutcome", [
     ("block", Optional[Block]), ("matched", Dict[str, bool]), ("prepare_needed", int)])
 
 
-def deliver(net, src: str, targets: List[str]) -> List[str]:
-    """Send a copy from src to each target in order, except src's own,
-    which lands without a send; the targets the copies reached."""
-    return [dst for dst in targets if dst == src or net.send(src, dst)]
+def _tally(ids: List[str], votes: List[Tuple[str, List[str]]], credits: CreditTable,
+           total: int) -> Tuple[Dict[str, FrozenSet[str]], Dict[str, bool]]:
+    """Each node's tally of one phase, and its quorum verdict.
+
+    votes holds (sender, the ids its copies reached).  A vote that
+    reached every node joins one frozenset all nodes share; any other
+    vote is an extra at each node it reached, and a node with extras
+    holds the shared set united with them.  check_quorum runs once for
+    the shared set and once for each node with extras.
+    """
+    n = len(ids)
+    everywhere: List[str] = []
+    extra: Dict[str, List[str]] = {}
+    for k, landed in votes:
+        if len(landed) == n:
+            everywhere.append(k)
+            continue
+        if not extra:
+            extra = {dst: [] for dst in ids}
+            add = {dst: extra[dst].append for dst in ids}
+        for dst in landed:
+            add[dst](k)
+    shared = frozenset(everywhere)
+    verdict = check_quorum(shared, credits, total, n)
+    if not extra:
+        return dict.fromkeys(ids, shared), dict.fromkeys(ids, verdict)
+    tallies = {k: shared.union(extra[k]) if extra[k] else shared for k in ids}
+    return tallies, {k: verdict if t is shared else check_quorum(t, credits, total, n)
+                     for k, t in tallies.items()}
 
 
 def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
@@ -182,24 +207,25 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
               seed: int) -> RoundOutcome:
     """Execute one proposal/prepare/commit exchange over the given fabric.
 
-    The fabric only needs send(src, dst), which says whether a copy
-    landed.  The proposal and every vote go out through deliver, to
-    every node, except an equivocator's prepare vote: a random subset.
-    Each vote joins its receiver's prepares or commits as it lands, and
-    a phase reads the tallies once the previous phase's votes are all
-    out.  Prepare: a node the proposal reached votes when it accepts
-    the block.  Commit: a node whose prepares clear the quorum votes.
-    Append: a node whose commits clear the quorum takes the block when
-    it extends its tip; a node that lags abstains.  The round commits
-    when a deciding node (FaultProfile.deciding_ids) took the block.
+    The fabric only needs deliver(src, targets), which sends one copy to
+    each target (src's own lands without a send) and returns the targets
+    it reached.  The proposal and every vote go out through it, to every
+    node, except an equivocator's prepare vote: a random subset.  A
+    phase tallies its votes once they are all out (_tally): a vote that
+    reached every node joins one set they share, and only the others
+    are added per receiver, so a loss-free round costs per node, not
+    per copy.  Prepare: a node the proposal reached votes when it
+    accepts the block.  Commit: a node whose prepares clear the quorum
+    votes.  Append: a node whose commits clear the quorum takes the
+    block when it extends its tip; a node that lags abstains.  The
+    round commits when a deciding node (FaultProfile.deciding_ids) took
+    the block.
     """
     ids = sorted(nodes)
     n = len(ids)
     total = sum(credits.values())
     leader_id = elect_leader(credits, total, seed)
     prepare_needed = min_quorum_cardinality(credits, total, n)
-    for node in nodes.values():
-        node.prepares, node.commits = set(), set()
     # Only an equivocator draws from the round's stream: seeded on its first draw.
     rng: Optional[random.Random] = None
     voted_full: Set[str] = set()  # voters whose prepare went to every node
@@ -216,9 +242,11 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                else [leader.pool[k] for k in sorted(leader.pool)])
         proposal = make_block(leader_id, leader.chain, round_no, txs)
 
+    prepares = commits = dict.fromkeys(ids, frozenset())
     if proposal is not None:
         # A node's own vote counts toward its quorum.
-        for k in deliver(net, leader_id, ids):
+        votes = []
+        for k in net.deliver(leader_id, ids):
             beh = profile.behavior_of(k)
             if beh is Behavior.DISSENTER or not nodes[k].accepts(proposal):
                 continue
@@ -227,19 +255,18 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                 if rng is None:
                     rng = random.Random(f"round:{seed}")
                 targets = sorted(rng.sample(ids, rng.randint(0, n)))
-            for dst in deliver(net, k, targets):
-                nodes[dst].prepares.add(k)
+            votes.append((k, net.deliver(k, targets)))
             if len(targets) == n:
                 voted_full.add(k)
-        for k in ids:
-            if (profile.behavior_of(k) is not Behavior.DISSENTER
-                    and check_quorum(nodes[k].prepares, credits, total, n)):
-                for dst in deliver(net, k, ids):
-                    nodes[dst].commits.add(k)
-        for node in nodes.values():
-            if (check_quorum(node.commits, credits, total, n)
-                    and node.chain.extends(proposal)):
+        prepares, prepared = _tally(ids, votes, credits, total)
+        votes = [(k, net.deliver(k, ids)) for k in ids
+                 if prepared[k] and profile.behavior_of(k) is not Behavior.DISSENTER]
+        commits, commit_ready = _tally(ids, votes, credits, total)
+        for k, node in nodes.items():
+            if commit_ready[k] and node.chain.extends(proposal):
                 node.commit(proposal)
+    for k, node in nodes.items():
+        node.prepares, node.commits = prepares[k], commits[k]
 
     deciding = profile.deciding_ids(ids)
     committed = any(nodes[k].chain.tip is proposal for k in deciding)
@@ -247,8 +274,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         None if committed
         else "LeaderSilent" if proposal is None
         else "LeaderInvalidBlock" if not nodes[deciding[0]].accepts(proposal)
-        else "PrepareQuorumFailed" if not any(
-            check_quorum(nodes[k].prepares, credits, total, n) for k in deciding)
+        else "PrepareQuorumFailed" if not any(prepared[k] for k in deciding)
         else "CommitQuorumFailed")
     # A voter matched the outcome when its full, consistent endorsement
     # agrees with the decision; abstention endorses an abort.

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Tuple, Union
 
 from .follower import export_totals, probe_totals
-from .market import CityMarket, MarketError, PricePair
+from .market import CityMarket, MarketError, PricePair, shown
 
 INIT_CHOICES = ("low", "high", "mid")
 
@@ -62,7 +62,7 @@ class NeConfig(NamedTuple("NeConfig", [("delta0", float), ("decay", float),
         if not 0.0 < decay <= 1.0:
             raise MarketError("decay must lie in (0, 1]")
         if max_iters < 1:
-            raise MarketError(f"max_iters = {max_iters} must be at least 1")
+            raise MarketError(f"max_iters = {shown(max_iters)} must be at least 1")
         if isinstance(init, str) and init not in INIT_CHOICES:
             raise MarketError(f"init must be a PricePair or one of {INIT_CHOICES}")
         return tuple.__new__(cls, (delta0, decay, init, max_iters))

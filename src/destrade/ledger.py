@@ -11,12 +11,12 @@ costing the balance check and debit, the next id, one tuple and the
 body digest, and settle in one call (execute_contracts).  Blocks carry
 full contract bodies; the chain links sha256 block digests and a merkle
 root over the contract digests.  Contracts (tuples) and blocks are
-read-only and compute each digest at construction, a block's as fields;
-the chain audit rebuilds every root on its own.  Every digest is a
-call of _sha256, hashlib's sha256 bound once; sign_offers and
-merkle_root call it inline.  Block leaders sign with simulated keys:
-deterministic digests of a per-account secret, good enough to exercise
-the protocol logic.
+read-only and compute each digest at construction, a block's as fields,
+with its signature's verdict; the chain audit rebuilds every root and
+checks every signature on its own.  Every digest is a call of _sha256,
+hashlib's sha256 bound once; sign_offers and merkle_root call it
+inline.  Block leaders sign with simulated keys: deterministic digests
+of a per-account secret, good enough to exercise the protocol logic.
 """
 
 from __future__ import annotations
@@ -161,13 +161,15 @@ class Block:
     signature.  Read-only and built whole: the constructor also fills
     what its validators read, tx_ids, id_set (their frozenset), own_root
     (the merkle root over the txs' digests) and has_duplicate (an id
-    repeats among the txs), then header_digest (what the leader signs)
-    and block_hash.  Passing merkle or signature builds a tampered copy,
-    whose digests follow the values given."""
+    repeats among the txs), then header_digest (what the leader signs),
+    sig_ok (the signature's verdict: True when the constructor signs,
+    verify_signature's when a signature is given) and block_hash.
+    Passing merkle or signature builds a tampered copy, whose digests
+    follow the values given."""
 
     __slots__ = ("height", "prev_hash", "merkle", "leader_id", "round_no", "txs",
                  "note", "signature", "tx_ids", "id_set", "own_root", "has_duplicate",
-                 "header_digest", "block_hash")
+                 "header_digest", "sig_ok", "block_hash")
 
     def __init__(self, height: int, prev_hash: str, leader_id: str, round_no: int,
                  txs: Tuple[Contract, ...] = (), note: str = "", *,
@@ -180,10 +182,12 @@ class Block:
             merkle = own_root
         header = _sha(dumps([height, prev_hash, merkle, leader_id, round_no, note]))
         if signature is None:
-            signature = sign(header, sim_secret(leader_id))
+            signature, sig_ok = sign(header, sim_secret(leader_id)), True
+        else:
+            sig_ok = verify_signature(header, signature, leader_id)
         _fill(self, (height, prev_hash, merkle, leader_id, round_no, txs, note,
                      signature, tx_ids, id_set, own_root, len(id_set) < len(txs),
-                     header, _sha(header + ":" + signature)))
+                     header, sig_ok, _sha(header + ":" + signature)))
 
     __setattr__ = __delattr__ = _read_only
 
@@ -233,7 +237,7 @@ def validate_block(block: Block, pool: Dict[str, Contract],
     BadPrevHash (not on the local tip), BadMerkle (header root is not
     the root of the block's own txs), DuplicateTx (a contract listed
     twice), UnknownTx (a tx whose digest differs from the pooled copy,
-    or that is not pooled), BadLeaderSig.
+    or that is not pooled), BadLeaderSig (the block's sig_ok).
     """
     if not chain.extends(block):
         return False, "BadPrevHash"
@@ -245,7 +249,7 @@ def validate_block(block: Block, pool: Dict[str, Contract],
     if pooled != block.txs and any(p is None or p[8] != c[8]
                                    for c, p in zip(block.txs, pooled)):
         return False, "UnknownTx"
-    if not verify_signature(block.header_digest, block.signature, block.leader_id):
+    if not block.sig_ok:
         return False, "BadLeaderSig"
     return True, None
 

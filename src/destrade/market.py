@@ -30,6 +30,20 @@ class MarketError(ValueError):
     """Infeasible or inconsistent market parameters."""
 
 
+def shown(value) -> str:
+    """value as a refusal names it.  An integer beyond 2**53 that a
+    float holds exactly, as one read from a spelling such as 1e308, is
+    named as that float, not by its hundreds of digits; an integer
+    spelled out in digits is named as written."""
+    if isinstance(value, int) and abs(value) > 2 ** 53:
+        try:
+            if int(float(value)) == value:
+                return repr(float(value))
+        except OverflowError:  # beyond any float: spelled out in digits
+            pass
+    return str(value)
+
+
 # ============================================================
 # parameter records
 # ============================================================

@@ -1,12 +1,13 @@
 """Deterministic message fabric and run drivers.
 
 The fabric carries no payloads and knows no node set: its one call,
-send(src, dst), says whether one copy landed, and links drop each copy
-independently.  The round names every receiver (consensus.deliver), and
-receivers only collect sets, so the order in which copies land carries
-no meaning.  One round driver owns the seed streams, so a seeded run is
-byte-for-byte reproducible, and keeps the run record both subcommands
-read.
+deliver(src, targets), sends one fan-out and returns the targets its
+copies reached, and links drop each copy independently.  A fabric that
+cannot drop lands a whole fan-out at once; a lossy one draws once per
+copy.  The round names every receiver, and receivers only collect sets,
+so the order in which copies land carries no meaning.  One round
+driver owns the seed streams, so a seeded run is byte-for-byte
+reproducible, and keeps the run record both subcommands read.
 """
 
 from __future__ import annotations
@@ -46,13 +47,22 @@ class PhaseNet:
         self.sent = 0
         self.dropped = 0
 
-    def send(self, src: str, dst: str) -> bool:
-        """Send one copy from src to dst; True when it lands."""
-        self.sent += 1
-        if self.drop_prob > 0.0 and self.rng.random() < self.drop_prob:
-            self.dropped += 1
-            return False
-        return True
+    def deliver(self, src: str, targets: List[str]) -> List[str]:
+        """Send one copy from src to each target, in order; the targets
+        the copies reached.  src's own copy lands without a send.
+
+        Without loss every copy lands, so targets comes back as given;
+        otherwise each other copy takes one draw from rng, in target order.
+        """
+        n = len(targets)
+        self.sent += n - (src in targets)
+        p = self.drop_prob
+        if not p > 0.0:
+            return targets
+        rand = self.rng.random
+        landed = [dst for dst in targets if dst == src or rand() >= p]
+        self.dropped += n - len(landed)
+        return landed
 
 
 def make_nodes(node_ids: Iterable[str]) -> Dict[str, ConsensusNode]:

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .consensus import CREDIT_UNIT, DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
 from .equilibrium import NeConfig
-from .market import ChpParams, CityMarket, CommunityParams, PricePair
+from .market import ChpParams, CityMarket, CommunityParams, PricePair, shown
 
 _SCALAR_SECTIONS = ("market", "consensus", "faults", "run")
 
@@ -147,8 +147,8 @@ def _as_int(section: Dict[str, str], name: str, key: str,
 def _check(ok: bool, name: str, key: str, value, need: str) -> None:
     """Reject an in-format value that lies outside its admissible range."""
     if not ok:
-        raise ScenarioError(f"section [{name}]: {key} = {value} is out of range, "
-                            f"need {need}")
+        raise ScenarioError(f"section [{name}]: {key} = {shown(value)} is out of "
+                            f"range, need {need}")
 
 
 def build_city(sc: Scenario) -> CityMarket:

@@ -395,9 +395,20 @@ def _clip01(v: float) -> float:
 # ============================================================
 
 
+def _send(net, src: str, dst: str) -> bool:
+    """One copy from src to dst over a PhaseNet's links, as the fabric
+    sent copies one by one: count it, and drop it on one draw of the
+    fabric's rng below drop_prob.  True when it lands."""
+    net.sent += 1
+    if net.drop_prob > 0.0 and net.rng.random() < net.drop_prob:
+        net.dropped += 1
+        return False
+    return True
+
+
 def _broadcast(net, ids: List[str], src: str) -> List[str]:
     """One copy from src to every other node, in id order; the ids it reached."""
-    return [dst for dst in ids if dst != src and net.send(src, dst)]
+    return [dst for dst in ids if dst != src and _send(net, src, dst)]
 
 
 def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
@@ -406,8 +417,8 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     """run_round as it stood before its votes moved onto one delivery
     path: honest votes go out by broadcast, an equivocator sends its own
     copies, and the tallies are per-receiver dicts that die with the
-    round.  Kept verbatim but for net.broadcast, which _broadcast
-    reproduces from the fabric's send.
+    round.  Kept verbatim but for net.broadcast and net.send, which
+    _broadcast and _send reproduce copy by copy from the fabric's fields.
     """
     ids = sorted(nodes)
     n = len(ids)
@@ -455,7 +466,7 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                     rng = random.Random(f"round:{seed}")
                 targets = set(rng.sample(ids, rng.randint(0, n)))
                 for dst in sorted(targets - {k}):
-                    if net.send(k, dst):
+                    if _send(net, k, dst):
                         prepares[dst].add(k)
                 if k in targets:
                     prepares[k].add(k)

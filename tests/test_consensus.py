@@ -273,6 +273,10 @@ def test_each_node_keeps_the_senders_whose_votes_reached_it():
     nodes, credits = make_nodes(ids), init_credits(ids)
     assert run_round(nodes, credits, FaultProfile(), _net(), 0, seed=1).committed
     assert all(nodes[k].prepares == nodes[k].commits == set(ids) for k in ids)
+    # every vote landed everywhere, so all nodes share one tally per phase
+    first = nodes[ids[0]]
+    assert all(nodes[k].prepares is first.prepares and nodes[k].commits is first.commits
+               for k in ids)
     # The next round starts the tallies afresh.  With every copy dropped
     # only the leader holds the proposal, and its own prepare vote.
     out = run_round(nodes, credits, FaultProfile(), PhaseNet(drop_prob=1.0), 1, seed=2)
@@ -449,9 +453,9 @@ POOLED = [Contract(f"ct-{i:06d}", "b", "s", EnergyKind.ELECTRICITY, 1.0, 1.0, 0,
 FULL = 2 ** len(POOLED) - 1  # the pool mask holding every contract
 
 
-def _drive(round_fn, n, behaviors, drop_prob, pools, seed):
-    """REFERENCE_ROUNDS rounds through RoundDriver, playing round_fn as
-    netsim's round; the run's rows, credits, error, copies, chains and pools."""
+def _drive(round_fn, n, behaviors, drop_prob, pools, seed, rounds=REFERENCE_ROUNDS):
+    """rounds rounds through RoundDriver, playing round_fn as netsim's
+    round; the run's rows, credits, error, copies, chains and pools."""
     ids = _ids(n)
     nodes = make_nodes(ids)
     for k, mask in zip(ids, pools):
@@ -463,7 +467,7 @@ def _drive(round_fn, n, behaviors, drop_prob, pools, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(netsim, "run_round", round_fn)
         try:
-            for _ in range(REFERENCE_ROUNDS):
+            for _ in range(rounds):
                 driver.step()
         except ConsensusError as exc:  # TooFewNodes: the grid's n = 3 group
             error = repr(exc)
@@ -488,14 +492,19 @@ def _groups(draw):
 # Groups the grid must reach, run on every pass: pools that differ, so a
 # voter rejects a block for a contract it lacks (UnknownTx); lossy runs
 # in which a node misses a commit and lags (BadPrevHash); a group too
-# small for the quorum rule, which raises before a copy goes out; and a
-# group without an honest node, whose abort cause is read off its first id.
+# small for the quorum rule, which raises before a copy goes out; a
+# group without an honest node, whose abort cause is read off its first
+# id; a loss-free, fault-free group, whose votes all land everywhere and
+# are tallied in one shared set per phase; and a loss-free group whose
+# equivocator's subset votes are the only ones tallied per receiver.
 GRID_CASES = [
     (4, {}, 0.0, [FULL, FULL - 1, FULL, FULL - 2], 3),
     (7, {"n03": Behavior.DISSENTER}, 0.1, [FULL] * 7, 5),
     (13, {}, 0.3, [FULL, 0] * 6 + [FULL], 8),
     (3, {}, 0.0, [FULL] * 3, 1),
     (6, {k: b for k, b in zip(_ids(6), FAULTS * 2)}, 0.02, [FULL] * 6, 2),
+    (20, {}, 0.0, [FULL] * 20, 4),
+    (9, {"n02": Behavior.EQUIVOCATOR, "n05": Behavior.DISSENTER}, 0.0, [FULL] * 9, 6),
 ]
 
 
@@ -506,8 +515,55 @@ GRID_CASES = [
 @example(group=GRID_CASES[2])
 @example(group=GRID_CASES[3])
 @example(group=GRID_CASES[4])
+@example(group=GRID_CASES[5])
+@example(group=GRID_CASES[6])
 def test_run_round_matches_the_reference_round(group):
     assert _drive(run_round, *group) == _drive(reference_round, *group)
+
+
+def test_run_round_matches_the_reference_round_at_200_nodes():
+    # the scale the shared tallies are for: every vote lands everywhere
+    group = (200, {}, 0.0, [FULL] * 200, 11)
+    assert _drive(run_round, *group, rounds=5) == _drive(reference_round, *group, rounds=5)
+
+
+class _Logged(PhaseNet):
+    """PhaseNet that logs each fan-out: its sender and where it landed."""
+
+    def __init__(self, drop_prob, seed):
+        super().__init__(drop_prob, random.Random(seed))
+        self.log = []
+
+    def deliver(self, src, targets):
+        landed = super().deliver(src, targets)
+        self.log.append((src, list(landed)))
+        return landed
+
+
+@pytest.mark.parametrize("drop_prob", [0.0, 0.1])
+def test_each_tally_holds_the_votes_the_fabric_landed(drop_prob):
+    # fresh nodes with equal pools all accept the proposal, so the
+    # fan-outs after the proposal's are one prepare per node it reached,
+    # then the commits
+    ids = _ids(9)
+    credits = init_credits(ids)
+    per_receiver = 0
+    for seed in range(12):
+        nodes = make_nodes(ids)
+        for node in nodes.values():
+            node.pool.update((c.contract_id, c) for c in POOLED)
+        net = _Logged(drop_prob, seed)
+        run_round(nodes, credits, FaultProfile({"n04": Behavior.EQUIVOCATOR}),
+                  net, 0, seed)
+        (_leader, saw), *votes = net.log
+        prepares, commits = votes[:len(saw)], votes[len(saw):]
+        assert [src for src, _ in prepares] == saw
+        for k in ids:
+            assert nodes[k].prepares == {src for src, landed in prepares if k in landed}
+            assert nodes[k].commits == {src for src, landed in commits if k in landed}
+        per_receiver += sum(len(landed) < len(ids) for _, landed in votes)
+    assert per_receiver > 0  # some votes missed a node, so extras were tallied
+
 
 
 def test_the_reference_grid_reaches_every_verdict(monkeypatch):

@@ -3,8 +3,9 @@ turn to each value of a fixed hostile set, run through the CLI in process.
 
 A run may refuse the value (exit 1), fail at run time (exit 2) or flag a
 safety violation (exit 3), but no exception may escape `main`, a refusal
-must name the key that was set, a run that succeeds must write only
-finite numbers, and no case may run long.
+must name the key that was set in a message short enough to read, a
+run that succeeds must write only finite numbers, and no case may run
+long.
 """
 
 import math
@@ -31,6 +32,10 @@ HOSTILE = ["0", "-1", "1", "2", "3", "4", "5", "7", "10", "100", "0.5",
 
 # Seconds any one case may take; the slowest take well under one.
 CASE_BUDGET_S = 5.0
+
+# Characters a refusal may print: enough for the key, the value and its
+# bound, too few to echo a 309-digit integer.
+REFUSAL_MAX_CHARS = 200
 
 _ENTRY = re.compile(r"^(\w+)\s*=.*$", re.MULTILINE)
 
@@ -93,6 +98,8 @@ def test_hostile_values_never_escape_main(tmp_path, capsys, command, name):
                 assert rc in (0, 1, 2, 3), case
                 err = capsys.readouterr().err
                 named = _NAMED_BY.get(key, (key,))
+                if rc == 1:
+                    assert len(err) < REFUSAL_MAX_CHARS, f"{case}: {err!r}"
                 if rc == 1 and named:
                     assert any(re.search(rf"\b{k}\b", err) for k in named), (
                         f"{case}: {err!r}")

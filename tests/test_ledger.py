@@ -535,6 +535,26 @@ def test_stored_digests_match_their_fields():
     assert blk.prev_hash == chain.tip.block_hash
 
 
+def test_a_block_carries_its_signature_verdict(monkeypatch):
+    pool, c = _pool_with_contract()
+    chain = Chain()
+    good = make_block("ea", chain, 0, [c])
+    # a copy given the signature verifies it against its own header
+    sig = good.signature
+    copies = [good, rebuilt(good, merkle="cd" * 32), rebuilt(good, signature=sig),
+              rebuilt(good, merkle="cd" * 32, signature=sig),
+              rebuilt(good, leader_id="ha", signature=sig),
+              rebuilt(good, signature=sign(good.header_digest, sim_secret("evil")))]
+    for blk in copies:
+        assert blk.sig_ok is verify_signature(blk.header_digest, blk.signature,
+                                              blk.leader_id)
+    assert [blk.sig_ok for blk in copies] == [True, True, True, False, False, False]
+    # validators read the verdict and hash nothing for it
+    monkeypatch.setattr(ledger, "verify_signature", None)
+    assert validate_block(good, pool, chain) == (True, None)
+    assert validate_block(copies[-1], pool, chain) == (False, "BadLeaderSig")
+
+
 def test_tampered_copies_get_fresh_digests():
     pool, c = _pool_with_contract()
     chain = Chain()

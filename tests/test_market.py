@@ -53,7 +53,8 @@ _READ_ONLY = {
     "Contract": (lambda city: Contract("ct-000000", "ea", "des", EnergyKind.HEAT,
                                        1.5, 2.0, 3, 4), "price", ()),
     "Block": (lambda city: make_block("ea", Chain(), 0, []), "signature",
-              ("tx_ids", "own_root", "has_duplicate", "header_digest", "block_hash")),
+              ("tx_ids", "own_root", "has_duplicate", "header_digest", "sig_ok",
+               "block_hash")),
     "ChpParams": (lambda city: city.chp, "f_m", ("elec_capacity", "b_e", "inv_b_e", "c_e")),
     "CommunityParams": (lambda city: city.communities[0], "k_e", ()),
     "CityMarket": (lambda city: city, "r_e", ("kkt_table",)),

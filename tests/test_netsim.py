@@ -11,6 +11,8 @@ from collections import Counter
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from destrade import (
     Behavior,
@@ -32,7 +34,7 @@ from destrade import (
     verify_chain,
 )
 from destrade.cli import main
-from destrade.consensus import DELTA_LEADER, DELTA_VOTER, deliver
+from destrade.consensus import DELTA_LEADER, DELTA_VOTER
 from destrade.scenario import build_credit_steps, build_faults, load_scenario, parse_scenario
 
 from oracles import loop_commit, loop_validate_block
@@ -49,52 +51,85 @@ def _ids(n: int):
 # ------------------------------------------------------------
 
 
-class _Recorder:
-    """A fabric that lands every copy and records each send."""
+class _Draws(random.Random):
+    """A random stream that records every random() it hands out."""
 
-    def __init__(self):
-        self.sends = []
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = []
 
-    def send(self, src, dst):
-        self.sends.append((src, dst))
-        return True
+    def random(self):
+        self.drawn.append(super().random())
+        return self.drawn[-1]
 
 
 def test_deliver_sends_once_to_each_other_target_in_order():
-    # the sender's own copy lands without a send
-    net = _Recorder()
-    assert deliver(net, "n02", _ids(4)) == _ids(4)
-    assert net.sends == [("n02", "n00"), ("n02", "n01"), ("n02", "n03")]
-    net = _Recorder()
-    assert deliver(net, "n00", ["n01", "n03"]) == ["n01", "n03"]
-    assert net.sends == [("n00", "n01"), ("n00", "n03")]
-    assert deliver(net, "n00", []) == [] and len(net.sends) == 2
-    # the fabric counts the copies, none for a sender's own
-    net = PhaseNet(rng=random.Random(1))
-    assert deliver(net, "n00", _ids(4)) == _ids(4)
-    assert deliver(net, "n02", _ids(4)) == _ids(4)
-    assert (net.sent, net.dropped) == (6, 0)
+    # the sender's own copy lands without a send, and without loss the
+    # fan-out lands whole, with no draw
+    net = PhaseNet(rng=_Draws(1))
+    assert net.deliver("n02", _ids(4)) == _ids(4)
+    assert net.deliver("n00", ["n01", "n03"]) == ["n01", "n03"]
+    assert net.deliver("n00", []) == []
+    assert (net.sent, net.dropped, net.rng.drawn) == (5, 0, [])
+    # with loss each other copy takes one draw, in target order, and
+    # lands when the draw is at least drop_prob
+    net = PhaseNet(drop_prob=0.5, rng=_Draws(3))
+    landed = net.deliver("n02", _ids(6))
+    assert len(net.rng.drawn) == 5
+    others = [dst for dst in _ids(6) if dst != "n02"]
+    assert landed == sorted(["n02"] + [dst for dst, r in zip(others, net.rng.drawn)
+                                       if r >= 0.5])
+    assert (net.sent, net.dropped) == (5, 6 - len(landed))
 
 
 def test_phase_net_drop_all():
     net = PhaseNet(drop_prob=1.0, rng=random.Random(1))
-    assert deliver(net, "n00", _ids(4)) == ["n00"]
-    assert net.send("n01", "n02") is False
+    assert net.deliver("n00", _ids(4)) == ["n00"]
+    assert net.deliver("n01", ["n02"]) == []
     assert (net.sent, net.dropped) == (4, 4)
 
 
 def test_phase_net_send_reports_each_copy():
     net = PhaseNet(drop_prob=0.5, rng=random.Random(2))
-    landed = [net.send("n00", "n01") for _ in range(40)]
-    assert True in landed and False in landed
+    landed = [net.deliver("n00", ["n01"]) for _ in range(40)]
+    assert [] in landed and ["n01"] in landed
     assert net.sent == 40
-    assert net.dropped == landed.count(False)
+    assert net.dropped == landed.count([])
+
+
+def _naive_deliver(net, src, targets):
+    """PhaseNet.deliver as a per-copy loop: each other copy counted, and
+    dropped on one draw below drop_prob."""
+    landed = []
+    for dst in targets:
+        if dst != src:
+            net.sent += 1
+            if net.drop_prob > 0.0 and net.rng.random() < net.drop_prob:
+                net.dropped += 1
+                continue
+        landed.append(dst)
+    return landed
+
+
+@settings(max_examples=150, deadline=None)
+@given(drop_prob=st.sampled_from([0.0, 0.02, 0.3, 1.0]), seed=st.integers(0, 2 ** 32),
+       fanouts=st.lists(st.tuples(st.integers(0, 9),
+                                  st.lists(st.integers(0, 9), unique=True)), max_size=8))
+def test_deliver_matches_a_per_copy_loop(drop_prob, seed, fanouts):
+    fast = PhaseNet(drop_prob, random.Random(seed))
+    slow = PhaseNet(drop_prob, random.Random(seed))
+    for src, picks in fanouts:
+        targets = [f"n{i:02d}" for i in picks]
+        assert fast.deliver(f"n{src:02d}", targets) == _naive_deliver(
+            slow, f"n{src:02d}", targets)
+    assert (fast.sent, fast.dropped) == (slow.sent, slow.dropped)
+    assert fast.rng.random() == slow.rng.random()
 
 
 def test_phase_net_seed_reproducibility():
     def trace(seed):
         net = PhaseNet(drop_prob=0.3, rng=random.Random(seed))
-        reached = [deliver(net, f"n{r % 5:02d}", _ids(5)) for r in range(20)]
+        reached = [net.deliver(f"n{r % 5:02d}", _ids(5)) for r in range(20)]
         return reached, net.sent, net.dropped
 
     assert trace(9) == trace(9)
