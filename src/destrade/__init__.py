@@ -6,8 +6,8 @@ chain, and credit-weighted consensus over a deterministic message
 fabric.  The cli module ties them into runnable scenarios.
 """
 
-from .market import (ChpParams, CityMarket, CommunityParams, Dispatch,
-                     MarketError, PricePair, des_utility, valid_k_intervals)
+from .market import (ChpParams, CityMarket, CommunityParams, MarketError,
+                     PricePair, des_utility, valid_k_intervals)
 from .follower import (FollowerError, KktCase, KktSolution, best_response,
                        export_totals, probe_totals)
 from .equilibrium import NeConfig, NeTrace, NoFixedPoint, find_ne, profit

@@ -95,7 +95,10 @@ class NeTrace:
 def resolve_init(city: CityMarket, init: Union[str, PricePair]) -> PricePair:
     (lo_e, hi_e), (lo_h, hi_h) = city.price_box()
     if isinstance(init, PricePair):
-        city.validate_prices(init)
+        try:
+            city.validate_prices(init)
+        except MarketError as exc:
+            raise MarketError(f"init: {exc}") from None
         return init
     if init == "low":
         return PricePair(lo_e, lo_h)

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Sequence, Tuple
 
-from .market import ChpParams, CommunityParams, Dispatch, PricePair, kkt_row
+from .market import ChpParams, CommunityParams, PricePair, kkt_row
 
 # Dispatch fractions within this distance of 1 count as saturated.
 SATURATION_TOL = 1e-9
@@ -65,14 +65,6 @@ class KktSolution(NamedTuple):
     lam1: float = 0.0
     lam2: float = 0.0
     lam3: float = 0.0
-
-    @property
-    def dispatch(self) -> Dispatch:
-        return Dispatch(self.alpha, self.beta)
-
-    @property
-    def multipliers(self) -> Tuple[float, float, float]:
-        return self.lam1, self.lam2, self.lam3
 
 
 # ============================================================

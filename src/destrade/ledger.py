@@ -126,11 +126,6 @@ class Contract(tuple):
     def payment(self) -> float:
         return self[4] * self[5]
 
-    def body_digest(self) -> str:
-        """sha256 of json.dumps of the body, with kind's value and the
-        reprs of price and amount; computed at construction."""
-        return self[8]
-
 
 def _terms_json(buyer: str, seller: str, kind: EnergyKind, price: float,
                 amount: float) -> str:

@@ -30,17 +30,32 @@ class MarketError(ValueError):
     """Infeasible or inconsistent market parameters."""
 
 
+# Characters of a value a refusal echoes whole.
+SHOWN_MAX = 32
+
+
 def shown(value) -> str:
-    """value as a refusal names it.  An integer beyond 2**53 that a
-    float holds exactly, as one read from a spelling such as 1e308, is
-    named as that float, not by its hundreds of digits; an integer
-    spelled out in digits is named as written."""
+    """value as a refusal names it, in a few dozen characters at most.
+    An integer beyond 2**53 that a float holds exactly, as one read from
+    a spelling such as 1e308, is named as that float, and one of more
+    than SHOWN_MAX digits is rounded (1.0e+400).  Text is quoted; longer
+    text is named as the integer its digits spell, or by head and length."""
+    if isinstance(value, str):
+        if len(value) <= SHOWN_MAX:
+            return repr(value)
+        try:
+            return shown(int(value))
+        except ValueError:
+            return f"{value[:SHOWN_MAX // 2]!r}... ({len(value)} characters)"
     if isinstance(value, int) and abs(value) > 2 ** 53:
         try:
             if int(float(value)) == value:
                 return repr(float(value))
-        except OverflowError:  # beyond any float: spelled out in digits
+        except OverflowError:  # beyond any float
             pass
+        if abs(value) >= 10 ** SHOWN_MAX:
+            from decimal import Decimal
+            return format(Decimal(value), ".1e")
     return str(value)
 
 
@@ -158,21 +173,6 @@ class PricePair(NamedTuple("PricePair", [("p_e", float), ("p_h", float)])):
         return tuple.__new__(cls, (p_e, p_h))
 
 
-class Dispatch(NamedTuple("Dispatch", [("alpha", float), ("beta", float)])):
-    """Local-use fractions chosen by a DES: alpha for electricity, beta for heat.
-
-    A light tuple record.  Constructing one checks that both fractions
-    lie in [0, 1].
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, alpha: float, beta: float) -> "Dispatch":
-        if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-            raise MarketError("dispatch fractions must lie in [0, 1]")
-        return tuple.__new__(cls, (alpha, beta))
-
-
 # ============================================================
 # city assembly and validation
 # ============================================================
@@ -248,10 +248,11 @@ def valid_k_intervals(chp: ChpParams, r_e: float, r_h: float,
 
 
 def des_utility(chp: ChpParams, com: CommunityParams, p: PricePair,
-                d: Dispatch) -> float:
-    """Daily community welfare: log satisfaction plus export revenue minus fuel."""
+                alpha: float, beta: float) -> float:
+    """Daily community welfare at local-use fractions alpha (electricity)
+    and beta (heat): log satisfaction plus export revenue minus fuel."""
     x, y = chp.elec_capacity, chp.heat_capacity
-    return (com.k_e * math.log1p(chp.b_e * (d.alpha * x))
-            + com.k_h * math.log1p(chp.b_h * (d.beta * y))
-            + p.p_e * ((1.0 - d.alpha) * x) + p.p_h * ((1.0 - d.beta) * y)
+    return (com.k_e * math.log1p(chp.b_e * (alpha * x))
+            + com.k_h * math.log1p(chp.b_h * (beta * y))
+            + p.p_e * ((1.0 - alpha) * x) + p.p_h * ((1.0 - beta) * y)
             - chp.fuel_cost)

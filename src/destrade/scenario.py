@@ -14,7 +14,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .consensus import CREDIT_UNIT, DELTA_LEADER, DELTA_VOTER, Behavior, FaultProfile
 from .equilibrium import NeConfig
-from .market import ChpParams, CityMarket, CommunityParams, PricePair, shown
+from .market import (ChpParams, CityMarket, CommunityParams, MarketError, PricePair,
+                     shown)
 
 _SCALAR_SECTIONS = ("market", "consensus", "faults", "run")
 
@@ -97,7 +98,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text (byte {exc.start}: "
@@ -125,9 +126,10 @@ def _as_float(section: Dict[str, str], name: str, key: str,
         v = float(section[key])
     except ValueError:
         raise ScenarioError(
-            f"section [{name}]: {key} = {section[key]!r} is not a number") from None
+            f"section [{name}]: {key} = {shown(section[key])} is not a number") from None
     if not math.isfinite(v):
-        raise ScenarioError(f"section [{name}]: {key} = {section[key]!r} is not finite")
+        raise ScenarioError(
+            f"section [{name}]: {key} = {shown(section[key])} is not finite")
     return v
 
 
@@ -181,12 +183,17 @@ def build_ne_config(sc: Scenario) -> NeConfig:
     init: Union[str, PricePair] = sc.run.get("init", defaults.init).strip()
     parts = init.split()
     if len(parts) > 1:
+        named = f"section [run]: init = {shown(init)}"
         if len(parts) != 2:
-            raise ScenarioError(f"init = {init!r}: expected 'p_e p_h' or a keyword")
+            raise ScenarioError(f"{named}: expected 'p_e p_h' or a keyword")
         try:
-            init = PricePair(float(parts[0]), float(parts[1]))
+            p_e, p_h = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ScenarioError(f"init = {init!r}: prices must be numbers") from None
+            raise ScenarioError(f"{named}: prices must be numbers") from None
+        try:
+            init = PricePair(p_e, p_h)
+        except MarketError as exc:
+            raise ScenarioError(f"{named}: {exc}") from None
     max_iters = _as_int(sc.run, "run", "max_iters", defaults.max_iters)
     _check(max_iters <= MAX_ITERS, "run", "max_iters", max_iters, f"at most {MAX_ITERS}")
     return NeConfig(

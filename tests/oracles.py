@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from destrade import (ChpParams, CommunityParams, Dispatch, FollowerError, KktCase,
-                      KktSolution, PricePair, best_response)
+from destrade import (ChpParams, CommunityParams, FollowerError, KktCase, KktSolution,
+                      PricePair, best_response)
 from destrade.consensus import (Behavior, ConsensusNode, CreditTable, FaultProfile,
                                 RoundOutcome, check_quorum, elect_leader,
                                 min_quorum_cardinality)
@@ -211,8 +211,12 @@ def reference_walk(city, start: PricePair, delta0: float, decay: float,
 # plain floats, and the inline cases of probe_totals give the same
 # floats, case and error at every price.
 
-# The reference builds its dispatches unchecked, like the walk.
-_unchecked = tuple.__new__
+
+class Dispatch(NamedTuple):
+    """Local-use fractions: alpha for electricity, beta for heat."""
+
+    alpha: float
+    beta: float
 
 
 class ReferenceSolution(NamedTuple):
@@ -330,39 +334,39 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
         # retail can push a stationary fraction to 0, clip there too.
         if sat_a:
             lam2 = x * (com.k_e * chp.b_e / math.e - p.p_e)
-            return ReferenceSolution(_unchecked(Dispatch, (1.0, _clip01(b0))),
+            return ReferenceSolution(Dispatch(1.0, _clip01(b0)),
                                      KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
         if sat_b:
             lam3 = y * (com.k_h * chp.b_h / math.e - p.p_h)
-            return ReferenceSolution(_unchecked(Dispatch, (_clip01(a0), 1.0)),
+            return ReferenceSolution(Dispatch(_clip01(a0), 1.0),
                                      KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
-        return ReferenceSolution(_unchecked(Dispatch, (_clip01(a0), _clip01(b0))),
+        return ReferenceSolution(Dispatch(_clip01(a0), _clip01(b0)),
                                  KktCase.INTERIOR)
 
     # Case 1: both streams unsaturated.
     if not sat_a and not sat_b:
         if a0 > 0.0 and b0 > 0.0 and x * a0 + y * b0 >= m:
-            return ReferenceSolution(_unchecked(Dispatch, (a0, b0)), KktCase.INTERIOR)
+            return ReferenceSolution(Dispatch(a0, b0), KktCase.INTERIOR)
         border = _border_solution(chp, com, p)
         if border is not None:
             lam, a, b = border
             if (SATURATION_TOL < a < 1.0 - SATURATION_TOL
                     and SATURATION_TOL < b < 1.0 - SATURATION_TOL):
-                return ReferenceSolution(_unchecked(Dispatch, (a, b)),
+                return ReferenceSolution(Dispatch(a, b),
                                          KktCase.INTERIOR_CONSTRAINED, lam1=lam)
 
     # Case 2: electricity saturated, heat free or on the floor.
     if not sat_b:
         if sat_a and b0 > 0.0 and x + y * b0 >= m:
             lam2 = x * (com.k_e * chp.b_e / math.e - p.p_e)
-            return ReferenceSolution(_unchecked(Dispatch, (1.0, b0)),
+            return ReferenceSolution(Dispatch(1.0, b0),
                                      KktCase.ALPHA_SATURATED, lam2=max(lam2, 0.0))
         b_sq = (m - x) / y
         if 0.0 < b_sq < 1.0 - SATURATION_TOL:
             lam1 = p.p_h - com.k_h * chp.b_h / (chp.b_h * (m - x) + 1.0)
             lam2 = x * (com.k_e * chp.b_e / math.e - p.p_e + lam1)
             if lam1 > SIGN_TOL and lam2 >= -SIGN_TOL * x:
-                return ReferenceSolution(_unchecked(Dispatch, (1.0, b_sq)),
+                return ReferenceSolution(Dispatch(1.0, b_sq),
                                          KktCase.ALPHA_SATURATED_CONSTRAINED,
                                          lam1=lam1, lam2=max(lam2, 0.0))
 
@@ -370,14 +374,14 @@ def reference_best_response(chp: ChpParams, com: CommunityParams,
     if not sat_a:
         if sat_b and a0 > 0.0 and x * a0 + y >= m:
             lam3 = y * (com.k_h * chp.b_h / math.e - p.p_h)
-            return ReferenceSolution(_unchecked(Dispatch, (a0, 1.0)),
+            return ReferenceSolution(Dispatch(a0, 1.0),
                                      KktCase.BETA_SATURATED, lam3=max(lam3, 0.0))
         a_sq = (m - y) / x
         if 0.0 < a_sq < 1.0 - SATURATION_TOL:
             lam1 = p.p_e - com.k_e * chp.b_e / (chp.b_e * (m - y) + 1.0)
             lam3 = y * (com.k_h * chp.b_h / math.e - p.p_h + lam1)
             if lam1 > SIGN_TOL and lam3 >= -SIGN_TOL * y:
-                return ReferenceSolution(_unchecked(Dispatch, (a_sq, 1.0)),
+                return ReferenceSolution(Dispatch(a_sq, 1.0),
                                          KktCase.BETA_SATURATED_CONSTRAINED,
                                          lam1=lam1, lam3=max(lam3, 0.0))
 
@@ -544,8 +548,7 @@ def loop_validate_block(block: Block, pool: Dict[str, Contract],
     if block.has_duplicate:
         return False, "DuplicateTx"
     for c, pooled in zip(block.txs, map(pool.get, block.tx_ids)):
-        if pooled is not c and (pooled is None
-                                or pooled.body_digest() != c.body_digest()):
+        if pooled is not c and (pooled is None or pooled[8] != c[8]):
             return False, "UnknownTx"
     if not verify_signature(block.header_digest, block.signature, block.leader_id):
         return False, "BadLeaderSig"

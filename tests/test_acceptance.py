@@ -74,7 +74,7 @@ def test_c03_response_beats_dense_grid(chp, floor_mid, floor_tight):
             for m_min in (floor_mid, floor_tight):
                 com = CommunityParams(k_e, k_h, m_min)
                 sol = best_response(chp, com, p)
-                mine = des_utility(chp, com, p, sol.dispatch)
+                mine = des_utility(chp, com, p, sol.alpha, sol.beta)
                 assert mine >= oracles.grid_best_utility(chp, com, p, 1000) - 1e-9
 
 
@@ -91,8 +91,8 @@ def test_c04_full_retention_never_optimal(chp):
             com = CommunityParams(k_e, k_h, m_min)
             p = PricePair(rng.uniform(chp.c_e, RETAIL_E),
                           rng.uniform(chp.c_h, RETAIL_H))
-            d = best_response(chp, com, p).dispatch
-            assert not (d.alpha == 1.0 and d.beta == 1.0)
+            s = best_response(chp, com, p)
+            assert not (s.alpha == 1.0 and s.beta == 1.0)
 
 
 def test_c05_profit_concavity(chp, floor_mid, floor_tight):

@@ -1,5 +1,6 @@
 """Command line entry points, run in process via main(argv)."""
 
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from destrade.cli import _contract_lines, _write_rows, main
 from destrade.ledger import EnergyKind, Ledger, Role
 from destrade.netsim import DRIFT_SHARE, DRIFT_TOLERANCE
+from test_golden import GOLDEN
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -220,6 +222,22 @@ def test_scenario_that_is_not_utf8_text_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {bad}: not UTF-8 text" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,scenario", sorted(GOLDEN))
+def test_a_scenario_saved_with_a_byte_order_mark_runs_to_its_golden_outputs(
+        tmp_path, command, scenario):
+    # some editors save UTF-8 text with a leading byte-order mark
+    scfile, out = tmp_path / "bom.scn", tmp_path / "out"
+    with open(scn(scenario), "rb") as fh:
+        scfile.write_bytes(codecs.BOM_UTF8 + fh.read())
+    argv = [command, "--scenario", str(scfile), "--out", str(out)]
+    if command == "equilibrium":
+        argv.append("--trace")
+    assert main(argv) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in sorted(os.listdir(out))}
+    assert got == GOLDEN[command, scenario]
 
 
 @pytest.mark.parametrize("path", ["", "full_2city.scn/x"])
@@ -544,6 +562,9 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
 
 @pytest.mark.parametrize("section,entry,message", [
     ("run", "days = abc", "is not a number"),
+    # long text is named by its head and its length
+    pytest.param("run", "days = " + "x" * 400, "days = 'xxxxxxxxxxxxxxxx'... (400 "
+                 "characters) is not a number", id="run-days-long-text"),
     ("run", "seed = x", "is not a number"),
     ("run", "seed = 1.5", "must be an integer"),
     ("run", "days = -1", "days = -1 is out of range"),
@@ -557,8 +578,9 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     # each deposit is finite, but the four add up to inf
     ("run", "funding = 1e308", "funding = 1e+308 is out of range, need a total "
      "over the 4 aggregators that is finite"),
-    # more aggregators than a float can count: rejected before any is made
-    pytest.param("run", "cities = 1" + "0" * 400, "cities = 1" + "0" * 400 + " is out of "
+    # more aggregators than a float can count: rejected before any is made,
+    # and named in a short form
+    pytest.param("run", "cities = 1" + "0" * 400, "cities = 1.0e+400 is out of "
                  "range, need at most 500 cities", id="run-cities-beyond-float"),
     ("run", "cities = 501", "cities = 501 is out of range, need at most 500 cities "
      "(1000 aggregators)"),
@@ -572,6 +594,11 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("consensus", "rounds = 100001", "rounds = 100001 is out of range, need 1 to 100000"),
     ("consensus", "rounds = 1e12", "rounds = 1000000000000 is out of range"),
     ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
+    # an explicit starting pair: numbers, but not positive, or outside the box
+    ("run", "init = -1 2", "section [run]: init = '-1 2': prices must be positive"),
+    ("run", "init = nan nan", "section [run]: init = 'nan nan': prices must be positive"),
+    ("run", "init = 1e-9 1e-9", "error: init: p_e=1e-09 outside [3.0000000000000004e-08, "
+     "5.5e-08]"),
     ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
     ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
     ("faults", "drop_prob = nan", "is not finite"),

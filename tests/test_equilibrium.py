@@ -12,7 +12,6 @@ import destrade.equilibrium
 from destrade import (
     CityMarket,
     CommunityParams,
-    Dispatch,
     KktSolution,
     MarketError,
     NeConfig,
@@ -405,13 +404,13 @@ def test_followers_cannot_improve_at_outcome(city1, city1_mid):
         chp = city.chp
         x, y = chp.elec_capacity, chp.heat_capacity
         com = city.communities[0]
-        best = des_utility(chp, com, prices, responses[0].dispatch)
+        best = des_utility(chp, com, prices, responses[0].alpha, responses[0].beta)
         tried = 0
         while tried < 1000:
             a, b = rng.uniform(0.0, 1.0, size=2)
             if x * a + y * b < com.m_min:
                 continue
-            u = des_utility(chp, com, prices, Dispatch(float(a), float(b)))
+            u = des_utility(chp, com, prices, float(a), float(b))
             assert u <= best + 1e-9
             tried += 1
 

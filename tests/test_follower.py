@@ -13,7 +13,6 @@ from destrade import (
     ChpParams,
     CityMarket,
     CommunityParams,
-    Dispatch,
     FollowerError,
     KktCase,
     PricePair,
@@ -156,20 +155,20 @@ def test_lambda1_double_root_degenerate(chp):
 def test_case_interior(chp):
     s = best_response(chp, _com(), PricePair(4.5e-8, 4.5e-8))
     assert s.case is KktCase.INTERIOR
-    assert s.dispatch.alpha == pytest.approx(0.301, abs=1e-3)
-    assert s.dispatch.beta == pytest.approx(0.481, abs=1e-3)
-    assert s.multipliers == (0.0, 0.0, 0.0)
+    assert s.alpha == pytest.approx(0.301, abs=1e-3)
+    assert s.beta == pytest.approx(0.481, abs=1e-3)
+    assert (s.lam1, s.lam2, s.lam3) == (0.0, 0.0, 0.0)
 
 
 def test_case_interior_constrained(chp, floor_mid):
     com = _com(143.05, 137.81, floor_mid)
     s = best_response(chp, com, PricePair(4.5e-8, 4.5e-8))
     assert s.case is KktCase.INTERIOR_CONSTRAINED
-    assert s.dispatch.alpha == pytest.approx(0.58314, abs=1e-4)
-    assert s.dispatch.beta == pytest.approx(0.82107, abs=1e-4)
+    assert s.alpha == pytest.approx(0.58314, abs=1e-4)
+    assert s.beta == pytest.approx(0.82107, abs=1e-4)
     assert s.lam1 == pytest.approx(1.0895e-8, rel=1e-3)
     assert 0.0 < s.lam1 < 4.5e-8
-    on_floor = chp.elec_capacity * s.dispatch.alpha + chp.heat_capacity * s.dispatch.beta
+    on_floor = chp.elec_capacity * s.alpha + chp.heat_capacity * s.beta
     assert on_floor == pytest.approx(floor_mid, abs=1e-3)
 
 
@@ -178,8 +177,8 @@ def test_case_alpha_saturated_constrained(chp, floor_mid):
     s = best_response(chp, _com(143.05, 137.81, floor_mid),
                       PricePair(3.0e-8, 6.25e-8))
     assert s.case is KktCase.ALPHA_SATURATED_CONSTRAINED
-    assert s.dispatch.alpha == 1.0
-    assert s.dispatch.beta == pytest.approx(0.3, abs=1e-9)
+    assert s.alpha == 1.0
+    assert s.beta == pytest.approx(0.3, abs=1e-9)
     assert s.lam1 == pytest.approx(8.246e-9, rel=1e-3)
     assert s.lam2 > 0.0
 
@@ -188,8 +187,8 @@ def test_case_beta_saturated_constrained(chp, floor_tight):
     s = best_response(chp, _com(143.05, 137.81, floor_tight),
                       PricePair(4.5e-8, 3.75e-8))
     assert s.case is KktCase.BETA_SATURATED_CONSTRAINED
-    assert s.dispatch.beta == 1.0
-    assert s.dispatch.alpha == pytest.approx(0.6, abs=1e-9)
+    assert s.beta == 1.0
+    assert s.alpha == pytest.approx(0.6, abs=1e-9)
     assert s.lam1 == pytest.approx(1.1382e-8, rel=1e-3)
     assert s.lam3 > 0.0
 
@@ -198,16 +197,16 @@ def test_case_alpha_saturated_no_floor(chp):
     # below-cost electricity probe: keep everything, heat stays interior
     s = best_response(chp, _com(), PricePair(2.5e-8, 4.5e-8))
     assert s.case is KktCase.ALPHA_SATURATED
-    assert s.dispatch.alpha == 1.0
-    assert s.dispatch.beta == pytest.approx(0.481, abs=1e-3)
+    assert s.alpha == 1.0
+    assert s.beta == pytest.approx(0.481, abs=1e-3)
     assert s.lam2 > 0.0 and s.lam1 == 0.0
 
 
 def test_case_beta_saturated_no_floor(chp):
     s = best_response(chp, _com(), PricePair(4.5e-8, 3.0e-8))
     assert s.case is KktCase.BETA_SATURATED
-    assert s.dispatch.beta == 1.0
-    assert s.dispatch.alpha == pytest.approx(0.301, abs=1e-3)
+    assert s.beta == 1.0
+    assert s.alpha == pytest.approx(0.301, abs=1e-3)
     assert s.lam3 > 0.0 and s.lam1 == 0.0
 
 
@@ -230,8 +229,8 @@ def test_total_at_search_probes(chp, floor_mid):
             com = _com(k_e, k_h, m)
             for p in corners:
                 s = best_response(chp, com, p)
-                assert 0.0 <= s.dispatch.alpha <= 1.0
-                assert 0.0 <= s.dispatch.beta <= 1.0
+                assert 0.0 <= s.alpha <= 1.0
+                assert 0.0 <= s.beta <= 1.0
 
 
 # ------------------------------------------------------------
@@ -257,7 +256,7 @@ def test_best_response_dominates_grid(chp, floor_mid):
             com = _com(rng.uniform(116.0, 170.0), rng.uniform(105.5, 170.0), m)
             p = PricePair(rng.uniform(*BOX_E), rng.uniform(*BOX_H))
             s = best_response(chp, com, p)
-            mine = des_utility(chp, com, p, s.dispatch)
+            mine = des_utility(chp, com, p, s.alpha, s.beta)
             grid = oracles.grid_best_utility(chp, com, p, 301)
             assert mine >= grid - 1e-9
 
@@ -283,8 +282,8 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
     com = CommunityParams(k_e, k_h, m)
     p = PricePair(p_e, p_h)
     s = best_response(chp, com, p)
-    a, b = s.dispatch.alpha, s.dispatch.beta
-    lam1, lam2, lam3 = s.multipliers
+    a, b = s.alpha, s.beta
+    lam1, lam2, lam3 = s.lam1, s.lam2, s.lam3
 
     # never both streams fully retained
     assert not (a == 1.0 and b == 1.0)
@@ -308,7 +307,7 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
 
     # multipliers only on their own case family
     if s.case is KktCase.INTERIOR:
-        assert s.multipliers == (0.0, 0.0, 0.0)
+        assert (lam1, lam2, lam3) == (0.0, 0.0, 0.0)
     if s.case in (KktCase.ALPHA_SATURATED, KktCase.ALPHA_SATURATED_CONSTRAINED):
         assert a == 1.0 and lam3 == 0.0
     if s.case in (KktCase.BETA_SATURATED, KktCase.BETA_SATURATED_CONSTRAINED):
@@ -325,16 +324,15 @@ def test_kkt_certificate(k_e, k_h, p_e, p_h, floored, frac):
     frac=st.floats(1e-3, 1.0 - 1e-3),
 )
 def test_response_records_pass_the_public_check(k_e, k_h, p_e, p_h, floored, frac):
-    # best_response's record holds bare fractions, never passing Dispatch's
-    # range check; its case guards must keep them in range, on and just off the box
+    # best_response's record holds bare fractions, which no constructor
+    # checks; its case guards must keep them in [0, 1], on and just off the box
     chp = _chp()
     x, y = chp.elec_capacity, chp.heat_capacity
     m = (max(x, y) + frac * (x + y - max(x, y))) if floored else 0.0
     com = CommunityParams(k_e, k_h, m)
     s = best_response(chp, com, PricePair(p_e, p_h))
-    assert 0.0 <= s.dispatch.alpha <= 1.0
-    assert 0.0 <= s.dispatch.beta <= 1.0
-    assert Dispatch(*s.dispatch) == s.dispatch
+    assert 0.0 <= s.alpha <= 1.0
+    assert 0.0 <= s.beta <= 1.0
     assert isinstance(s.case, KktCase)
     again = best_response(chp, com, PricePair(p_e, p_h))
     assert again == s
@@ -345,7 +343,7 @@ def test_alpha_monotone_in_own_price(chp):
     com = _com()
     prev = math.inf
     for p_e in np.linspace(*BOX_E, 50):
-        a = best_response(chp, com, PricePair(float(p_e), 4.5e-8)).dispatch.alpha
+        a = best_response(chp, com, PricePair(float(p_e), 4.5e-8)).alpha
         assert a <= prev + 1e-15
         prev = a
 

@@ -28,7 +28,7 @@ SCENARIOS = [("equilibrium", "city1_nofloor"), ("equilibrium", "city5_floor"),
 
 HOSTILE = ["0", "-1", "1", "2", "3", "4", "5", "7", "10", "100", "0.5",
            "1e308", "-1e308", "nan", "inf", "-inf", "1e-308", "5e-324",
-           "99999999999", "1e12", "1e-12", "abc", ""]
+           "99999999999", "1e12", "1e-12", "abc", "", "1" + "0" * 400]
 
 # Seconds any one case may take; the slowest take well under one.
 CASE_BUDGET_S = 5.0

@@ -257,8 +257,7 @@ def test_signing_a_day_at_once_is_signing_each_offer_in_turn(rows, days, funds):
                 refused_rows.append(offer)
         assert refused == refused_rows
         assert list(signed) == list(one_by_one)
-        assert [c.body_digest() for c in signed.values()] == [
-            c.body_digest() for c in one_by_one.values()]
+        assert [c[8] for c in signed.values()] == [c[8] for c in one_by_one.values()]
         assert list(signed.values()) == list(one_by_one.values())
     assert batch.contracts == single.contracts and batch.executed == single.executed
     assert [a.balance.hex() for a in batch.accounts.values()] == [
@@ -274,9 +273,11 @@ def _contract(**changes) -> Contract:
 
 @pytest.mark.parametrize("name", ["contract_id", "price", "kind", "body_digest"])
 def test_contract_fields_cannot_be_assigned(name):
+    # body_digest names no field (the digest is c[8]): no attribute can be
+    # added under it either
     c = _contract()
     with pytest.raises(AttributeError):
-        setattr(c, name, getattr(c, name))
+        setattr(c, name, getattr(c, name, None))
     with pytest.raises(AttributeError):
         delattr(c, name)
 
@@ -285,7 +286,7 @@ def test_contract_is_slotted():
     c = _contract()
     assert not hasattr(c, "__dict__")
     assert tuple(c) == ("ct-000000", "ea", "des", EnergyKind.HEAT, 1.5, 2.0, 3, 4,
-                        c.body_digest())
+                        c[8])
     with pytest.raises(TypeError):
         c[8] = "0" * 64
 
@@ -321,9 +322,9 @@ def test_contract_replace_recomputes_the_digest():
     for changes in ({"amount": 2.5}, {"kind": EnergyKind.ELECTRICITY},
                     {"contract_id": "ct-000001"}, {"stime": 5}):
         altered = rebuilt(c, **changes)
-        assert altered.body_digest() != c.body_digest()
-        assert altered.body_digest() == _contract(**changes).body_digest()
-    assert rebuilt(c).body_digest() == c.body_digest()
+        assert altered[8] != c[8]
+        assert altered[8] == _contract(**changes)[8]
+    assert rebuilt(c)[8] == c[8]
 
 
 def test_equal_bodies_compare_and_hash_equal():
@@ -528,10 +529,10 @@ def test_stored_digests_match_their_fields():
         assert b.header_digest == header
         assert b.block_hash == _sha(header + ":" + b.signature)
         assert verify_signature(header, b.signature, signer)
-    assert c.body_digest() == _sha(json.dumps([
+    assert c[8] == _sha(json.dumps([
         c.contract_id, c.buyer, c.seller, c.kind.value, repr(c.price),
         repr(c.amount), c.trans_time, c.stime]))
-    assert blk.merkle == merkle_root([c.body_digest()])
+    assert blk.merkle == merkle_root([c[8]])
     assert blk.prev_hash == chain.tip.block_hash
 
 
@@ -560,9 +561,9 @@ def test_tampered_copies_get_fresh_digests():
     chain = Chain()
     good = make_block("ea", chain, 0, [c])
     # read every digest first, so a copy that kept them would show
-    digest, header, block_hash = c.body_digest(), good.header_digest, good.block_hash
+    digest, header, block_hash = c[8], good.header_digest, good.block_hash
     altered = rebuilt(c, amount=c.amount + 1.0)
-    assert altered.body_digest() != digest
+    assert altered[8] != digest
     tampers = [
         (make_block("ea", chain, 0, [altered]), "UnknownTx"),
         (rebuilt(good, merkle="cd" * 32), "BadMerkle"),
@@ -586,7 +587,7 @@ def test_duplicate_tx_fails_validation_and_the_audit():
     chain = Chain()
     twice = make_block("ea", chain, 0, [c, c])
     # header root, pooled digests and signature are all in order
-    assert twice.merkle == merkle_root([c.body_digest()] * 2)
+    assert twice.merkle == merkle_root([c[8]] * 2)
     assert validate_block(twice, pool, chain) == (False, "DuplicateTx")
     # a wrong header root is reported before the duplicate
     assert validate_block(rebuilt(twice, merkle="cd" * 32), pool, chain) == (
@@ -733,7 +734,7 @@ def test_body_digest_is_the_digest_of_the_json_body(cid, buyer, seller, kind, pr
                                                    amount, trans_time, stime):
     c = Contract(contract_id=cid, buyer=buyer, seller=seller, kind=kind,
                  price=price, amount=amount, trans_time=trans_time, stime=stime)
-    assert c.body_digest() == _sha(json.dumps([
+    assert c[8] == _sha(json.dumps([
         cid, buyer, seller, kind.value, repr(price), repr(amount), trans_time, stime]))
 
 
@@ -752,7 +753,7 @@ def test_a_signed_offer_is_the_contract_built_directly(buyer, seller, kind, pric
     c = signed["ct-000000"]
     direct = Contract("ct-000000", buyer, seller, kind, price, amount, trans_time, stime)
     assert c == direct
-    assert c.body_digest() == direct.body_digest() == _sha(json.dumps([
+    assert c[8] == direct[8] == _sha(json.dumps([
         "ct-000000", buyer, seller, kind.value, repr(price), repr(amount),
         trans_time, stime]))
 
@@ -761,5 +762,5 @@ def test_a_signed_offer_is_the_contract_built_directly(buyer, seller, kind, pric
 def test_body_digest_of_a_non_string_id_follows_json(cid):
     c = Contract(contract_id=cid, buyer="ea", seller="des", kind=EnergyKind.HEAT,
                  price=1.0, amount=2.0, trans_time=0, stime=0)
-    assert c.body_digest() == _sha(json.dumps(
+    assert c[8] == _sha(json.dumps(
         [cid, "ea", "des", "heat", "1.0", "2.0", 0, 0]))

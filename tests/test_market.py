@@ -13,7 +13,6 @@ from destrade import (
     CityMarket,
     CommunityParams,
     Contract,
-    Dispatch,
     EnergyKind,
     MarketError,
     NeConfig,
@@ -123,7 +122,7 @@ def test_valid_k_intervals_infeasible_retail(chp):
 def test_des_utility_full_retention(chp):
     com = CommunityParams(143.05, 137.81)
     p = PricePair(4.5e-8, 4.5e-8)
-    u = des_utility(chp, com, p, Dispatch(1.0, 1.0))
+    u = des_utility(chp, com, p, 1.0, 1.0)
     assert u == pytest.approx(143.05 + 137.81 - 216.0, abs=1e-9)
     assert u == pytest.approx(64.86, abs=1e-9)
 
@@ -131,7 +130,7 @@ def test_des_utility_full_retention(chp):
 def test_des_utility_full_export(chp):
     com = CommunityParams(143.05, 137.81)
     p = PricePair(4.5e-8, 4.5e-8)
-    u = des_utility(chp, com, p, Dispatch(0.0, 0.0))
+    u = des_utility(chp, com, p, 0.0, 0.0)
     expected = p.p_e * chp.elec_capacity + p.p_h * chp.heat_capacity - 216.0
     assert u == pytest.approx(expected, rel=1e-12)
 
@@ -146,17 +145,8 @@ def test_des_utility_matches_manual_formula(alpha, beta, p_e, p_h):
               + com.k_h * math.log(1.0 + chp.b_h * beta * y)
               + p_e * (1.0 - alpha) * x + p_h * (1.0 - beta) * y
               - chp.fuel_cost)
-    got = des_utility(chp, com, PricePair(p_e, p_h), Dispatch(alpha, beta))
+    got = des_utility(chp, com, PricePair(p_e, p_h), alpha, beta)
     assert got == pytest.approx(manual, rel=1e-12, abs=1e-9)
-
-
-def test_dispatch_bounds():
-    with pytest.raises(MarketError):
-        Dispatch(-0.01, 0.5)
-    with pytest.raises(MarketError):
-        Dispatch(0.5, 1.01)
-    with pytest.raises(MarketError):
-        Dispatch(0.5, math.nan)
 
 
 def test_price_pair_must_be_positive():
