@@ -594,13 +594,13 @@ CITY_ONLY = SMALL_CONSENSUS.split("[consensus]")[0]
     ("consensus", "rounds = 100001", "rounds = 100001 is out of range, need 1 to 100000"),
     ("consensus", "rounds = 1e12", "rounds = 1000000000000 is out of range"),
     ("run", "max_iters = 0", "max_iters = 0 must be at least 1"),
+    ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
+    ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
     # an explicit starting pair: numbers, but not positive, or outside the box
     ("run", "init = -1 2", "section [run]: init = '-1 2': prices must be positive"),
     ("run", "init = nan nan", "section [run]: init = 'nan nan': prices must be positive"),
     ("run", "init = 1e-9 1e-9", "error: init: p_e=1e-09 outside [3.0000000000000004e-08, "
      "5.5e-08]"),
-    ("run", "max_iters = -5", "max_iters = -5 must be at least 1"),
-    ("run", "delta0 = 1e-7", "delta0 = 1e-07 must be below the cost floor 3e-08"),
     ("faults", "drop_prob = nan", "is not finite"),
     ("faults", "drop_prob = 1.5", "drop_prob = 1.5 is out of range"),
     ("faults", "drop_prob = -0.1", "drop_prob = -0.1 is out of range"),
