@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .ledger import Block, Chain, Contract, EnergyKind, make_block, validate_block
 
@@ -68,17 +68,15 @@ class FaultProfile:
 
 
 class ConsensusNode:
-    """Protocol-visible state of one aggregator: its chain, its contract
-    pool, and the senders whose prepare and commit votes reached it in
-    the current round (nodes that got the same votes share one set)."""
+    """Protocol-visible state of one aggregator: its chain and its
+    contract pool.  A round's vote tallies live only inside run_round
+    (_tally) and end with it."""
 
-    __slots__ = ("chain", "pool", "prepares", "commits")
+    __slots__ = ("chain", "pool")
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.pool: Dict[str, Contract] = {}
-        self.prepares: FrozenSet[str] = frozenset()
-        self.commits: FrozenSet[str] = frozenset()
 
     def accepts(self, block: Block) -> bool:
         """This node's verdict on a proposal: valid against its own pool and tip."""
@@ -172,14 +170,15 @@ RoundOutcome = NamedTuple("RoundOutcome", [
 
 
 def _tally(ids: List[str], votes: List[Tuple[str, List[str]]], credits: CreditTable,
-           total: int) -> Tuple[Dict[str, FrozenSet[str]], Dict[str, bool]]:
-    """Each node's tally of one phase, and its quorum verdict.
+           total: int) -> Dict[str, bool]:
+    """Each node's quorum verdict on one phase's votes.
 
     votes holds (sender, the ids its copies reached).  A vote that
     reached every node joins one frozenset all nodes share; any other
     vote is an extra at each node it reached, and a node with extras
-    holds the shared set united with them.  check_quorum runs once for
-    the shared set and once for each node with extras.
+    tallies the shared set united with them.  check_quorum runs once for
+    the shared set and once for each node with extras.  The sender sets
+    are dropped once judged.
     """
     n = len(ids)
     everywhere: List[str] = []
@@ -196,10 +195,9 @@ def _tally(ids: List[str], votes: List[Tuple[str, List[str]]], credits: CreditTa
     shared = frozenset(everywhere)
     verdict = check_quorum(shared, credits, total, n)
     if not extra:
-        return dict.fromkeys(ids, shared), dict.fromkeys(ids, verdict)
-    tallies = {k: shared.union(extra[k]) if extra[k] else shared for k in ids}
-    return tallies, {k: verdict if t is shared else check_quorum(t, credits, total, n)
-                     for k, t in tallies.items()}
+        return dict.fromkeys(ids, verdict)
+    return {k: check_quorum(shared.union(extra[k]), credits, total, n) if extra[k] else verdict
+            for k in ids}
 
 
 def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
@@ -242,7 +240,6 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                else [leader.pool[k] for k in sorted(leader.pool)])
         proposal = make_block(leader_id, leader.chain, round_no, txs)
 
-    prepares = commits = dict.fromkeys(ids, frozenset())
     if proposal is not None:
         # A node's own vote counts toward its quorum.
         votes = []
@@ -258,15 +255,13 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             votes.append((k, net.deliver(k, targets)))
             if len(targets) == n:
                 voted_full.add(k)
-        prepares, prepared = _tally(ids, votes, credits, total)
+        prepared = _tally(ids, votes, credits, total)
         votes = [(k, net.deliver(k, ids)) for k in ids
                  if prepared[k] and profile.behavior_of(k) is not Behavior.DISSENTER]
-        commits, commit_ready = _tally(ids, votes, credits, total)
+        commit_ready = _tally(ids, votes, credits, total)
         for k, node in nodes.items():
             if commit_ready[k] and node.chain.extends(proposal):
                 node.commit(proposal)
-    for k, node in nodes.items():
-        node.prepares, node.commits = prepares[k], commits[k]
 
     deciding = profile.deciding_ids(ids)
     committed = any(nodes[k].chain.tip is proposal for k in deciding)

@@ -69,14 +69,14 @@ def test_check_quorum_equal_credits():
 
 
 def test_check_quorum_skewed_credits():
-    credits = {"a": 0.9, "b": 0.9, "c": 0.1, "d": 0.1}
-    assert check_quorum({"a", "b"}, credits, 2.0, 4) is True  # 1.8/2.0 = 0.9
-    assert check_quorum({"c", "d"}, credits, 2.0, 4) is False
-    assert check_quorum({"a", "c", "d"}, credits, 2.0, 4) is False  # 1.1/2.0
+    credits = {"a": 900_000, "b": 900_000, "c": 100_000, "d": 100_000}
+    assert check_quorum({"a", "b"}, credits, 2_000_000, 4) is True  # 1.8/2.0 = 0.9
+    assert check_quorum({"c", "d"}, credits, 2_000_000, 4) is False
+    assert check_quorum({"a", "c", "d"}, credits, 2_000_000, 4) is False  # 1.1/2.0
 
 
 def test_check_quorum_zero_total():
-    assert check_quorum({"a"}, {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0}, 0.0, 4) is False
+    assert check_quorum({"a"}, dict.fromkeys("abcd", 0), 0, 4) is False
 
 
 def test_a_quorum_on_the_edge_is_met_in_every_table_order():
@@ -166,8 +166,8 @@ def test_elect_leader_zero_total():
 
 
 def test_elect_leader_excludes_zero_credit():
-    credits = {"a": 0.0, "b": 0.5, "c": 0.5, "d": 0.5}
-    winners = {elect_leader(credits, 1.5, s) for s in range(2000)}
+    credits = {"a": 0, "b": CREDIT_UNIT // 2, "c": CREDIT_UNIT // 2, "d": CREDIT_UNIT // 2}
+    winners = {elect_leader(credits, 3 * CREDIT_UNIT // 2, s) for s in range(2000)}
     assert "a" not in winners
     assert winners == {"b", "c", "d"}
 
@@ -185,9 +185,9 @@ def test_elect_leader_uniform_chi_square():
 
 
 def test_elect_leader_skewed_frequencies():
-    credits = {"a": 0.8, "b": 0.2}
+    credits = {"a": 800_000, "b": 200_000}
     draws = 10_000
-    hits = sum(elect_leader(credits, 1.0, s) == "a" for s in range(draws))
+    hits = sum(elect_leader(credits, CREDIT_UNIT, s) == "a" for s in range(draws))
     assert abs(hits / draws - 0.8) <= 0.02
 
 
@@ -229,25 +229,30 @@ def _outcome(leader="L", committed=True, matched=None):
 
 
 def test_update_credits_leader():
-    credits = {"L": 0.5, "v": 0.5}
-    up = update_credits(credits, _outcome(committed=True), 0.05, 0.02)
-    assert up["L"] == pytest.approx(0.55)
-    down = update_credits(credits, _outcome(committed=False), 0.05, 0.02)
-    assert down["L"] == pytest.approx(0.45)
+    half = CREDIT_UNIT // 2
+    credits = {"L": half, "v": half}
+    up = update_credits(credits, _outcome(committed=True), DELTA_LEADER, DELTA_VOTER)
+    assert up == {"L": half + DELTA_LEADER, "v": half}
+    down = update_credits(credits, _outcome(committed=False), DELTA_LEADER, DELTA_VOTER)
+    assert down == {"L": half - DELTA_LEADER, "v": half}
 
 
 def test_update_credits_voter_clamps():
-    credits = {"L": 0.5, "hi": 0.98, "lo": 0.01}
+    # unclamped, hi and lo would leave [0, CREDIT_UNIT] by one micro-credit;
+    # mid steps onto the edge
+    credits = {"L": CREDIT_UNIT // 2, "hi": CREDIT_UNIT - DELTA_VOTER + 1,
+               "lo": DELTA_VOTER - 1, "mid": CREDIT_UNIT - DELTA_VOTER}
     out = update_credits(
-        credits, _outcome(matched={"hi": True, "lo": False}), 0.05, 0.02)
-    assert out["hi"] == 1.0
-    assert out["lo"] == 0.0
+        credits, _outcome(matched={"hi": True, "lo": False, "mid": True}),
+        DELTA_LEADER, DELTA_VOTER)
+    assert out == {"L": CREDIT_UNIT // 2 + DELTA_LEADER, "hi": CREDIT_UNIT, "lo": 0,
+                   "mid": CREDIT_UNIT}
 
 
 def test_update_credits_pure():
-    credits = {"L": 0.5, "v": 0.5}
-    update_credits(credits, _outcome(matched={"v": True}), 0.05, 0.02)
-    assert credits == {"L": 0.5, "v": 0.5}
+    credits = {"L": CREDIT_UNIT // 2, "v": CREDIT_UNIT // 2}
+    update_credits(credits, _outcome(matched={"v": True}), DELTA_LEADER, DELTA_VOTER)
+    assert credits == {"L": CREDIT_UNIT // 2, "v": CREDIT_UNIT // 2}
 
 
 # ------------------------------------------------------------
@@ -268,22 +273,27 @@ def test_round_all_honest_commits():
     assert all(outcome.matched[k] for k in ids if k != outcome.leader_id)
 
 
-def test_each_node_keeps_the_senders_whose_votes_reached_it():
-    ids = _ids(4)
+def test_a_loss_free_round_checks_one_quorum_per_phase(monkeypatch):
+    checked = []
+    check = consensus.check_quorum
+
+    def counted(senders, credits, total, n_nodes):
+        checked.append(set(senders))
+        return check(senders, credits, total, n_nodes)
+
+    monkeypatch.setattr(consensus, "check_quorum", counted)
+    ids = _ids(20)
     nodes, credits = make_nodes(ids), init_credits(ids)
     assert run_round(nodes, credits, FaultProfile(), _net(), 0, seed=1).committed
-    assert all(nodes[k].prepares == nodes[k].commits == set(ids) for k in ids)
-    # every vote landed everywhere, so all nodes share one tally per phase
-    first = nodes[ids[0]]
-    assert all(nodes[k].prepares is first.prepares and nodes[k].commits is first.commits
-               for k in ids)
-    # The next round starts the tallies afresh.  With every copy dropped
-    # only the leader holds the proposal, and its own prepare vote.
+    # every vote landed everywhere, so the nodes share one tally per phase
+    assert checked == [set(ids), set(ids)]
+    # With every copy dropped only the leader holds the proposal, and
+    # its own prepare vote: the empty shared set is checked in each
+    # phase, and the leader's own prepare once more.
+    checked.clear()
     out = run_round(nodes, credits, FaultProfile(), PhaseNet(drop_prob=1.0), 1, seed=2)
-    assert not out.committed
-    assert {k: nodes[k].prepares for k in ids} == {
-        k: {k} if k == out.leader_id else set() for k in ids}
-    assert all(nodes[k].commits == set() for k in ids)
+    assert out.abort_reason == "PrepareQuorumFailed"
+    assert checked == [set(), {out.leader_id}, set()]
 
 
 def _count_randoms(monkeypatch):
@@ -541,26 +551,38 @@ class _Logged(PhaseNet):
 
 
 @pytest.mark.parametrize("drop_prob", [0.0, 0.1])
-def test_each_tally_holds_the_votes_the_fabric_landed(drop_prob):
+def test_each_tally_holds_the_votes_the_fabric_landed(drop_prob, monkeypatch):
     # fresh nodes with equal pools all accept the proposal, so the
     # fan-outs after the proposal's are one prepare per node it reached,
     # then the commits
+    verdicts = []
+    tally = consensus._tally
+
+    def recorded(ids, votes, credits, total):
+        verdicts.append(tally(ids, votes, credits, total))
+        return verdicts[-1]
+
+    monkeypatch.setattr(consensus, "_tally", recorded)
     ids = _ids(9)
     credits = init_credits(ids)
+    total = sum(credits.values())
     per_receiver = 0
     for seed in range(12):
         nodes = make_nodes(ids)
         for node in nodes.values():
             node.pool.update((c.contract_id, c) for c in POOLED)
         net = _Logged(drop_prob, seed)
+        verdicts.clear()
         run_round(nodes, credits, FaultProfile({"n04": Behavior.EQUIVOCATOR}),
                   net, 0, seed)
         (_leader, saw), *votes = net.log
         prepares, commits = votes[:len(saw)], votes[len(saw):]
         assert [src for src, _ in prepares] == saw
-        for k in ids:
-            assert nodes[k].prepares == {src for src, landed in prepares if k in landed}
-            assert nodes[k].commits == {src for src, landed in commits if k in landed}
+        # each node's verdict is the quorum over the senders that reached it
+        assert verdicts == [
+            {k: check_quorum({src for src, landed in phase if k in landed},
+                             credits, total, len(ids)) for k in ids}
+            for phase in (prepares, commits)]
         per_receiver += sum(len(landed) < len(ids) for _, landed in votes)
     assert per_receiver > 0  # some votes missed a node, so extras were tallied
 

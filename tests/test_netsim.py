@@ -240,7 +240,8 @@ def _fork(nodes, ids):
 def test_a_fork_is_counted_and_fails_the_audit():
     # two honest nodes each append a different height-1 block
     nodes = make_nodes(_ids(4))
-    driver = RoundDriver(nodes, FaultProfile(), seed=1, delta1=0.05, delta2=0.02)
+    driver = RoundDriver(nodes, FaultProfile(), seed=1, delta1=DELTA_LEADER,
+                         delta2=DELTA_VOTER)
     _fork(nodes, ["n00", "n01"])
     assert driver.divergence_count == 1
     ref = nodes["n00"].chain
