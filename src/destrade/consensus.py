@@ -166,7 +166,7 @@ def min_quorum_cardinality(credits: CreditTable, total: int,
 
 RoundOutcome = NamedTuple("RoundOutcome", [
     ("leader_id", str), ("committed", bool), ("abort_reason", Optional[str]),
-    ("block", Optional[Block]), ("matched", Dict[str, bool]), ("prepare_needed", int)])
+    ("block", Optional[Block]), ("voted_full", Set[str]), ("prepare_needed", int)])
 
 
 def _tally(ids: List[str], votes: List[Tuple[str, List[str]]], credits: CreditTable,
@@ -271,11 +271,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         else "LeaderInvalidBlock" if not nodes[deciding[0]].accepts(proposal)
         else "PrepareQuorumFailed" if not any(prepared[k] for k in deciding)
         else "CommitQuorumFailed")
-    # A voter matched the outcome when its full, consistent endorsement
-    # agrees with the decision; abstention endorses an abort.
-    matched = {k: (k in voted_full) == committed for k in ids if k != leader_id}
     return RoundOutcome(leader_id=leader_id, committed=committed, abort_reason=abort_reason,
-                        block=proposal if committed else None, matched=matched,
+                        block=proposal if committed else None, voted_full=voted_full,
                         prepare_needed=prepare_needed)
 
 
@@ -284,10 +281,14 @@ def update_credits(credits: CreditTable, outcome: RoundOutcome,
                    delta2: int = DELTA_VOTER) -> CreditTable:
     """Post-round credit adjustment, clamped to [0, CREDIT_UNIT]."""
     out = dict(credits)
-    lead = outcome.leader_id
-    out[lead] = _clamp(out[lead] + (delta1 if outcome.committed else -delta1))
-    for k, ok in outcome.matched.items():
-        out[k] = _clamp(out[k] + (delta2 if ok else -delta2))
+    lead, committed, full = outcome.leader_id, outcome.committed, outcome.voted_full
+    out[lead] = _clamp(out[lead] + (delta1 if committed else -delta1))
+    # A voter matched the outcome when its full, consistent endorsement
+    # agrees with the decision; abstention endorses an abort.
+    for k in credits:
+        if k != lead:
+            ok = (k in full) == committed
+            out[k] = _clamp(out[k] + (delta2 if ok else -delta2))
     return out
 
 

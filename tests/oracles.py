@@ -4,16 +4,15 @@ Everything here is deliberately naive: dense grids, textbook formulas,
 fresh solves.  Nothing imports the solver internals being tested.  The
 reference consensus round is the one exception: it keeps an earlier
 form of run_round, and shares with it only the election, the quorum
-arithmetic and the block checks.  The plain loops behind settlement's
-fast paths (loop_validate_block, loop_commit) keep earlier forms too.
+arithmetic and block building.  The plain loops behind settlement's
+fast paths (loop_validate_block, loop_commit) keep earlier forms too,
+and the reference round checks blocks and drains pools with them.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import reduce
-from operator import add
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
@@ -24,8 +23,7 @@ from destrade.consensus import (Behavior, ConsensusNode, CreditTable, FaultProfi
                                 RoundOutcome, check_quorum, elect_leader,
                                 min_quorum_cardinality)
 from destrade.follower import SATURATION_TOL, SIGN_TOL
-from destrade.ledger import (Block, Contract, EnergyKind, make_block, validate_block,
-                             verify_signature)
+from destrade.ledger import Block, Contract, EnergyKind, make_block, verify_signature
 
 # Grid cells skipped on each side of a detected case switch when probing
 # curvature; the response is only piecewise smooth there.
@@ -399,38 +397,26 @@ def _clip01(v: float) -> float:
 # ============================================================
 
 
-def _send(net, src: str, dst: str) -> bool:
-    """One copy from src to dst over a PhaseNet's links, as the fabric
-    sent copies one by one: count it, and drop it on one draw of the
-    fabric's rng below drop_prob.  True when it lands."""
-    net.sent += 1
-    if net.drop_prob > 0.0 and net.rng.random() < net.drop_prob:
-        net.dropped += 1
-        return False
-    return True
-
-
-def _broadcast(net, ids: List[str], src: str) -> List[str]:
-    """One copy from src to every other node, in id order; the ids it reached."""
-    return [dst for dst in ids if dst != src and _send(net, src, dst)]
-
-
 def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                     profile: FaultProfile, net, round_no: int,
                     seed: int) -> RoundOutcome:
     """run_round as it stood before its votes moved onto one delivery
-    path: honest votes go out by broadcast, an equivocator sends its own
-    copies, and the tallies are per-receiver dicts that die with the
-    round.  Kept verbatim but for net.broadcast and net.send, which
-    _broadcast and _send reproduce copy by copy from the fabric's fields.
+    path: every copy goes out on its own, as one net.deliver(src, [dst])
+    call, so any fabric with deliver serves, and the tallies are
+    per-receiver sender sets that die with the round.  Blocks are
+    checked and pools drained by the plain loops below.
     """
     ids = sorted(nodes)
     n = len(ids)
-    total = reduce(add, credits.values(), 0.0)  # left to right, as check_quorum
+    total = sum(credits.values())
     leader_id = elect_leader(credits, total, seed)
     # Only an equivocating voter draws from the round's stream, so it is
     # seeded on the first such draw.
     rng: Optional[random.Random] = None
+
+    def broadcast(src: str) -> List[str]:
+        """One copy from src to every other node, in id order; the ids it reached."""
+        return [dst for dst in ids if dst != src and net.deliver(src, [dst])]
 
     beh_leader = profile.behavior_of(leader_id)
     proposal: Optional[Block] = None
@@ -446,12 +432,12 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         proposal = make_block(leader_id, nodes[leader_id].chain, round_no, [forged])
     # SILENT_LEADER and DISSENTER leaders propose nothing.
 
-    voted_full: Dict[str, bool] = {k: False for k in ids}
+    voted_full: Set[str] = set()
     committed_nodes: Set[str] = set()
     prepare_needed = min_quorum_cardinality(credits, total, n)
 
     if proposal is not None:
-        saw = set(_broadcast(net, ids, leader_id))
+        saw = set(broadcast(leader_id))
         saw.add(leader_id)
 
         # Prepare phase.  A node's own vote counts toward its quorum.
@@ -462,24 +448,24 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             beh = profile.behavior_of(k)
             if beh is Behavior.DISSENTER:
                 continue
-            ok, _reason = validate_block(proposal, nodes[k].pool, nodes[k].chain)
-            if not ok:
+            if not loop_validate_block(proposal, nodes[k].pool, nodes[k].chain)[0]:
                 continue
             if beh is Behavior.EQUIVOCATOR:
                 if rng is None:
                     rng = random.Random(f"round:{seed}")
                 targets = set(rng.sample(ids, rng.randint(0, n)))
                 for dst in sorted(targets - {k}):
-                    if _send(net, k, dst):
+                    if net.deliver(k, [dst]):
                         prepares[dst].add(k)
                 if k in targets:
                     prepares[k].add(k)
-                voted_full[k] = targets == set(ids)
+                if targets == set(ids):
+                    voted_full.add(k)
             else:
-                for dst in _broadcast(net, ids, k):
+                for dst in broadcast(k):
                     prepares[dst].add(k)
                 prepares[k].add(k)
-                voted_full[k] = True
+                voted_full.add(k)
 
         # Commit phase.
         commits: Dict[str, Set[str]] = {k: set() for k in ids}
@@ -487,22 +473,18 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             if profile.behavior_of(k) is Behavior.DISSENTER:
                 continue
             if check_quorum(prepares[k], credits, total, n):
-                for dst in _broadcast(net, ids, k):
+                for dst in broadcast(k):
                     commits[dst].add(k)
                 commits[k].add(k)
 
         # A node that missed an earlier commit is not on the block's
         # parent; it abstains rather than append off its tip.
-        tx_ids = proposal.tx_ids
         for k in ids:
             node = nodes[k]
             if (check_quorum(commits[k], credits, total, n)
                     and node.chain.extends(proposal)):
                 committed_nodes.add(k)
-                node.chain.append(proposal)
-                pop = node.pool.pop
-                for cid in tx_ids:
-                    pop(cid, None)
+                loop_commit(node, proposal)
 
     deciding = profile.deciding_ids(ids)
     committed = any(k in committed_nodes for k in deciding)
@@ -513,7 +495,7 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             abort_reason = "LeaderSilent"
         else:
             ref = deciding[0]
-            ok, _reason = validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
+            ok, _reason = loop_validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
             if not ok:
                 abort_reason = "LeaderInvalidBlock"
             elif not any(check_quorum(prepares[k], credits, total, n)
@@ -522,16 +504,12 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             else:
                 abort_reason = "CommitQuorumFailed"
 
-    # A voter matched the outcome when its full, consistent endorsement
-    # agrees with the decision; abstention endorses an abort.
-    matched = {k: voted_full[k] == committed for k in ids if k != leader_id}
-
     return RoundOutcome(
         leader_id=leader_id,
         committed=committed,
         abort_reason=abort_reason,
         block=proposal if committed else None,
-        matched=matched,
+        voted_full=voted_full,
         prepare_needed=prepare_needed,
     )
 

@@ -222,19 +222,22 @@ def test_elect_leader_picks_a_positive_credit(values, seed):
 # ------------------------------------------------------------
 
 
-def _outcome(leader="L", committed=True, matched=None):
+def _outcome(leader="L", committed=True, voted_full=()):
     return RoundOutcome(leader_id=leader, committed=committed,
                         abort_reason=None if committed else "LeaderSilent",
-                        block=None, matched=matched or {}, prepare_needed=3)
+                        block=None, voted_full=set(voted_full), prepare_needed=3)
 
 
 def test_update_credits_leader():
     half = CREDIT_UNIT // 2
     credits = {"L": half, "v": half}
-    up = update_credits(credits, _outcome(committed=True), DELTA_LEADER, DELTA_VOTER)
-    assert up == {"L": half + DELTA_LEADER, "v": half}
-    down = update_credits(credits, _outcome(committed=False), DELTA_LEADER, DELTA_VOTER)
-    assert down == {"L": half - DELTA_LEADER, "v": half}
+    up = update_credits(credits, _outcome(committed=True, voted_full={"L", "v"}),
+                        DELTA_LEADER, DELTA_VOTER)
+    assert up == {"L": half + DELTA_LEADER, "v": half + DELTA_VOTER}
+    # the leader is judged as leader only, whatever it voted
+    down = update_credits(credits, _outcome(committed=False, voted_full={"L", "v"}),
+                          DELTA_LEADER, DELTA_VOTER)
+    assert down == {"L": half - DELTA_LEADER, "v": half - DELTA_VOTER}
 
 
 def test_update_credits_voter_clamps():
@@ -242,16 +245,15 @@ def test_update_credits_voter_clamps():
     # mid steps onto the edge
     credits = {"L": CREDIT_UNIT // 2, "hi": CREDIT_UNIT - DELTA_VOTER + 1,
                "lo": DELTA_VOTER - 1, "mid": CREDIT_UNIT - DELTA_VOTER}
-    out = update_credits(
-        credits, _outcome(matched={"hi": True, "lo": False, "mid": True}),
-        DELTA_LEADER, DELTA_VOTER)
+    out = update_credits(credits, _outcome(voted_full={"hi", "mid"}),
+                         DELTA_LEADER, DELTA_VOTER)
     assert out == {"L": CREDIT_UNIT // 2 + DELTA_LEADER, "hi": CREDIT_UNIT, "lo": 0,
                    "mid": CREDIT_UNIT}
 
 
 def test_update_credits_pure():
     credits = {"L": CREDIT_UNIT // 2, "v": CREDIT_UNIT // 2}
-    update_credits(credits, _outcome(matched={"v": True}), DELTA_LEADER, DELTA_VOTER)
+    update_credits(credits, _outcome(voted_full={"v"}), DELTA_LEADER, DELTA_VOTER)
     assert credits == {"L": CREDIT_UNIT // 2, "v": CREDIT_UNIT // 2}
 
 
@@ -270,7 +272,7 @@ def test_round_all_honest_commits():
     tips = {nodes[k].chain.tip.block_hash for k in ids}
     assert len(tips) == 1
     assert all(nodes[k].chain.height == 1 for k in ids)
-    assert all(outcome.matched[k] for k in ids if k != outcome.leader_id)
+    assert outcome.voted_full == set(ids)
 
 
 def test_a_loss_free_round_checks_one_quorum_per_phase(monkeypatch):
