@@ -5,7 +5,8 @@ proposes a block, everyone validates and exchanges prepare votes, then
 commit votes; a vote set clears when its senders hold at least
 (2*floor((n-1)/3)+1)/n of the total credit.  Leaders gain or lose
 delta1 by whether the round commits, voters gain or lose delta2 by
-whether their vote matched the outcome, and credits stay clamped to
+whether their vote matched the outcome (update_credits; a prepare sent
+to only some of the nodes always loses), and credits stay clamped to
 [0, 1].  Misbehaving nodes therefore lose both influence and election
 odds over time.  Credits are whole micro-credits (CREDIT_UNIT is one
 credit), so every credit sum and quorum verdict is exact in any order.
@@ -166,7 +167,8 @@ def min_quorum_cardinality(credits: CreditTable, total: int,
 
 RoundOutcome = NamedTuple("RoundOutcome", [
     ("leader_id", str), ("committed", bool), ("abort_reason", Optional[str]),
-    ("block", Optional[Block]), ("voted_full", Set[str]), ("prepare_needed", int)])
+    ("block", Optional[Block]), ("voted_full", Set[str]), ("voted_partial", Set[str]),
+    ("prepare_needed", int)])
 
 
 def _tally(ids: List[str], votes: List[Tuple[str, List[str]]], credits: CreditTable,
@@ -227,6 +229,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     # Only an equivocator draws from the round's stream: seeded on its first draw.
     rng: Optional[random.Random] = None
     voted_full: Set[str] = set()  # voters whose prepare went to every node
+    voted_partial: Set[str] = set()  # voters whose prepare went to fewer nodes
 
     # Silent and dissenter leaders propose nothing; an invalid-block one forges a tx.
     beh_leader = profile.behavior_of(leader_id)
@@ -253,8 +256,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                     rng = random.Random(f"round:{seed}")
                 targets = sorted(rng.sample(ids, rng.randint(0, n)))
             votes.append((k, net.deliver(k, targets)))
-            if len(targets) == n:
-                voted_full.add(k)
+            (voted_full if len(targets) == n else voted_partial).add(k)
         prepared = _tally(ids, votes, credits, total)
         votes = [(k, net.deliver(k, ids)) for k in ids
                  if prepared[k] and profile.behavior_of(k) is not Behavior.DISSENTER]
@@ -273,7 +275,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         else "CommitQuorumFailed")
     return RoundOutcome(leader_id=leader_id, committed=committed, abort_reason=abort_reason,
                         block=proposal if committed else None, voted_full=voted_full,
-                        prepare_needed=prepare_needed)
+                        voted_partial=voted_partial, prepare_needed=prepare_needed)
 
 
 def update_credits(credits: CreditTable, outcome: RoundOutcome,
@@ -281,13 +283,15 @@ def update_credits(credits: CreditTable, outcome: RoundOutcome,
                    delta2: int = DELTA_VOTER) -> CreditTable:
     """Post-round credit adjustment, clamped to [0, CREDIT_UNIT]."""
     out = dict(credits)
-    lead, committed, full = outcome.leader_id, outcome.committed, outcome.voted_full
+    lead, committed = outcome.leader_id, outcome.committed
+    full, partial = outcome.voted_full, outcome.voted_partial
     out[lead] = _clamp(out[lead] + (delta1 if committed else -delta1))
     # A voter matched the outcome when its full, consistent endorsement
-    # agrees with the decision; abstention endorses an abort.
+    # agrees with the decision; abstention endorses an abort, and a
+    # prepare sent to only some nodes matches nothing.
     for k in credits:
         if k != lead:
-            ok = (k in full) == committed
+            ok = k not in partial and (k in full) == committed
             out[k] = _clamp(out[k] + (delta2 if ok else -delta2))
     return out
 

@@ -433,6 +433,7 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     # SILENT_LEADER and DISSENTER leaders propose nothing.
 
     voted_full: Set[str] = set()
+    voted_partial: Set[str] = set()
     committed_nodes: Set[str] = set()
     prepare_needed = min_quorum_cardinality(credits, total, n)
 
@@ -461,6 +462,8 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                     prepares[k].add(k)
                 if targets == set(ids):
                     voted_full.add(k)
+                else:
+                    voted_partial.add(k)
             else:
                 for dst in broadcast(k):
                     prepares[dst].add(k)
@@ -510,6 +513,7 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         abort_reason=abort_reason,
         block=proposal if committed else None,
         voted_full=voted_full,
+        voted_partial=voted_partial,
         prepare_needed=prepare_needed,
     )
 

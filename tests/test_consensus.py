@@ -222,10 +222,11 @@ def test_elect_leader_picks_a_positive_credit(values, seed):
 # ------------------------------------------------------------
 
 
-def _outcome(leader="L", committed=True, voted_full=()):
+def _outcome(leader="L", committed=True, voted_full=(), voted_partial=()):
     return RoundOutcome(leader_id=leader, committed=committed,
                         abort_reason=None if committed else "LeaderSilent",
-                        block=None, voted_full=set(voted_full), prepare_needed=3)
+                        block=None, voted_full=set(voted_full),
+                        voted_partial=set(voted_partial), prepare_needed=3)
 
 
 def test_update_credits_leader():
@@ -249,6 +250,18 @@ def test_update_credits_voter_clamps():
                          DELTA_LEADER, DELTA_VOTER)
     assert out == {"L": CREDIT_UNIT // 2 + DELTA_LEADER, "hi": CREDIT_UNIT, "lo": 0,
                    "mid": CREDIT_UNIT}
+
+
+def test_a_partial_vote_always_loses():
+    # a prepare that went to some nodes only matches neither outcome; a
+    # voter that sent none endorses an abort
+    half = CREDIT_UNIT // 2
+    credits = {"L": half, "part": half, "none": half}
+    for committed in (True, False):
+        out = update_credits(credits, _outcome(committed=committed, voted_partial={"part"}),
+                             DELTA_LEADER, DELTA_VOTER)
+        assert out["part"] == half - DELTA_VOTER
+        assert out["none"] == half + (-DELTA_VOTER if committed else DELTA_VOTER)
 
 
 def test_update_credits_pure():
@@ -451,6 +464,20 @@ def test_run_rounds_deterministic():
     assert a.commit_count == b.commit_count
 
 
+@pytest.mark.parametrize("seed", [4, 9, 10])
+def test_one_equivocator_of_four_never_takes_the_credit(seed):
+    # ROADMAP 7(a): while a partial prepare counted as endorsing an abort,
+    # each abort it caused moved credit from the honest voters to the
+    # equivocator, and these loss-free runs drained every credit (rounds
+    # 973, 222 and 822)
+    ids = _ids(4)
+    driver = run_rounds(1000, make_nodes(ids),
+                        FaultProfile(behaviors={"n00": Behavior.EQUIVOCATOR}), seed=seed)
+    for row in driver.rows:
+        assert row.credit_honest + row.credit_byz > 0
+        assert row.credit_honest > row.credit_byz
+
+
 # ------------------------------------------------------------
 # the reference round
 # ------------------------------------------------------------
@@ -537,6 +564,55 @@ def test_run_round_matches_the_reference_round_at_200_nodes():
     # the scale the shared tallies are for: every vote lands everywhere
     group = (200, {}, 0.0, [FULL] * 200, 11)
     assert _drive(run_round, *group, rounds=5) == _drive(reference_round, *group, rounds=5)
+
+
+class _Scripted:
+    """A fabric that is no PhaseNet: it drops the copies at the given send
+    indices, counting only copies to another node."""
+
+    def __init__(self, drops):
+        self.drops = frozenset(drops)
+        self.sent = 0
+
+    def deliver(self, src, targets):
+        landed = []
+        for dst in targets:
+            if dst != src:
+                self.sent += 1
+                if self.sent - 1 in self.drops:
+                    continue
+            landed.append(dst)
+        return landed
+
+
+def _scripted_round(round_fn, behaviors, seed, drops):
+    """One round of round_fn over a fresh 4-node group with every contract
+    pooled; its outcome (block by hash), copies sent, chains and pools."""
+    ids = _ids(4)
+    nodes = make_nodes(ids)
+    for node in nodes.values():
+        node.pool.update((c.contract_id, c) for c in POOLED)
+    net = _Scripted(drops)
+    outcome = round_fn(nodes, init_credits(ids), FaultProfile(behaviors), net, 0, seed)
+    block = outcome.block
+    return (outcome._replace(block=None if block is None else block.block_hash), net.sent,
+            {k: [b.block_hash for b in node.chain.blocks] for k, node in nodes.items()},
+            {k: node.pool for k, node in nodes.items()})
+
+
+@pytest.mark.parametrize("behaviors", [{}, {"n00": Behavior.EQUIVOCATOR}],
+                         ids=["no-faults", "one-equivocator"])
+def test_the_reference_round_runs_on_a_scripted_fabric(behaviors):
+    # every set of one or two copies dropped from one round
+    reasons = Counter()
+    for seed in range(3):
+        copies = _scripted_round(run_round, behaviors, seed, ())[1]
+        for drops in itertools.chain.from_iterable(
+                itertools.combinations(range(copies), k) for k in (0, 1, 2)):
+            got = _scripted_round(run_round, behaviors, seed, drops)
+            assert got == _scripted_round(reference_round, behaviors, seed, drops), drops
+            reasons[got[0].abort_reason] += 1
+    assert None in reasons and len(reasons) > 1  # some drop sets abort the round
 
 
 class _Logged(PhaseNet):

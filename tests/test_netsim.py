@@ -256,7 +256,7 @@ def test_a_fork_is_counted_and_fails_the_audit():
     pytest.param(4, 0.1, None, 8, 3, id="n4-no-faults"),
     # every node equivocates, so every chain counts: the honest ones
     # alone would read 0 here
-    pytest.param(5, 0.2, Behavior.EQUIVOCATOR, 2, 1, id="n5-all-equivocators"),
+    pytest.param(5, 0.2, Behavior.EQUIVOCATOR, 1, 1, id="n5-all-equivocators"),
 ])
 def test_lossy_runs_count_their_forks(n, drop_prob, role, seed, forks):
     # pinned counts of runs that fork under loss; each fork is a height
