@@ -202,6 +202,36 @@ def _tally(ids: List[str], votes: List[Tuple[str, List[str]]], credits: CreditTa
             for k in ids}
 
 
+def propose(nodes: Dict[str, ConsensusNode], profile: FaultProfile, leader_id: str,
+            round_no: int) -> Optional[Block]:
+    """The leader's block on its tip: none if it is silent or dissents, one
+    forged contract if it proposes invalid blocks, else its pool, sorted."""
+    beh = profile.behavior_of(leader_id)
+    if beh is Behavior.SILENT_LEADER or beh is Behavior.DISSENTER:
+        return None
+    leader = nodes[leader_id]
+    txs = ([Contract(f"forged-{round_no}", leader_id, leader_id, EnergyKind.ELECTRICITY,
+                     1.0, 1.0, 0, 0)]
+           if beh is Behavior.INVALID_BLOCK_LEADER
+           else [leader.pool[k] for k in sorted(leader.pool)])
+    return make_block(leader_id, leader.chain, round_no, txs)
+
+
+def decide(nodes: Dict[str, ConsensusNode], profile: FaultProfile, ids: List[str],
+           proposal: Optional[Block], prepared: Dict[str, bool]) -> Tuple[bool, Optional[str]]:
+    """(committed, abort_reason): committed when a deciding node's tip is
+    the proposal, else the first cause that holds: none was proposed, the
+    first deciding node rejects it, none of them is prepared, the commits."""
+    deciding = profile.deciding_ids(ids)
+    committed = any(nodes[k].chain.tip is proposal for k in deciding)
+    return committed, (
+        None if committed
+        else "LeaderSilent" if proposal is None
+        else "LeaderInvalidBlock" if not nodes[deciding[0]].accepts(proposal)
+        else "PrepareQuorumFailed" if not any(prepared[k] for k in deciding)
+        else "CommitQuorumFailed")
+
+
 def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
               profile: FaultProfile, net, round_no: int,
               seed: int) -> RoundOutcome:
@@ -217,9 +247,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     per copy.  Prepare: a node the proposal reached votes when it
     accepts the block.  Commit: a node whose prepares clear the quorum
     votes.  Append: a node whose commits clear the quorum takes the
-    block when it extends its tip; a node that lags abstains.  The
-    round commits when a deciding node (FaultProfile.deciding_ids) took
-    the block.
+    block when it extends its tip; a node that lags abstains.  propose
+    makes the block and decide the round's verdict.
     """
     ids = sorted(nodes)
     n = len(ids)
@@ -231,18 +260,8 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     voted_full: Set[str] = set()  # voters whose prepare went to every node
     voted_partial: Set[str] = set()  # voters whose prepare went to fewer nodes
 
-    # Silent and dissenter leaders propose nothing; an invalid-block one forges a tx.
-    beh_leader = profile.behavior_of(leader_id)
-    proposal: Optional[Block] = None
-    if beh_leader not in (Behavior.SILENT_LEADER, Behavior.DISSENTER):
-        leader = nodes[leader_id]
-        txs = ([Contract(contract_id=f"forged-{round_no}", buyer=leader_id,
-                         seller=leader_id, kind=EnergyKind.ELECTRICITY,
-                         price=1.0, amount=1.0, trans_time=0, stime=0)]
-               if beh_leader is Behavior.INVALID_BLOCK_LEADER
-               else [leader.pool[k] for k in sorted(leader.pool)])
-        proposal = make_block(leader_id, leader.chain, round_no, txs)
-
+    proposal = propose(nodes, profile, leader_id, round_no)
+    prepared: Dict[str, bool] = {}
     if proposal is not None:
         # A node's own vote counts toward its quorum.
         votes = []
@@ -265,14 +284,7 @@ def run_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             if commit_ready[k] and node.chain.extends(proposal):
                 node.commit(proposal)
 
-    deciding = profile.deciding_ids(ids)
-    committed = any(nodes[k].chain.tip is proposal for k in deciding)
-    abort_reason = (
-        None if committed
-        else "LeaderSilent" if proposal is None
-        else "LeaderInvalidBlock" if not nodes[deciding[0]].accepts(proposal)
-        else "PrepareQuorumFailed" if not any(prepared[k] for k in deciding)
-        else "CommitQuorumFailed")
+    committed, abort_reason = decide(nodes, profile, ids, proposal, prepared)
     return RoundOutcome(leader_id=leader_id, committed=committed, abort_reason=abort_reason,
                         block=proposal if committed else None, voted_full=voted_full,
                         voted_partial=voted_partial, prepare_needed=prepare_needed)

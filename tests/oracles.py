@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dense grids, textbook formulas,
 fresh solves.  Nothing imports the solver internals being tested.  The
 reference consensus round is the one exception: it keeps an earlier
-form of run_round, and shares with it only the election, the quorum
-arithmetic and block building.  The plain loops behind settlement's
+form of run_round's delivery and tallies, and shares with it the
+election, the quorum arithmetic, the proposal (propose) and the
+round's verdict (decide).  The plain loops behind settlement's
 fast paths (loop_validate_block, loop_commit) keep earlier forms too,
 and the reference round checks blocks and drains pools with them.
 """
@@ -20,10 +21,10 @@ import numpy as np
 from destrade import (ChpParams, CommunityParams, FollowerError, KktCase, KktSolution,
                       PricePair, best_response)
 from destrade.consensus import (Behavior, ConsensusNode, CreditTable, FaultProfile,
-                                RoundOutcome, check_quorum, elect_leader,
-                                min_quorum_cardinality)
+                                RoundOutcome, check_quorum, decide, elect_leader,
+                                min_quorum_cardinality, propose)
 from destrade.follower import SATURATION_TOL, SIGN_TOL
-from destrade.ledger import Block, Contract, EnergyKind, make_block, verify_signature
+from destrade.ledger import Block, Contract, verify_signature
 
 # Grid cells skipped on each side of a detected case switch when probing
 # curvature; the response is only piecewise smooth there.
@@ -404,7 +405,8 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
     path: every copy goes out on its own, as one net.deliver(src, [dst])
     call, so any fabric with deliver serves, and the tallies are
     per-receiver sender sets that die with the round.  Blocks are
-    checked and pools drained by the plain loops below.
+    checked and pools drained by the plain loops below; the block and
+    the round's verdict are run_round's own (propose, decide).
     """
     ids = sorted(nodes)
     n = len(ids)
@@ -418,23 +420,10 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
         """One copy from src to every other node, in id order; the ids it reached."""
         return [dst for dst in ids if dst != src and net.deliver(src, [dst])]
 
-    beh_leader = profile.behavior_of(leader_id)
-    proposal: Optional[Block] = None
-    if beh_leader in (Behavior.HONEST, Behavior.EQUIVOCATOR):
-        leader = nodes[leader_id]
-        txs = [leader.pool[k] for k in sorted(leader.pool)]
-        proposal = make_block(leader_id, leader.chain, round_no, txs)
-    elif beh_leader is Behavior.INVALID_BLOCK_LEADER:
-        # Properly signed block carrying a contract nobody pooled.
-        forged = Contract(contract_id=f"forged-{round_no}", buyer=leader_id,
-                          seller=leader_id, kind=EnergyKind.ELECTRICITY,
-                          price=1.0, amount=1.0, trans_time=0, stime=0)
-        proposal = make_block(leader_id, nodes[leader_id].chain, round_no, [forged])
-    # SILENT_LEADER and DISSENTER leaders propose nothing.
-
+    proposal = propose(nodes, profile, leader_id, round_no)
     voted_full: Set[str] = set()
     voted_partial: Set[str] = set()
-    committed_nodes: Set[str] = set()
+    prepared: Dict[str, bool] = {}
     prepare_needed = min_quorum_cardinality(credits, total, n)
 
     if proposal is not None:
@@ -471,11 +460,12 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
                 voted_full.add(k)
 
         # Commit phase.
+        prepared = {k: check_quorum(prepares[k], credits, total, n) for k in ids}
         commits: Dict[str, Set[str]] = {k: set() for k in ids}
         for k in ids:
             if profile.behavior_of(k) is Behavior.DISSENTER:
                 continue
-            if check_quorum(prepares[k], credits, total, n):
+            if prepared[k]:
                 for dst in broadcast(k):
                     commits[dst].add(k)
                 commits[k].add(k)
@@ -486,27 +476,9 @@ def reference_round(nodes: Dict[str, ConsensusNode], credits: CreditTable,
             node = nodes[k]
             if (check_quorum(commits[k], credits, total, n)
                     and node.chain.extends(proposal)):
-                committed_nodes.add(k)
                 loop_commit(node, proposal)
 
-    deciding = profile.deciding_ids(ids)
-    committed = any(k in committed_nodes for k in deciding)
-
-    abort_reason: Optional[str] = None
-    if not committed:
-        if proposal is None:
-            abort_reason = "LeaderSilent"
-        else:
-            ref = deciding[0]
-            ok, _reason = loop_validate_block(proposal, nodes[ref].pool, nodes[ref].chain)
-            if not ok:
-                abort_reason = "LeaderInvalidBlock"
-            elif not any(check_quorum(prepares[k], credits, total, n)
-                         for k in deciding):
-                abort_reason = "PrepareQuorumFailed"
-            else:
-                abort_reason = "CommitQuorumFailed"
-
+    committed, abort_reason = decide(nodes, profile, ids, proposal, prepared)
     return RoundOutcome(
         leader_id=leader_id,
         committed=committed,

@@ -615,6 +615,29 @@ def test_the_reference_round_runs_on_a_scripted_fabric(behaviors):
     assert None in reasons and len(reasons) > 1  # some drop sets abort the round
 
 
+@pytest.mark.parametrize("lagging,drops,reason", [
+    (("n00", "n02"), (), "LeaderInvalidBlock"),
+    (("n02", "n03"), (), "PrepareQuorumFailed"),
+    ((), range(15, 27), "CommitQuorumFailed"),
+], ids=["first-decider-lags", "half-lag", "commit-copies-drop"])
+def test_an_aborted_round_names_its_cause(lagging, drops, reason):
+    # Seed 7 elects n01 from equal credits.  Lagging nodes miss an empty
+    # height-1 block the others took, so they reject the leader's block
+    # as off their tip.  The cause is read off the first deciding node
+    # alone: n00's rejection names the block invalid though n01 and n03
+    # accept it.  With no lag, the proposal's 3 copies and the prepares'
+    # 12 land and every commit copy drops.
+    ids = _ids(4)
+    for round_fn in (run_round, reference_round):
+        nodes = make_nodes(ids)
+        missed = make_block("n03", nodes["n03"].chain, 0, [])
+        for k in ids:
+            if k not in lagging:
+                nodes[k].chain.append(missed)
+        outcome = round_fn(nodes, init_credits(ids), FaultProfile(), _Scripted(drops), 1, 7)
+        assert (outcome.leader_id, outcome.abort_reason) == ("n01", reason)
+
+
 class _Logged(PhaseNet):
     """PhaseNet that logs each fan-out: its sender and where it landed."""
 

@@ -68,10 +68,10 @@ def test_importing_the_cli_loads_no_code_generating_module():
     assert first_use == ""
 
 
-# The summary line each golden run prints.  The drift and the credit
-# sums behind the vote counts add floats left to right on every Python;
-# sum() would compensate the rounding from 3.12 on, and full_2city would
-# print drift=9.095e-13 there.
+# The summary line each golden run prints.  The drift adds floats left
+# to right on every Python; sum() would compensate the rounding from
+# 3.12 on, and full_2city would print drift=9.095e-13 there.  The credit
+# sums behind the vote counts add whole micro-credits, exact in any order.
 SUMMARIES = {
     "consensus20": "consensus: rounds=1000 commits=864 aborts=136 divergent=0 dropped=0",
     "full_2city": "full: contracts=60 executed=60 height=3 drift=0.000e+00 chain_ok=True "
